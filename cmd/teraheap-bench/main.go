@@ -45,6 +45,7 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
 	"github.com/carv-repro/teraheap-go/internal/perf"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/runner"
 	"github.com/carv-repro/teraheap-go/internal/server"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
@@ -230,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if arg != "" {
 			names = strings.Split(arg, ":")
 		}
-		kinds, err := experiments.PretenureKinds(names)
+		kinds, err := rt.KindsByName(names)
 		if err != nil {
 			fmt.Fprintf(stderr, "teraheap-bench: pretenure: %v\n", err)
 			return 2
@@ -257,12 +258,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runBench(*benchOut, *benchRev, *trajectory, *threshold, *strict, stdout, stderr)
 	case "all":
-		parallel := runAll(stdout, stderr)
+		parallel, _ := runAll(stdout, stderr)
 		if *compare {
 			runner.SetDefaultWorkers(1)
 			workloads.ResetCaches() // serial rerun regenerates datasets too
 			fmt.Fprintf(stderr, "# rerunning at -j 1 for comparison\n")
-			serial := runAll(io.Discard, stderr)
+			serial, _ := runAll(io.Discard, stderr)
 			fmt.Fprintf(stderr, "# speedup vs -j 1: %.2fx (parallel %v, serial %v)\n",
 				float64(serial)/float64(parallel), parallel.Round(time.Millisecond),
 				serial.Round(time.Millisecond))
@@ -297,6 +298,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // OOM-by-design runs (the paper's native-JVM OOM bars) do not affect the
 // exit code: the subcommand's contract is the JSON file.
 func runBench(outPath, rev, trajectory string, threshold float64, strict bool, stdout, stderr io.Writer) int {
+	total, figures := runAll(io.Discard, stderr)
 	report := &perf.Report{
 		Schema:    perf.Schema,
 		Rev:       rev,
@@ -304,18 +306,9 @@ func runBench(outPath, rev, trajectory string, threshold float64, strict bool, s
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		Jobs:      runner.DefaultWorkers(),
+		Figures:   figures,
+		TotalNS:   total.Nanoseconds(),
 	}
-
-	start := time.Now()
-	for _, e := range suite {
-		figStart := time.Now()
-		e.fn()
-		wall := time.Since(figStart)
-		report.Figures = append(report.Figures, perf.Figure{Name: e.name, WallNS: wall.Nanoseconds()})
-		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, wall.Round(time.Millisecond))
-	}
-	report.TotalNS = time.Since(start).Nanoseconds()
-	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", time.Duration(report.TotalNS).Round(time.Millisecond), report.Jobs)
 	if n := experiments.BadRuns(); n > 0 {
 		fmt.Fprintf(stderr, "# %d run(s) ended OOM/faulted/panicked (expected for native-JVM OOM bars)\n", n)
 	}
@@ -390,19 +383,21 @@ func runBenchDiff(oldPath, newPath string, threshold float64, strict bool, stdou
 }
 
 // runAll runs the whole suite, streaming figure text to stdout and
-// per-figure wall-clock timings to stderr, and returns the total
-// wall-clock time.
-func runAll(stdout, stderr io.Writer) time.Duration {
+// per-figure wall-clock timings to stderr, and returns the total and
+// per-figure wall-clock times.
+func runAll(stdout, stderr io.Writer) (time.Duration, []perf.Figure) {
+	var figures []perf.Figure
 	start := time.Now()
 	for _, e := range suite {
 		figStart := time.Now()
-		out := e.fn()
-		fmt.Fprint(stdout, out)
-		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, time.Since(figStart).Round(time.Millisecond))
+		fmt.Fprint(stdout, e.fn())
+		wall := time.Since(figStart)
+		figures = append(figures, perf.Figure{Name: e.name, WallNS: wall.Nanoseconds()})
+		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, wall.Round(time.Millisecond))
 	}
 	total := time.Since(start)
 	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), runner.DefaultWorkers())
-	return total
+	return total, figures
 }
 
 // parseServeConfig resolves the serve subcommands' optional config DSL

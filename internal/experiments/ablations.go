@@ -33,7 +33,7 @@ func vmClassesForSizeSeg() *vm.ClassTable {
 // ablations are fault-free by design).
 func rtNewJVM(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) *rt.JVM {
 	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &thCfg,
-		Classes: classes, Clock: clock, Verify: DefaultContext().Verify})
+		Classes: classes, Clock: clock, Layers: rt.Layers{Verify: DefaultContext().Verify}})
 	return ses.Runtime.(*rt.JVM)
 }
 

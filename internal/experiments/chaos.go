@@ -43,6 +43,23 @@ func (r ChaosResult) Counts() (healthy, recovered, degraded, faulted, oom, panic
 	return
 }
 
+// status labels the run's outcome bucket in the chaos reports.
+func (r RunResult) status() string {
+	switch {
+	case r.Failed:
+		return "PANIC"
+	case r.Faulted:
+		return "FAULTED"
+	case r.OOM:
+		return "OOM"
+	case r.Recovered():
+		return "RECOVERED"
+	case r.Degraded():
+		return "degraded"
+	}
+	return "ok"
+}
+
 // Panicked reports whether any run died by panic — the one outcome the
 // chaos harness treats as a bug. Faulted and OOM runs are expected under
 // an aggressive plan; a panic means a fault escaped the typed-error paths.
@@ -66,30 +83,14 @@ func (r ChaosResult) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== chaos: %d runs under plan [%s], verifier on ==\n", len(r.Runs), plan)
 	for _, run := range r.Runs {
-		status := "ok"
-		switch {
-		case run.Failed:
-			status = "PANIC"
-		case run.Faulted:
-			status = "FAULTED"
-		case run.OOM:
-			status = "OOM"
-		case run.Recovered():
-			status = "RECOVERED"
-		case run.Degraded():
-			status = "degraded"
-		}
+		status := run.status()
 		fmt.Fprintf(&sb, "%-28s %-9s total=%-14v %s\n", run.Name, status,
 			run.B.Total().Round(time.Microsecond), run.FaultStats.String())
 		if run.Recovered() {
 			fmt.Fprintf(&sb, "  recovery: %s\n", run.Recovery.String())
 		}
 		if run.FailErr != "" {
-			line := run.FailErr
-			if i := strings.IndexByte(line, '\n'); i >= 0 {
-				line = line[:i]
-			}
-			fmt.Fprintf(&sb, "  cause: %s\n", line)
+			fmt.Fprintf(&sb, "  cause: %s\n", firstLine(run.FailErr))
 		}
 	}
 	healthy, recovered, degraded, faulted, oom, panicked := r.Counts()

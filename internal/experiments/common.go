@@ -9,9 +9,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
@@ -84,10 +82,8 @@ type RunResult struct {
 	DevStats storage.Stats
 	Checksum float64
 
-	// PageFaults counts H2 page-cache faults (TeraHeap runs only);
-	// SeqFaults is the readahead-covered subset.
+	// PageFaults counts H2 page-cache faults (TeraHeap runs only).
 	PageFaults int64
-	SeqFaults  int64
 	// FinalLowThreshold is the low threshold after any dynamic
 	// adaptation (TeraHeap runs only).
 	FinalLowThreshold float64
@@ -131,11 +127,7 @@ func (r RunResult) Row() metrics.Row {
 func (r RunResult) RowNamed(name string) metrics.Row {
 	row := metrics.Row{Name: name, B: r.B, OOM: r.OOM, Fault: r.Faulted || r.Failed}
 	if row.Fault {
-		if i := strings.IndexByte(r.FailErr, '\n'); i >= 0 {
-			row.Note = r.FailErr[:i]
-		} else {
-			row.Note = r.FailErr
-		}
+		row.Note = firstLine(r.FailErr)
 	}
 	if r.Recovered() {
 		row.Recovered = true
@@ -326,108 +318,76 @@ func RunSpark(cfg SparkRun) RunResult {
 		cfg.DatasetScale = 1
 	}
 	datasetBytes := int64(float64(GB(spec.datasetGB)) * cfg.DatasetScale)
-	heapGB := cfg.DramGB - DR2GB
-	if heapGB < 2 {
-		heapGB = 2
-	}
+	heapGB := heapBudgetGB(cfg.DramGB)
 
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		DeviceKind:     cfg.Device,
-		Stripes:        cfg.Stripes,
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-	}
-	sspec.Kind = cfg.Runtime
+	sspec := sizedSpec(cfg.Runtime, cfg.DramGB, sparkTHSizing(spec, cfg, heapGB), cfg.THConfig, cfg.Ctx)
+	sspec.DeviceKind = cfg.Device
+	sspec.Stripes = cfg.Stripes
 	mode := spark.ModeSD
-	switch cfg.Runtime {
-	case rt.KindPS, rt.KindG1:
-		sspec.H1Size = GB(heapGB)
-		mode = spark.ModeSD
-	case rt.KindTH, rt.KindG1TH, rt.KindNG2C, rt.KindDeca:
-		h1, thCfg := sparkTHSizing(spec, cfg, heapGB).Resolve()
-		if cfg.THConfig != nil {
-			cfg.THConfig(&thCfg)
-		}
-		sspec.H1Size = h1
-		sspec.TH = &thCfg
+	switch {
+	case cfg.Runtime.Info().TeraHeap:
 		mode = spark.ModeTH
-	case rt.KindMO:
-		// Spark-MO: heap sized to fit everything, NVM memory mode with
-		// DRAM as hardware cache.
-		sspec.H1Size = GB(spec.datasetGB*cfg.DatasetScale*3.2 + 16)
-		sspec.DRAMCacheBytes = GB(cfg.DramGB - 2)
+	case cfg.Runtime == rt.KindMO || cfg.Runtime == rt.KindPanthera:
 		mode = spark.ModeMO
-	case rt.KindPanthera:
-		// 25% DRAM / 75% NVM heap split (§7.5).
-		sspec.H1Size = GB(64)
-		sspec.DRAMOldBytes = GB(6)
-		mode = spark.ModeMO
-	default:
-		panic(fmt.Sprintf("experiments: unknown runtime kind %v (valid: %s)",
-			cfg.Runtime, strings.Join(rt.KindNames(), " ")))
 	}
 	// Row labels come from the kind registry (the six legacy labels are
 	// byte-identical to the hand-written ones they replace).
 	name := fmt.Sprintf("%s/%s/%.0fGB", spec.name, cfg.Runtime.SparkLabel(), cfg.DramGB)
 	ses := rt.NewSession(sspec)
-	runtime, th, dev := ses.Runtime, ses.TH, ses.Device
-	clock := ses.Clock
 
 	ctx := spark.NewContext(spark.Conf{
-		RT:                runtime,
+		RT:                ses.Runtime,
 		Mode:              mode,
 		Threads:           cfg.Threads,
 		SerKind:           serde.Kryo,
-		OffHeapDev:        dev,
+		OffHeapDev:        ses.Device,
 		OffHeapCacheBytes: GB(DR2GB),
 		OnHeapCacheBytes:  GB(heapGB) / 2,
 	})
 
 	checksum, err := spec.run(ctx, datasetBytes)
-	// Settle the writeback queue before snapshotting: residual service
-	// time belongs to the run that submitted it (no-op when disabled).
-	dev.DrainWriteback()
-	res := RunResult{Name: name, Checksum: checksum}
-	res.B = clock.Breakdown()
-	res.GCStats = *runtime.GCStats()
-	res.DevStats = dev.Stats()
-	if th != nil {
-		s := th.Stats()
-		res.THStats = &s
-		res.PageFaults = th.Mapped().Cache().Faults
-		res.SeqFaults = th.Mapped().Cache().SeqFaults
-		res.FinalLowThreshold = th.LowThresholdNow()
-		res.H2UsedBytes = th.UsedBytes()
-	}
-	res.FaultStats = ses.Injector.Stats()
-	res.Recovery = ses.RecoveryStats()
-	res.Placement = ses.PlacementStats()
-	if err != nil {
-		var oom *gc.OOMError
-		var flt *gc.FaultError
-		switch {
-		case errors.As(err, &flt):
-			res.Faulted = true
-			res.FailErr = flt.Error()
-		case errors.As(err, &oom) || runtime.OOM() != nil:
-			res.OOM = true
-		default:
-			panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-		}
-	}
-	// A device failure latched after the workload's last allocation (or on
-	// a runtime without collector-level polling, like the G1 baseline)
-	// still fails the run.
-	if e := ses.Fault(); e != nil && !res.Faulted {
-		res.Faulted = true
-		res.FailErr = e.Error()
-	}
-	noteOutcome(res)
+	res := collect(ses, name, err)
+	res.Checksum = checksum
 	return res
+}
+
+// heapBudgetGB is the managed-heap budget of a dramGB machine: what the
+// DR2 system reserve leaves, floored at 2 GB.
+func heapBudgetGB(dramGB float64) float64 {
+	heapGB := dramGB - DR2GB
+	if heapGB < 2 {
+		heapGB = 2
+	}
+	return heapGB
+}
+
+// sizedSpec sizes a kind's session on a dramGB machine, scoped by ctx
+// (nil = the process default). Kinds with a second heap (the registry's
+// TeraHeap flag) split the budget per th, then apply thConfig; Spark-MO
+// sizes its NVM heap to hold the th.DatasetGB working set; Panthera takes
+// its fixed hybrid heap; PS and G1 get the whole th.BudgetGB heap.
+func sizedSpec(kind rt.Kind, dramGB float64, th rt.THSizing, thConfig func(*core.Config), ctx *RunContext) rt.Spec {
+	spec := rt.Spec{Kind: kind, Layers: *orDefault(ctx)}
+	switch {
+	case kind.Info().TeraHeap:
+		h1, cfg := th.Resolve()
+		if thConfig != nil {
+			thConfig(&cfg)
+		}
+		spec.H1Size, spec.TH = h1, &cfg
+	case kind == rt.KindMO:
+		// Spark-MO: heap sized to fit everything, NVM memory mode with
+		// DRAM as hardware cache.
+		spec.H1Size = GB(th.DatasetGB*3.2 + 16)
+		spec.DRAMCacheBytes = GB(dramGB - 2)
+	case kind == rt.KindPanthera:
+		// 25% DRAM / 75% NVM heap split (§7.5).
+		spec.H1Size = GB(64)
+		spec.DRAMOldBytes = GB(6)
+	default:
+		spec.H1Size = GB(th.BudgetGB)
+	}
+	return spec
 }
 
 // sparkTHSizing maps a Table 3 workload onto the shared TeraHeap sizing
@@ -446,7 +406,7 @@ func sparkTHSizing(spec *sparkSpec, cfg SparkRun, heapGB float64) rt.THSizing {
 	}
 }
 
-// chargeableDuration is a small helper used by reports.
+// pct returns part as a percentage of whole (0 when whole is 0).
 func pct(part, whole time.Duration) float64 {
 	if whole == 0 {
 		return 0

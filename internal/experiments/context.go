@@ -4,35 +4,21 @@ import (
 	"sync/atomic"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 )
 
 // RunContext carries the cross-cutting per-run configuration — heap
-// verification and fault injection — as an explicit, immutable value.
-// Runs that leave their Ctx field nil pick up the process default (set
-// by the CLI's -verify/-fault flags via SetVerify/SetFaultPlan); runs
-// with an explicit context are completely scoped by it, so two runs with
-// different verify/fault settings execute concurrently without bleeding
-// into each other (the chaos harness relies on this).
+// verification, fault injection, GC gang size and writeback depth — as
+// an explicit, immutable value. It is rt.Layers, the same struct rt.Spec
+// embeds, so a run hands it to its session whole. Runs that leave their
+// Ctx field nil pick up the process default (set by the CLI's flags via
+// SetVerify/SetFaultPlan/SetGCWorkers/SetWritebackDepth); runs with an
+// explicit context are completely scoped by it, so two runs with
+// different settings execute concurrently without bleeding into each
+// other (the chaos harness relies on this).
 //
 // A RunContext must not be mutated after it is handed to a run.
-type RunContext struct {
-	// Verify registers the full-heap invariant verifier on the run's
-	// runtime (the TH_VERIFY=1 environment variable achieves the same at
-	// the collector level without going through a context).
-	Verify bool
-	// FaultPlan, when non-nil, injects faults into the run. The plan is
-	// shared immutable configuration; each run builds its own
-	// fault.Injector from it, so decisions depend only on that run's
-	// operation stream — worker interleaving across parallel runs cannot
-	// perturb them.
-	FaultPlan *fault.Plan
-	// GCWorkers sets the simulated GC gang size on PS-based runtimes
-	// (rt.Spec.GCWorkers); 0 or 1 is the legacy serial charge.
-	GCWorkers int
-	// WritebackDepth enables the device's asynchronous writeback queue
-	// (rt.Spec.WritebackDepth); 0 is the legacy flat discount.
-	WritebackDepth int
-}
+type RunContext = rt.Layers
 
 // defaultCtx holds the process-default RunContext. It is the one
 // sanctioned piece of package-level state (besides the badRuns counter):
@@ -46,15 +32,12 @@ func init() { defaultCtx.Store(&RunContext{}) }
 func DefaultContext() *RunContext { return defaultCtx.Load() }
 
 // orDefault resolves a run's context field.
-func (c *RunContext) orDefault() *RunContext {
+func orDefault(c *RunContext) *RunContext {
 	if c == nil {
 		return DefaultContext()
 	}
 	return c
 }
-
-// newInjector builds the context's per-run injector (nil when fault-free).
-func (c *RunContext) newInjector() *fault.Injector { return fault.NewInjector(c.FaultPlan) }
 
 // SetVerify toggles heap verification in the process-default context and
 // returns the previous setting. It is a shim over DefaultContext for the
@@ -111,10 +94,6 @@ func SetGCWorkers(n int) int {
 	}
 }
 
-// GCWorkers returns the process-default GC gang size (0 and 1 both mean
-// the legacy serial charge).
-func GCWorkers() int { return DefaultContext().GCWorkers }
-
 // SetWritebackDepth sets the device writeback queue depth in the
 // process-default context (values below 0 normalize to 0 = disabled) and
 // returns the previous setting. It is a shim for the -wb-depth flag.
@@ -134,6 +113,3 @@ func SetWritebackDepth(n int) int {
 		}
 	}
 }
-
-// WritebackDepth returns the process-default writeback queue depth.
-func WritebackDepth() int { return DefaultContext().WritebackDepth }

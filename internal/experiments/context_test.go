@@ -85,7 +85,7 @@ func TestSetVerifySetFaultPlanShims(t *testing.T) {
 	}
 	// A scoped context is unaffected by the default's settings.
 	scoped := &RunContext{}
-	if got := scoped.orDefault(); got != scoped {
+	if got := orDefault(scoped); got != scoped {
 		t.Error("an explicit context must resolve to itself, not the default")
 	}
 	if prev := SetFaultPlan(nil); prev != plan {

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
@@ -85,14 +82,7 @@ func RunGiraph(cfg GiraphRun) RunResult {
 		return &hc
 	}
 
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-	}
+	sspec := rt.Spec{Layers: *orDefault(cfg.Ctx)}
 	var name string
 	switch cfg.Mode {
 	case giraph.ModeTH:
@@ -114,76 +104,35 @@ func RunGiraph(cfg GiraphRun) RunResult {
 	}
 	ses := rt.NewSession(sspec)
 	jvm := ses.Runtime.(*rt.JVM)
-	th, dev, clock := ses.TH, ses.Device, ses.Clock
-
-	res := RunResult{Name: name}
-	finish := func(err error) RunResult {
-		// Settle the writeback queue before snapshotting (no-op when
-		// disabled).
-		dev.DrainWriteback()
-		res.B = clock.Breakdown()
-		res.GCStats = *jvm.GCStats()
-		res.DevStats = dev.Stats()
-		if th != nil {
-			s := th.Stats()
-			res.THStats = &s
-			res.PageFaults = th.Mapped().Cache().Faults
-			res.FinalLowThreshold = th.LowThresholdNow()
-			res.H2UsedBytes = th.UsedBytes()
-		}
-		res.FaultStats = ses.Injector.Stats()
-		res.Recovery = ses.RecoveryStats()
-		if err != nil {
-			var oom *gc.OOMError
-			var flt *gc.FaultError
-			switch {
-			case errors.As(err, &flt):
-				res.Faulted = true
-				res.FailErr = flt.Error()
-			case errors.As(err, &oom) || jvm.OOM() != nil:
-				res.OOM = true
-			default:
-				panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-			}
-			noteOutcome(res)
-			return res
-		}
-		if f := ses.Fault(); f != nil && !res.Faulted {
-			res.Faulted = true
-			res.FailErr = f.Error()
-		}
-		noteOutcome(res)
-		return res
-	}
 
 	eng, err := giraph.NewEngine(giraph.Conf{
 		RT:            jvm,
 		Mode:          cfg.Mode,
 		Threads:       cfg.Threads,
-		OOCDev:        dev,
+		OOCDev:        ses.Device,
 		OOCCacheBytes: GB(cfg.DramGB * (1 - spec.oocHeapFrac)),
 		// Giraph's OOC keeps data on-heap as long as it can; the old
 		// generation is 3/4 of the heap under NewRatio=3.
 		OOCHighWater: 0.62,
 	}, g, spec.parts)
-	if err != nil {
-		return finish(err)
-	}
-	vals, err := eng.Run(spec.prog(g))
+	var checksum float64
 	if err == nil {
-		res.Checksum = sum64(vals)
-		if cfg.AnalyzeRegions && th != nil {
-			// Shutdown collections: the first moves any still-advised
-			// groups (receiving regions are pinned for their cycle), the
-			// second reclaims everything that died; then measure.
-			if jvm.FullGC() == nil && jvm.FullGC() == nil {
-				th.AnalyzeLiveRegions(collectH2Roots(jvm))
+		var vals []float64
+		if vals, err = eng.Run(spec.prog(g)); err == nil {
+			checksum = sum64(vals)
+			if cfg.AnalyzeRegions && ses.TH != nil {
+				// Shutdown collections: the first moves any still-advised
+				// groups (receiving regions are pinned for their cycle), the
+				// second reclaims everything that died; then measure.
+				if jvm.FullGC() == nil && jvm.FullGC() == nil {
+					ses.TH.AnalyzeLiveRegions(collectH2Roots(jvm))
+				}
 			}
-			s := th.Stats()
-			res.THStats = &s
 		}
 	}
-	return finish(err)
+	res := collect(ses, name, err)
+	res.Checksum = checksum
+	return res
 }
 
 // giraphTHSizing maps a Table 4 workload onto the shared TeraHeap sizing

@@ -50,34 +50,11 @@ func pretenureRun(k rt.Kind) SparkRun {
 	}
 }
 
-// PretenureKinds resolves the figure's kind list: empty = all registered
-// kinds; names are validated against the registry.
-func PretenureKinds(names []string) ([]rt.Kind, error) {
-	if len(names) == 0 {
-		infos := rt.Kinds()
-		out := make([]rt.Kind, len(infos))
-		for i, e := range infos {
-			out[i] = e.Kind
-		}
-		return out, nil
-	}
-	out := make([]rt.Kind, 0, len(names))
-	for _, n := range names {
-		k, ok := rt.KindByName(n)
-		if !ok {
-			return nil, fmt.Errorf("unknown runtime kind %q (valid: %s)",
-				n, strings.Join(rt.KindNames(), " "))
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
 // Pretenure runs the placement figure over the given kinds (nil = every
 // registered kind, registry order).
 func Pretenure(kinds []rt.Kind) PretenureResult {
 	if kinds == nil {
-		kinds, _ = PretenureKinds(nil)
+		kinds, _ = rt.KindsByName(nil)
 	}
 	var specs []Spec
 	for _, k := range kinds {

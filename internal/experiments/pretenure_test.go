@@ -8,12 +8,13 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/rt"
 )
 
-// TestPretenureKindsRegistry: nil resolves to every registered kind in
-// registry order; unknown names fail with the full valid set.
+// TestPretenureKindsRegistry: the figure's kind list resolves through
+// rt.KindsByName — nil is every registered kind in registry order;
+// unknown names fail with the full valid set.
 func TestPretenureKindsRegistry(t *testing.T) {
-	all, err := PretenureKinds(nil)
+	all, err := rt.KindsByName(nil)
 	if err != nil {
-		t.Fatalf("PretenureKinds(nil): %v", err)
+		t.Fatalf("rt.KindsByName(nil): %v", err)
 	}
 	if len(all) != len(rt.Kinds()) {
 		t.Fatalf("got %d kinds, registry has %d", len(all), len(rt.Kinds()))
@@ -23,14 +24,14 @@ func TestPretenureKindsRegistry(t *testing.T) {
 			t.Errorf("kind %d: got %v want %v (registry order)", i, all[i], e.Kind)
 		}
 	}
-	some, err := PretenureKinds([]string{"ng2c", "g1+th", "sd"})
+	some, err := rt.KindsByName([]string{"ng2c", "g1+th", "sd"})
 	if err != nil {
-		t.Fatalf("PretenureKinds(names): %v", err)
+		t.Fatalf("rt.KindsByName(names): %v", err)
 	}
 	if some[0] != rt.KindNG2C || some[1] != rt.KindG1TH || some[2] != rt.KindPS {
 		t.Errorf("name resolution: %v", some)
 	}
-	if _, err := PretenureKinds([]string{"bogus"}); err == nil ||
+	if _, err := rt.KindsByName([]string{"bogus"}); err == nil ||
 		!strings.Contains(err.Error(), `unknown runtime kind "bogus"`) ||
 		!strings.Contains(err.Error(), strings.Join(rt.KindNames(), " ")) {
 		t.Errorf("unknown kind error must name the valid set: %v", err)

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
 	"github.com/carv-repro/teraheap-go/internal/recovery"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/server"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 )
 
 // DefaultServeDramGB is the serve plane's machine size: the heap after
@@ -42,86 +39,23 @@ func RunServe(cfg ServeRun) RunResult {
 	if cfg.DramGB == 0 {
 		cfg.DramGB = DefaultServeDramGB
 	}
-	heapGB := cfg.DramGB - DR2GB
-	if heapGB < 2 {
-		heapGB = 2
+	heapGB := heapBudgetGB(cfg.DramGB)
+	th := rt.THSizing{
+		BudgetGB:    heapGB,
+		H1Frac:      0.8,
+		TunedAtFrac: 0.8,
+		DatasetGB:   float64(cfg.Cfg.StoreBytes()) / float64(Scale),
+		CacheGB:     DR2GB,
+		BytesPerGB:  Scale,
 	}
-	storeGB := float64(cfg.Cfg.StoreBytes()) / float64(Scale)
-
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-		Recovery:       cfg.Recovery,
-	}
-	sspec.Kind = cfg.Kind
-	switch cfg.Kind {
-	case rt.KindPS, rt.KindG1:
-		sspec.H1Size = GB(heapGB)
-	case rt.KindTH, rt.KindG1TH, rt.KindNG2C, rt.KindDeca:
-		h1, thCfg := rt.THSizing{
-			BudgetGB:    heapGB,
-			H1Frac:      0.8,
-			TunedAtFrac: 0.8,
-			DatasetGB:   storeGB,
-			CacheGB:     DR2GB,
-			BytesPerGB:  Scale,
-		}.Resolve()
-		sspec.H1Size = h1
-		sspec.TH = &thCfg
-	case rt.KindMO:
-		sspec.Kind = rt.KindMO
-		sspec.H1Size = GB(storeGB*3.2 + 16)
-		sspec.DRAMCacheBytes = GB(cfg.DramGB - 2)
-	case rt.KindPanthera:
-		sspec.Kind = rt.KindPanthera
-		sspec.H1Size = GB(64)
-		sspec.DRAMOldBytes = GB(6)
-	default:
-		panic(fmt.Sprintf("experiments: unknown runtime kind %v (valid: %s)",
-			cfg.Kind, strings.Join(rt.KindNames(), " ")))
-	}
+	sspec := sizedSpec(cfg.Kind, cfg.DramGB, th, nil, cfg.Ctx)
+	sspec.Recovery = cfg.Recovery
 	name := fmt.Sprintf("serve/%s/%.0fGB/r%gk", cfg.Kind, cfg.DramGB, cfg.Cfg.RatePerSec/1000)
 
 	ses := rt.NewSession(sspec)
 	stats, err := server.Run(ses, cfg.Cfg)
-	ses.Device.DrainWriteback()
-
-	res := RunResult{Name: name, Serve: stats}
-	res.B = ses.Clock.Breakdown()
-	res.GCStats = *ses.Runtime.GCStats()
-	res.DevStats = ses.Device.Stats()
-	if ses.TH != nil {
-		s := ses.TH.Stats()
-		res.THStats = &s
-		res.PageFaults = ses.TH.Mapped().Cache().Faults
-		res.SeqFaults = ses.TH.Mapped().Cache().SeqFaults
-		res.FinalLowThreshold = ses.TH.LowThresholdNow()
-		res.H2UsedBytes = ses.TH.UsedBytes()
-	}
-	res.FaultStats = ses.Injector.Stats()
-	res.Recovery = ses.RecoveryStats()
-	if err != nil {
-		var oom *gc.OOMError
-		var flt *gc.FaultError
-		switch {
-		case errors.As(err, &flt):
-			res.Faulted = true
-			res.FailErr = flt.Error()
-		case errors.As(err, &oom) || ses.Runtime.OOM() != nil:
-			res.OOM = true
-		default:
-			panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-		}
-	}
-	if e := ses.Fault(); e != nil && !res.Faulted {
-		res.Faulted = true
-		res.FailErr = e.Error()
-	}
-	noteOutcome(res)
+	res := collect(ses, name, err)
+	res.Serve = stats
 	return res
 }
 
@@ -129,31 +63,6 @@ func RunServe(cfg ServeRun) RunResult {
 // the default operating point, and 3x overload where admission control
 // must shed.
 func DefaultServeRates() []float64 { return []float64{20000, 60000, 180000} }
-
-// serveKinds resolves the sweep's kind order from the config's kinds=
-// subset; empty means every registered kind, in registry order (which
-// begins with the paper Table 2 order). Unknown names panic — ParseConfig
-// already rejects them, so reaching one here is programmer error.
-func serveKinds(cfg server.Config) []rt.Kind {
-	if len(cfg.Kinds) == 0 {
-		infos := rt.Kinds()
-		out := make([]rt.Kind, len(infos))
-		for i, e := range infos {
-			out[i] = e.Kind
-		}
-		return out
-	}
-	out := make([]rt.Kind, 0, len(cfg.Kinds))
-	for _, n := range cfg.Kinds {
-		k, ok := rt.KindByName(n)
-		if !ok {
-			panic(fmt.Sprintf("experiments: unknown serve kind %q (valid: %s)",
-				n, strings.Join(rt.KindNames(), " ")))
-		}
-		out = append(out, k)
-	}
-	return out
-}
 
 // ServeResult is the serve figure: every runtime kind at every offered
 // rate, kind-major with rates ascending within a kind.
@@ -172,7 +81,12 @@ func ServeSweep(base server.Config, rates []float64) ServeResult {
 	if len(rates) == 0 {
 		rates = DefaultServeRates()
 	}
-	kinds := serveKinds(base)
+	// ParseConfig already rejected unknown names, so an error here is a
+	// programmer error.
+	kinds, err := rt.KindsByName(base.Kinds)
+	if err != nil {
+		panic("experiments: serve: " + err.Error())
+	}
 	var specs []Spec
 	for _, k := range kinds {
 		for _, r := range rates {
@@ -323,19 +237,7 @@ func (r ChaosServeResult) Format() string {
 	fmt.Fprintf(&sb, "== chaos-serve: %d runs under plan [%s], verifier on ==\n", len(r.Runs), plan)
 	var totShed, totRetries, totSLO int64
 	for _, run := range r.Runs {
-		status := "ok"
-		switch {
-		case run.Failed:
-			status = "PANIC"
-		case run.Faulted:
-			status = "FAULTED"
-		case run.OOM:
-			status = "OOM"
-		case run.Recovered():
-			status = "RECOVERED"
-		case run.Degraded():
-			status = "degraded"
-		}
+		status := run.status()
 		if s := run.Serve; s != nil {
 			totShed += s.Shed
 			totRetries += s.Retries

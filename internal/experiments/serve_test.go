@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/server"
 )
 
@@ -22,7 +23,7 @@ func serveTestConfig() server.Config {
 // report carries the SLO columns the figure is about.
 func TestServeSweepCoversAllKinds(t *testing.T) {
 	res := ServeSweep(serveTestConfig(), nil)
-	wantRows := len(serveKinds(serveTestConfig())) * len(DefaultServeRates())
+	wantRows := len(rt.Kinds()) * len(DefaultServeRates())
 	if len(res.Rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(res.Rows), wantRows)
 	}

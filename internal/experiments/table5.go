@@ -41,7 +41,7 @@ func BarrierOverhead() string {
 		classes := vm.NewClassTable()
 		node := classes.MustFixed("dacapo.Node", 2, 2)
 		sspec := rt.Spec{Kind: rt.KindPS, H1Size: 4 * storage.MB,
-			Classes: classes, Clock: clock, Verify: DefaultContext().Verify}
+			Classes: classes, Clock: clock, Layers: rt.Layers{Verify: DefaultContext().Verify}}
 		if withTH {
 			cfg := core.DefaultConfig(16 * storage.MB)
 			cfg.RegionSize = 64 * storage.KB

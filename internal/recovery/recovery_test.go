@@ -26,7 +26,7 @@ func salvageEnv(t *testing.T, plan *fault.Plan, count int) (*rt.Session, *rt.JVM
 	cfg.RegionSize = 32 * storage.KB
 	ses := rt.NewSession(rt.Spec{
 		Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &cfg,
-		Classes: classes, Verify: true, FaultPlan: plan,
+		Classes: classes, Layers: rt.Layers{Verify: true, FaultPlan: plan},
 	})
 	jvm := ses.Runtime.(*rt.JVM)
 
@@ -167,9 +167,9 @@ func TestRecoveryDisabledPreservesLatch(t *testing.T) {
 	cfg.RegionSize = 32 * storage.KB
 	ses := rt.NewSession(rt.Spec{
 		Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &cfg,
-		Classes: classes, Verify: true,
-		FaultPlan: &fault.Plan{Seed: 7, RegionFailRate: 1},
-		Recovery:  &recovery.Policy{Enabled: false},
+		Classes:  classes,
+		Layers:   rt.Layers{Verify: true, FaultPlan: &fault.Plan{Seed: 7, RegionFailRate: 1}},
+		Recovery: &recovery.Policy{Enabled: false},
 	})
 	if ses.Recovery != nil || ses.RecoveryStats() != nil {
 		t.Fatal("recovery layer installed despite Enabled=false")

@@ -89,25 +89,6 @@ func NewJVM(opts Options, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
 	}
 }
 
-// NewJVMChecked builds a PS-based runtime like NewJVM but returns an error
-// instead of panicking when the heap or TeraHeap configuration is invalid;
-// experiment sweeps use it so a bad config fails one run, not the process.
-func NewJVMChecked(opts Options, classes *vm.ClassTable, clock *simclock.Clock) (*JVM, error) {
-	hc := heap.DefaultConfig(opts.H1Size)
-	if opts.HeapCfg != nil {
-		hc = *opts.HeapCfg
-	}
-	if err := hc.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.TH != nil {
-		if err := opts.TH.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return NewJVM(opts, classes, clock), nil
-}
-
 // NewMemoryModeJVM builds the Spark-MO baseline: the whole of H1 lives on
 // NVM in memory mode, with dramCacheBytes of DRAM acting as a hardware-
 // managed cache in front of it.

@@ -16,8 +16,8 @@ import (
 )
 
 // Kind selects a runtime configuration. The registry in kinds.go maps
-// kinds to their names, labels, and aliases; String/SparkLabel/KindByName
-// all read it.
+// kinds to their names, labels, aliases, and builders;
+// String/SparkLabel/KindByName and NewSession all read it.
 type Kind int
 
 // Runtime kinds: the paper's six configurations (§6 Table 2) plus the
@@ -34,10 +34,9 @@ const (
 )
 
 // Spec declares one run's runtime: which configuration to build, how to
-// size it, and which cross-cutting layers (verification, fault injection)
-// to wire in. NewSession resolves a Spec into a Session; it is the single
-// construction path for every runtime kind, replacing the per-experiment
-// switch statements that used to duplicate this wiring.
+// size it, and which cross-cutting layers to wire in. NewSession resolves
+// a Spec into a Session; it is the single construction path for every
+// runtime kind.
 //
 // All sizes are simulator bytes (experiment code converts paper GB with
 // its Scale; see THSizing for the TeraHeap derivation).
@@ -53,14 +52,16 @@ type Spec struct {
 	// Costs optionally overrides the GC cost parameters.
 	Costs *gc.CostParams
 
-	// TH is the TeraHeap configuration; required for KindTH and KindG1TH.
+	// TH is the TeraHeap configuration; required for every kind whose
+	// registry row has TeraHeap set.
 	TH *core.Config
 
 	// Device optionally provides a pre-built H2/off-heap device. When nil
 	// the session builds one from DeviceKind and Stripes.
 	Device *storage.Device
 	// DeviceKind is the technology backing H2/off-heap; the zero value
-	// (DRAM) defaults to NVMe SSD, the paper's base configuration.
+	// (DRAM) defaults to NVMe SSD, the paper's base configuration (Deca,
+	// whose lifetime regions live in memory, keeps DRAM).
 	DeviceKind storage.Kind
 	// Stripes stripes the device across N units (0/1 = one).
 	Stripes int
@@ -80,12 +81,34 @@ type Spec struct {
 	Classes *vm.ClassTable
 	Clock   *simclock.Clock
 
+	// Layers are the cross-cutting settings wired around the kind.
+	Layers
+
+	// Recovery configures the self-healing layer (PS-based TeraHeap
+	// kinds: TH, NG2C, Deca). Nil installs recovery.DefaultPolicy; a
+	// policy with Enabled=false opts out, restoring the latch-and-degrade
+	// behavior.
+	Recovery *recovery.Policy
+}
+
+// Layers are the cross-cutting per-run settings that apply to any runtime
+// kind: verification, fault injection, and the gang and writeback cost
+// knobs. Spec embeds them, and the experiment runners carry them as one
+// value (experiments.RunContext is this type).
+type Layers struct {
+	// Verify registers the full-heap invariant verifier hook.
+	Verify bool
+	// FaultPlan, when non-nil, builds this run's fault injector and
+	// attaches it to the device and runtime. The plan is shared immutable
+	// configuration; each session builds its own injector from it, so
+	// concurrent sessions never share fault state.
+	FaultPlan *fault.Plan
 	// GCWorkers sets the simulated GC gang size on PS-based kinds (PS, TH,
-	// MO, Panthera): N > 1 deals each pause's work items round-robin onto N
-	// per-worker spans and charges max-over-workers plus a per-barrier
-	// steal/sync overhead. 0 or 1 keeps the legacy serial aggregate,
-	// byte-identical to before the knob existed. G1-based kinds model
-	// their own pause pipeline and ignore it.
+	// MO, Panthera, NG2C, Deca): N > 1 deals each pause's work items
+	// round-robin onto N per-worker spans and charges max-over-workers
+	// plus a per-barrier steal/sync overhead. 0 or 1 keeps the legacy
+	// serial aggregate. G1-based kinds model their own pause pipeline and
+	// ignore it.
 	GCWorkers int
 	// WritebackDepth enables the device's asynchronous writeback queue
 	// with the given in-flight batch cap: H2 promotion buffers and
@@ -93,18 +116,6 @@ type Spec struct {
 	// time is charged when the queue drains at safepoints. 0 keeps the
 	// legacy flat async-overlap discount.
 	WritebackDepth int
-
-	// Verify registers the full-heap invariant verifier hook.
-	Verify bool
-	// FaultPlan, when non-nil, builds this run's fault injector and
-	// attaches it to the device and runtime. Each session gets its own
-	// injector, so concurrent sessions never share fault state.
-	FaultPlan *fault.Plan
-	// Recovery configures the self-healing layer (PS-based TeraHeap
-	// kinds: TH, NG2C, Deca). Nil installs recovery.DefaultPolicy; a
-	// policy with Enabled=false opts out, restoring the latch-and-degrade
-	// behavior.
-	Recovery *recovery.Policy
 }
 
 // Session is a fully wired runtime instance: the runtime itself plus the
@@ -178,94 +189,37 @@ type writebackHook struct {
 
 func (w *writebackHook) BeforeGC(gc.Phase) { w.dev.DrainWriteback() }
 
-// NewSession resolves spec into a wired runtime. It panics on an invalid
-// spec (unknown kind, missing TH config), matching the constructors it
-// wraps; experiment code validates sizes beforehand where it needs
-// soft failure.
+// NewSession resolves spec into a wired runtime: the kind's registry row
+// builds the runtime, then the cross-cutting layers are attached in a
+// fixed order. It panics on an invalid spec (unknown kind, missing TH
+// config), matching the constructors it wraps; experiment code validates
+// sizes beforehand where it needs soft failure.
 func NewSession(spec Spec) *Session {
-	clock := spec.Clock
-	if clock == nil {
-		clock = simclock.New()
-	}
-	classes := spec.Classes
-	if classes == nil {
-		classes = vm.NewClassTable()
-	}
-
-	dev := spec.Device
-	if dev == nil {
-		kind := spec.DeviceKind
-		if kind == storage.DRAM && spec.Kind != KindDeca {
-			// The zero value defaults to the paper's NVMe base
-			// configuration — except for Deca, whose lifetime regions
-			// live in memory (a DRAM-cost device).
-			kind = storage.NVMeSSD
-		}
-		if spec.Stripes > 1 {
-			dev = storage.NewStripedDevice(kind, spec.Stripes, clock)
-		} else {
-			dev = storage.NewDevice(kind, clock)
-		}
-	}
-
-	s := &Session{Spec: spec, Clock: clock, Classes: classes, Device: dev}
-	switch spec.Kind {
-	case KindPS:
-		s.Runtime = NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs}, classes, clock)
-	case KindTH:
-		if spec.TH == nil {
-			panic("rt: Spec.TH is required for KindTH")
-		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
-			TH: spec.TH, H2Device: dev}, classes, clock)
-		s.Runtime = jvm
-		s.TH = jvm.TeraHeap()
-	case KindG1:
-		s.Runtime = g1.New(s.g1Config(), classes, clock)
-	case KindG1TH:
-		if spec.TH == nil {
-			panic("rt: Spec.TH is required for KindG1TH")
-		}
-		g, th := g1.NewWithTeraHeap(s.g1Config(), *spec.TH, dev, classes, clock)
-		s.Runtime = g
-		s.TH = th
-	case KindMO:
-		s.Runtime = NewMemoryModeJVM(spec.H1Size, spec.DRAMCacheBytes, dev, classes, clock)
-	case KindPanthera:
-		s.Runtime = NewPantheraJVM(spec.H1Size, spec.DRAMOldBytes, dev, classes, clock)
-	case KindNG2C:
-		if spec.TH == nil {
-			panic("rt: Spec.TH is required for KindNG2C")
-		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
-			TH: spec.TH, H2Device: dev}, classes, clock)
-		pol := placement.NewNG2C(placement.DefaultNG2CConfig())
-		jvm.SetPlacementPolicy(pol)
-		s.Runtime = jvm
-		s.TH = jvm.TeraHeap()
-		s.Placement = pol
-	case KindDeca:
-		if spec.TH == nil {
-			panic("rt: Spec.TH is required for KindDeca")
-		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
-			TH: spec.TH, H2Device: dev}, classes, clock)
-		pol := placement.NewDeca()
-		jvm.SetPlacementPolicy(pol)
-		s.Runtime = jvm
-		s.TH = jvm.TeraHeap()
-		s.Placement = pol
-	default:
+	info := spec.Kind.Info()
+	if info.build == nil {
 		panic(fmt.Sprintf("rt: unknown runtime kind %d", int(spec.Kind)))
 	}
+	if info.TeraHeap && spec.TH == nil {
+		panic(fmt.Sprintf("rt: Spec.TH is required for kind %s", info.Name))
+	}
+	s := &Session{Spec: spec, Clock: spec.Clock, Classes: spec.Classes, Device: spec.Device}
+	if s.Clock == nil {
+		s.Clock = simclock.New()
+	}
+	if s.Classes == nil {
+		s.Classes = vm.NewClassTable()
+	}
+	info.build(s)
+	// Kinds whose runtime has no device still get one: PS and G1 runs use
+	// it for the off-heap shuffle/cache files.
+	dev := s.device(storage.NVMeSSD)
 
 	// Gang size: cost attribution only, so it is set post-construction on
 	// the collector the PS-based kinds share. G1 kinds model their own
 	// pause pipeline and take no gang.
-	if spec.GCWorkers > 1 {
-		if jvm, ok := s.Runtime.(*JVM); ok {
-			jvm.Collector().Costs.Workers = spec.GCWorkers
-		}
+	jvm, isJVM := s.Runtime.(*JVM)
+	if spec.GCWorkers > 1 && isJVM {
+		jvm.Collector().Costs.Workers = spec.GCWorkers
 	}
 
 	// Cross-cutting layers ride the hook plane, in fixed order: the
@@ -295,21 +249,39 @@ func NewSession(spec Spec) *Session {
 	}
 
 	// The recovery layer registers last, so the verifier and event counters
-	// observe a fault before any repair runs. It needs the PS collector
-	// (salvage re-materializes into H1's old generation), so only the
-	// PS-based TeraHeap kinds get one.
-	if spec.Kind == KindTH || spec.Kind == KindNG2C || spec.Kind == KindDeca {
+	// observe a fault before any repair runs. Salvage re-materializes into
+	// the PS collector's old generation, so only sessions with both a PS
+	// collector and a second heap get one.
+	if isJVM && s.TH != nil {
 		pol := recovery.DefaultPolicy()
 		if spec.Recovery != nil {
 			pol = *spec.Recovery
 		}
 		if pol.Enabled {
-			jvm := s.Runtime.(*JVM)
-			s.Recovery = recovery.NewManager(pol, jvm.Collector(), s.TH, s.Injector, clock)
+			s.Recovery = recovery.NewManager(pol, jvm.Collector(), s.TH, s.Injector, s.Clock)
 			s.Recovery.Install()
 		}
 	}
 	return s
+}
+
+// device returns the session's H2/off-heap device, building it on first
+// use: Spec.Device when given, else a Spec.DeviceKind device (def when
+// DeviceKind is zero) striped across Spec.Stripes units.
+func (s *Session) device(def storage.Kind) *storage.Device {
+	if s.Device != nil {
+		return s.Device
+	}
+	kind := s.Spec.DeviceKind
+	if kind == storage.DRAM {
+		kind = def
+	}
+	if s.Spec.Stripes > 1 {
+		s.Device = storage.NewStripedDevice(kind, s.Spec.Stripes, s.Clock)
+	} else {
+		s.Device = storage.NewDevice(kind, s.Clock)
+	}
+	return s.Device
 }
 
 // PlacementStats returns a snapshot of the session's placement-policy

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,32 @@ func TestNewSessionAllKinds(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestTeraHeapKindsRequireTH: every registry row flagged TeraHeap refuses
+// a spec without a TeraHeap configuration, naming the kind, and the set
+// of flagged rows is exactly the kinds the factory gives a second heap.
+func TestTeraHeapKindsRequireTH(t *testing.T) {
+	var flagged []Kind
+	for _, info := range Kinds() {
+		if !info.TeraHeap {
+			continue
+		}
+		flagged = append(flagged, info.Kind)
+		t.Run(info.Name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := "Spec.TH is required for kind " + info.Name; !strings.Contains(msg, want) {
+					t.Errorf("NewSession with nil TH: panic %q, want it to contain %q", msg, want)
+				}
+			}()
+			NewSession(Spec{Kind: info.Kind, H1Size: 4 * storage.MB})
+		})
+	}
+	want := []Kind{KindTH, KindG1TH, KindNG2C, KindDeca}
+	if fmt.Sprint(flagged) != fmt.Sprint(want) {
+		t.Errorf("TeraHeap rows = %v, want %v", flagged, want)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // testSession builds a small session of the given kind, mirroring the
 // sizing used by the rt package's own factory tests.
 func testSession(kind rt.Kind, plan *fault.Plan, pol *recovery.Policy) *rt.Session {
-	spec := rt.Spec{Kind: kind, H1Size: 4 * storage.MB, Verify: true}
+	spec := rt.Spec{Kind: kind, H1Size: 4 * storage.MB, Layers: rt.Layers{Verify: true}}
 	if kind == rt.KindTH || kind == rt.KindG1TH {
 		cfg := core.DefaultConfig(16 * storage.MB)
 		cfg.RegionSize = 64 * storage.KB

@@ -6,55 +6,14 @@ import (
 	"time"
 )
 
-// ChargeError reports a rejected charge: a negative or otherwise invalid
-// duration handed to one of the checked charging paths. It mirrors the
-// typed n<=0 guard on the device AccountRead path — the unchecked
-// Charge/Add entry points keep silently ignoring bad input (so existing
-// figure output is byte-identical), while callers that compute durations
-// from external input (the server config parser, rate conversions) use
-// the checked variants and surface the bug instead of corrupting the
-// breakdown.
+// ChargeError reports a scalar number of seconds that does not convert
+// to a positive, representable duration.
 type ChargeError struct {
-	Op string        // which charging path rejected the value
-	D  time.Duration // the rejected duration (when the input was a duration)
-	V  float64       // the rejected scalar (when the input was seconds)
+	V float64 // the rejected seconds value
 }
 
 func (e *ChargeError) Error() string {
-	if e.V != 0 || math.IsNaN(e.V) {
-		return fmt.Sprintf("simclock: %s: invalid duration from %v seconds", e.Op, e.V)
-	}
-	return fmt.Sprintf("simclock: %s: invalid duration %v", e.Op, e.D)
-}
-
-// ChargeChecked adds d to category cat, rejecting d <= 0 with a typed
-// error. A rejected charge leaves the clock untouched.
-func (c *Clock) ChargeChecked(cat Category, d time.Duration) error {
-	if d <= 0 {
-		return &ChargeError{Op: "ChargeChecked", D: d}
-	}
-	c.ns[cat] += int64(d)
-	return nil
-}
-
-// ChargeAmbientChecked adds d to the ambient category, rejecting d <= 0
-// with a typed error.
-func (c *Clock) ChargeAmbientChecked(d time.Duration) error {
-	if d <= 0 {
-		return &ChargeError{Op: "ChargeAmbientChecked", D: d}
-	}
-	c.ns[c.context] += int64(d)
-	return nil
-}
-
-// AddChecked charges d to worker w's span, rejecting d <= 0 with a typed
-// error. A rejected charge leaves the span set untouched.
-func (s *Spans) AddChecked(w int, d time.Duration) error {
-	if d <= 0 {
-		return &ChargeError{Op: "AddChecked", D: d}
-	}
-	s.ns[w] += int64(d)
-	return nil
+	return fmt.Sprintf("simclock: DurationFromSeconds: invalid duration from %v seconds", e.V)
 }
 
 // DurationFromSeconds converts a scalar number of seconds into a
@@ -68,7 +27,7 @@ func DurationFromSeconds(sec float64) (time.Duration, error) {
 	// NaN fails both comparisons; the bounds exclude zero, negatives,
 	// infinities, overflow, and sub-nanosecond truncation in one test.
 	if !(ns >= 1 && ns <= float64(math.MaxInt64)) {
-		return 0, &ChargeError{Op: "DurationFromSeconds", V: sec}
+		return 0, &ChargeError{V: sec}
 	}
 	return time.Duration(ns), nil
 }

@@ -7,72 +7,6 @@ import (
 	"time"
 )
 
-// TestCheckedChargeParity pins that the checked charging paths are
-// stat-identical to the unchecked ones on valid input, and that rejected
-// charges leave both the clock and span set untouched.
-func TestCheckedChargeParity(t *testing.T) {
-	valid := []time.Duration{1, 17 * time.Nanosecond, time.Microsecond, 3 * time.Second}
-	invalid := []time.Duration{0, -1, -time.Second, math.MinInt64}
-
-	plain, checked := New(), New()
-	plain.SetContext(SerDesIO)
-	checked.SetContext(SerDesIO)
-	for _, d := range valid {
-		plain.Charge(MinorGC, d)
-		if err := checked.ChargeChecked(MinorGC, d); err != nil {
-			t.Fatalf("ChargeChecked(%v): unexpected error %v", d, err)
-		}
-		plain.ChargeAmbient(d)
-		if err := checked.ChargeAmbientChecked(d); err != nil {
-			t.Fatalf("ChargeAmbientChecked(%v): unexpected error %v", d, err)
-		}
-	}
-	for _, d := range invalid {
-		plain.Charge(MinorGC, d) // silently ignored
-		err := checked.ChargeChecked(MinorGC, d)
-		var ce *ChargeError
-		if !errors.As(err, &ce) {
-			t.Fatalf("ChargeChecked(%v): want *ChargeError, got %v", d, err)
-		}
-		if err := checked.ChargeAmbientChecked(d); !errors.As(err, &ce) {
-			t.Fatalf("ChargeAmbientChecked(%v): want *ChargeError, got %v", d, err)
-		}
-	}
-	if plain.Breakdown() != checked.Breakdown() {
-		t.Fatalf("breakdown diverged: plain=%v checked=%v", plain.Breakdown(), checked.Breakdown())
-	}
-	if plain.Now() != checked.Now() {
-		t.Fatalf("Now diverged: plain=%v checked=%v", plain.Now(), checked.Now())
-	}
-}
-
-func TestCheckedSpanParity(t *testing.T) {
-	var plain, checked Spans
-	plain.Reset(4)
-	checked.Reset(4)
-	for w := 0; w < 4; w++ {
-		d := time.Duration(w+1) * time.Microsecond
-		plain.Add(w, d)
-		if err := checked.AddChecked(w, d); err != nil {
-			t.Fatalf("AddChecked(%d, %v): unexpected error %v", w, d, err)
-		}
-		plain.Add(w, -d) // silently ignored
-		var ce *ChargeError
-		if err := checked.AddChecked(w, -d); !errors.As(err, &ce) {
-			t.Fatalf("AddChecked(%d, %v): want *ChargeError, got %v", w, -d, err)
-		}
-	}
-	if plain.Max() != checked.Max() || plain.Sum() != checked.Sum() {
-		t.Fatalf("spans diverged: plain max=%v sum=%v, checked max=%v sum=%v",
-			plain.Max(), plain.Sum(), checked.Max(), checked.Sum())
-	}
-	for w := 0; w < 4; w++ {
-		if plain.Get(w) != checked.Get(w) {
-			t.Fatalf("worker %d diverged: plain=%v checked=%v", w, plain.Get(w), checked.Get(w))
-		}
-	}
-}
-
 func TestDurationFromSeconds(t *testing.T) {
 	got, err := DurationFromSeconds(0.5)
 	if err != nil || got != 500*time.Millisecond {
