@@ -596,8 +596,9 @@ func (c *Collector) chargeGC(cat simclock.Category, d time.Duration, threads int
 	c.Clock.Charge(cat, d/time.Duration(threads))
 }
 
-// adjustRef computes the post-compaction address for ref using the sorted
-// forwarding tables built in the precompaction phase. The binary search is
+// adjustRef computes the post-compaction address for ref by binary search
+// over sorted forwarding tables: in major GC, the one block of the tables
+// built in the precompaction phase that FwdIndex picks. The search is
 // hand-rolled: sort.Search would force the comparison through a closure on
 // the hottest loop of the adjust phase.
 func adjustRef(src, dst []vm.Addr, ref vm.Addr) (vm.Addr, bool) {

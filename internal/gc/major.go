@@ -273,10 +273,60 @@ type forwarding struct {
 	oldStartIdx int
 	// oldTop is the post-compaction old-generation allocation top.
 	oldTop vm.Addr
+	// idx narrows each adjust lookup to one block's slice of src.
+	idx FwdIndex
 }
 
 // inH2 reports whether the destination of entry i is in the second heap.
 func (f *forwarding) inH2(i int) bool { return vm.InH2(f.dst[i]) }
+
+// lookup returns the destination of the live object at ref, and false
+// when ref is not a forwarded source.
+func (f *forwarding) lookup(ref vm.Addr) (vm.Addr, bool) { return f.idx.Lookup(f.src, f.dst, ref) }
+
+// fwdBlockShift sets the forwarding index's block size: 512 bytes.
+const fwdBlockShift = 9
+
+// FwdIndex is a per-block index over an ascending forwarding table: blk[b]
+// is the index of the first source at or above block b's start, so the
+// sources inside block b are src[blk[b]:blk[b+1]] and a lookup binary
+// searches only those. Build reuses the slice across collections.
+type FwdIndex struct {
+	lo  vm.Addr // start of block 0
+	blk []int32
+}
+
+// Build indexes src, which must be ascending.
+func (x *FwdIndex) Build(src []vm.Addr) {
+	x.blk = x.blk[:0]
+	if len(src) == 0 {
+		return
+	}
+	x.lo = src[0] &^ (1<<fwdBlockShift - 1)
+	nb := int((src[len(src)-1]-x.lo)>>fwdBlockShift) + 1
+	if cap(x.blk) < nb+1 {
+		x.blk = make([]int32, 0, nb+1)
+	}
+	j := 0
+	for b := 0; b <= nb; b++ {
+		start := x.lo + vm.Addr(b)<<fwdBlockShift
+		for j < len(src) && src[j] < start {
+			j++
+		}
+		x.blk = append(x.blk, int32(j))
+	}
+}
+
+// Lookup returns dst[i] for the i with src[i] == ref, and false when ref
+// is not in src. src and dst must be the tables Build last indexed.
+func (x *FwdIndex) Lookup(src, dst []vm.Addr, ref vm.Addr) (vm.Addr, bool) {
+	b := uint64(ref-x.lo) >> fwdBlockShift
+	if b+1 >= uint64(len(x.blk)) {
+		return vm.NullAddr, false
+	}
+	lo, hi := x.blk[b], x.blk[b+1]
+	return adjustRef(src[lo:hi], dst[lo:hi], ref)
+}
 
 // majorPrecompact assigns every marked object its new address: H2 regions
 // for closure objects (by label), the compacted old generation otherwise.
@@ -381,6 +431,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	fw.dst = append(append(fw.dst, youngDst...), oldDst...)
 	fw.oldStartIdx = len(youngLive)
 	fw.oldTop = oldTop
+	fw.idx.Build(fw.src)
 	return fw, nil
 }
 
@@ -410,7 +461,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 	// backward references invisible to the next major GC.
 	c.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
 		c.gangBegin() // each backward reference is one adjust work item
-		nt, ok := adjustRef(fw.src, fw.dst, t)
+		nt, ok := fw.lookup(t)
 		if !ok {
 			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
 		}
@@ -436,7 +487,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 				}
 				continue
 			}
-			nt, ok := adjustRef(fw.src, fw.dst, t)
+			nt, ok := fw.lookup(t)
 			if !ok {
 				panic(fmt.Sprintf("gc: live object %v references unmarked %v", a, t))
 			}
@@ -462,7 +513,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 		if a.IsNull() || c.TH.Contains(a) {
 			continue
 		}
-		nt, ok := adjustRef(fw.src, fw.dst, a)
+		nt, ok := fw.lookup(a)
 		if !ok {
 			panic(fmt.Sprintf("gc: rooted handle references unmarked %v", a))
 		}

@@ -1,6 +1,9 @@
 package giraph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Program is a vertex program in the Pregel/Giraph model: Init sets the
 // initial vertex value and activity; Compute consumes incoming messages,
@@ -66,9 +69,12 @@ func (p *PageRank) Compute(s, v int, value float64, msgs []float64, degree int) 
 }
 
 // CDLP is community detection by label propagation: each vertex adopts
-// the most frequent label among its incoming messages.
+// the most frequent label among its incoming messages, the smallest such
+// label on a tie. A value must not be shared by concurrent engines: it
+// holds Compute's sort buffer.
 type CDLP struct {
 	Iterations int
+	buf        []float64
 }
 
 // Name implements Program.
@@ -80,19 +86,25 @@ func (c *CDLP) MaxSupersteps() int { return c.Iterations }
 // Init implements Program.
 func (c *CDLP) Init(v, degree, n int) (float64, bool) { return float64(v), true }
 
-// Compute implements Program.
+// Compute implements Program. It counts labels by sorting a copy of the
+// messages: the first run of the longest length is the most frequent label
+// with the smallest value.
 func (c *CDLP) Compute(s, v int, value float64, msgs []float64, degree int) (float64, bool, float64) {
 	nv := value
 	if s > 0 && len(msgs) > 0 {
-		counts := make(map[float64]int, len(msgs))
-		best, bestN := value, 0
-		for _, m := range msgs {
-			counts[m]++
-			if n := counts[m]; n > bestN || (n == bestN && m < best) {
-				best, bestN = m, n
+		c.buf = append(c.buf[:0], msgs...)
+		slices.Sort(c.buf)
+		bestN := 0
+		for i := 0; i < len(c.buf); {
+			j := i + 1
+			for j < len(c.buf) && c.buf[j] == c.buf[i] {
+				j++
 			}
+			if j-i > bestN {
+				nv, bestN = c.buf[i], j-i
+			}
+			i = j
 		}
-		nv = best
 	}
 	return nv, s < c.Iterations-1, nv
 }

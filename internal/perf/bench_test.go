@@ -35,6 +35,10 @@ func TestMicroAllocPins(t *testing.T) {
 		"minor_gc_scavenge_ng2c":     0,
 		"card_table_scan":            0,
 		"writeback_submit_drain":     0,
+		"vm_load_h1":                 0,
+		"vm_load_h2":                 0,
+		"copy_object":                0,
+		"major_adjust_lookup":        0,
 	}
 	for _, m := range Micros() {
 		m := m
@@ -60,7 +64,7 @@ func TestMicrosHaveUniqueStableNames(t *testing.T) {
 		}
 		seen[m.Name] = true
 	}
-	if want := 9; len(seen) != want {
+	if want := 13; len(seen) != want {
 		t.Fatalf("expected %d micros, got %d", want, len(seen))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
@@ -34,6 +35,10 @@ func Micros() []Micro {
 		{Name: "minor_gc_scavenge_ng2c", Setup: setupScavengeNG2C},
 		{Name: "card_table_scan", Setup: setupCardScan},
 		{Name: "writeback_submit_drain", Setup: setupWriteback},
+		{Name: "vm_load_h1", Setup: setupLoadH1},
+		{Name: "vm_load_h2", Setup: setupLoadH2},
+		{Name: "copy_object", Setup: setupCopyObject},
+		{Name: "major_adjust_lookup", Setup: setupAdjustLookup},
 	}
 }
 
@@ -289,4 +294,67 @@ func setupCardScan() func() {
 	}
 	op() // warm: recompute card states once
 	return op
+}
+
+// setupLoadH1: 64 word loads spread over a PS heap's H1, every one inside
+// the DRAM window.
+func setupLoadH1() func() {
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, simclock.New())
+	as := j.Mem().AS
+	var sink uint64
+	return func() {
+		for i := vm.Addr(0); i < 64; i++ {
+			sink += as.Load(vm.H1Base + i*4099*vm.WordSize)
+		}
+	}
+}
+
+// setupLoadH2: 64 word loads over a few resident pages of a TeraHeap H2,
+// so every load takes the H2 window and hits the page cache.
+func setupLoadH2() func() {
+	thcfg := core.DefaultConfig(64 * storage.MB)
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thcfg}, nil, simclock.New())
+	as := j.Mem().AS
+	var sink uint64
+	op := func() {
+		for i := vm.Addr(0); i < 64; i++ {
+			sink += as.Load(vm.H2Base + i*67*vm.WordSize)
+		}
+	}
+	op() // warm: fault the pages in
+	return op
+}
+
+// setupCopyObject: one 32-word object copy between two H1 addresses inside
+// the DRAM window, the major compaction and scavenge copy.
+func setupCopyObject() func() {
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, simclock.New())
+	m := j.Mem()
+	src, dst := vm.H1Base+4096, vm.H1Base+1*storage.MB
+	return func() { m.CopyObject(dst, src, 32) }
+}
+
+// setupAdjustLookup: 64 forwarding lookups against a 4096-entry major-GC
+// forwarding table with irregular gaps, through the block index.
+func setupAdjustLookup() func() {
+	const n = 4096
+	src := make([]vm.Addr, n)
+	dst := make([]vm.Addr, n)
+	a := vm.H1Base
+	for i := range src {
+		a += vm.Addr(3+i%7) * vm.WordSize
+		src[i], dst[i] = a, vm.H1Base+vm.Addr(i)*vm.WordSize
+	}
+	var x gc.FwdIndex
+	x.Build(src)
+	var sink vm.Addr
+	return func() {
+		for i := 0; i < 64; i++ {
+			d, ok := x.Lookup(src, dst, src[i*61%n])
+			if !ok {
+				panic("perf: forwarded source not found")
+			}
+			sink += d
+		}
+	}
 }

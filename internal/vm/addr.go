@@ -91,14 +91,34 @@ type Mapping struct {
 }
 
 // AddressSpace routes loads and stores to the mapping covering each
-// address. It holds few mappings (H1 and H2), so lookup is a linear scan.
+// address. Two windows make the common cases one range compare each:
+//
+//   - the DRAM window is the RAM mapping that starts at its own base (all
+//     of H1 under PS and G1, the DRAM prefix under Panthera). DRAM charges
+//     nothing, so a word inside it is read or written straight from the
+//     backing slice with no interface call;
+//   - the H2 window is the mapping that starts at H2Base. It still calls
+//     its Memory for every word, so each H2 access reaches the mapped file
+//     and touches its page cache exactly as a scan would.
+//
+// Any other address falls through to a linear scan of the mappings.
 type AddressSpace struct {
+	ramBase  Addr
+	ramWords []uint64
+	h2       Mapping
 	mappings []Mapping
 }
 
 // Map registers a mapping. Ranges must not overlap.
 func (as *AddressSpace) Map(start, end Addr, mem Memory) {
 	as.mappings = append(as.mappings, Mapping{Start: start, End: end, Mem: mem})
+	if r, ok := mem.(*RAM); ok && r.base == start && as.ramWords == nil {
+		n := min(uint64(end-start)>>3, uint64(len(r.words)))
+		as.ramBase, as.ramWords = start, r.words[:n:n]
+	}
+	if start == H2Base {
+		as.h2 = as.mappings[len(as.mappings)-1]
+	}
 }
 
 // Resolve returns the memory covering a, or nil.
@@ -112,24 +132,47 @@ func (as *AddressSpace) Resolve(a Addr) Memory {
 	return nil
 }
 
-// Load reads the word at a. It panics on unmapped addresses: an unmapped
-// access is a simulator bug, not a recoverable condition.
-func (as *AddressSpace) Load(a Addr) uint64 {
-	m := as.Resolve(a)
-	if m == nil {
-		panic(fmt.Sprintf("vm: load from unmapped address %v", a))
+// ram returns the DRAM-window slice holding the n words starting at a, and
+// whether all of them lie inside the window.
+func (as *AddressSpace) ram(a Addr, n int) ([]uint64, bool) {
+	i := uint64(a-as.ramBase) >> 3
+	if i > uint64(len(as.ramWords)) || uint64(n) > uint64(len(as.ramWords))-i {
+		return nil, false
 	}
-	return m.Load(a)
+	return as.ramWords[i : i+uint64(n)], true
 }
+
+// slow resolves an address outside the DRAM window: the H2 window, then
+// the scan. It panics on unmapped addresses: an unmapped access is a
+// simulator bug, not a recoverable condition.
+func (as *AddressSpace) slow(a Addr, op string) Memory {
+	if a >= as.h2.Start && a < as.h2.End {
+		return as.h2.Mem
+	}
+	if m := as.Resolve(a); m != nil {
+		return m
+	}
+	panic(fmt.Sprintf("vm: %s unmapped address %v", op, a))
+}
+
+// Load reads the word at a. It panics on unmapped addresses.
+func (as *AddressSpace) Load(a Addr) uint64 {
+	if i := uint64(a-as.ramBase) >> 3; i < uint64(len(as.ramWords)) {
+		return as.ramWords[i]
+	}
+	return as.loadSlow(a)
+}
+
+func (as *AddressSpace) loadSlow(a Addr) uint64 { return as.slow(a, "load from").Load(a) }
 
 // Peek reads the word at a without charging simulated cost: backends
 // implementing Peeker are read directly, anything else falls back to Load
 // (RAM loads are already free). Invariant checks and tests only.
 func (as *AddressSpace) Peek(a Addr) uint64 {
-	m := as.Resolve(a)
-	if m == nil {
-		panic(fmt.Sprintf("vm: peek of unmapped address %v", a))
+	if i := uint64(a-as.ramBase) >> 3; i < uint64(len(as.ramWords)) {
+		return as.ramWords[i]
 	}
+	m := as.slow(a, "peek of")
 	if p, ok := m.(Peeker); ok {
 		return p.Peek(a)
 	}
@@ -138,9 +181,11 @@ func (as *AddressSpace) Peek(a Addr) uint64 {
 
 // Store writes the word at a.
 func (as *AddressSpace) Store(a Addr, v uint64) {
-	m := as.Resolve(a)
-	if m == nil {
-		panic(fmt.Sprintf("vm: store to unmapped address %v", a))
+	if i := uint64(a-as.ramBase) >> 3; i < uint64(len(as.ramWords)) {
+		as.ramWords[i] = v
+		return
 	}
-	m.Store(a, v)
+	as.storeSlow(a, v)
 }
+
+func (as *AddressSpace) storeSlow(a Addr, v uint64) { as.slow(a, "store to").Store(a, v) }

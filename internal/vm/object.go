@@ -55,6 +55,10 @@ func (m *Mem) InitObject(a Addr, c *Class, numRefs, sizeWords int) {
 	m.AS.Store(a+hdrStatus*WordSize, uint64(c.ID))
 	m.AS.Store(a+hdrShape*WordSize, uint64(sizeWords)|uint64(numRefs)<<32)
 	m.AS.Store(a+hdrLabel*WordSize, 0)
+	if w, ok := m.AS.ram(a+HeaderWords*WordSize, sizeWords-HeaderWords); ok {
+		clear(w)
+		return
+	}
 	for i := HeaderWords; i < sizeWords; i++ {
 		m.AS.Store(a+Addr(i*WordSize), 0)
 	}
@@ -170,8 +174,19 @@ func (m *Mem) NumPrims(a Addr) int {
 	return m.SizeWords(a) - HeaderWords - m.NumRefs(a)
 }
 
-// CopyObject copies the sizeWords-long object at src to dst word by word.
+// CopyObject copies the sizeWords-long object at src to dst word by word,
+// in ascending address order. When both ranges lie inside the DRAM window
+// and the forward word loop would equal a memmove (dst at or below src, or
+// no overlap), the copy is one bulk move.
 func (m *Mem) CopyObject(dst, src Addr, sizeWords int) {
+	if dst <= src || dst >= src+Addr(sizeWords*WordSize) {
+		if d, ok := m.AS.ram(dst, sizeWords); ok {
+			if s, ok := m.AS.ram(src, sizeWords); ok {
+				copy(d, s)
+				return
+			}
+		}
+	}
 	for i := 0; i < sizeWords; i++ {
 		m.AS.Store(dst+Addr(i*WordSize), m.AS.Load(src+Addr(i*WordSize)))
 	}
