@@ -40,7 +40,7 @@ func reportRuns(b *testing.B, runs ...experiments.RunResult) {
 
 func benchFig6Spark(b *testing.B, workload string) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6Spark(workload)
+		r := new(experiments.Env).Fig6Spark(workload)
 		if i == b.N-1 {
 			reportRuns(b, r.Runs...)
 		}
@@ -62,7 +62,7 @@ func BenchmarkFig6SparkRL(b *testing.B)   { benchFig6Spark(b, "RL") }
 
 func benchFig6Giraph(b *testing.B, workload string) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6Giraph(workload)
+		r := new(experiments.Env).Fig6Giraph(workload)
 		if i == b.N-1 {
 			reportRuns(b, r.Runs...)
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig6GiraphSSSP(b *testing.B) { benchFig6Giraph(b, "SSSP") }
 
 func BenchmarkFig7Timeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7()
+		r := new(experiments.Env).Fig7()
 		if i == b.N-1 {
 			reportRuns(b, r.SD, r.TH)
 			sdMajors := 0
@@ -309,7 +309,7 @@ func BenchmarkTable5Metadata(b *testing.B) {
 
 func BenchmarkBarrierOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.BarrierOverhead()
+		s := new(experiments.Env).BarrierOverhead()
 		if len(s) == 0 {
 			b.Fatal("empty result")
 		}
@@ -318,7 +318,7 @@ func BenchmarkBarrierOverhead(b *testing.B) {
 
 func BenchmarkAblationGroupMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.AblationGroupMode()
+		s := new(experiments.Env).AblationGroupMode()
 		if len(s) == 0 {
 			b.Fatal("empty result")
 		}
@@ -349,16 +349,16 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	specs := suiteSpecs()
 	b.Run("j1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runs := experiments.RunAllWorkers(specs, 1)
+			runs := (&experiments.Env{Jobs: 1}).RunAll(specs)
 			if len(runs) != len(specs) {
 				b.Fatalf("got %d results, want %d", len(runs), len(specs))
 			}
 		}
 	})
 	b.Run("jmax", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
+		env := &experiments.Env{Jobs: runtime.GOMAXPROCS(0)}
 		for i := 0; i < b.N; i++ {
-			runs := experiments.RunAllWorkers(specs, workers)
+			runs := env.RunAll(specs)
 			if len(runs) != len(specs) {
 				b.Fatalf("got %d results, want %d", len(runs), len(specs))
 			}
@@ -404,7 +404,7 @@ func BenchmarkAblationHugePages(b *testing.B) {
 
 func BenchmarkAblationDynamicThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.AblationDynamicThresholds()
+		s := new(experiments.Env).AblationDynamicThresholds()
 		if len(s) == 0 {
 			b.Fatal("empty result")
 		}
@@ -413,7 +413,7 @@ func BenchmarkAblationDynamicThresholds(b *testing.B) {
 
 func BenchmarkAblationSizeSegregation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.AblationSizeSegregation()
+		s := new(experiments.Env).AblationSizeSegregation()
 		if len(s) == 0 {
 			b.Fatal("empty result")
 		}

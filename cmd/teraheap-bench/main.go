@@ -3,10 +3,15 @@
 // Usage:
 //
 //	teraheap-bench [-csv] [-j N] [-verify] [-fault PLAN] <experiment> [workload]
+//	teraheap-bench [-verify] [-fault PLAN] run spark|giraph [-workload W] [-dram GB] ...
 //
 // Experiments: fig6-spark, fig6-giraph, fig7, fig8, fig9a, fig9b, fig10,
 // fig11a, fig11b, fig12a, fig12b, fig12c, fig13a, fig13b, table5,
-// barrier, ablation-*, workers, chaos, all.
+// barrier, ablation-*, workers, chaos, all. "run" executes one Spark or
+// Giraph configuration and prints its breakdown, GC and device counters.
+//
+// The flags build one experiments.Env, which the CLI hands to every
+// figure; there is no process-global run state.
 //
 // -gc-workers N sets the simulated GC gang size on PS-based runtimes
 // (work items dealt round-robin onto N workers, pause charged
@@ -24,12 +29,6 @@
 // into every run; the same seed yields byte-identical output. The exit code
 // is 1 when any run ended OOM/faulted/panicked — the results table still
 // prints in full, so scripts get partial results plus a failure signal.
-//
-// "bench" records the performance trajectory: it times every figure of the
-// suite, measures the hot-loop microbenchmarks (ns/op + allocs/op), and
-// writes BENCH_<rev>.json. "bench diff OLD NEW" compares two trajectory
-// files and reports regressions past -threshold (report-only unless
-// -strict).
 package main
 
 import (
@@ -43,11 +42,12 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/experiments"
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
-	"github.com/carv-repro/teraheap-go/internal/perf"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/runner"
 	"github.com/carv-repro/teraheap-go/internal/server"
+	"github.com/carv-repro/teraheap-go/internal/simclock"
+	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
 
@@ -58,30 +58,30 @@ func main() {
 // suite lists every experiment of the §6-§7 evaluation in "all" order.
 var suite = []struct {
 	name string
-	fn   func() string
+	fn   func(*experiments.Env) string
 }{
-	{"fig6-spark", experiments.Fig6SparkAll},
-	{"fig6-giraph", experiments.Fig6GiraphAll},
-	{"fig7", func() string { return experiments.Fig7().Format() }},
-	{"fig8", experiments.Fig8},
-	{"fig9a", experiments.Fig9a},
-	{"fig9b", experiments.Fig9b},
-	{"fig10", experiments.Fig10},
-	{"fig11a", experiments.Fig11a},
-	{"fig11b", experiments.Fig11b},
-	{"fig12a", experiments.Fig12a},
-	{"fig12b", experiments.Fig12b},
-	{"fig12c", experiments.Fig12c},
-	{"fig13a", experiments.Fig13a},
-	{"fig13b", experiments.Fig13b},
-	{"table5", experiments.Table5},
-	{"barrier", experiments.BarrierOverhead},
-	{"ablation-groups", experiments.AblationGroupMode},
-	{"ablation-striping", experiments.AblationStriping},
-	{"ablation-hugepages", experiments.AblationHugePages},
-	{"ablation-dynamic", experiments.AblationDynamicThresholds},
-	{"ablation-sizeseg", experiments.AblationSizeSegregation},
-	{"ablation-g1th", experiments.AblationG1TeraHeap},
+	{"fig6-spark", (*experiments.Env).Fig6SparkAll},
+	{"fig6-giraph", (*experiments.Env).Fig6GiraphAll},
+	{"fig7", func(e *experiments.Env) string { return e.Fig7().Format() }},
+	{"fig8", (*experiments.Env).Fig8},
+	{"fig9a", (*experiments.Env).Fig9a},
+	{"fig9b", (*experiments.Env).Fig9b},
+	{"fig10", (*experiments.Env).Fig10},
+	{"fig11a", (*experiments.Env).Fig11a},
+	{"fig11b", (*experiments.Env).Fig11b},
+	{"fig12a", (*experiments.Env).Fig12a},
+	{"fig12b", (*experiments.Env).Fig12b},
+	{"fig12c", (*experiments.Env).Fig12c},
+	{"fig13a", (*experiments.Env).Fig13a},
+	{"fig13b", (*experiments.Env).Fig13b},
+	{"table5", (*experiments.Env).Table5},
+	{"barrier", (*experiments.Env).BarrierOverhead},
+	{"ablation-groups", (*experiments.Env).AblationGroupMode},
+	{"ablation-striping", (*experiments.Env).AblationStriping},
+	{"ablation-hugepages", (*experiments.Env).AblationHugePages},
+	{"ablation-dynamic", (*experiments.Env).AblationDynamicThresholds},
+	{"ablation-sizeseg", (*experiments.Env).AblationSizeSegregation},
+	{"ablation-g1th", (*experiments.Env).AblationG1TeraHeap},
 }
 
 // run executes the CLI and returns its exit code (testable main).
@@ -95,11 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultSpec := fs.String("fault", "", "fault-injection plan, e.g. seed=1,dev-err=0.01,wb-fail=0.05")
 	gcWorkers := fs.Int("gc-workers", 1, "simulated GC gang size on PS-based runtimes (1 = serial charge)")
 	wbDepth := fs.Int("wb-depth", 0, "async writeback queue depth on the H2 device (0 = legacy flat discount)")
-	benchOut := fs.String("o", "", "with \"bench\": output path (default BENCH_<rev>.json)")
-	trajectory := fs.String("trajectory", "", "with \"bench\": trajectory directory — append this run's point and diff against the previous one")
-	benchRev := fs.String("rev", "dev", "with \"bench\": revision label recorded in the report")
-	threshold := fs.Float64("threshold", 0.25, "with \"bench diff\": regression threshold (fraction)")
-	strict := fs.Bool("strict", false, "with \"bench diff\": exit 1 on regressions instead of report-only")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -128,17 +123,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		plan = p
 	}
-	prev := runner.SetDefaultWorkers(*jobs)
-	defer runner.SetDefaultWorkers(prev)
-	prevVerify := experiments.SetVerify(*verify)
-	defer experiments.SetVerify(prevVerify)
-	prevPlan := experiments.SetFaultPlan(plan)
-	defer experiments.SetFaultPlan(prevPlan)
-	prevGW := experiments.SetGCWorkers(*gcWorkers)
-	defer experiments.SetGCWorkers(prevGW)
-	prevWB := experiments.SetWritebackDepth(*wbDepth)
-	defer experiments.SetWritebackDepth(prevWB)
-	experiments.ResetBadRuns()
+	if *jobs == 0 {
+		*jobs = runtime.GOMAXPROCS(0)
+	}
+	env := &experiments.Env{
+		Layers: rt.Layers{Verify: *verify, FaultPlan: plan, GCWorkers: *gcWorkers, WritebackDepth: *wbDepth},
+		Jobs:   *jobs,
+	}
 
 	what := fs.Arg(0)
 	arg := fs.Arg(1)
@@ -149,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "teraheap-bench: unknown Spark workload %q (valid: %v)\n", arg, experiments.SparkWorkloads())
 				return 2
 			}
-			r := experiments.Fig6Spark(arg)
+			r := env.Fig6Spark(arg)
 			if *csvOut {
 				fmt.Fprint(stdout, metrics.CSVBreakdown(r.Rows))
 			} else {
@@ -157,10 +148,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else if *csvOut {
 			for _, w := range experiments.SparkWorkloads() {
-				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Spark(w).Rows))
+				fmt.Fprint(stdout, metrics.CSVBreakdown(env.Fig6Spark(w).Rows))
 			}
 		} else {
-			fmt.Fprint(stdout, experiments.Fig6SparkAll())
+			fmt.Fprint(stdout, env.Fig6SparkAll())
 		}
 	case "fig6-giraph":
 		if arg != "" {
@@ -168,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "teraheap-bench: unknown Giraph workload %q (valid: %v)\n", arg, experiments.GiraphWorkloads())
 				return 2
 			}
-			r := experiments.Fig6Giraph(arg)
+			r := env.Fig6Giraph(arg)
 			if *csvOut {
 				fmt.Fprint(stdout, metrics.CSVBreakdown(r.Rows))
 			} else {
@@ -176,13 +167,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else if *csvOut {
 			for _, w := range experiments.GiraphWorkloads() {
-				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Giraph(w).Rows))
+				fmt.Fprint(stdout, metrics.CSVBreakdown(env.Fig6Giraph(w).Rows))
 			}
 		} else {
-			fmt.Fprint(stdout, experiments.Fig6GiraphAll())
+			fmt.Fprint(stdout, env.Fig6GiraphAll())
 		}
 	case "fig7":
-		r := experiments.Fig7()
+		r := env.Fig7()
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -196,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// meant to survive its plan; an OOM means it no longer does).
 		// Faulted runs stay exit 0: a latched persistent failure is the
 		// fault plane's expected output on kinds without a recovery layer.
-		r := experiments.RunChaos(plan)
+		r := env.RunChaos(plan)
 		fmt.Fprint(stdout, r.Format())
 		return chaosExit("chaos", r, stderr)
 	case "serve":
@@ -204,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return 2
 		}
-		r := experiments.ServeSweep(cfg, nil)
+		r := env.ServeSweep(cfg, nil)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -219,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return 2
 		}
-		r := experiments.ChaosServe(plan, cfg)
+		r := env.ChaosServe(plan, cfg)
 		fmt.Fprint(stdout, r.Format())
 		return chaosExit("chaos-serve", r.ChaosResult, stderr)
 	case "pretenure":
@@ -236,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "teraheap-bench: pretenure: %v\n", err)
 			return 2
 		}
-		r := experiments.Pretenure(kinds)
+		r := env.Pretenure(kinds)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -246,24 +237,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The worker-scaling figure is deliberately not part of the "all"
 		// suite: it varies GCWorkers, and "all" output stays byte-identical
 		// for every flag combination except the model knobs themselves.
-		r := experiments.WorkerScaling(nil)
+		r := env.WorkerScaling(nil)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
 			fmt.Fprint(stdout, r.Format())
 		}
-	case "bench":
-		if fs.Arg(1) == "diff" {
-			return runBenchDiff(fs.Arg(2), fs.Arg(3), *threshold, *strict, stdout, stderr)
+	case "run":
+		if !runOne(env, fs.Args()[1:], stdout, stderr) {
+			return 2
 		}
-		return runBench(*benchOut, *benchRev, *trajectory, *threshold, *strict, stdout, stderr)
 	case "all":
-		parallel, _ := runAll(stdout, stderr)
+		parallel := runAll(env, stdout, stderr)
 		if *compare {
-			runner.SetDefaultWorkers(1)
 			workloads.ResetCaches() // serial rerun regenerates datasets too
 			fmt.Fprintf(stderr, "# rerunning at -j 1 for comparison\n")
-			serial, _ := runAll(io.Discard, stderr)
+			serial := runAll(&experiments.Env{Layers: env.Layers, Jobs: 1}, io.Discard, stderr)
 			fmt.Fprintf(stderr, "# speedup vs -j 1: %.2fx (parallel %v, serial %v)\n",
 				float64(serial)/float64(parallel), parallel.Round(time.Millisecond),
 				serial.Round(time.Millisecond))
@@ -272,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran := false
 		for _, e := range suite {
 			if e.name == what {
-				fmt.Fprint(stdout, e.fn())
+				fmt.Fprint(stdout, e.fn(env))
 				ran = true
 				break
 			}
@@ -285,119 +274,120 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Degraded results still print in full above; the exit code tells
 	// scripts the table contains OOM/faulted/panicked runs.
-	if n := experiments.BadRuns(); n > 0 {
+	if n := env.Unhealthy(); n > 0 {
 		fmt.Fprintf(stderr, "teraheap-bench: %d run(s) ended OOM/faulted/panicked (results above are partial)\n", n)
 		return 1
 	}
 	return 0
 }
 
-// runBench records the performance trajectory: it runs the full suite
-// (figure text discarded — the product is the timings), measures the
-// hot-loop microbenchmarks, and writes BENCH_<rev>.json. Unlike "all",
-// OOM-by-design runs (the paper's native-JVM OOM bars) do not affect the
-// exit code: the subcommand's contract is the JSON file.
-func runBench(outPath, rev, trajectory string, threshold float64, strict bool, stdout, stderr io.Writer) int {
-	total, figures := runAll(io.Discard, stderr)
-	report := &perf.Report{
-		Schema:    perf.Schema,
-		Rev:       rev,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Jobs:      runner.DefaultWorkers(),
-		Figures:   figures,
-		TotalNS:   total.Nanoseconds(),
-	}
-	if n := experiments.BadRuns(); n > 0 {
-		fmt.Fprintf(stderr, "# %d run(s) ended OOM/faulted/panicked (expected for native-JVM OOM bars)\n", n)
-	}
-
-	fmt.Fprintf(stderr, "# measuring microbenchmarks\n")
-	report.Benchmarks = perf.RunMicros()
-
-	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", rev)
-	}
-	if err := report.WriteFile(outPath); err != nil {
-		fmt.Fprintf(stderr, "teraheap-bench: bench: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s (total %v, %d figures, %d benchmarks)\n",
-		outPath, time.Duration(report.TotalNS).Round(time.Millisecond),
-		len(report.Figures), len(report.Benchmarks))
-
-	// With a trajectory directory, every bench run persists one per-rev
-	// point and diffs against the previous one, so the history accumulates
-	// without any separate wiring in CI.
-	if trajectory != "" {
-		prev, prevPath, err := perf.LatestReport(trajectory)
-		if err != nil {
-			fmt.Fprintf(stderr, "teraheap-bench: bench: %v\n", err)
-			return 1
-		}
-		point, err := perf.AppendToTrajectory(trajectory, report)
-		if err != nil {
-			fmt.Fprintf(stderr, "teraheap-bench: bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "appended %s\n", point)
-		if prev == nil {
-			fmt.Fprintf(stdout, "trajectory was empty; no previous point to diff against\n")
-			return 0
-		}
-		fmt.Fprintf(stdout, "diff vs %s (rev %s):\n", prevPath, prev.Rev)
-		regs := perf.Diff(prev, report, threshold)
-		fmt.Fprint(stdout, perf.FormatRegressions(regs, threshold))
-		if strict && len(regs) > 0 {
-			return 1
-		}
-	}
-	return 0
-}
-
-// runBenchDiff compares two BENCH files. Report-only by default (CI runs
-// it against the checked-in baseline without failing the build); -strict
-// turns regressions into exit 1.
-func runBenchDiff(oldPath, newPath string, threshold float64, strict bool, stdout, stderr io.Writer) int {
-	if oldPath == "" || newPath == "" {
-		fmt.Fprintln(stderr, "teraheap-bench: usage: bench diff OLD.json NEW.json")
-		return 2
-	}
-	old, err := perf.ReadFile(oldPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "teraheap-bench: bench diff: %v\n", err)
-		return 2
-	}
-	cur, err := perf.ReadFile(newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "teraheap-bench: bench diff: %v\n", err)
-		return 2
-	}
-	regs := perf.Diff(old, cur, threshold)
-	fmt.Fprint(stdout, perf.FormatRegressions(regs, threshold))
-	if strict && len(regs) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runAll runs the whole suite, streaming figure text to stdout and
-// per-figure wall-clock timings to stderr, and returns the total and
-// per-figure wall-clock times.
-func runAll(stdout, stderr io.Writer) (time.Duration, []perf.Figure) {
-	var figures []perf.Figure
+// runAll runs the whole suite on env, streaming figure text to stdout and
+// per-figure wall-clock timings to stderr, and returns the total
+// wall-clock time.
+func runAll(env *experiments.Env, stdout, stderr io.Writer) time.Duration {
 	start := time.Now()
 	for _, e := range suite {
 		figStart := time.Now()
-		fmt.Fprint(stdout, e.fn())
-		wall := time.Since(figStart)
-		figures = append(figures, perf.Figure{Name: e.name, WallNS: wall.Nanoseconds()})
-		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, wall.Round(time.Millisecond))
+		fmt.Fprint(stdout, e.fn(env))
+		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, time.Since(figStart).Round(time.Millisecond))
 	}
 	total := time.Since(start)
-	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), runner.DefaultWorkers())
-	return total, figures
+	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), env.Jobs)
+	return total
+}
+
+// runOne is the "run" subcommand: one Spark or Giraph configuration on
+// env, printed by printRun. It reports false on a usage error; the run's
+// outcome reaches the exit code through env like every figure's.
+func runOne(env *experiments.Env, args []string, stdout, stderr io.Writer) bool {
+	if len(args) == 0 || (args[0] != "spark" && args[0] != "giraph") {
+		fmt.Fprintln(stderr, "teraheap-bench: usage: run spark|giraph [flags] (see -h)")
+		return false
+	}
+	spark := args[0] == "spark"
+	fs := flag.NewFlagSet("teraheap-bench run "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dramDefault := 80.0
+	if !spark {
+		dramDefault = 85
+	}
+	workload := fs.String("workload", "PR", "workload: Spark PR CC SSSP SVD TR LR LgR SVM BC RL KM; Giraph PR CDLP WCC BFS SSSP")
+	dram := fs.Float64("dram", dramDefault, "DRAM budget in paper-GB")
+	threads := fs.Int("threads", 8, "executor (Spark) or compute (Giraph) threads")
+	scale := fs.Float64("scale", 1, "dataset scale factor")
+	var kindName, device, mode *string
+	if spark {
+		kindName = fs.String("runtime", "th", "runtime kind: "+strings.Join(rt.KindNames(), " "))
+		device = fs.String("device", "nvme", "H2/off-heap device: nvme or nvm")
+	} else {
+		mode = fs.String("mode", "th", "Giraph mode: ooc or th")
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "teraheap-bench: run %s: unexpected argument %q\n", args[0], fs.Arg(0))
+		return false
+	}
+	var spec experiments.Spec
+	if spark {
+		kind, ok := rt.KindByName(*kindName)
+		if !ok {
+			fmt.Fprintf(stderr, "teraheap-bench: run: unknown runtime %q (valid: %s)\n", *kindName, strings.Join(rt.KindNames(), " "))
+			return false
+		}
+		devs := map[string]storage.Kind{"nvme": storage.NVMeSSD, "nvm": storage.NVM}
+		dev, ok := devs[*device]
+		if !ok {
+			fmt.Fprintf(stderr, "teraheap-bench: run: unknown device %q (valid: nvme nvm)\n", *device)
+			return false
+		}
+		spec = experiments.SparkSpec(experiments.SparkRun{Workload: *workload, Runtime: kind, DramGB: *dram,
+			Device: dev, Threads: *threads, DatasetScale: *scale})
+	} else {
+		modes := map[string]giraph.Mode{"ooc": giraph.ModeOOC, "th": giraph.ModeTH}
+		m, ok := modes[*mode]
+		if !ok {
+			fmt.Fprintf(stderr, "teraheap-bench: run: unknown Giraph mode %q (valid: ooc th)\n", *mode)
+			return false
+		}
+		spec = experiments.GiraphSpec(experiments.GiraphRun{Workload: *workload, Mode: m, DramGB: *dram,
+			Threads: *threads, DatasetScale: *scale})
+	}
+	printRun(stdout, env.RunAll([]experiments.Spec{spec})[0])
+	return true
+}
+
+// printRun renders one run: its execution-time breakdown, GC cycle
+// counts, device traffic and (TeraHeap runs) H2 movement, or the outcome
+// that ended it.
+func printRun(w io.Writer, r experiments.RunResult) {
+	switch {
+	case r.OOM:
+		fmt.Fprintf(w, "%s: OUT OF MEMORY\n", r.Name)
+		return
+	case r.Faulted || r.Failed:
+		fmt.Fprintf(w, "%s: FAILED: %s\n", r.Name, r.FailErr)
+		return
+	}
+	us := func(c simclock.Category) time.Duration { return r.B.Get(c).Round(time.Microsecond) }
+	fmt.Fprintf(w, "%s\n", r.Name)
+	fmt.Fprintf(w, "  total    %12v\n", r.B.Total().Round(time.Microsecond))
+	fmt.Fprintf(w, "  other    %12v\n", us(simclock.Other))
+	fmt.Fprintf(w, "  s/d+io   %12v\n", us(simclock.SerDesIO))
+	fmt.Fprintf(w, "  minorGC  %12v  (%d cycles)\n", us(simclock.MinorGC), r.GCStats.MinorCount)
+	fmt.Fprintf(w, "  majorGC  %12v  (%d cycles)\n", us(simclock.MajorGC), r.GCStats.MajorCount)
+	fmt.Fprintf(w, "  device   reads %d (%d KB)  writes %d (%d KB)\n",
+		r.DevStats.ReadOps, r.DevStats.BytesRead/1024, r.DevStats.WriteOps, r.DevStats.BytesWritten/1024)
+	if th := r.THStats; th != nil {
+		fmt.Fprintf(w, "  teraheap moved %d objects (%d KB), regions %d allocated / %d reclaimed",
+			th.ObjectsMoved, th.BytesMoved/1024, th.RegionsAllocated, th.RegionsReclaimed)
+		if th.HighThresholdTrips > 0 {
+			fmt.Fprintf(w, ", threshold trips %d", th.HighThresholdTrips)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "  checksum %g\n", r.Checksum)
 }
 
 // parseServeConfig resolves the serve subcommands' optional config DSL
@@ -439,18 +429,27 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: teraheap-bench [-csv] [-j N] [-compare] [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] <experiment> [workload]
        teraheap-bench serve [CONFIG]
        teraheap-bench [-fault PLAN] chaos-serve [CONFIG]
-       teraheap-bench bench [-o FILE] [-rev REV] [-trajectory DIR]
-       teraheap-bench bench diff OLD.json NEW.json [-threshold F] [-strict]
+       teraheap-bench [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] run spark
+                      [-workload W] [-runtime KIND] [-dram GB] [-device nvme|nvm] [-threads N] [-scale F]
+       teraheap-bench [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] run giraph
+                      [-workload W] [-mode ooc|th] [-dram GB] [-threads N] [-scale F]
 
 experiments:
   fig6-spark [PR|CC|SSSP|SVD|TR|LR|LgR|SVM|BC|RL]
   fig6-giraph [PR|CDLP|WCC|BFS|SSSP]
   fig7 fig8 fig9a fig9b fig10 fig11a fig11b
   fig12a fig12b fig12c fig13a fig13b
-  table5 barrier workers serve chaos-serve all chaos bench
+  table5 barrier workers serve chaos-serve all chaos run
   pretenure [KIND:KIND:...]
   ablation-groups ablation-striping ablation-hugepages
   ablation-dynamic ablation-sizeseg ablation-g1th
+
+run executes one configuration and prints its execution-time breakdown,
+GC cycles, device traffic and H2 movement: a Spark workload (PR CC SSSP
+SVD TR LR LgR SVM BC RL KM; default PR) on a runtime kind (default th) at
+-dram GB (default 80), or a Giraph workload (PR CDLP WCC BFS SSSP) in ooc
+or th mode (default th) at -dram GB (default 85). An OOM, faulted or
+panicked run prints its outcome and exits 1.
 
 pretenure is the placement-policy figure: every registered runtime kind
 (ps th g1 mo panthera g1+th ng2c deca, or the colon-separated subset
@@ -499,15 +498,6 @@ flags:
              promotion and page-cache writeback submit batches that drain
              at safepoints (0 = legacy flat overlap discount; N < 0 is a
              usage error)
-  -o FILE    with "bench": output path (default BENCH_<rev>.json)
-  -rev REV   with "bench": revision label recorded in the report
-  -trajectory DIR
-             with "bench": append this run's point to the persisted
-             trajectory in DIR and diff against the previous point
-  -threshold F
-             with "bench diff": wall-clock/ns regression threshold as a
-             fraction (default 0.25; allocs/op regress on any increase)
-  -strict    with "bench diff": exit 1 on regressions (default report-only)
 
 exit status: 0 clean; 1 when any run ended OOM/faulted/panicked (the full
 results table still prints); 2 usage errors. "chaos" runs a fixed schedule
@@ -517,7 +507,5 @@ healthy, DEGRADED, RECOVERED, and FAULTED are all expected under an
 aggressive plan — and exit 1 only when a run panicked or OOMed.
 A RECOVERED status marks a TeraHeap run whose self-healing layer salvaged
 failed H2 regions (region-fail/corrupt plans) and still produced the
-correct result; recovered runs exit 0.
-"bench" writes the BENCH_<rev>.json perf trajectory (per-figure wall-clock
-+ hot-loop microbenchmarks) and exits 0 even for OOM-by-design runs.`)
+correct result; recovered runs exit 0.`)
 }

@@ -1,11 +1,10 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/carv-repro/teraheap-go/internal/perf"
 )
 
 func TestUnknownExperiment(t *testing.T) {
@@ -204,57 +203,63 @@ func TestFig7UnderFatalFaultsExitsOneWithResults(t *testing.T) {
 	}
 }
 
-// TestBenchDiffSubcommand exercises the diff mode end-to-end: write two
-// BENCH files, diff them report-only (exit 0) and strict (exit 1).
-func TestBenchDiffSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "BENCH_old.json")
-	newPath := filepath.Join(dir, "BENCH_new.json")
-	oldRep := &perf.Report{Schema: perf.Schema, Rev: "old", Jobs: 1, TotalNS: 100,
-		Benchmarks: []perf.Benchmark{{Name: "minor_gc_scavenge", NsPerOp: 100, AllocsPerOp: 0}}}
-	newRep := &perf.Report{Schema: perf.Schema, Rev: "new", Jobs: 1, TotalNS: 100,
-		Benchmarks: []perf.Benchmark{{Name: "minor_gc_scavenge", NsPerOp: 100, AllocsPerOp: 3}}}
-	if err := oldRep.WriteFile(oldPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := newRep.WriteFile(newPath); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr strings.Builder
-	if code := run([]string{"bench", "diff", oldPath, newPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("report-only diff exit = %d, want 0 (stderr:\n%s)", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "bench-allocs") {
-		t.Errorf("diff output missing bench-allocs regression:\n%s", stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-strict", "bench", "diff", oldPath, newPath}, &stdout, &stderr); code != 1 {
-		t.Fatalf("strict diff exit = %d, want 1", code)
-	}
-
-	// Identical files: clean both ways.
-	stdout.Reset()
-	if code := run([]string{"-strict", "bench", "diff", oldPath, oldPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("self-diff exit = %d, want 0", code)
-	}
-	if !strings.Contains(stdout.String(), "no regressions") {
-		t.Errorf("self-diff output:\n%s", stdout.String())
+// TestRunSubcommandGolden pins the "run" subcommand's printer to the
+// output of the single-run binaries it replaced (sparkrun -workload PR
+// -runtime th -dram 80 and giraphrun -workload CDLP -mode ooc -dram 85).
+func TestRunSubcommandGolden(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"run", "spark", "-workload", "PR", "-runtime", "th", "-dram", "80"}, "run_spark_pr_th_80.golden"},
+		{[]string{"run", "giraph", "-workload", "CDLP", "-mode", "ooc", "-dram", "85"}, "run_giraph_cdlp_ooc_85.golden"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0 (stderr:\n%s)", tc.args, code, stderr.String())
+		}
+		if stdout.String() != string(want) {
+			t.Errorf("%v: output diverged from %s:\n--- got ---\n%s--- want ---\n%s", tc.args, tc.golden, stdout.String(), want)
+		}
 	}
 }
 
-// TestBenchDiffUsageErrors: missing operands and unreadable files are
-// usage errors (exit 2), not panics.
-func TestBenchDiffUsageErrors(t *testing.T) {
+// TestRunSubcommandOutcomes: an OOM run prints its outcome and exits 1
+// through the shared degraded-run path; malformed run arguments are
+// usage errors.
+func TestRunSubcommandOutcomes(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"bench", "diff"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("missing operands exit = %d, want 2", code)
+	if code := run([]string{"run", "spark", "-runtime", "ps", "-dram", "32"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("OOM run: exit code = %d, want 1 (stderr:\n%s)", code, stderr.String())
 	}
-	stderr.Reset()
-	if code := run([]string{"bench", "diff", "/nonexistent/a.json", "/nonexistent/b.json"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unreadable files exit = %d, want 2", code)
+	if stdout.String() != "PR/spark-sd/32GB: OUT OF MEMORY\n" {
+		t.Errorf("OOM run stdout = %q", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "1 run(s) ended OOM/faulted/panicked") {
+		t.Errorf("OOM run stderr missing degraded-run notice:\n%s", stderr.String())
+	}
+	for _, args := range [][]string{
+		{"run"},
+		{"run", "flink"},
+		{"run", "spark", "-runtime", "warp"},
+		{"run", "spark", "-device", "tape"},
+		{"run", "spark", "-mode", "ooc"},
+		{"run", "giraph", "-mode", "disk"},
+		{"run", "giraph", "-device", "nvm"},
+		{"run", "giraph", "extra"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %q", args, stdout.String())
+		}
 	}
 }
 

@@ -146,9 +146,6 @@ type G1 struct {
 
 var _ = fmt.Sprintf // keep fmt imported for panics below
 
-// debugG1 enables progress tracing for slow-run diagnosis.
-var debugG1 = os.Getenv("G1_DEBUG") != ""
-
 // New builds a G1 runtime.
 func New(cfg Config, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
 	if clock == nil {

@@ -248,10 +248,6 @@ func (g *G1) youngGCNoMark() error {
 	})
 	g.stats.MinorCount++
 	g.stats.MinorTime += delta.Get(simclock.MinorGC)
-	if debugG1 && g.stats.MinorCount%2000 == 0 {
-		println("g1 debug: minors", g.stats.MinorCount, "majors", g.stats.MajorCount,
-			"free", len(g.free), "old", len(g.old), "eden", len(g.eden), "hum", len(g.hum))
-	}
 	g.hooks.AfterGC(gc.PhaseMinor)
 	return nil
 }

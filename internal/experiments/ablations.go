@@ -28,12 +28,12 @@ func vmClassesForSizeSeg() *vm.ClassTable {
 	return classes
 }
 
-// rtNewJVM builds a TeraHeap JVM for the synthetic ablations through the
-// session factory (verification follows the process default; the
-// ablations are fault-free by design).
-func rtNewJVM(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) *rt.JVM {
+// thJVM builds a TeraHeap JVM for the synthetic ablations through the
+// session factory (verification follows the environment; the ablations
+// are fault-free by design).
+func (e *Env) thJVM(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) *rt.JVM {
 	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &thCfg,
-		Classes: classes, Clock: clock, Layers: rt.Layers{Verify: DefaultContext().Verify}})
+		Classes: classes, Clock: clock, Layers: rt.Layers{Verify: e.Layers.Verify}})
 	return ses.Runtime.(*rt.JVM)
 }
 
@@ -41,13 +41,13 @@ func rtNewJVM(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) 
 // can reduce other time for LR, LgR and SVM": the ML streamers run at the
 // device's read bandwidth, so striping H2 across devices shrinks the
 // mutator's I/O wait.
-func AblationStriping() string {
+func (e *Env) AblationStriping() string {
 	stripes := []int{1, 2, 4}
 	var specs []Spec
 	for _, n := range stripes {
 		specs = append(specs, SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindTH, DramGB: 70, Stripes: n}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	sb.WriteString("== ablation: H2 striped across N NVMe SSDs (Spark LR) ==\n")
 	fmt.Fprintf(&sb, "%-8s %12s %12s\n", "devices", "total", "other")
@@ -62,7 +62,7 @@ func AblationStriping() string {
 
 // AblationHugePages quantifies the HugeMap configuration (§6): 2 MB
 // mappings for the streaming ML workloads reduce page-fault frequency.
-func AblationHugePages() string {
+func (e *Env) AblationHugePages() string {
 	pageSizes := []struct {
 		label string
 		size  int
@@ -77,7 +77,7 @@ func AblationHugePages() string {
 		specs = append(specs, SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindTH, DramGB: 70,
 			THConfig: func(c *core.Config) { c.PageSize = size }}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	sb.WriteString("== ablation: H2 page size (Spark LR, streaming reads) ==\n")
 	fmt.Fprintf(&sb, "%-10s %12s %12s %10s\n", "pagesize", "total", "other", "faults")
@@ -96,7 +96,7 @@ func AblationHugePages() string {
 // workload under sustained pressure (CDLP at the reduced DRAM point,
 // without the move hint): repeated high-threshold trips teach the
 // controller to evacuate deeper, cutting the trip count.
-func AblationDynamicThresholds() string {
+func (e *Env) AblationDynamicThresholds() string {
 	spec := func(dynamic bool) Spec {
 		return GiraphSpec(GiraphRun{Workload: "CDLP", Mode: giraph.ModeTH, DramGB: 74,
 			THConfig: func(c *core.Config) {
@@ -105,7 +105,7 @@ func AblationDynamicThresholds() string {
 				c.Ext.DynamicThresholds = dynamic
 			}})
 	}
-	runs := RunAll([]Spec{spec(false), spec(true)})
+	runs := e.RunAll([]Spec{spec(false), spec(true)})
 	static, dynamic := runs[0], runs[1]
 	var adj int64
 	var low float64
@@ -126,7 +126,7 @@ func AblationDynamicThresholds() string {
 // TeraHeap (§7.1's suggested integration): the second heap removes the
 // S/D of the off-heap cache and takes the long-lived (and humongous)
 // cached data out of G1's regions.
-func AblationG1TeraHeap() string {
+func (e *Env) AblationG1TeraHeap() string {
 	workloads := []string{"LR", "RL"}
 	var specs []Spec
 	for _, w := range workloads {
@@ -135,7 +135,7 @@ func AblationG1TeraHeap() string {
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindG1, DramGB: dram}),
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindG1TH, DramGB: dram}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	sb.WriteString("== ablation: G1 vs G1+TeraHeap (§7.1 integration) ==\n")
 	var rows []metrics.Row
@@ -163,7 +163,7 @@ func trips(r RunResult) int64 {
 // so a region's surviving small objects pin the space of its dead big
 // arrays; segregation gives the big arrays their own regions, which die
 // clean and are reclaimed in bulk.
-func AblationSizeSegregation() string {
+func (e *Env) AblationSizeSegregation() string {
 	type segResult struct{ reclaimed, liveKB int64 }
 	run := func(seg bool) (reclaimed int64, liveKB int64) {
 		clock := simclock.New()
@@ -172,7 +172,7 @@ func AblationSizeSegregation() string {
 		thCfg.RegionSize = 32 * storage.KB
 		thCfg.Ext.SizeSegregatedRegions = seg
 		thCfg.Ext.BigObjectWords = 512
-		jvm := rtNewJVM(thCfg, classes, clock)
+		jvm := e.thJVM(thCfg, classes, clock)
 
 		small := classes.ByName("small")
 		bigArr := classes.ByName("big[]")
@@ -228,7 +228,7 @@ func AblationSizeSegregation() string {
 	}
 	// Ablation-style closures go through the executor too: index 0 is the
 	// default placement, index 1 the segregated one.
-	rs := runner.Map(2, func(i int) segResult {
+	rs := runner.Do(2, e.Jobs, func(i int) segResult {
 		r, live := run(i == 1)
 		return segResult{reclaimed: r, liveKB: live}
 	})

@@ -105,14 +105,14 @@ func (r ChaosResult) Format() string {
 // so latency spikes and brown-outs land on the page-cache fault path), and
 // the Fig 9a hint pair for Giraph PR (mutable stores forced to H2, so
 // device read-modify-writes absorb the injected errors). Every spec
-// carries ctx explicitly, so the harness never touches the process-default
-// context — chaos runs can interleave with default-context runs. The
+// carries ctx explicitly, so the schedule ignores the environment's
+// layers — chaos runs can interleave with any other figure's runs. The
 // NG2C run uses the pretenure figure's hints-off configuration so its
 // placement policy is actually exercised (pretenured allocations, policy
 // promotions, demotion feedback) while faults land; Deca's epoch regions
 // live on a DRAM device, so its chaos coverage is the H2 region plane
 // (region-fail, corrupt) without the storage latency model.
-func chaosSpecs(ctx *RunContext) []Spec {
+func chaosSpecs(ctx *rt.Layers) []Spec {
 	return []Spec{
 		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindPS, DramGB: 80, Ctx: ctx}),
 		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindTH, DramGB: 80, Ctx: ctx}),
@@ -132,10 +132,10 @@ func chaosSpecs(ctx *RunContext) []Spec {
 
 // RunChaos executes the chaos schedule under the given fault plan with the
 // full-heap invariant verifier enabled for every run. The plan and the
-// verifier ride a scoped RunContext — the process-default context is
-// never modified. A nil plan runs the schedule fault-free (the baseline
-// the determinism CI job compares against).
-func RunChaos(plan *fault.Plan) ChaosResult {
-	ctx := &RunContext{Verify: true, FaultPlan: plan}
-	return ChaosResult{Plan: plan, Runs: RunAll(chaosSpecs(ctx))}
+// verifier ride a scoped rt.Layers; only the worker count comes from e.
+// A nil plan runs the schedule fault-free (the baseline the determinism
+// CI job compares against).
+func (e *Env) RunChaos(plan *fault.Plan) ChaosResult {
+	ctx := &rt.Layers{Verify: true, FaultPlan: plan}
+	return ChaosResult{Plan: plan, Runs: e.RunAll(chaosSpecs(ctx))}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 )
 
 // chaosTestPlan is an aggressive-but-survivable schedule: transient errors
@@ -23,7 +24,7 @@ func chaosTestPlan(t *testing.T) *fault.Plan {
 // aggressive fault plan with the verifier on, every run ends in a typed
 // outcome — degraded, faulted, or OOM — and none panics.
 func TestChaosSurvivesFaultSchedule(t *testing.T) {
-	res := RunChaos(chaosTestPlan(t))
+	res := new(Env).RunChaos(chaosTestPlan(t))
 	if res.Panicked() {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
@@ -59,30 +60,24 @@ func TestChaosSameSeedIsDeterministic(t *testing.T) {
 		t.Skip("two full chaos schedules in -short mode")
 	}
 	plan := chaosTestPlan(t)
-	a := RunChaos(plan).Format()
-	b := RunChaos(plan).Format()
+	a := new(Env).RunChaos(plan).Format()
+	b := new(Env).RunChaos(plan).Format()
 	if a != b {
 		t.Fatalf("same-seed chaos reports differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 
-// TestChaosGlobalsRestored checks RunChaos leaves the process-default
-// context the way it found it (it runs on scoped contexts and never
-// touches the default).
+// TestChaosGlobalsRestored checks RunChaos leaves its environment the way
+// it found it: the schedule runs on scoped layers (verifier on, the given
+// plan) and never writes them back into the Env it was called on.
 func TestChaosGlobalsRestored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos schedule in -short mode")
 	}
-	prevVerify := SetVerify(false)
-	defer SetVerify(prevVerify)
-	prevPlan := SetFaultPlan(nil)
-	defer SetFaultPlan(prevPlan)
-	RunChaos(chaosTestPlan(t))
-	if SetVerify(false) {
-		t.Error("verify toggle left enabled after RunChaos")
-	}
-	if FaultPlan() != nil {
-		t.Error("fault plan left installed after RunChaos")
+	env := &Env{Jobs: 2}
+	env.RunChaos(chaosTestPlan(t))
+	if env.Layers != (rt.Layers{}) {
+		t.Errorf("RunChaos changed the environment's layers: %+v", env.Layers)
 	}
 }
 
@@ -99,7 +94,7 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunChaos(plan)
+	res := new(Env).RunChaos(plan)
 	if res.Panicked() {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
@@ -110,7 +105,7 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 	if recovered == 0 {
 		t.Fatalf("no run recovered under a persistent region-failure plan:\n%s", res.Format())
 	}
-	base := RunChaos(nil)
+	base := new(Env).RunChaos(nil)
 	for i, run := range res.Runs {
 		if run.Checksum != base.Runs[i].Checksum {
 			t.Errorf("%s: checksum %g after salvage != fault-free %g — recovery changed the answer",

@@ -57,8 +57,9 @@ type SparkRun struct {
 	// Stripes stripes the H2/off-heap device across N units (0/1 = one).
 	Stripes int
 	// Ctx scopes the run's cross-cutting configuration (verification,
-	// fault injection); nil uses the process default.
-	Ctx *RunContext
+	// fault injection, GC gang, writeback depth); nil means the zero
+	// rt.Layers, and Env.RunAll fills it from the environment.
+	Ctx *rt.Layers
 }
 
 // RunResult captures one run's outcome.
@@ -362,12 +363,12 @@ func heapBudgetGB(dramGB float64) float64 {
 }
 
 // sizedSpec sizes a kind's session on a dramGB machine, scoped by ctx
-// (nil = the process default). Kinds with a second heap (the registry's
+// (nil = the zero rt.Layers). Kinds with a second heap (the registry's
 // TeraHeap flag) split the budget per th, then apply thConfig; Spark-MO
 // sizes its NVM heap to hold the th.DatasetGB working set; Panthera takes
 // its fixed hybrid heap; PS and G1 get the whole th.BudgetGB heap.
-func sizedSpec(kind rt.Kind, dramGB float64, th rt.THSizing, thConfig func(*core.Config), ctx *RunContext) rt.Spec {
-	spec := rt.Spec{Kind: kind, Layers: *orDefault(ctx)}
+func sizedSpec(kind rt.Kind, dramGB float64, th rt.THSizing, thConfig func(*core.Config), ctx *rt.Layers) rt.Spec {
+	spec := rt.Spec{Kind: kind, Layers: layersOf(ctx)}
 	switch {
 	case kind.Info().TeraHeap:
 		h1, cfg := th.Resolve()

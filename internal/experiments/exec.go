@@ -3,30 +3,40 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/carv-repro/teraheap-go/internal/runner"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 )
 
 // Spec is one submission to the parallel experiment executor: a tagged
-// union over the two run kinds plus free-form closures (barrier- and
-// ablation-style experiments). Exactly one field must be set.
+// union over the three run kinds. Exactly one field must be set.
 type Spec struct {
 	Spark  *SparkRun
 	Giraph *GiraphRun
-	// Fn covers experiments that are not a plain RunSpark/RunGiraph
-	// (synthetic ablations, microbenchmarks) but still return a RunResult.
-	Fn func() RunResult
+	Serve  *ServeRun
 }
 
-// run executes the spec. Every run is fully self-contained (own clock,
-// heap, collector, devices), so specs may execute concurrently.
-func (s Spec) run() RunResult {
+// run executes the spec, scoping it by layers when its own Ctx is nil.
+// Every run is fully self-contained (own clock, heap, collector, devices),
+// so specs may execute concurrently.
+func (s Spec) run(layers *rt.Layers) RunResult {
 	switch {
 	case s.Spark != nil:
-		return RunSpark(*s.Spark)
+		r := *s.Spark
+		if r.Ctx == nil {
+			r.Ctx = layers
+		}
+		return RunSpark(r)
 	case s.Giraph != nil:
-		return RunGiraph(*s.Giraph)
-	case s.Fn != nil:
-		return s.Fn()
+		r := *s.Giraph
+		if r.Ctx == nil {
+			r.Ctx = layers
+		}
+		return RunGiraph(r)
+	case s.Serve != nil:
+		r := *s.Serve
+		if r.Ctx == nil {
+			r.Ctx = layers
+		}
+		return RunServe(r)
 	}
 	panic(fmt.Sprintf("experiments: empty Spec %+v", s))
 }
@@ -49,26 +59,3 @@ func SparkSpec(r SparkRun) Spec { return Spec{Spark: &r} }
 
 // GiraphSpec wraps a GiraphRun as a Spec.
 func GiraphSpec(r GiraphRun) Spec { return Spec{Giraph: &r} }
-
-// RunAll executes the specs across the executor's default worker pool
-// and returns results in submission order, so figure formatting over the
-// result slice is byte-identical to serial execution.
-func RunAll(specs []Spec) []RunResult {
-	return RunAllWorkers(specs, runner.DefaultWorkers())
-}
-
-// RunAllWorkers is RunAll with an explicit worker count (tests, the
-// benchmark suite). workers <= 0 means GOMAXPROCS.
-//
-// A run that panics does not kill the suite: the executor recovers it into
-// a failed-run result (name + error) in that run's slot, so the merged
-// output stays deterministic and the remaining runs complete.
-func RunAllWorkers(specs []Spec, workers int) []RunResult {
-	return runner.DoSafe(len(specs), workers, func(i int) RunResult {
-		return specs[i].run()
-	}, func(i int, v any) RunResult {
-		res := RunResult{Name: specs[i].label(i), Failed: true, FailErr: fmt.Sprint(v)}
-		noteOutcome(res)
-		return res
-	})
-}

@@ -69,7 +69,7 @@ func TestSparkSDOOMsAtLowDRAMWhereTHRuns(t *testing.T) {
 }
 
 func TestFig7MajorGCContrast(t *testing.T) {
-	r := experiments.Fig7()
+	r := new(experiments.Env).Fig7()
 	if r.SD.OOM || r.TH.OOM {
 		t.Fatal("unexpected OOM")
 	}

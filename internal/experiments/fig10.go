@@ -15,7 +15,7 @@ import (
 // the distribution of live objects per region and of space occupied by
 // live objects, over all allocated regions (reclaimed regions count as 0%
 // live).
-func Fig10() string {
+func (e *Env) Fig10() string {
 	regionSizes := []struct {
 		label string
 		size  int64
@@ -36,7 +36,7 @@ func Fig10() string {
 			}))
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for ri, rs := range regionSizes {
 		fmt.Fprintf(&sb, "== Fig 10: region liveness (region size = %s paper-scale) ==\n", rs.label)

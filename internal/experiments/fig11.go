@@ -14,7 +14,7 @@ import (
 // Fig11a measures minor-GC H2 card-scanning time for card segment sizes
 // from 512 B to 16 KB, normalized to 512 B (Figure 11a). Larger segments
 // mean fewer cards to examine but more objects scanned per dirty card.
-func Fig11a() string {
+func (e *Env) Fig11a() string {
 	segs := []struct {
 		label string
 		size  int64
@@ -45,7 +45,7 @@ func Fig11a() string {
 				}}))
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	sb.WriteString("== Fig 11a: H2 minor-GC scan time vs card segment size (norm. to 512B) ==\n")
 	fmt.Fprintf(&sb, "%-6s", "wl")
@@ -77,7 +77,7 @@ func Fig11a() string {
 
 // Fig11b compares the four major-GC phases between Giraph-OOC and
 // TeraHeap (Figure 11b).
-func Fig11b() string {
+func (e *Env) Fig11b() string {
 	workloads := GiraphWorkloads()
 	var specs []Spec
 	for _, w := range workloads {
@@ -86,7 +86,7 @@ func Fig11b() string {
 			GiraphSpec(GiraphRun{Workload: w, Mode: giraph.ModeOOC, DramGB: dram}),
 			GiraphSpec(GiraphRun{Workload: w, Mode: giraph.ModeTH, DramGB: dram}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	sb.WriteString("== Fig 11b: major GC phase breakdown (Giraph-OOC vs TeraHeap) ==\n")
 	fmt.Fprintf(&sb, "%-6s %-4s %12s %12s %12s %12s %12s\n",

@@ -10,7 +10,7 @@ import (
 
 // Fig12a compares Spark-SD and TeraHeap on the NVM server (Figure 12a):
 // the off-heap cache / H2 live on Optane in App Direct mode.
-func Fig12a() string {
+func (e *Env) Fig12a() string {
 	workloads := SparkWorkloads()
 	var specs []Spec
 	for _, w := range workloads {
@@ -19,7 +19,7 @@ func Fig12a() string {
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindPS, DramGB: dram, Device: storage.NVM}),
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindTH, DramGB: dram, Device: storage.NVM}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, w := range workloads {
 		sd, th := runs[2*i], runs[2*i+1]
@@ -34,7 +34,7 @@ func Fig12a() string {
 
 // Fig12b compares Spark-MO (heap over NVM memory mode) and TeraHeap
 // (Figure 12b).
-func Fig12b() string {
+func (e *Env) Fig12b() string {
 	workloads := SparkWorkloads()
 	var specs []Spec
 	for _, w := range workloads {
@@ -43,7 +43,7 @@ func Fig12b() string {
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindMO, DramGB: dram, Device: storage.NVM}),
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindTH, DramGB: dram, Device: storage.NVM}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, w := range workloads {
 		mo, th := runs[2*i], runs[2*i+1]
@@ -58,7 +58,7 @@ func Fig12b() string {
 
 // Fig12c compares Panthera and TeraHeap (Figure 12c): both use 16 GB of
 // DRAM and NVM for the rest (64 GB heap for Panthera, H2 on NVM for TH).
-func Fig12c() string {
+func (e *Env) Fig12c() string {
 	// The paper's Fig 12c workload list (KM replaces TR and RL). Panthera
 	// holds everything on its 64 GB hybrid heap, so datasets are sized to
 	// fit it (the Panthera paper's own evaluation scale); TeraHeap runs
@@ -74,7 +74,7 @@ func Fig12c() string {
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindPanthera, DramGB: 16, Device: storage.NVM, DatasetScale: scale}),
 			SparkSpec(SparkRun{Workload: w, Runtime: rt.KindTH, DramGB: 32, Device: storage.NVM, DatasetScale: scale}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, w := range list {
 		p, th := runs[2*i], runs[2*i+1]

@@ -11,7 +11,7 @@ import (
 // Fig13a measures scaling with 4, 8, and 16 mutator threads for Spark CC
 // and LR and Giraph CDLP, each normalized to its own 8-thread run
 // (Figure 13a).
-func Fig13a() string {
+func (e *Env) Fig13a() string {
 	ccDram := sparkSpecs["CC"].thDramGB[len(sparkSpecs["CC"].thDramGB)-1]
 	lrDram := sparkSpecs["LR"].thDramGB[len(sparkSpecs["LR"].thDramGB)-1]
 	cdlpDram := giraphSpecs["CDLP"].dramGB[len(giraphSpecs["CDLP"].dramGB)-1]
@@ -46,7 +46,7 @@ func Fig13a() string {
 			specs = append(specs, c.spec(t))
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 
 	var sb strings.Builder
 	sb.WriteString("== Fig 13a: scaling with mutator threads (normalized to 8 threads) ==\n")
@@ -67,7 +67,7 @@ func Fig13a() string {
 
 // Fig13b measures robustness to dataset size (Figure 13b): native vs
 // TeraHeap at the base and enlarged datasets, reporting TH/native time.
-func Fig13b() string {
+func (e *Env) Fig13b() string {
 	type cfg struct {
 		name    string
 		baseGB  float64
@@ -101,7 +101,7 @@ func Fig13b() string {
 			}
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 
 	var sb strings.Builder
 	sb.WriteString("== Fig 13b: scaling with dataset size (TH time / native time) ==\n")

@@ -62,19 +62,19 @@ func fig6Collect(workload string, runs []RunResult) Fig6SparkResult {
 // Fig6Spark reproduces the Spark half of Figure 6: for each workload,
 // Spark-SD across its DRAM ladder and TeraHeap at the reduced and full
 // DRAM points, with execution-time breakdowns and OOM markers.
-func Fig6Spark(workload string) Fig6SparkResult {
-	return fig6Collect(workload, RunAll(Fig6SparkSpecs(workload)))
+func (e *Env) Fig6Spark(workload string) Fig6SparkResult {
+	return fig6Collect(workload, e.RunAll(Fig6SparkSpecs(workload)))
 }
 
 // Fig6Giraph reproduces the Giraph half of Figure 6.
-func Fig6Giraph(workload string) Fig6SparkResult {
-	return fig6Collect(workload, RunAll(Fig6GiraphSpecs(workload)))
+func (e *Env) Fig6Giraph(workload string) Fig6SparkResult {
+	return fig6Collect(workload, e.RunAll(Fig6GiraphSpecs(workload)))
 }
 
 // fig6All runs every workload's specs through one executor submission
 // (so parallelism spans workloads, not just DRAM points) and formats the
 // figure in workload order.
-func fig6All(workloads []string, enum func(string) []Spec, title string) string {
+func (e *Env) fig6All(workloads []string, enum func(string) []Spec, title string) string {
 	var all []Spec
 	offsets := make([]int, 0, len(workloads)+1)
 	for _, w := range workloads {
@@ -82,7 +82,7 @@ func fig6All(workloads []string, enum func(string) []Spec, title string) string 
 		all = append(all, enum(w)...)
 	}
 	offsets = append(offsets, len(all))
-	runs := RunAll(all)
+	runs := e.RunAll(all)
 	var sb strings.Builder
 	for i, w := range workloads {
 		r := fig6Collect(w, runs[offsets[i]:offsets[i+1]])
@@ -93,11 +93,11 @@ func fig6All(workloads []string, enum func(string) []Spec, title string) string 
 }
 
 // Fig6SparkAll runs every Spark workload and formats the figure.
-func Fig6SparkAll() string {
-	return fig6All(SparkWorkloads(), Fig6SparkSpecs, "Fig 6 Spark-")
+func (e *Env) Fig6SparkAll() string {
+	return e.fig6All(SparkWorkloads(), Fig6SparkSpecs, "Fig 6 Spark-")
 }
 
 // Fig6GiraphAll runs every Giraph workload and formats the figure.
-func Fig6GiraphAll() string {
-	return fig6All(GiraphWorkloads(), Fig6GiraphSpecs, "Fig 6 Giraph-")
+func (e *Env) Fig6GiraphAll() string {
+	return e.fig6All(GiraphWorkloads(), Fig6GiraphSpecs, "Fig 6 Giraph-")
 }

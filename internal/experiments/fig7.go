@@ -19,8 +19,8 @@ type Fig7Result struct {
 
 // Fig7 runs Spark PR under both configurations at the 80 GB DRAM point
 // (64 GB heap).
-func Fig7() Fig7Result {
-	runs := RunAll([]Spec{
+func (e *Env) Fig7() Fig7Result {
+	runs := e.RunAll([]Spec{
 		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindPS, DramGB: 80}),
 		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindTH, DramGB: 80}),
 	})

@@ -10,7 +10,7 @@ import (
 // Fig8 compares PS, G1, and TeraHeap on every Spark workload at equal
 // DRAM (Figure 8). G1's humongous-object fragmentation OOMs SVM, BC, and
 // RL in the paper.
-func Fig8() string {
+func (e *Env) Fig8() string {
 	workloads := SparkWorkloads()
 	var specs []Spec
 	for _, w := range workloads {
@@ -19,7 +19,7 @@ func Fig8() string {
 			specs = append(specs, SparkSpec(SparkRun{Workload: w, Runtime: rk, DramGB: dram}))
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, w := range workloads {
 		rows := []metrics.Row{

@@ -13,7 +13,7 @@ import (
 // on the high-threshold mechanism (NH). Without the hint, mutable message
 // stores reach H2 early and every subsequent update is a device
 // read-modify-write.
-func Fig9a() string {
+func (e *Env) Fig9a() string {
 	workloads := GiraphWorkloads()
 	var specs []Spec
 	for _, w := range workloads {
@@ -33,7 +33,7 @@ func Fig9a() string {
 			GiraphSpec(GiraphRun{Workload: w, Mode: giraph.ModeTH, DramGB: dram,
 				THConfig: func(c *core.Config) { c.LowThreshold = 0 }}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, w := range workloads {
 		nh, h := runs[2*i], runs[2*i+1]
@@ -51,7 +51,7 @@ func Fig9a() string {
 // SSSP with the large (91 GB) dataset: forced movement bounded by the 50%
 // low threshold (L) against unbounded forced movement (NL). Both use the
 // transfer hint and trip the 85% high threshold during graph loading.
-func Fig9b() string {
+func (e *Env) Fig9b() string {
 	// DRAM sized so that graph loading crosses the high threshold before
 	// the h2_move hint arrives (the paper's 170/200 GB points relative to
 	// its heap representation; our representation is slightly leaner, so
@@ -74,7 +74,7 @@ func Fig9b() string {
 				DatasetScale: c.scale,
 				THConfig:     func(cc *core.Config) { cc.LowThreshold = 0.5 }}))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	var sb strings.Builder
 	for i, c := range cases {
 		nl, l := runs[2*i], runs[2*i+1]

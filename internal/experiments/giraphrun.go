@@ -51,8 +51,9 @@ type GiraphRun struct {
 	// AnalyzeRegions runs the Fig 10 region-liveness analysis at the end.
 	AnalyzeRegions bool
 	// Ctx scopes the run's cross-cutting configuration (verification,
-	// fault injection); nil uses the process default.
-	Ctx *RunContext
+	// fault injection, GC gang, writeback depth); nil means the zero
+	// rt.Layers, and Env.RunAll fills it from the environment.
+	Ctx *rt.Layers
 }
 
 // RunGiraph executes one Giraph configuration.
@@ -82,7 +83,7 @@ func RunGiraph(cfg GiraphRun) RunResult {
 		return &hc
 	}
 
-	sspec := rt.Spec{Layers: *orDefault(cfg.Ctx)}
+	sspec := rt.Spec{Layers: layersOf(cfg.Ctx)}
 	var name string
 	switch cfg.Mode {
 	case giraph.ModeTH:

@@ -3,30 +3,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 )
-
-// badRuns counts runs in this process that ended OOM, faulted, or
-// panicked. The CLI polls it to turn degraded results into a nonzero exit
-// code while still printing the full (partial) results table.
-var badRuns atomic.Int64
-
-func noteOutcome(r RunResult) {
-	if r.OOM || r.Faulted || r.Failed {
-		badRuns.Add(1)
-	}
-}
-
-// BadRuns returns the number of runs so far that ended OOM, faulted, or
-// panicked.
-func BadRuns() int64 { return badRuns.Load() }
-
-// ResetBadRuns clears the bad-run counter and returns the old value
-// (tests; reruns within one process).
-func ResetBadRuns() int64 { return badRuns.Swap(0) }
 
 // collect turns a finished session into the run's result, shared by
 // RunSpark, RunGiraph and RunServe. It settles the writeback queue first (residual service time
@@ -35,7 +15,7 @@ func ResetBadRuns() int64 { return badRuns.Swap(0) }
 // fault or an OOM is an outcome, anything else is a bug and panics. A
 // device failure latched after the workload's last allocation (or on a
 // runtime without collector-level polling, like the G1 baseline) still
-// faults the run. The outcome is recorded for the CLI's exit code.
+// faults the run.
 func collect(ses *rt.Session, name string, err error) RunResult {
 	ses.Device.DrainWriteback()
 	res := RunResult{
@@ -71,6 +51,5 @@ func collect(ses *rt.Session, name string, err error) RunResult {
 		res.Faulted = true
 		res.FailErr = e.Error()
 	}
-	noteOutcome(res)
 	return res
 }

@@ -6,16 +6,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/runner"
 )
-
-// withWorkers runs f with the executor's default worker count pinned to j.
-func withWorkers(t *testing.T, j int, f func()) {
-	t.Helper()
-	prev := runner.SetDefaultWorkers(j)
-	defer runner.SetDefaultWorkers(prev)
-	f()
-}
 
 // TestParallelDeterminism is the determinism guard: the same figure run
 // serially and at -j 4 must produce deep-equal results — identical
@@ -26,9 +17,8 @@ func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig6 runs in -short mode")
 	}
-	var serialSpark, parSpark Fig6SparkResult
-	withWorkers(t, 1, func() { serialSpark = Fig6Spark("PR") })
-	withWorkers(t, 4, func() { parSpark = Fig6Spark("PR") })
+	serial, par := &Env{Jobs: 1}, &Env{Jobs: 4}
+	serialSpark, parSpark := serial.Fig6Spark("PR"), par.Fig6Spark("PR")
 	if !reflect.DeepEqual(serialSpark.Runs, parSpark.Runs) {
 		t.Errorf("Fig6Spark(PR): serial and -j 4 runs differ")
 	}
@@ -36,9 +26,7 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Errorf("Fig6Spark(PR): serial and -j 4 rows differ")
 	}
 
-	var serialGiraph, parGiraph Fig6SparkResult
-	withWorkers(t, 1, func() { serialGiraph = Fig6Giraph("PR") })
-	withWorkers(t, 4, func() { parGiraph = Fig6Giraph("PR") })
+	serialGiraph, parGiraph := serial.Fig6Giraph("PR"), par.Fig6Giraph("PR")
 	if !reflect.DeepEqual(serialGiraph.Runs, parGiraph.Runs) {
 		t.Errorf("Fig6Giraph(PR): serial and -j 4 runs differ")
 	}
@@ -72,8 +60,8 @@ func TestRunAllWorkersOrder(t *testing.T) {
 		SparkSpec(SparkRun{Workload: "TR", Runtime: rt.KindPS, DramGB: 45}),
 		GiraphSpec(GiraphRun{Workload: "BFS", Mode: giraph.ModeTH, DramGB: 74}),
 	}
-	serial := RunAllWorkers(specs, 1)
-	par := RunAllWorkers(specs, 4)
+	serial := (&Env{Jobs: 1}).RunAll(specs)
+	par := (&Env{Jobs: 4}).RunAll(specs)
 	if len(serial) != len(specs) || len(par) != len(specs) {
 		t.Fatalf("result lengths: serial=%d par=%d want %d", len(serial), len(par), len(specs))
 	}
@@ -83,6 +71,6 @@ func TestRunAllWorkersOrder(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("RunAllWorkers: serial and parallel results differ")
+		t.Errorf("RunAll: serial and parallel results differ")
 	}
 }

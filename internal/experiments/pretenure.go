@@ -52,7 +52,7 @@ func pretenureRun(k rt.Kind) SparkRun {
 
 // Pretenure runs the placement figure over the given kinds (nil = every
 // registered kind, registry order).
-func Pretenure(kinds []rt.Kind) PretenureResult {
+func (e *Env) Pretenure(kinds []rt.Kind) PretenureResult {
 	if kinds == nil {
 		kinds, _ = rt.KindsByName(nil)
 	}
@@ -60,7 +60,7 @@ func Pretenure(kinds []rt.Kind) PretenureResult {
 	for _, k := range kinds {
 		specs = append(specs, SparkSpec(pretenureRun(k)))
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 	res := PretenureResult{}
 	for i, k := range kinds {
 		res.Rows = append(res.Rows, PretenureRow{Result: runs[i], Kind: k})

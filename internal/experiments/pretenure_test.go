@@ -45,8 +45,7 @@ func TestPretenureKindsRegistry(t *testing.T) {
 // labelled epochs eagerly. Hints are disabled on the NG2C run so the
 // profiler, not the h2_move advisory, decides placement.
 func TestNewKindsVerifiedRuns(t *testing.T) {
-	defer ResetBadRuns()
-	ctx := &RunContext{Verify: true}
+	ctx := &rt.Layers{Verify: true}
 	for _, tc := range []struct {
 		kind rt.Kind
 		cfg  func(*core.Config)

@@ -27,9 +27,9 @@ type ServeRun struct {
 	// the default). The chaos serve schedule tightens the breaker so a
 	// trip and re-admission both happen inside one run.
 	Recovery *recovery.Policy
-	// Ctx scopes the run's cross-cutting configuration; nil uses the
-	// process default.
-	Ctx *RunContext
+	// Ctx scopes the run's cross-cutting configuration; nil means the
+	// zero rt.Layers, and Env.RunAll fills it from the environment.
+	Ctx *rt.Layers
 }
 
 // RunServe executes one serve configuration: it sizes a session for the
@@ -73,11 +73,10 @@ type ServeResult struct {
 }
 
 // ServeSweep runs the arrival-rate x runtime-kind sweep on the base
-// config (rates nil uses DefaultServeRates). The sweep inherits the
-// process-default RunContext, so -verify/-fault/-gc-workers/-wb-depth
-// apply; like the worker-scaling figure it is deliberately not part of
-// "all".
-func ServeSweep(base server.Config, rates []float64) ServeResult {
+// config (rates nil uses DefaultServeRates). The sweep runs under the
+// environment's layers, so -verify/-fault/-gc-workers/-wb-depth apply;
+// like the worker-scaling figure it is deliberately not part of "all".
+func (e *Env) ServeSweep(base server.Config, rates []float64) ServeResult {
 	if len(rates) == 0 {
 		rates = DefaultServeRates()
 	}
@@ -92,11 +91,10 @@ func ServeSweep(base server.Config, rates []float64) ServeResult {
 		for _, r := range rates {
 			cfg := base
 			cfg.RatePerSec = r
-			run := ServeRun{Kind: k, Cfg: cfg}
-			specs = append(specs, Spec{Fn: func() RunResult { return RunServe(run) }})
+			specs = append(specs, Spec{Serve: &ServeRun{Kind: k, Cfg: cfg}})
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 
 	res := ServeResult{Rates: append([]float64(nil), rates...), Results: runs}
 	i := 0
@@ -187,26 +185,21 @@ func DefaultChaosServePlan() *fault.Plan {
 // ChaosServe runs the chaos serve schedule under the given plan (nil uses
 // DefaultChaosServePlan) with the verifier forced on: the TeraHeap pair at
 // the default and 3x-overload rates around the PS baseline. Like RunChaos
-// it scopes everything through an explicit RunContext.
-func ChaosServe(plan *fault.Plan, base server.Config) ChaosServeResult {
+// it scopes every run explicitly and takes only the worker count from e.
+func (e *Env) ChaosServe(plan *fault.Plan, base server.Config) ChaosServeResult {
 	if plan == nil {
 		plan = DefaultChaosServePlan()
 	}
-	ctx := &RunContext{Verify: true, FaultPlan: plan}
+	ctx := &rt.Layers{Verify: true, FaultPlan: plan}
 	pol := chaosServePolicy()
 	hi := base
 	hi.RatePerSec = base.RatePerSec * 3
-	runs := []ServeRun{
-		{Kind: rt.KindTH, Cfg: base, Recovery: pol, Ctx: ctx},
-		{Kind: rt.KindPS, Cfg: base, Ctx: ctx},
-		{Kind: rt.KindTH, Cfg: hi, Recovery: pol, Ctx: ctx},
+	specs := []Spec{
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: base, Recovery: pol, Ctx: ctx}},
+		{Serve: &ServeRun{Kind: rt.KindPS, Cfg: base, Ctx: ctx}},
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: hi, Recovery: pol, Ctx: ctx}},
 	}
-	var specs []Spec
-	for _, r := range runs {
-		run := r
-		specs = append(specs, Spec{Fn: func() RunResult { return RunServe(run) }})
-	}
-	return ChaosServeResult{ChaosResult{Plan: plan, Runs: RunAll(specs)}}
+	return ChaosServeResult{ChaosResult{Plan: plan, Runs: e.RunAll(specs)}}
 }
 
 // ThroughputRecovered reports whether a run's serve windows show the

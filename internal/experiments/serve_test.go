@@ -22,7 +22,7 @@ func serveTestConfig() server.Config {
 // kind × rate, none of them OOM or faulted at the default sizing, and the
 // report carries the SLO columns the figure is about.
 func TestServeSweepCoversAllKinds(t *testing.T) {
-	res := ServeSweep(serveTestConfig(), nil)
+	res := new(Env).ServeSweep(serveTestConfig(), nil)
 	wantRows := len(rt.Kinds()) * len(DefaultServeRates())
 	if len(res.Rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(res.Rows), wantRows)
@@ -52,8 +52,8 @@ func TestServeSweepSameSeedIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full serve sweeps in -short mode")
 	}
-	a := ServeSweep(serveTestConfig(), nil)
-	b := ServeSweep(serveTestConfig(), nil)
+	a := new(Env).ServeSweep(serveTestConfig(), nil)
+	b := new(Env).ServeSweep(serveTestConfig(), nil)
 	if a.Format() != b.Format() || a.CSV() != b.CSV() {
 		t.Fatalf("same-seed sweeps diverged:\n--- a ---\n%s\n--- b ---\n%s", a.Format(), b.Format())
 	}
@@ -65,7 +65,7 @@ func TestServeSweepSameSeedIsDeterministic(t *testing.T) {
 // SLO violations per configuration, and shows throughput recovering
 // after the breaker re-admits (or fences off) H2.
 func TestChaosServeDegradesGracefully(t *testing.T) {
-	res := ChaosServe(nil, server.DefaultConfig())
+	res := new(Env).ChaosServe(nil, server.DefaultConfig())
 	if res.Panicked() {
 		t.Fatalf("chaos-serve panicked:\n%s", res.Format())
 	}
@@ -105,8 +105,8 @@ func TestChaosServeSameSeedIsDeterministic(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("two full chaos-serve schedules")
 	}
-	a := ChaosServe(nil, server.DefaultConfig())
-	b := ChaosServe(nil, server.DefaultConfig())
+	a := new(Env).ChaosServe(nil, server.DefaultConfig())
+	b := new(Env).ChaosServe(nil, server.DefaultConfig())
 	if a.Format() != b.Format() {
 		t.Fatalf("same-seed chaos-serve diverged:\n--- a ---\n%s\n--- b ---\n%s", a.Format(), b.Format())
 	}

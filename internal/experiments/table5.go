@@ -15,7 +15,7 @@ import (
 
 // Table5 reports DRAM metadata per TB of H2 space for region sizes from
 // 1 MB to 256 MB (the paper measures 417 MB down to 2 MB).
-func Table5() string {
+func (*Env) Table5() string {
 	var sb strings.Builder
 	sb.WriteString("== Table 5: H2 metadata per TB vs region size ==\n")
 	sb.WriteString("region size (MB):   ")
@@ -35,13 +35,13 @@ func Table5() string {
 // reference range check (§4): a DaCapo-like pointer-churn microworkload
 // runs with EnableTeraHeap off (vanilla) and on, and the slowdown is
 // reported. The paper measures <3% on average.
-func BarrierOverhead() string {
+func (e *Env) BarrierOverhead() string {
 	run := func(withTH bool) time.Duration {
 		clock := simclock.New()
 		classes := vm.NewClassTable()
 		node := classes.MustFixed("dacapo.Node", 2, 2)
 		sspec := rt.Spec{Kind: rt.KindPS, H1Size: 4 * storage.MB,
-			Classes: classes, Clock: clock, Layers: rt.Layers{Verify: DefaultContext().Verify}}
+			Classes: classes, Clock: clock, Layers: rt.Layers{Verify: e.Layers.Verify}}
 		if withTH {
 			cfg := core.DefaultConfig(16 * storage.MB)
 			cfg.RegionSize = 64 * storage.KB
@@ -74,7 +74,7 @@ func BarrierOverhead() string {
 	}
 	// Both microworkload instances are self-contained; run them through
 	// the executor like every other pair of configurations.
-	times := runner.Map(2, func(i int) time.Duration { return run(i == 1) })
+	times := runner.Do(2, e.Jobs, func(i int) time.Duration { return run(i == 1) })
 	base, th := times[0], times[1]
 	overhead := 100 * (float64(th)/float64(base) - 1)
 	return fmt.Sprintf("== §4 barrier overhead (DaCapo-like churn) ==\n"+
@@ -87,7 +87,7 @@ func BarrierOverhead() string {
 // of labelled object groups with directional cross-region references,
 // where only each chain's tail stays referenced from H1. Dependency lists
 // reclaim the chain bodies; Union-Find keeps whole groups alive.
-func AblationGroupMode() string {
+func (e *Env) AblationGroupMode() string {
 	run := func(mode core.GroupMode) (reclaimed int64, h2Used int64) {
 		clock := simclock.New()
 		classes := vm.NewClassTable()
@@ -96,7 +96,7 @@ func AblationGroupMode() string {
 		thCfg := core.DefaultConfig(64 * storage.MB)
 		thCfg.RegionSize = 16 * storage.KB
 		thCfg.GroupMode = mode
-		jvm := rtNewJVM(thCfg, classes, clock)
+		jvm := e.thJVM(thCfg, classes, clock)
 
 		const chains, chainLen, payload = 40, 3, 128
 		type link struct {
@@ -152,7 +152,7 @@ func AblationGroupMode() string {
 	}
 	type groupResult struct{ reclaimed, used int64 }
 	modes := []core.GroupMode{core.DependencyLists, core.UnionFind}
-	rs := runner.Map(len(modes), func(i int) groupResult {
+	rs := runner.Do(len(modes), e.Jobs, func(i int) groupResult {
 		r, used := run(modes[i])
 		return groupResult{reclaimed: r, used: used}
 	})

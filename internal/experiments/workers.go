@@ -29,10 +29,10 @@ type WorkerScalingResult struct {
 func DefaultWorkerCounts() []int { return []int{1, 2, 4, 8} }
 
 // WorkerScaling runs the Figure 7 pair across the given gang sizes (nil
-// uses DefaultWorkerCounts). Every run scopes its own RunContext: the
-// process default's verification, fault, and writeback settings are
+// uses DefaultWorkerCounts). Every run scopes its own copy of the
+// environment's layers: verification, fault, and writeback settings are
 // inherited; only GCWorkers varies.
-func WorkerScaling(counts []int) WorkerScalingResult {
+func (e *Env) WorkerScaling(counts []int) WorkerScalingResult {
 	if len(counts) == 0 {
 		counts = DefaultWorkerCounts()
 	}
@@ -44,22 +44,17 @@ func WorkerScaling(counts []int) WorkerScalingResult {
 		{"spark-pr/th/80GB", rt.KindTH},
 	}
 
-	base := DefaultContext()
 	var specs []Spec
 	for _, cfg := range configs {
 		for _, w := range counts {
-			ctx := &RunContext{
-				Verify:         base.Verify,
-				FaultPlan:      base.FaultPlan,
-				WritebackDepth: base.WritebackDepth,
-				GCWorkers:      w,
-			}
+			ctx := e.Layers
+			ctx.GCWorkers = w
 			specs = append(specs, SparkSpec(SparkRun{
-				Workload: "PR", Runtime: cfg.runtime, DramGB: 80, Ctx: ctx,
+				Workload: "PR", Runtime: cfg.runtime, DramGB: 80, Ctx: &ctx,
 			}))
 		}
 	}
-	runs := RunAll(specs)
+	runs := e.RunAll(specs)
 
 	res := WorkerScalingResult{Workers: append([]int(nil), counts...)}
 	i := 0

@@ -4,9 +4,8 @@ import (
 	"testing"
 )
 
-// BenchmarkMicros runs every BENCH microbenchmark as a sub-benchmark, so
-// `go test -bench . ./internal/perf/` reproduces the numbers the bench
-// subcommand records.
+// BenchmarkMicros runs every microbenchmark as a sub-benchmark:
+// `go test -run '^$' -bench . ./internal/perf/`.
 func BenchmarkMicros(b *testing.B) {
 	for _, m := range Micros() {
 		b.Run(m.Name, func(b *testing.B) {
@@ -55,7 +54,7 @@ func TestMicroAllocPins(t *testing.T) {
 	}
 }
 
-// TestMicrosHaveUniqueStableNames guards the BENCH schema key space.
+// TestMicrosHaveUniqueStableNames guards the micro names (the sub-benchmark keys).
 func TestMicrosHaveUniqueStableNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range Micros() {

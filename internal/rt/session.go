@@ -94,7 +94,7 @@ type Spec struct {
 // Layers are the cross-cutting per-run settings that apply to any runtime
 // kind: verification, fault injection, and the gang and writeback cost
 // knobs. Spec embeds them, and the experiment runners carry them as one
-// value (experiments.RunContext is this type).
+// value (the Ctx of a run and the Layers of an experiments.Env).
 type Layers struct {
 	// Verify registers the full-heap invariant verifier hook.
 	Verify bool

@@ -20,38 +20,6 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide worker count used by Map. Zero (the
-// initial value) means GOMAXPROCS. The CLI's -j flag and tests set it via
-// SetDefaultWorkers.
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the worker count used by Map. j <= 0 resets to
-// GOMAXPROCS: negative values are normalized to 0 rather than stored, so
-// a bad -j can never leak a nonsense count into later reads. It returns
-// the previous setting so callers can restore it.
-func SetDefaultWorkers(j int) int {
-	if j < 0 {
-		j = 0
-	}
-	prev := int(defaultWorkers.Swap(int64(j)))
-	return prev
-}
-
-// DefaultWorkers returns the effective default worker count (never < 1).
-func DefaultWorkers() int {
-	j := int(defaultWorkers.Load())
-	if j <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return j
-}
-
-// Map runs fn(0..n-1) across DefaultWorkers() goroutines and returns the
-// results in index order.
-func Map[T any](n int, fn func(i int) T) []T {
-	return Do(n, DefaultWorkers(), fn)
-}
-
 // DoSafe runs fn(0..n-1) like Do, but a panicking job is converted into a
 // result by onPanic(i, panicValue) instead of re-panicking: one failed run
 // fills its own slot with a failed-run result and the rest of the suite

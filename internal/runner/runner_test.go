@@ -109,43 +109,3 @@ func TestDoSafeKeepsDeterministicOrderAcrossPanics(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultWorkers(t *testing.T) {
-	prev := runner.SetDefaultWorkers(3)
-	defer runner.SetDefaultWorkers(prev)
-	if got := runner.DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers = %d, want 3", got)
-	}
-	runner.SetDefaultWorkers(0)
-	if got := runner.DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers = %d, want >= 1", got)
-	}
-	got := runner.Map(10, func(i int) int { return i + 1 })
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("Map result[%d] = %d", i, v)
-		}
-	}
-}
-
-// TestSetDefaultWorkersNormalizesNegative pins the input validation:
-// negative counts are stored as 0 (= GOMAXPROCS), never as-is, and the
-// returned previous value is the normalized one.
-func TestSetDefaultWorkersNormalizesNegative(t *testing.T) {
-	prev := runner.SetDefaultWorkers(-5)
-	defer runner.SetDefaultWorkers(prev)
-	if got := runner.DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers after SetDefaultWorkers(-5) = %d, want >= 1", got)
-	}
-	if back := runner.SetDefaultWorkers(2); back != 0 {
-		t.Fatalf("previous setting = %d, want 0 (normalized)", back)
-	}
-	// A negative count must not wedge Map either.
-	runner.SetDefaultWorkers(-1)
-	got := runner.Map(4, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map result[%d] = %d", i, v)
-		}
-	}
-}
