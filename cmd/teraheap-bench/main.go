@@ -15,8 +15,9 @@
 //
 // -gc-workers N sets the simulated GC gang size on PS-based runtimes
 // (work items dealt round-robin onto N workers, pause charged
-// max-over-workers); 1 is the legacy serial charge and the default, so
-// default output is byte-identical to before the knob existed. "workers"
+// max-over-workers); 1, the default, is a gang of one: the serial charge
+// with no steal/sync, so default output is byte-identical to before the
+// knob existed. The flag reaches every figure, "chaos" included. "workers"
 // runs the worker-scaling figure (the Figure 7 pair at gangs 1/2/4/8)
 // and is deliberately not part of "all".
 //
@@ -94,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "run the heap invariant verifier before and after every GC")
 	faultSpec := fs.String("fault", "", "fault-injection plan, e.g. seed=1,dev-err=0.01,wb-fail=0.05")
 	gcWorkers := fs.Int("gc-workers", 1, "simulated GC gang size on PS-based runtimes (1 = serial charge)")
-	wbDepth := fs.Int("wb-depth", 0, "async writeback queue depth on the H2 device (0 = legacy flat discount)")
+	wbDepth := fs.Int("wb-depth", 0, "async writeback queue depth on the H2 device (0 = flat overlap discount)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -490,13 +491,13 @@ flags:
   -gc-workers N
              simulated GC gang size on PS-based runtimes: work items are
              dealt round-robin onto N workers and the pause is charged
-             max-over-workers plus a per-barrier sync cost (1 = the legacy
-             serial charge, byte-identical to before the knob; N < 1 is a
+             max-over-workers plus a per-barrier sync cost above one
+             worker (1 = a gang of one, the serial charge; N < 1 is a
              usage error). "workers" runs the scaling figure at 1/2/4/8.
   -wb-depth N
              async writeback queue depth on the H2/off-heap device: H2
              promotion and page-cache writeback submit batches that drain
-             at safepoints (0 = legacy flat overlap discount; N < 0 is a
+             at safepoints (0 = flat overlap discount; N < 0 is a
              usage error)
 
 exit status: 0 clean; 1 when any run ended OOM/faulted/panicked (the full

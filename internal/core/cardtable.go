@@ -42,9 +42,6 @@ func (t *cardTable) raise(seg int, s byte) {
 	}
 }
 
-// SizeBytes returns the DRAM footprint of the card table.
-func (t *cardTable) SizeBytes() int64 { return int64(len(t.cards)) }
-
 // ScanBackwardRefs walks allocated regions stripe by stripe, scanning the
 // objects in card segments whose state requires it: dirty and youngGen
 // segments in minor GC, plus oldGen segments in major GC (§3.4). Every

@@ -563,18 +563,6 @@ func (th *TeraHeap) RetireRegion(id int) {
 	r.quarantined = true
 }
 
-// QuarantinedRegions returns the number of regions retired by the
-// recovery layer.
-func (th *TeraHeap) QuarantinedRegions() int {
-	n := 0
-	for _, r := range th.regions {
-		if r != nil && r.quarantined {
-			n++
-		}
-	}
-	return n
-}
-
 // FailedRegions returns the ids of regions marked failed and not yet
 // salvaged, in region order (deterministic: the salvage pass iterates this
 // slice, never a map).

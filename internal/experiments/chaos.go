@@ -105,8 +105,8 @@ func (r ChaosResult) Format() string {
 // so latency spikes and brown-outs land on the page-cache fault path), and
 // the Fig 9a hint pair for Giraph PR (mutable stores forced to H2, so
 // device read-modify-writes absorb the injected errors). Every spec
-// carries ctx explicitly, so the schedule ignores the environment's
-// layers — chaos runs can interleave with any other figure's runs. The
+// carries ctx explicitly, so chaos runs can interleave with any other
+// figure's runs. The
 // NG2C run uses the pretenure figure's hints-off configuration so its
 // placement policy is actually exercised (pretenured allocations, policy
 // promotions, demotion feedback) while faults land; Deca's epoch regions
@@ -132,10 +132,11 @@ func chaosSpecs(ctx *rt.Layers) []Spec {
 
 // RunChaos executes the chaos schedule under the given fault plan with the
 // full-heap invariant verifier enabled for every run. The plan and the
-// verifier ride a scoped rt.Layers; only the worker count comes from e.
-// A nil plan runs the schedule fault-free (the baseline the determinism
-// CI job compares against).
+// verifier ride a scoped rt.Layers; the GC gang size, the writeback depth
+// and the job count come from e. A nil plan runs the schedule fault-free
+// (the baseline the determinism CI job compares against).
 func (e *Env) RunChaos(plan *fault.Plan) ChaosResult {
-	ctx := &rt.Layers{Verify: true, FaultPlan: plan}
+	ctx := &rt.Layers{Verify: true, FaultPlan: plan,
+		GCWorkers: e.Layers.GCWorkers, WritebackDepth: e.Layers.WritebackDepth}
 	return ChaosResult{Plan: plan, Runs: e.RunAll(chaosSpecs(ctx))}
 }

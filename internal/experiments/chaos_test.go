@@ -3,9 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/rt"
+	"github.com/carv-repro/teraheap-go/internal/simclock"
 )
 
 // chaosTestPlan is an aggressive-but-survivable schedule: transient errors
@@ -78,6 +80,33 @@ func TestChaosGlobalsRestored(t *testing.T) {
 	env.RunChaos(chaosTestPlan(t))
 	if env.Layers != (rt.Layers{}) {
 		t.Errorf("RunChaos changed the environment's layers: %+v", env.Layers)
+	}
+}
+
+// TestChaosHonoursGCWorkers checks the schedule runs at the
+// environment's gang size: a gang of four charges different GC time than
+// the gang of one, while every run ends in the same outcome with the same
+// checksum (the gang is cost attribution only).
+func TestChaosHonoursGCWorkers(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two full chaos schedules: skipped in -short mode and under the race detector")
+	}
+	serial := new(Env).RunChaos(nil)
+	gang := (&Env{Layers: rt.Layers{GCWorkers: 4}}).RunChaos(nil)
+	gcTime := func(r RunResult) time.Duration { return r.B.Get(simclock.MinorGC) + r.B.Get(simclock.MajorGC) }
+	differ := false
+	for i, run := range gang.Runs {
+		base := serial.Runs[i]
+		if run.status() != base.status() || run.Checksum != base.Checksum {
+			t.Errorf("%s: gang of four ended %s (checksum %g), gang of one %s (checksum %g)",
+				run.Name, run.status(), run.Checksum, base.status(), base.Checksum)
+		}
+		if gcTime(run) != gcTime(base) {
+			differ = true
+		}
+	}
+	if !differ {
+		t.Fatalf("-gc-workers 4 charged the same GC time as the serial gang on every run:\n%s", gang.Format())
 	}
 }
 

@@ -33,13 +33,12 @@ type CostParams struct {
 	MinorGCThreads int           // parallel scavenge threads (paper: 16)
 	MajorGCThreads int           // old generation threads (paper: 1)
 
-	// Workers is the simulated GC gang size. At 0 or 1 (the default) each
-	// pause charges the serial sum of its CPU work divided by the phase's
-	// thread count — the legacy aggregate model, byte-identical to before
-	// the gang existed. At N > 1 the work items of each phase are
-	// partitioned round-robin into N per-worker shards and the pause
-	// charges max-over-workers of the shard spans (still divided by the
-	// phase thread count), plus StealSyncCost per barrier.
+	// Workers is the simulated GC gang size. The work items of each pause
+	// phase are dealt round-robin onto Workers per-worker spans (0 counts
+	// as 1) and the phase charges the longest span divided by the phase's
+	// thread count. A gang of one is therefore the serial charge: the sum
+	// of the phase's CPU work over the thread count. Above one worker each
+	// barrier also pays StealSyncCost.
 	Workers int
 	// StealSyncCost models the work-stealing and termination-barrier
 	// overhead of one gang synchronization point; charged once per barrier
@@ -50,7 +49,10 @@ type CostParams struct {
 // DefaultCostParams returns the calibrated defaults.
 func DefaultCostParams() CostParams {
 	return CostParams{
-		CopyPerByte:    time.Nanosecond / 4, // ~4 GB/s effective copy per thread
+		// time.Nanosecond/4 truncates to 0: copy volume costs no simulated
+		// time. The intended ~4 GB/s per thread needs sub-nanosecond
+		// pricing, a model change left open (see ROADMAP).
+		CopyPerByte:    time.Nanosecond / 4,
 		ScanPerRef:     12 * time.Nanosecond,
 		MarkPerObject:  18 * time.Nanosecond,
 		PerCard:        2 * time.Nanosecond,
@@ -167,12 +169,9 @@ type Collector struct {
 	oldDst     []vm.Addr
 	fwState    forwarding
 
-	// gng points at gangScratch while a gang-charged phase is in flight
-	// (Costs.Workers > 1), routing per-work-item costs onto per-worker
-	// spans; nil otherwise, making the attribution hooks no-ops on the
-	// legacy path.
-	gng         *gang
-	gangScratch gang
+	// gang attributes each pause phase's work items to simulated GC
+	// workers (see gang.go); every phase is charged through it.
+	gang gang
 
 	// verifier holds the invariant verifier's reusable scratch (maps,
 	// queues, parsed-object arrays) so TH_VERIFY=1 runs do not rebuild
@@ -227,7 +226,7 @@ func NewWithHeap(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm
 	}
 	c.scav.c = c
 	c.scavBackVisit = func(_ uint64, t vm.Addr) vm.Addr {
-		c.gangBegin() // each backward reference is one scavenge work item
+		c.gang.beginItem() // each backward reference is one scavenge work item
 		if c.H1.InYoung(t) {
 			return c.scav.copyYoung(t)
 		}
@@ -253,9 +252,6 @@ func (c *Collector) SetPlacementPolicy(p placement.Policy) {
 	}
 	c.policy = p
 }
-
-// PlacementPolicy returns the installed placement policy.
-func (c *Collector) PlacementPolicy() placement.Policy { return c.policy }
 
 // SetVerify enables or disables invariant verification around every GC: a
 // shim that registers (or removes) the verifier hook as the first entry of

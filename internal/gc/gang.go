@@ -24,7 +24,7 @@ type gang struct {
 	next  int // round-robin cursor
 }
 
-// reset prepares the gang for a phase of n workers.
+// reset prepares the gang for a phase of n workers (n < 1 means one).
 func (g *gang) reset(n int) {
 	g.spans.Reset(n)
 	g.cur = 0
@@ -65,43 +65,18 @@ func (g *gang) sweepUniform(n int, per time.Duration) {
 	g.cur = (g.next - 1 + w) % w
 }
 
-// gangActive reports whether per-worker attribution is on for the current
-// phase.
-func (c *Collector) gangActive() bool { return c.gng != nil }
-
-// gangBegin marks the start of one work item (no-op outside a gang phase).
-func (c *Collector) gangBegin() {
-	if c.gng != nil {
-		c.gng.beginItem()
-	}
-}
-
-// gangCharge attributes d to the current work item's worker (no-op outside
-// a gang phase).
-func (c *Collector) gangCharge(d time.Duration) {
-	if c.gng != nil {
-		c.gng.charge(d)
-	}
-}
-
 // beginGangPhase arms per-worker attribution for one barrier-delimited
-// phase when the configured gang has more than one worker; endGangPhase
-// (via the returned flag) charges the phase.
-func (c *Collector) beginGangPhase() bool {
-	if c.Costs.Workers <= 1 {
-		return false
-	}
-	c.gangScratch.reset(c.Costs.Workers)
-	c.gng = &c.gangScratch
-	return true
-}
+// phase. Every pause phase is a gang phase; a gang of one (Workers 0 or
+// 1) accrues every item on one span, which is the serial charge.
+func (c *Collector) beginGangPhase() { c.gang.reset(c.Costs.Workers) }
 
 // endGangPhase closes a phase opened by beginGangPhase: the pause charge
-// is the longest worker span divided by the phase's legacy thread count
-// (so one gang worker reproduces the serial charge exactly), plus one
-// barrier's steal/sync overhead.
+// is the longest worker span divided by the phase's thread count, plus
+// one barrier's steal/sync overhead when more than one worker has to
+// synchronize.
 func (c *Collector) endGangPhase(cat simclock.Category, threads int) {
-	c.chargeGC(cat, c.gangScratch.spans.Max(), threads)
-	c.Clock.Charge(cat, c.Costs.StealSyncCost)
-	c.gng = nil
+	c.chargeGC(cat, c.gang.spans.Max(), threads)
+	if c.Costs.Workers > 1 {
+		c.Clock.Charge(cat, c.Costs.StealSyncCost)
+	}
 }

@@ -82,15 +82,18 @@ func TestGangPauseMonotoneNonIncreasing(t *testing.T) {
 	}
 }
 
-// Workers <= 1 takes the legacy aggregate path: a collector configured
-// with Workers: 1 charges exactly what one configured with the zero value
-// (and what the pre-gang code) charges.
-func TestGangSingleWorkerIsLegacy(t *testing.T) {
-	minor1, major1, _, _, _ := gangRun(t, 1)
-	minor0, major0, _, _, _ := gangRun(t, 0)
-	if minor1 != minor0 || major1 != major0 {
-		t.Fatalf("workers=1 diverged from legacy: minor %v vs %v, major %v vs %v",
-			minor1, minor0, major1, major0)
+// A gang of one is the serial charge: at Workers 0 and 1 the pause times
+// equal the literal values the serial counters-times-costs aggregate
+// charged for this workload before the gang became the only path, with
+// no steal/sync overhead.
+func TestGangOfOneChargesSerialAggregate(t *testing.T) {
+	const wantMinor, wantMajor = 823460 * time.Nanosecond, 407976 * time.Nanosecond
+	for _, w := range []int{0, 1} {
+		minor, major, _, _, _ := gangRun(t, w)
+		if minor != wantMinor || major != wantMajor {
+			t.Fatalf("workers=%d: minor %v major %v, want %v and %v",
+				w, minor, major, wantMinor, wantMajor)
+		}
 	}
 }
 

@@ -26,53 +26,31 @@ func (c *Collector) MajorGC() error {
 	var cy Cycle
 	cy.Kind = Major
 
-	// Each of the four phases is one gang barrier: with Workers > 1 its
-	// work items are dealt round-robin onto per-worker spans and the phase
-	// charges max-over-workers plus one steal/sync overhead; otherwise the
-	// legacy serial aggregate is charged, byte-identical to before.
-	phaseStart := c.Clock.Breakdown()
-	gangOn := c.beginGangPhase()
+	// Each of the four phases is one gang barrier: its work items are
+	// dealt round-robin onto per-worker spans and the phase charges
+	// max-over-workers (see endGangPhase).
+	start := c.Clock.Breakdown()
+	c.beginGangPhase()
 	mk := c.majorMark(&cy)
-	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
-	} else {
-		c.chargeGC(simclock.MajorGC, mk.cpu(c.Costs), c.Costs.MajorGCThreads)
-	}
-	cy.Phases[PhaseMark] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
+	c.endMajorPhase(&cy, PhaseMark, start)
 
-	phaseStart = c.Clock.Breakdown()
-	gangOn = c.beginGangPhase()
+	start = c.Clock.Breakdown()
+	c.beginGangPhase()
 	fw, err := c.majorPrecompact(mk, &cy)
 	if err != nil {
-		c.gng = nil // the aborted phase never reaches endGangPhase
 		return err
 	}
-	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
-	} else {
-		c.chargeGC(simclock.MajorGC,
-			time.Duration(len(fw.src))*c.Costs.PerCardObject, c.Costs.MajorGCThreads)
-	}
-	cy.Phases[PhasePrecompact] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
+	c.endMajorPhase(&cy, PhasePrecompact, start)
 
-	phaseStart = c.Clock.Breakdown()
-	gangOn = c.beginGangPhase()
-	adjRefs := c.majorAdjust(fw)
-	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
-	} else {
-		c.chargeGC(simclock.MajorGC,
-			time.Duration(adjRefs)*c.Costs.ScanPerRef, c.Costs.MajorGCThreads)
-	}
-	cy.Phases[PhaseAdjust] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
+	start = c.Clock.Breakdown()
+	c.beginGangPhase()
+	c.majorAdjust(fw)
+	c.endMajorPhase(&cy, PhaseAdjust, start)
 
-	phaseStart = c.Clock.Breakdown()
-	gangOn = c.beginGangPhase()
+	start = c.Clock.Breakdown()
+	c.beginGangPhase()
 	c.majorCompact(fw, &cy)
-	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
-	}
-	cy.Phases[PhaseCompact] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
+	c.endMajorPhase(&cy, PhaseCompact, start)
 
 	c.Clock.Charge(simclock.MajorGC, c.Costs.PausePerGC)
 
@@ -95,6 +73,13 @@ func (c *Collector) MajorGC() error {
 	return nil
 }
 
+// endMajorPhase closes one major-GC gang phase and records the pause time
+// charged since start as that phase's share of the cycle.
+func (c *Collector) endMajorPhase(cy *Cycle, p MajorPhase, start simclock.Breakdown) {
+	c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+	cy.Phases[p] = c.Clock.Breakdown().Sub(start).Get(simclock.MajorGC)
+}
+
 // backRef records one H2-to-H1 backward reference gathered at the start
 // of marking: the holder region's label and the H1 target.
 type backRef struct {
@@ -104,15 +89,8 @@ type backRef struct {
 
 // markState carries mark-phase results into precompaction.
 type markState struct {
-	objectsMarked int64
-	refsTraversed int64
-	closureWords  int64
-	liveBytes     int64
-}
-
-func (m *markState) cpu(costs CostParams) time.Duration {
-	return time.Duration(m.objectsMarked)*costs.MarkPerObject +
-		time.Duration(m.refsTraversed)*costs.ScanPerRef
+	closureWords int64
+	liveBytes    int64
 }
 
 // majorMark performs the extended marking phase: reset H2 live bits, mark
@@ -144,7 +122,7 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 		for len(closureStack) > 0 {
 			o := closureStack[len(closureStack)-1]
 			closureStack = closureStack[:len(closureStack)-1]
-			c.gangBegin()
+			c.gang.beginItem()
 			if o.IsNull() || c.TH.Contains(o) || m.InClosure(o) {
 				continue
 			}
@@ -154,14 +132,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			m.SetInClosure(o, true)
 			m.SetLabel(o, label)
 			st.closureWords += int64(m.SizeWords(o))
-			st.objectsMarked++
-			c.gangCharge(c.Costs.MarkPerObject)
+			c.gang.charge(c.Costs.MarkPerObject)
 			n := m.NumRefs(o)
 			for i := 0; i < n; i++ {
 				if t := m.RefAt(o, i); !t.IsNull() && c.H1.Contains(t) {
 					closureStack = append(closureStack, t)
-					st.refsTraversed++
-					c.gangCharge(c.Costs.ScanPerRef)
+					c.gang.charge(c.Costs.ScanPerRef)
 				}
 			}
 		}
@@ -222,7 +198,7 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 	for len(stack) > 0 {
 		o := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c.gangBegin()
+		c.gang.beginItem()
 		if c.TH.Contains(o) {
 			// Fence: record the forward reference, never scan H2.
 			cy.ForwardRefs++
@@ -236,14 +212,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			continue
 		}
 		m.SetMarked(o, true)
-		st.objectsMarked++
-		c.gangCharge(c.Costs.MarkPerObject)
+		c.gang.charge(c.Costs.MarkPerObject)
 		st.liveBytes += int64(m.SizeWords(o)) * vm.WordSize
 		n := m.NumRefs(o)
 		for i := 0; i < n; i++ {
 			if t := m.RefAt(o, i); !t.IsNull() {
-				st.refsTraversed++
-				c.gangCharge(c.Costs.ScanPerRef)
+				c.gang.charge(c.Costs.ScanPerRef)
 				stack = append(stack, t)
 			}
 		}
@@ -406,8 +380,8 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	// object is one precompaction work item.
 	oldDst := growAddrs(c.oldDst, len(oldLive))
 	for i, a := range oldLive {
-		c.gangBegin()
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gang.beginItem()
+		c.gang.charge(c.Costs.PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -416,8 +390,8 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	}
 	youngDst := growAddrs(c.youngDst, len(youngLive))
 	for i, a := range youngLive {
-		c.gangBegin()
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gang.beginItem()
+		c.gang.charge(c.Costs.PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -448,9 +422,8 @@ func growAddrs(buf []vm.Addr, n int) []vm.Addr {
 // set, and in H2 backward-reference card segments to the new locations,
 // recording new cross-region and backward references for objects bound
 // for H2.
-func (c *Collector) majorAdjust(fw *forwarding) int64 {
+func (c *Collector) majorAdjust(fw *forwarding) {
 	m := c.Mem
-	var refs int64
 
 	// Backward references held by existing H2 objects. This must run
 	// before the forwarding loop below: the scan recomputes each
@@ -460,18 +433,17 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 	// loop would be clobbered if the scan ran afterwards, leaving their
 	// backward references invisible to the next major GC.
 	c.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		c.gangBegin() // each backward reference is one adjust work item
+		c.gang.beginItem() // each backward reference is one adjust work item
 		nt, ok := fw.lookup(t)
 		if !ok {
 			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
 		}
-		refs++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gang.charge(c.Costs.ScanPerRef)
 		return nt
 	}, func(vm.Addr) bool { return false })
 
 	for i, a := range fw.src {
-		c.gangBegin() // each live object is one adjust work item
+		c.gang.beginItem() // each live object is one adjust work item
 		n := m.NumRefs(a)
 		toH2 := fw.inH2(i)
 		for f := 0; f < n; f++ {
@@ -479,8 +451,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 			if t.IsNull() {
 				continue
 			}
-			refs++
-			c.gangCharge(c.Costs.ScanPerRef)
+			c.gang.charge(c.Costs.ScanPerRef)
 			if c.TH.Contains(t) {
 				if toH2 {
 					c.TH.NoteCrossRegionRef(fw.dst[i], t)
@@ -519,8 +490,6 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 		}
 		h.Set(nt)
 	}
-
-	return refs
 }
 
 // majorCompact moves every live object to its assigned destination: old
@@ -530,7 +499,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	m := c.Mem
 
 	moveOne := func(i int) {
-		c.gangBegin() // each live object is one compaction work item
+		c.gang.beginItem() // each live object is one compaction work item
 		src, dst := fw.src[i], fw.dst[i]
 		size := m.SizeWords(src)
 		if fw.inH2(i) {
@@ -556,7 +525,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 		st := m.Status(dst)
 		m.SetStatus(dst, st&^uint64(vm.FlagMark|vm.FlagClosure))
 		cy.BytesCopied += int64(size) * vm.WordSize
-		c.gangCharge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
 	}
 
 	for i := fw.oldStartIdx; i < len(fw.src); i++ {
@@ -564,10 +533,6 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	}
 	for i := 0; i < fw.oldStartIdx; i++ {
 		moveOne(i)
-	}
-	if !c.gangActive() {
-		c.chargeGC(simclock.MajorGC,
-			time.Duration(cy.BytesCopied)*c.Costs.CopyPerByte, c.Costs.MajorGCThreads)
 	}
 
 	// Reset spaces: everything live is now in the old generation or H2.

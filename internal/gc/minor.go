@@ -40,9 +40,7 @@ type scavenger struct {
 	bytesPromoted int64
 	bytesToH2     int64
 	objectsToH2   int64
-	refsScanned   int64
 	cardsScanned  int64
-	cardObjects   int64
 }
 
 // scavengeAbort carries a latched allocation failure out of the scavenge
@@ -72,7 +70,6 @@ func (c *Collector) MinorGC() (err error) {
 			if !ok {
 				panic(r)
 			}
-			c.gng = nil // the aborted phase never reaches endGangPhase
 			err = c.latchOOM(sa.err)
 		}
 	}()
@@ -80,7 +77,7 @@ func (c *Collector) MinorGC() (err error) {
 
 	s := &c.scav
 	s.begin(c.H1.Old.Top)
-	gangOn := c.beginGangPhase()
+	c.beginGangPhase()
 
 	// Roots 1: handles. Iterated directly (nil slots are released handles)
 	// rather than through ForEach, which would allocate a closure per cycle.
@@ -88,7 +85,7 @@ func (c *Collector) MinorGC() (err error) {
 		if h == nil {
 			continue
 		}
-		c.gangBegin()
+		c.gang.beginItem()
 		a := h.Addr()
 		if !a.IsNull() && c.H1.InYoung(a) {
 			h.Set(s.copyYoung(a))
@@ -112,17 +109,8 @@ func (c *Collector) MinorGC() (err error) {
 	c.TH.FlushBuffers()
 
 	// Bill CPU work. The scavenge is one barrier: a single gang phase from
-	// roots through drain, charged max-over-workers when the gang is on,
-	// or the legacy serial aggregate otherwise.
-	if gangOn {
-		c.endGangPhase(simclock.MinorGC, c.Costs.MinorGCThreads)
-	} else {
-		cpu := time.Duration(s.bytesCopied+s.bytesPromoted)*c.Costs.CopyPerByte +
-			time.Duration(s.refsScanned)*c.Costs.ScanPerRef +
-			time.Duration(s.cardsScanned)*c.Costs.PerCard +
-			time.Duration(s.cardObjects)*c.Costs.PerCardObject
-		c.chargeGC(simclock.MinorGC, cpu, c.Costs.MinorGCThreads)
-	}
+	// roots through drain.
+	c.endGangPhase(simclock.MinorGC, c.Costs.MinorGCThreads)
 	c.Clock.Charge(simclock.MinorGC, c.Costs.PausePerGC)
 
 	delta := c.Clock.Breakdown().Sub(before)
@@ -155,9 +143,7 @@ func (s *scavenger) begin(oldTop vm.Addr) {
 	s.bytesPromoted = 0
 	s.bytesToH2 = 0
 	s.objectsToH2 = 0
-	s.refsScanned = 0
 	s.cardsScanned = 0
-	s.cardObjects = 0
 }
 
 // copyYoung evacuates the young object at a, returning its new address.
@@ -222,7 +208,7 @@ func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	} else {
 		s.bytesCopied += int64(size) * vm.WordSize
 	}
-	c.gangCharge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+	c.gang.charge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
 	s.worklist = append(s.worklist, dst)
 	c.policy.NoteScavenge(site, age, promoted)
 	return dst
@@ -235,7 +221,7 @@ func (s *scavenger) drain() {
 		for len(s.worklist) > 0 {
 			dst := s.worklist[len(s.worklist)-1]
 			s.worklist = s.worklist[:len(s.worklist)-1]
-			s.c.gangBegin()
+			s.c.gang.beginItem()
 			s.scanCopied(dst)
 		}
 		for s.h2head < len(s.h2moves) {
@@ -243,7 +229,7 @@ func (s *scavenger) drain() {
 			// ascending address order.
 			mv := s.h2moves[s.h2head]
 			s.h2head++
-			s.c.gangBegin()
+			s.c.gang.beginItem()
 			s.commitH2Move(mv)
 		}
 	}
@@ -258,8 +244,7 @@ func (s *scavenger) scanCopied(dst vm.Addr) {
 	anyYoung := false
 	for i := 0; i < n; i++ {
 		t := m.RefAt(dst, i)
-		s.refsScanned++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gang.charge(c.Costs.ScanPerRef)
 		if t.IsNull() || c.TH.Contains(t) {
 			continue // fence: never cross into H2
 		}
@@ -305,8 +290,7 @@ func (s *scavenger) commitH2Move(mv pendingH2Move) {
 	image[2] = label
 	for i := 0; i < numRefs; i++ {
 		t := vm.Addr(m.AS.Load(mv.src + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
-		s.refsScanned++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gang.charge(c.Costs.ScanPerRef)
 		switch {
 		case t.IsNull():
 		case c.TH.Contains(t):
@@ -352,27 +336,15 @@ func (s *scavenger) scanDirtyCards() {
 	// charge-equivalent to per-card dealing — and only dirty cards (the
 	// expensive path) touch the gang, rebinding the cursor to the worker
 	// the bulk deal assigned their index.
-	if gng := c.gng; gng != nil {
-		sweepStart := gng.next
-		gng.sweepUniform(n, c.Costs.PerCard)
-		for i := 0; i < n; i++ {
-			s.cardsScanned++
-			if cards.Get(i) != heap.CardDirty {
-				continue
-			}
-			gng.cur = (sweepStart + i) % gng.spans.Workers()
-			s.scanCard(i)
-		}
-		return
-	}
-	// Serial sweep: a separate loop keeps register pressure off the
-	// clean-card fast path (the gang cursor state would otherwise spill
-	// the receiver to the stack on every iteration).
+	g := &c.gang
+	sweepStart := g.next
+	g.sweepUniform(n, c.Costs.PerCard)
+	s.cardsScanned += int64(n)
 	for i := 0; i < n; i++ {
-		s.cardsScanned++
 		if cards.Get(i) != heap.CardDirty {
 			continue
 		}
+		g.cur = (sweepStart + i) % g.spans.Workers()
 		s.scanCard(i)
 	}
 }
@@ -389,13 +361,11 @@ func (s *scavenger) scanCard(i int) {
 	obj := c.startArray[i]
 	anyYoung := false
 	for !obj.IsNull() && obj < hi && obj < s.oldTop {
-		s.cardObjects++
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gang.charge(c.Costs.PerCardObject)
 		nrefs := m.NumRefs(obj)
 		for f := 0; f < nrefs; f++ {
 			t := m.RefAt(obj, f)
-			s.refsScanned++
-			c.gangCharge(c.Costs.ScanPerRef)
+			c.gang.charge(c.Costs.ScanPerRef)
 			if t.IsNull() || c.TH.Contains(t) {
 				continue
 			}

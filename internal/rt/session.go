@@ -104,17 +104,18 @@ type Layers struct {
 	// concurrent sessions never share fault state.
 	FaultPlan *fault.Plan
 	// GCWorkers sets the simulated GC gang size on PS-based kinds (PS, TH,
-	// MO, Panthera, NG2C, Deca): N > 1 deals each pause's work items
-	// round-robin onto N per-worker spans and charges max-over-workers
-	// plus a per-barrier steal/sync overhead. 0 or 1 keeps the legacy
-	// serial aggregate. G1-based kinds model their own pause pipeline and
-	// ignore it.
+	// MO, Panthera, NG2C, Deca): each pause's work items are dealt
+	// round-robin onto N per-worker spans and the pause charges
+	// max-over-workers. 0 or 1 is a gang of one, the serial charge; above
+	// one worker each barrier also pays a steal/sync overhead. G1-based
+	// kinds model their own pause pipeline and ignore it.
 	GCWorkers int
 	// WritebackDepth enables the device's asynchronous writeback queue
 	// with the given in-flight batch cap: H2 promotion buffers and
 	// page-cache writeback submit to the queue and the residual service
-	// time is charged when the queue drains at safepoints. 0 keeps the
-	// legacy flat async-overlap discount.
+	// time is charged when the queue drains at safepoints. 0 prices each
+	// asynchronous write with the device's flat async-overlap discount
+	// instead, the model every figure uses.
 	WritebackDepth int
 }
 
@@ -218,7 +219,7 @@ func NewSession(spec Spec) *Session {
 	// the collector the PS-based kinds share. G1 kinds model their own
 	// pause pipeline and take no gang.
 	jvm, isJVM := s.Runtime.(*JVM)
-	if spec.GCWorkers > 1 && isJVM {
+	if isJVM {
 		jvm.Collector().Costs.Workers = spec.GCWorkers
 	}
 

@@ -133,11 +133,5 @@ func (bm *BlockManager) put(r *RDD, key PartitionKey, h *vm.Handle, st PartStats
 	}
 }
 
-// OnHeapBytes returns the bytes held by the on-heap cache.
-func (bm *BlockManager) OnHeapBytes() int64 { return bm.onHeapBytes }
-
-// OffHeapBlocks returns the number of serialized off-heap partitions.
-func (bm *BlockManager) OffHeapBlocks() int { return len(bm.offHeap) }
-
 // Store exposes the off-heap byte store (nil outside ModeSD).
 func (bm *BlockManager) Store() *storage.ByteStore { return bm.store }

@@ -46,9 +46,6 @@ func (r *RDD) Persist() *RDD {
 	return r
 }
 
-// Persisted reports whether the RDD is marked for caching.
-func (r *RDD) Persisted() bool { return r.persisted }
-
 // PartitionKey identifies a cached block.
 type PartitionKey struct {
 	RDD  uint64

@@ -24,6 +24,11 @@ func (s *Stats) Add(other Stats) {
 	s.BytesWritten += other.BytesWritten
 }
 
+// asyncOverlap is the fraction of write cost that explicit asynchronous
+// I/O (TeraHeap's promotion buffers) hides behind computation when the
+// writeback queue is off.
+const asyncOverlap = 0.6
+
 // Device is a simulated storage or memory device. All accesses charge
 // virtual time to the clock's ambient category, so a page fault taken
 // during major GC bills Major GC while one taken by a mutator thread
@@ -33,10 +38,6 @@ type Device struct {
 	model CostModel
 	clock *simclock.Clock
 	stats Stats
-
-	// asyncOverlap in [0,1] is the fraction of write cost hidden by
-	// explicit asynchronous I/O (used by TeraHeap's promotion buffers).
-	asyncOverlap float64
 
 	// inj, when non-nil, degrades and fails operations per a fault plan.
 	// Every charge is routed through it; a nil injector passes costs
@@ -59,7 +60,7 @@ func NewDevice(kind Kind, clock *simclock.Clock) *Device {
 	default:
 		m = DRAMModel()
 	}
-	return &Device{kind: kind, model: m, clock: clock, asyncOverlap: 0.6}
+	return &Device{kind: kind, model: m, clock: clock}
 }
 
 // NewStripedDevice builds a device whose bandwidth scales with the number
@@ -77,11 +78,6 @@ func NewStripedDevice(kind Kind, stripes int, clock *simclock.Clock) *Device {
 	return d
 }
 
-// NewDeviceWithModel builds a device with an explicit cost model.
-func NewDeviceWithModel(kind Kind, model CostModel, clock *simclock.Clock) *Device {
-	return &Device{kind: kind, model: model, clock: clock, asyncOverlap: 0.6}
-}
-
 // Kind returns the device technology.
 func (d *Device) Kind() Kind { return d.kind }
 
@@ -90,9 +86,6 @@ func (d *Device) Model() CostModel { return d.model }
 
 // Stats returns a copy of the traffic counters.
 func (d *Device) Stats() Stats { return d.stats }
-
-// ResetStats zeroes the traffic counters.
-func (d *Device) ResetStats() { d.stats = Stats{} }
 
 // Read charges a random read of n bytes.
 func (d *Device) Read(n int64) {
@@ -170,7 +163,7 @@ func (d *Device) WriteAsync(n int64, pageSize int) {
 		d.submitWriteback(d.inj.DeviceOp(true, cost))
 		return
 	}
-	cost = time.Duration(float64(cost) * (1 - d.asyncOverlap))
+	cost = time.Duration(float64(cost) * (1 - asyncOverlap))
 	d.clock.ChargeAmbient(d.inj.DeviceOp(true, cost))
 }
 
@@ -199,18 +192,3 @@ func (d *Device) AccountWrite(n int64) {
 // operation costs route through it. A nil injector restores fault-free
 // behavior.
 func (d *Device) SetFaultInjector(in *fault.Injector) { d.inj = in }
-
-// FaultInjector returns the attached fault injector (nil when fault-free).
-func (d *Device) FaultInjector() *fault.Injector { return d.inj }
-
-// SetAsyncOverlap adjusts the fraction of asynchronous write cost hidden by
-// overlap; values outside [0,1] are clamped.
-func (d *Device) SetAsyncOverlap(f float64) {
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	d.asyncOverlap = f
-}

@@ -15,10 +15,6 @@ type MappedFile struct {
 // DefaultPageSize is the base page size (4 KB).
 const DefaultPageSize = 4 * KB
 
-// HugePageSize is the optional huge-page size (2 MB), used by TeraHeap for
-// Spark ML workloads to reduce page-fault frequency (§6, HugeMap).
-const HugePageSize = 2 * MB
-
 // NewMappedFile maps sizeBytes of device-backed memory with the given page
 // size and DRAM cache budget (in bytes; 0 = unbounded).
 func NewMappedFile(dev *Device, sizeBytes int64, pageSize int, cacheBytes int64) *MappedFile {

@@ -64,9 +64,6 @@ func NewRAM(base Addr, sizeBytes int64) *RAM {
 	return &RAM{base: base, words: make([]uint64, sizeBytes/WordSize)}
 }
 
-// Base returns the first mapped address.
-func (r *RAM) Base() Addr { return r.base }
-
 // SizeBytes returns the mapped size.
 func (r *RAM) SizeBytes() int64 { return int64(len(r.words)) * WordSize }
 

@@ -1,7 +1,5 @@
 package vm
 
-import "fmt"
-
 // Object header layout (3 words, mirroring the paper's extended header):
 //
 //	word 0: status word — class id, age, GC flags; or a forwarding pointer
@@ -62,14 +60,6 @@ func (m *Mem) InitObject(a Addr, c *Class, numRefs, sizeWords int) {
 	for i := HeaderWords; i < sizeWords; i++ {
 		m.AS.Store(a+Addr(i*WordSize), 0)
 	}
-}
-
-// InitObjectHeaderOnly writes the header without zeroing the body; used by
-// GC when copying (the body is copied explicitly).
-func (m *Mem) InitObjectHeaderOnly(a Addr, status, shape, label uint64) {
-	m.AS.Store(a+hdrStatus*WordSize, status)
-	m.AS.Store(a+hdrShape*WordSize, shape)
-	m.AS.Store(a+hdrLabel*WordSize, label)
 }
 
 // Status returns the raw status word.
@@ -208,22 +198,8 @@ func StatusClassID(status uint64) ClassID { return ClassID(status & ClassMask) }
 // StatusAge decodes the tenuring age of a raw status word.
 func StatusAge(status uint64) int { return int(status >> ageShift & ageMask) }
 
-// StatusPretenured reports whether a raw status word carries the
-// policy-pretenured bit.
-func StatusPretenured(status uint64) bool { return status&FlagPretenured != 0 }
-
 // ShapeSizeWords decodes the total object size (in words) of a raw shape word.
 func ShapeSizeWords(shape uint64) int { return int(uint32(shape)) }
 
 // ShapeNumRefs decodes the reference-field count of a raw shape word.
 func ShapeNumRefs(shape uint64) int { return int(shape >> 32) }
-
-// Describe renders a short debugging description of the object at a.
-func (m *Mem) Describe(a Addr) string {
-	if a.IsNull() {
-		return "null"
-	}
-	c := m.ClassOf(a)
-	return fmt.Sprintf("%s@%v[size=%dw refs=%d label=%d age=%d]",
-		c.Name, a, m.SizeWords(a), m.NumRefs(a), m.Label(a), m.Age(a))
-}
