@@ -12,6 +12,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -23,7 +24,9 @@ func main() {
 	cfg := g1.DefaultConfig(2 * storage.MB)
 	thCfg := core.DefaultConfig(64 * storage.MB)
 	thCfg.RegionSize = 32 * storage.KB
-	g, th := g1.NewWithTeraHeap(cfg, thCfg, nil, classes, clock)
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindG1TH, H1Size: cfg.H1Size, TH: &thCfg,
+		Classes: classes, Clock: clock})
+	g, th := ses.Runtime.(*g1.G1), ses.TH
 
 	fmt.Printf("G1 heap: %d regions of %d KB (humongous above %d KB)\n",
 		cfg.H1Size/cfg.RegionSize, cfg.RegionSize/1024, cfg.RegionSize/2/1024)

@@ -26,7 +26,8 @@ func main() {
 	thCfg.RegionSize = 64 * storage.KB
 	thCfg.HighThreshold = 0.60
 	thCfg.LowThreshold = 0.40
-	jvm := rt.NewJVM(rt.Options{H1Size: 1 * storage.MB, TH: &thCfg}, classes, clock)
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &thCfg,
+		Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
 	col := jvm.Collector()
 
 	state := func(step string) {

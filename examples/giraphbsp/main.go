@@ -36,25 +36,22 @@ func main() {
 }
 
 func run(graph *workloads.Graph, mode giraph.Mode, dram int64) (simclock.Breakdown, float64) {
-	clock := simclock.New()
-	dev := storage.NewDevice(storage.NVMeSSD, clock)
-
-	var jvm *rt.JVM
-	switch mode {
-	case giraph.ModeTH:
+	// The out-of-core baseline spills to an NVMe SSD; TeraHeap maps H2
+	// over the same kind of device.
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: dram * 4 / 5}
+	if mode == giraph.ModeTH {
 		thCfg := core.DefaultConfig(64 * storage.MB)
 		thCfg.RegionSize = 64 * storage.KB
 		thCfg.CacheBytes = dram / 3
-		jvm = rt.NewJVM(rt.Options{H1Size: dram - dram/3, TH: &thCfg, H2Device: dev}, nil, clock)
-	default:
-		jvm = rt.NewJVM(rt.Options{H1Size: dram * 4 / 5}, nil, clock)
+		spec = rt.Spec{Kind: rt.KindTH, H1Size: dram - dram/3, TH: &thCfg}
 	}
+	ses := rt.NewSession(spec)
 
 	eng, err := giraph.NewEngine(giraph.Conf{
-		RT:            jvm,
+		RT:            ses.Runtime,
 		Mode:          mode,
 		Threads:       8,
-		OOCDev:        dev,
+		OOCDev:        ses.Device,
 		OOCCacheBytes: dram / 5,
 	}, graph, 32)
 	if err != nil {
@@ -70,5 +67,5 @@ func run(graph *workloads.Graph, mode giraph.Mode, dram int64) (simclock.Breakdo
 	}
 	fmt.Printf("%-11s components checksum %.0f, supersteps %d, OOC offloads %d\n",
 		mode, sum, eng.Stats.Supersteps, eng.Stats.OOCOffloads)
-	return clock.Breakdown(), sum
+	return ses.Clock.Breakdown(), sum
 }

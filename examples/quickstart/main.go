@@ -27,7 +27,8 @@ func main() {
 	thCfg := core.DefaultConfig(256 * storage.MB)
 	thCfg.RegionSize = 256 * storage.KB
 	thCfg.CacheBytes = 2 * storage.MB
-	jvm := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thCfg}, classes, clock)
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thCfg,
+		Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
 
 	// Build a partition-shaped object group: one root array holding 10k
 	// Point objects.

@@ -44,30 +44,25 @@ func main() {
 }
 
 func run(graph *workloads.Graph, mode spark.Mode) simclock.Breakdown {
-	clock := simclock.New()
-	dev := storage.NewDevice(storage.NVMeSSD, clock)
-
-	var runtime rt.Runtime
-	switch mode {
-	case spark.ModeTH:
+	// Both configurations run on an NVMe SSD: Spark-SD spills its
+	// serialized off-heap cache there, TeraHeap maps H2 over it.
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: dramBudget - reserve}
+	if mode == spark.ModeTH {
 		// TeraHeap splits the DRAM budget between H1 and the H2 page
 		// cache; the cached graph lives in H2 on the device.
 		thCfg := core.DefaultConfig(64 * storage.MB)
 		thCfg.RegionSize = 64 * storage.KB
 		thCfg.CacheBytes = reserve
-		runtime = rt.NewJVM(rt.Options{
-			H1Size: dramBudget - reserve, TH: &thCfg, H2Device: dev,
-		}, nil, clock)
-	default:
-		runtime = rt.NewJVM(rt.Options{H1Size: dramBudget - reserve}, nil, clock)
+		spec.Kind, spec.TH = rt.KindTH, &thCfg
 	}
+	ses := rt.NewSession(spec)
 
 	ctx := spark.NewContext(spark.Conf{
-		RT:                runtime,
+		RT:                ses.Runtime,
 		Mode:              mode,
 		Threads:           8,
 		SerKind:           serde.Kryo,
-		OffHeapDev:        dev,
+		OffHeapDev:        ses.Device,
 		OffHeapCacheBytes: reserve,
 		OnHeapCacheBytes:  (dramBudget - reserve) / 2,
 	})
@@ -82,6 +77,6 @@ func run(graph *workloads.Graph, mode spark.Mode) simclock.Breakdown {
 		sum += r
 	}
 	fmt.Printf("%-9s rank mass %.4f, %d minor + %d major GCs\n",
-		mode, sum, runtime.GCStats().MinorCount, runtime.GCStats().MajorCount)
-	return clock.Breakdown()
+		mode, sum, ses.Runtime.GCStats().MinorCount, ses.Runtime.GCStats().MajorCount)
+	return ses.Clock.Breakdown()
 }

@@ -52,9 +52,6 @@ type Config struct {
 	ConcurrencyDiscount float64
 	GCThreads           int
 	Costs               gc.CostParams
-	// Verify runs the full-heap invariant verifier before and after every
-	// collection (the TH_VERIFY=1 environment variable also forces it on).
-	Verify bool
 }
 
 // DefaultConfig returns G1-like defaults for the heap size.
@@ -146,20 +143,15 @@ type G1 struct {
 
 var _ = fmt.Sprintf // keep fmt imported for panics below
 
-// New builds a G1 runtime.
+// New builds a G1 runtime. The TH_VERIFY=1 environment variable registers
+// the full-heap invariant verifier, run before and after every collection.
 func New(cfg Config, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
-	if clock == nil {
-		clock = simclock.New()
-	}
-	if classes == nil {
-		classes = vm.NewClassTable()
-	}
 	n := int(cfg.H1Size / cfg.RegionSize)
 	if n < 8 {
 		panic("g1: need at least 8 regions")
 	}
 	g := &G1{cfg: cfg, clock: clock, classes: classes, as: &vm.AddressSpace{}, roots: vm.NewRootSet(), th: gc.NoSecondHeap{}, policy: placement.Default{}}
-	if cfg.Verify || os.Getenv("TH_VERIFY") == "1" {
+	if os.Getenv("TH_VERIFY") == "1" {
 		g.SetVerify(true)
 	}
 	ram := vm.NewRAM(vm.H1Base, cfg.H1Size)

@@ -1,10 +1,7 @@
 package g1
 
 import (
-	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
-	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
@@ -175,21 +172,4 @@ func (g *G1) moveClosuresToH2() int64 {
 	}
 	g.stats.TotalBytesMovedH2 += moved
 	return moved
-}
-
-var _ = gc.NoSecondHeap{}
-
-// NewWithTeraHeap builds a G1 runtime with an attached second heap: the
-// §7.1 "TeraHeap can also be used with G1" configuration. It returns both
-// so callers can reach the TeraHeap statistics.
-func NewWithTeraHeap(cfg Config, thCfg core.Config, dev *storage.Device,
-	classes *vm.ClassTable, clock *simclock.Clock) (*G1, *core.TeraHeap) {
-	g := New(cfg, classes, clock)
-	if dev == nil {
-		dev = storage.NewDevice(storage.NVMeSSD, g.clock)
-	}
-	th := core.New(thCfg, dev, g.as, g.clock)
-	th.AttachMem(g.mem)
-	g.AttachSecondHeap(th)
-	return g, th
 }

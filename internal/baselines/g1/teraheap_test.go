@@ -5,7 +5,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/core"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
+	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -17,8 +17,8 @@ func newG1TH(t *testing.T, h1Size int64) (*g1.G1, *core.TeraHeap, *vm.Class, *vm
 	parr := classes.MustPrimArray("long[]")
 	thCfg := core.DefaultConfig(64 * storage.MB)
 	thCfg.RegionSize = 32 * storage.KB
-	g, th := g1.NewWithTeraHeap(g1.DefaultConfig(h1Size), thCfg, nil, classes, simclock.New())
-	return g, th, node, parr
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindG1TH, H1Size: h1Size, TH: &thCfg, Classes: classes})
+	return ses.Runtime.(*g1.G1), ses.TH, node, parr
 }
 
 // buildGroup makes a partition-shaped group behind a rooted handle.

@@ -36,7 +36,7 @@ func newTHEnv(t *testing.T, h1Size int64, mutate func(*core.Config)) *thEnv {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e.jvm = rt.NewJVM(rt.Options{H1Size: h1Size, TH: &cfg}, classes, clock)
+	e.jvm = rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: h1Size, TH: &cfg, Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
 	return e
 }
 

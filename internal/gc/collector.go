@@ -66,17 +66,6 @@ func DefaultCostParams() CostParams {
 	}
 }
 
-// Config configures a collector instance.
-type Config struct {
-	Heap  heap.Config
-	Costs CostParams
-
-	// Verify runs the internal/check invariant verifier before and after
-	// every minor and major GC (the VerifyBeforeGC/VerifyAfterGC analog).
-	// Also enabled by the TH_VERIFY=1 environment variable.
-	Verify bool
-}
-
 // OOMError reports that the heap could not satisfy an allocation even
 // after a full collection — the paper's missing "OOM" bars.
 type OOMError struct {
@@ -196,19 +185,12 @@ type Collector struct {
 	policy placement.Policy
 }
 
-// New builds a collector over a DRAM-backed H1. th may be nil for a
-// vanilla JVM (no H2).
-func New(cfg Config, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
-	c := NewWithHeap(heap.New(cfg.Heap, as), cfg.Costs, as, classes, clock, th)
-	if cfg.Verify {
-		c.SetVerify(true)
-	}
-	return c
-}
-
-// NewWithHeap builds a collector over an already laid-out (and mapped) H1;
-// used by baselines that back H1 with NVM.
-func NewWithHeap(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
+// New builds a collector over an already laid-out (and mapped) H1: DRAM
+// for the native and TeraHeap JVMs, NVM-backed for the Spark-MO and
+// Panthera baselines. th may be nil for a vanilla JVM (no H2). The
+// TH_VERIFY=1 environment variable registers the invariant verifier (the
+// VerifyBeforeGC/VerifyAfterGC analog) on every collector.
+func New(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
 	if th == nil {
 		th = NoSecondHeap{}
 	}

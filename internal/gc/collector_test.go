@@ -33,7 +33,7 @@ func newTestEnv(t *testing.T, h1Size int64) *testEnv {
 		parr:    classes.MustPrimArray("long[]"),
 	}
 	as := &vm.AddressSpace{}
-	e.col = gc.New(gc.Config{Heap: heap.DefaultConfig(h1Size), Costs: gc.DefaultCostParams()}, as, classes, clock, nil)
+	e.col = gc.New(heap.New(heap.DefaultConfig(h1Size), as), gc.DefaultCostParams(), as, classes, clock, nil)
 	return e
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -21,7 +20,7 @@ func fallbackEnv(t *testing.T, h2Size int64, count int) (*rt.JVM, *core.TeraHeap
 	classes.MustPrimArray("big[]")
 	cfg := core.DefaultConfig(h2Size)
 	cfg.RegionSize = 32 * storage.KB
-	jvm := rt.NewJVM(rt.Options{H1Size: 2 * storage.MB, TH: &cfg}, classes, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 2 * storage.MB, TH: &cfg, Classes: classes}).Runtime.(*rt.JVM)
 	jvm.SetVerify(true)
 
 	rootArr := classes.ByName("root[]")

@@ -119,7 +119,7 @@ func TestGangSurvivesScavengeFallback(t *testing.T) {
 	as := &vm.AddressSpace{}
 	costs := gc.DefaultCostParams()
 	costs.Workers = 4
-	col := gc.New(gc.Config{Heap: heap.DefaultConfig(1 << 19), Costs: costs}, as, classes, clock, nil)
+	col := gc.New(heap.New(heap.DefaultConfig(1<<19), as), costs, as, classes, clock, nil)
 
 	h := col.NewHandle(vm.NullAddr)
 	for i := 0; ; i++ {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
@@ -39,14 +38,13 @@ func newShadowModel(t *testing.T, withTH bool, seed uint64) *shadowModel {
 		node: classes.MustFixed("Node", 2, 1),
 		rnd:  workloads.NewRand(seed),
 	}
-	var opts rt.Options
-	opts.H1Size = 1 * storage.MB
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}
 	if withTH {
 		cfg := core.DefaultConfig(64 * storage.MB)
 		cfg.RegionSize = 32 * storage.KB
-		opts.TH = &cfg
+		spec.Kind, spec.TH = rt.KindTH, &cfg
 	}
-	m.jvm = rt.NewJVM(opts, classes, simclock.New())
+	m.jvm = rt.NewSession(spec).Runtime.(*rt.JVM)
 	return m
 }
 

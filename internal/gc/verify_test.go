@@ -6,7 +6,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -29,7 +28,7 @@ func verifyEnv(t *testing.T) (jvm *rt.JVM, old, young vm.Addr) {
 	t.Helper()
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
-	jvm = rt.NewJVM(rt.Options{H1Size: 1 * storage.MB}, classes, simclock.New())
+	jvm = rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
 	a, err := jvm.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestVerifyCatchesDanglingRef(t *testing.T) {
 func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
-	jvm := rt.NewJVM(rt.Options{H1Size: 1 * storage.MB}, classes, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
 	c := jvm.Collector()
 
 	// X: tenured, the last (only) old-generation object, so the next
@@ -171,7 +170,7 @@ func TestH2ImageStatusMinorVsMajor(t *testing.T) {
 		node := classes.MustFixed("Node", 2, 1)
 		cfg := core.DefaultConfig(64 * storage.MB)
 		cfg.RegionSize = 32 * storage.KB
-		jvm := rt.NewJVM(rt.Options{H1Size: 1 * storage.MB, TH: &cfg}, classes, simclock.New())
+		jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &cfg, Classes: classes}).Runtime.(*rt.JVM)
 		// The heap deliberately holds stale GC bits mid-test; disable the
 		// env-triggered verifier so the run is deterministic under TH_VERIFY.
 		jvm.SetVerify(false)

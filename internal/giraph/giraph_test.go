@@ -14,16 +14,14 @@ import (
 
 func newEngine(t *testing.T, mode giraph.Mode, h1Size int64, g *workloads.Graph, parts int) *giraph.Engine {
 	t.Helper()
-	clock := simclock.New()
-	var jvm *rt.JVM
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: h1Size}
 	if mode == giraph.ModeTH {
 		cfg := core.DefaultConfig(256 * storage.MB)
 		cfg.RegionSize = 256 * storage.KB
 		cfg.CacheBytes = 4 * storage.MB
-		jvm = rt.NewJVM(rt.Options{H1Size: h1Size, TH: &cfg}, nil, clock)
-	} else {
-		jvm = rt.NewJVM(rt.Options{H1Size: h1Size}, nil, clock)
+		spec.Kind, spec.TH = rt.KindTH, &cfg
 	}
+	jvm := rt.NewSession(spec).Runtime
 	e, err := giraph.NewEngine(giraph.Conf{
 		RT: jvm, Mode: mode, Threads: 4, OOCCacheBytes: 2 * storage.MB,
 	}, g, parts)

@@ -7,7 +7,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/graphx"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/serde"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/spark"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
@@ -15,7 +14,7 @@ import (
 
 func newCtx(t *testing.T) *spark.Context {
 	t.Helper()
-	jvm := rt.NewJVM(rt.Options{H1Size: 16 * storage.MB}, nil, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 16 * storage.MB}).Runtime
 	return spark.NewContext(spark.Conf{
 		RT: jvm, Mode: spark.ModeMO, Threads: 4, SerKind: serde.Kryo,
 	})

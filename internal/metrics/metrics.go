@@ -1,6 +1,6 @@
 // Package metrics formats experiment results: execution-time breakdown
 // tables in the style of the paper's figures, CSV emission for plotting,
-// and CDF helpers for the region-liveness distributions.
+// and the quantile summary of the region-liveness distributions.
 package metrics
 
 import (
@@ -151,40 +151,6 @@ func CSVPauseScaling(rows []PauseRow) string {
 			r.Name, r.Workers, int64(r.MinorGC), int64(r.MajorGC), int64(r.Total))
 	}
 	return sb.String()
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64 // x
-	Pct   float64 // cumulative fraction in [0,100]
-}
-
-// CDF computes the empirical CDF of values.
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	pts := make([]CDFPoint, len(v))
-	for i, x := range v {
-		pts[i] = CDFPoint{Value: x, Pct: 100 * float64(i+1) / float64(len(v))}
-	}
-	return pts
-}
-
-// CDFAt returns the fraction (0-100) of values <= x.
-func CDFAt(values []float64, x float64) float64 {
-	n := 0
-	for _, v := range values {
-		if v <= x {
-			n++
-		}
-	}
-	if len(values) == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(len(values))
 }
 
 // FormatCDF renders a CDF as a compact quantile table.

@@ -55,25 +55,6 @@ func TestCSVBreakdown(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := metrics.CDF([]float64{3, 1, 2, 4})
-	if len(pts) != 4 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].Value != 1 || pts[3].Value != 4 {
-		t.Fatalf("not sorted: %+v", pts)
-	}
-	if pts[3].Pct != 100 {
-		t.Fatalf("last pct = %v", pts[3].Pct)
-	}
-	if got := metrics.CDFAt([]float64{1, 2, 3, 4}, 2); got != 50 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if metrics.CDF(nil) != nil {
-		t.Fatal("empty CDF not nil")
-	}
-}
-
 func TestFormatCDFQuantiles(t *testing.T) {
 	vals := make([]float64, 101)
 	for i := range vals {

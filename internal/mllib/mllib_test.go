@@ -14,7 +14,7 @@ import (
 
 func newCtx(t *testing.T) *spark.Context {
 	t.Helper()
-	jvm := rt.NewJVM(rt.Options{H1Size: 16 * storage.MB}, nil, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 16 * storage.MB}).Runtime
 	return spark.NewContext(spark.Conf{
 		RT: jvm, Mode: spark.ModeMO, Threads: 4, SerKind: serde.Kryo,
 	})

@@ -106,8 +106,7 @@ func setupRootSet() func() {
 // setupScavenge: a PS JVM with a tenured working set; each op allocates
 // young garbage and runs one minor GC. Steady state must be 0 allocs/op.
 func setupScavenge() func() {
-	clock := simclock.New()
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, clock)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
 	node := j.Classes().MustFixed("Node", 1, 1)
 	h := j.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {
@@ -145,8 +144,7 @@ func setupScavenge() func() {
 // measured against the serial baseline. Steady state must stay 0
 // allocs/op: the gang reuses its span backing across phases.
 func setupScavengeGang4() func() {
-	clock := simclock.New()
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, clock)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
 	node := j.Classes().MustFixed("Node", 1, 1)
 	h := j.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {
@@ -184,8 +182,7 @@ func setupScavengeGang4() func() {
 // policy seam; steady state must stay 0 allocs/op — the profiler's site
 // slab is grown during warm-up and never reallocated after.
 func setupScavengeNG2C() func() {
-	clock := simclock.New()
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, clock)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
 	j.SetPlacementPolicy(placement.NewNG2C(placement.DefaultNG2CConfig()))
 	node := j.Classes().MustFixed("Node", 1, 1)
 	h := j.NewHandle(vm.NullAddr)
@@ -237,9 +234,8 @@ func setupWriteback() func() {
 // references into H1; each op scans the H2 card table with pre-built
 // visitors. Steady state must be 0 allocs/op.
 func setupCardScan() func() {
-	clock := simclock.New()
 	thcfg := core.DefaultConfig(64 * storage.MB)
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thcfg}, nil, clock)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
 	th := j.TeraHeap()
 	j.Collector().SetVerify(false) // env-independent, as in setupScavenge
 	node := j.Classes().MustFixed("Node", 4, 1)
@@ -279,7 +275,7 @@ func setupCardScan() func() {
 // setupLoadH1: 64 word loads spread over a PS heap's H1, every one inside
 // the DRAM window.
 func setupLoadH1() func() {
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, simclock.New())
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
 	as := j.Mem().AS
 	var sink uint64
 	return func() {
@@ -293,7 +289,7 @@ func setupLoadH1() func() {
 // so every load takes the H2 window and hits the page cache.
 func setupLoadH2() func() {
 	thcfg := core.DefaultConfig(64 * storage.MB)
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thcfg}, nil, simclock.New())
+	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
 	as := j.Mem().AS
 	var sink uint64
 	op := func() {
@@ -308,7 +304,7 @@ func setupLoadH2() func() {
 // setupCopyObject: one 32-word object copy between two H1 addresses inside
 // the DRAM window, the major compaction and scavenge copy.
 func setupCopyObject() func() {
-	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, simclock.New())
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
 	m := j.Mem()
 	src, dst := vm.H1Base+4096, vm.H1Base+1*storage.MB
 	return func() { m.CopyObject(dst, src, 32) }

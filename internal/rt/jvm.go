@@ -4,147 +4,23 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/gc"
-	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
-	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// Options configures a JVM instance.
-type Options struct {
-	// H1Size is the regular heap size in bytes.
-	H1Size int64
-	// HeapCfg optionally overrides the derived heap configuration.
-	HeapCfg *heap.Config
-	// Costs optionally overrides the GC cost parameters.
-	Costs *gc.CostParams
-	// TH enables TeraHeap with the given configuration (nil = vanilla).
-	TH *core.Config
-	// H2Device backs H2; required when TH is set. Defaults to NVMe SSD.
-	H2Device *storage.Device
-	// Pretenure routes AllocCold* allocations directly into the old
-	// generation (the Panthera allocation policy).
-	Pretenure bool
-}
-
-// JVM is the Parallel Scavenge-based runtime (native and TeraHeap modes).
+// JVM is the Parallel Scavenge-based runtime: the native JVM, TeraHeap
+// and its placement-policy variants, and the Spark-MO and Panthera
+// baselines. The kind registry's builders (kinds.go) construct it.
 type JVM struct {
 	clock     *simclock.Clock
 	classes   *vm.ClassTable
-	as        *vm.AddressSpace
 	collector *gc.Collector
 	th        *core.TeraHeap
 	pretenure bool
-
-	// Devices for traffic accounting in experiments.
-	H2Dev *storage.Device
 }
 
 var _ Runtime = (*JVM)(nil)
-
-// NewJVM builds a PS-based runtime. With opts.TH set it is the TeraHeap
-// configuration; otherwise it is the native JVM.
-func NewJVM(opts Options, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
-	if clock == nil {
-		clock = simclock.New()
-	}
-	if classes == nil {
-		classes = vm.NewClassTable()
-	}
-	as := &vm.AddressSpace{}
-
-	var th *core.TeraHeap
-	var sh gc.SecondHeap
-	var h2dev *storage.Device
-	if opts.TH != nil {
-		h2dev = opts.H2Device
-		if h2dev == nil {
-			h2dev = storage.NewDevice(storage.NVMeSSD, clock)
-		}
-		th = core.New(*opts.TH, h2dev, as, clock)
-		sh = th
-	}
-
-	hc := heap.DefaultConfig(opts.H1Size)
-	if opts.HeapCfg != nil {
-		hc = *opts.HeapCfg
-	}
-	costs := gc.DefaultCostParams()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
-	col := gc.New(gc.Config{Heap: hc, Costs: costs}, as, classes, clock, sh)
-	if th != nil {
-		th.AttachMem(col.Mem)
-	}
-	return &JVM{
-		clock:     clock,
-		classes:   classes,
-		as:        as,
-		collector: col,
-		th:        th,
-		pretenure: opts.Pretenure,
-		H2Dev:     h2dev,
-	}
-}
-
-// NewMemoryModeJVM builds the Spark-MO baseline: the whole of H1 lives on
-// NVM in memory mode, with dramCacheBytes of DRAM acting as a hardware-
-// managed cache in front of it.
-func NewMemoryModeJVM(h1Size, dramCacheBytes int64, nvm *storage.Device, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
-	if clock == nil {
-		clock = simclock.New()
-	}
-	if classes == nil {
-		classes = vm.NewClassTable()
-	}
-	if nvm == nil {
-		nvm = storage.NewDevice(storage.NVM, clock)
-	}
-	as := &vm.AddressSpace{}
-	mapped := storage.NewMappedFile(nvm, h1Size, storage.DefaultPageSize, dramCacheBytes)
-	as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), mappedVMMemory{f: mapped, base: vm.H1Base})
-
-	hc := heap.DefaultConfig(h1Size)
-	col := gc.NewWithHeap(heap.NewUnmapped(hc), gc.DefaultCostParams(), as, classes, clock, nil)
-	return &JVM{clock: clock, classes: classes, as: as, collector: col, H2Dev: nvm}
-}
-
-// NewPantheraJVM builds the Panthera baseline: the young generation and
-// dramOldBytes of the old generation in DRAM, the rest of the old
-// generation directly on NVM (App Direct), with cold framework data
-// pretenured into the old generation. Major GC scans the entire heap,
-// including the NVM part — Panthera's fundamental cost (§7.5).
-func NewPantheraJVM(h1Size, dramOldBytes int64, nvm *storage.Device, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
-	if clock == nil {
-		clock = simclock.New()
-	}
-	if classes == nil {
-		classes = vm.NewClassTable()
-	}
-	if nvm == nil {
-		nvm = storage.NewDevice(storage.NVM, clock)
-	}
-	as := &vm.AddressSpace{}
-	hc := heap.DefaultConfig(h1Size)
-	h1 := heap.NewUnmapped(hc)
-
-	// DRAM covers young generation plus the DRAM share of the old gen.
-	dramEnd := h1.Old.Start + vm.Addr(dramOldBytes)
-	if dramEnd > h1.Old.End {
-		dramEnd = h1.Old.End
-	}
-	ram := vm.NewRAM(vm.H1Base, int64(dramEnd-vm.H1Base))
-	as.Map(vm.H1Base, dramEnd, ram)
-	if dramEnd < h1.Old.End {
-		nvmPart := newNVMDirectMemory(dramEnd, int64(h1.Old.End-dramEnd), nvm, clock)
-		as.Map(dramEnd, h1.Old.End, nvmPart)
-	}
-
-	col := gc.NewWithHeap(h1, gc.DefaultCostParams(), as, classes, clock, nil)
-	return &JVM{clock: clock, classes: classes, as: as, collector: col, pretenure: true, H2Dev: nvm}
-}
 
 // Classes returns the class table.
 func (j *JVM) Classes() *vm.ClassTable { return j.classes }
@@ -177,17 +53,14 @@ func (j *JVM) Hooks() *gc.Hooks { return j.collector.Hooks() }
 // VerifyEnabled reports whether the verifier hook is registered.
 func (j *JVM) VerifyEnabled() bool { return j.collector.VerifyEnabled() }
 
-// SetFaultInjector attaches the run's fault injector to the collector, the
-// H2 allocator, and the H2 device. One injector per run: all fault
-// decisions draw from a single monotonic counter, which is what makes a
-// faulty run reproducible from its seed.
+// SetFaultInjector attaches the run's fault injector to the collector and
+// the H2 allocator (NewSession attaches it to the device). One injector
+// per run: all fault decisions draw from a single monotonic counter, which
+// is what makes a faulty run reproducible from its seed.
 func (j *JVM) SetFaultInjector(in *fault.Injector) {
 	j.collector.SetFaultInjector(in)
 	if j.th != nil {
 		j.th.SetFaultInjector(in)
-	}
-	if j.H2Dev != nil {
-		j.H2Dev.SetFaultInjector(in)
 	}
 }
 

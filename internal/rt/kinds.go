@@ -5,8 +5,12 @@ import (
 	"strings"
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
+	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
+	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/storage"
+	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
 // KindInfo describes one runtime kind in the single registry that the
@@ -53,17 +57,14 @@ var kindTable = []KindInfo{
 	{Kind: KindDeca, Name: "deca", SparkLabel: "deca", TeraHeap: true, build: buildPSH2(newDeca, storage.DRAM)},
 }
 
-func buildPS(s *Session) {
-	s.Runtime = NewJVM(Options{H1Size: s.Spec.H1Size, HeapCfg: s.Spec.HeapCfg, Costs: s.Spec.Costs}, s.Classes, s.Clock)
-}
+func buildPS(s *Session) { s.Runtime = newDRAMJVM(s, nil) }
 
 // buildPSH2 is the PS + TeraHeap builder the TH, NG2C and Deca kinds
 // share: H2 on a device of kind dev (when Spec.DeviceKind is zero), and
 // the placement policy newPolicy builds (nil keeps the default policy).
 func buildPSH2(newPolicy func() placement.Policy, dev storage.Kind) func(*Session) {
 	return func(s *Session) {
-		jvm := NewJVM(Options{H1Size: s.Spec.H1Size, HeapCfg: s.Spec.HeapCfg, Costs: s.Spec.Costs,
-			TH: s.Spec.TH, H2Device: s.device(dev)}, s.Classes, s.Clock)
+		jvm := newDRAMJVM(s, s.device(dev))
 		if newPolicy != nil {
 			s.Placement = newPolicy()
 			jvm.SetPlacementPolicy(s.Placement)
@@ -76,18 +77,77 @@ func buildPSH2(newPolicy func() placement.Policy, dev storage.Kind) func(*Sessio
 func newNG2C() placement.Policy { return placement.NewNG2C(placement.DefaultNG2CConfig()) }
 func newDeca() placement.Policy { return placement.NewDeca() }
 
-func buildG1(s *Session) { s.Runtime = g1.New(s.g1Config(), s.Classes, s.Clock) }
+// newDRAMJVM builds a PS runtime over a DRAM H1 (Spec.HeapCfg, else the
+// default geometry for Spec.H1Size), with a second heap on h2 when h2 is
+// non-nil.
+func newDRAMJVM(s *Session, h2 *storage.Device) *JVM {
+	as := &vm.AddressSpace{}
+	var th *core.TeraHeap
+	if h2 != nil {
+		th = core.New(*s.Spec.TH, h2, as, s.Clock)
+	}
+	hc := heap.DefaultConfig(s.Spec.H1Size)
+	if s.Spec.HeapCfg != nil {
+		hc = *s.Spec.HeapCfg
+	}
+	return newJVM(s, heap.New(hc, as), as, th, false)
+}
 
+// newJVM wires a PS collector over h1, already laid out and mapped into
+// as, attaching th as the second heap when it is non-nil.
+func newJVM(s *Session, h1 *heap.H1, as *vm.AddressSpace, th *core.TeraHeap, pretenure bool) *JVM {
+	var sh gc.SecondHeap // a nil *core.TeraHeap must stay a nil interface
+	if th != nil {
+		sh = th
+	}
+	col := gc.New(h1, gc.DefaultCostParams(), as, s.Classes, s.Clock, sh)
+	if th != nil {
+		th.AttachMem(col.Mem)
+	}
+	return &JVM{clock: s.Clock, classes: s.Classes, collector: col, th: th, pretenure: pretenure}
+}
+
+func buildG1(s *Session) { s.Runtime = g1.New(g1.DefaultConfig(s.Spec.H1Size), s.Classes, s.Clock) }
+
+// buildG1TH is the §7.1 "TeraHeap can also be used with G1" configuration:
+// a G1 heap with an attached second heap on an NVMe device.
 func buildG1TH(s *Session) {
-	s.Runtime, s.TH = g1.NewWithTeraHeap(s.g1Config(), *s.Spec.TH, s.device(storage.NVMeSSD), s.Classes, s.Clock)
+	dev := s.device(storage.NVMeSSD)
+	g := g1.New(g1.DefaultConfig(s.Spec.H1Size), s.Classes, s.Clock)
+	s.TH = core.New(*s.Spec.TH, dev, g.Mem().AS, s.Clock)
+	s.TH.AttachMem(g.Mem())
+	g.AttachSecondHeap(s.TH)
+	s.Runtime = g
 }
 
+// buildMO is the Spark-MO baseline: the whole of H1 lives on NVM in
+// memory mode, with Spec.DRAMCacheBytes of DRAM acting as a hardware-
+// managed cache in front of it. Like Panthera, it prices the session
+// device, which is NVM only when Spec.DeviceKind says so (Fig 12 does).
 func buildMO(s *Session) {
-	s.Runtime = NewMemoryModeJVM(s.Spec.H1Size, s.Spec.DRAMCacheBytes, s.device(storage.NVMeSSD), s.Classes, s.Clock)
+	size := s.Spec.H1Size
+	mapped := storage.NewMappedFile(s.device(storage.NVMeSSD), size, storage.DefaultPageSize, s.Spec.DRAMCacheBytes)
+	as := &vm.AddressSpace{}
+	as.Map(vm.H1Base, vm.H1Base+vm.Addr(size), mappedVMMemory{f: mapped, base: vm.H1Base})
+	s.Runtime = newJVM(s, heap.NewUnmapped(heap.DefaultConfig(size)), as, nil, false)
 }
 
+// buildPanthera is the Panthera baseline: the young generation and
+// Spec.DRAMOldBytes of the old generation in DRAM, the rest of the old
+// generation directly on NVM (App Direct), with cold framework data
+// pretenured into the old generation. Major GC scans the entire heap,
+// including the NVM part — Panthera's fundamental cost (§7.5).
 func buildPanthera(s *Session) {
-	s.Runtime = NewPantheraJVM(s.Spec.H1Size, s.Spec.DRAMOldBytes, s.device(storage.NVMeSSD), s.Classes, s.Clock)
+	nvm := s.device(storage.NVMeSSD)
+	h1 := heap.NewUnmapped(heap.DefaultConfig(s.Spec.H1Size))
+	as := &vm.AddressSpace{}
+	// DRAM covers young generation plus the DRAM share of the old gen.
+	dramEnd := min(h1.Old.Start+vm.Addr(s.Spec.DRAMOldBytes), h1.Old.End)
+	as.Map(vm.H1Base, dramEnd, vm.NewRAM(vm.H1Base, int64(dramEnd-vm.H1Base)))
+	if dramEnd < h1.Old.End {
+		as.Map(dramEnd, h1.Old.End, newNVMDirectMemory(dramEnd, int64(h1.Old.End-dramEnd), nvm, s.Clock))
+	}
+	s.Runtime = newJVM(s, h1, as, nil, true)
 }
 
 // Kinds returns the registered kinds in registry order. The slice is a

@@ -5,7 +5,6 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -39,21 +38,25 @@ func buildAndCheckList(t *testing.T, r rt.Runtime, n int) {
 	}
 }
 
+// nvmSession builds a Spark-MO or Panthera session whose heap is backed by
+// NVM, with dramBytes of DRAM in front of it (MO) or of its old
+// generation (Panthera).
+func nvmSession(kind rt.Kind, dramBytes int64) *rt.Session {
+	return rt.NewSession(rt.Spec{Kind: kind, H1Size: 2 * storage.MB, DeviceKind: storage.NVM,
+		DRAMCacheBytes: dramBytes, DRAMOldBytes: dramBytes})
+}
+
 func TestMemoryModeJVMWorksAndChargesNVM(t *testing.T) {
-	clock := simclock.New()
-	nvm := storage.NewDevice(storage.NVM, clock)
-	j := rt.NewMemoryModeJVM(2*storage.MB, 256*storage.KB, nvm, nil, clock)
-	buildAndCheckList(t, j, 2000)
-	st := nvm.Stats()
+	ses := nvmSession(rt.KindMO, 256*storage.KB)
+	buildAndCheckList(t, ses.Runtime, 2000)
+	st := ses.Device.Stats()
 	if st.BytesRead == 0 {
 		t.Fatal("memory mode charged no NVM reads (DRAM cache smaller than heap)")
 	}
 }
 
 func TestPantheraPretenuresCold(t *testing.T) {
-	clock := simclock.New()
-	nvm := storage.NewDevice(storage.NVM, clock)
-	j := rt.NewPantheraJVM(2*storage.MB, 256*storage.KB, nvm, nil, clock)
+	j := nvmSession(rt.KindPanthera, 256*storage.KB).Runtime.(*rt.JVM)
 	cls := j.Classes().MustPrimArray("cold[]")
 	a, err := j.AllocColdPrimArray(cls, 64)
 	if err != nil {
@@ -70,20 +73,19 @@ func TestPantheraPretenuresCold(t *testing.T) {
 }
 
 func TestPantheraNVMPartChargesTime(t *testing.T) {
-	clock := simclock.New()
-	nvm := storage.NewDevice(storage.NVM, clock)
 	// Tiny DRAM share: almost all of the old generation lives on NVM.
-	j := rt.NewPantheraJVM(2*storage.MB, 32*storage.KB, nvm, nil, clock)
+	ses := nvmSession(rt.KindPanthera, 32*storage.KB)
+	j := ses.Runtime
 	cls := j.Classes().MustPrimArray("cold[]")
 	for i := 0; i < 64; i++ {
 		if _, err := j.AllocColdPrimArray(cls, 256); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if nvm.Stats().BytesWritten == 0 {
+	if ses.Device.Stats().BytesWritten == 0 {
 		t.Fatal("no NVM write traffic recorded")
 	}
-	if clock.Now() == 0 {
+	if ses.Clock.Now() == 0 {
 		t.Fatal("no time charged for NVM access")
 	}
 }
@@ -92,14 +94,13 @@ func TestVanillaVsTHSameResults(t *testing.T) {
 	run := func(withTH bool) uint64 {
 		classes := vm.NewClassTable()
 		node := classes.MustFixed("Node", 1, 1)
-		var opts rt.Options
-		opts.H1Size = 1 * storage.MB
+		spec := rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}
 		if withTH {
 			cfg := core.DefaultConfig(32 * storage.MB)
 			cfg.RegionSize = 32 * storage.KB
-			opts.TH = &cfg
+			spec.Kind, spec.TH = rt.KindTH, &cfg
 		}
-		j := rt.NewJVM(opts, classes, simclock.New())
+		j := rt.NewSession(spec).Runtime
 		h := j.NewHandle(vm.NullAddr)
 		var sum uint64
 		for i := 0; i < 5000; i++ {
@@ -129,7 +130,7 @@ func TestVanillaVsTHSameResults(t *testing.T) {
 }
 
 func TestHeapUsedReporting(t *testing.T) {
-	j := rt.NewJVM(rt.Options{H1Size: storage.MB}, nil, simclock.New())
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: storage.MB}).Runtime
 	used0, cap0 := j.HeapUsed()
 	if cap0 != storage.MB&^63 {
 		t.Fatalf("capacity = %d", cap0)

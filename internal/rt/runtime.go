@@ -2,15 +2,11 @@
 // TeraHeap) into runnable managed runtimes and defines the Runtime
 // interface the Spark and Giraph framework simulations program against.
 //
-// Four runtime flavours reproduce the paper's configurations:
-//
-//   - NewJVM with Options.TH == nil  → native JVM (Spark-SD, Giraph-OOC)
-//   - NewJVM with Options.TH != nil  → TeraHeap
-//   - NewMemoryModeJVM               → Spark-MO (heap over NVM memory mode)
-//   - NewPantheraJVM                 → Panthera (old gen split DRAM+NVM)
-//
-// The G1 baseline lives in internal/baselines/g1 and implements the same
-// Runtime interface.
+// NewSession is the only construction path: a Spec names a runtime kind,
+// and that kind's row in the registry (kinds.go) builds it — the paper's
+// six configurations (native PS, TeraHeap, G1, Spark-MO, Panthera, G1 with
+// TeraHeap) plus NG2C and Deca. The G1 baseline lives in
+// internal/baselines/g1 and implements the same Runtime interface.
 package rt
 
 import (

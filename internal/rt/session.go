@@ -3,7 +3,6 @@ package rt
 import (
 	"fmt"
 
-	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/gc"
@@ -49,16 +48,11 @@ type Spec struct {
 	// HeapCfg optionally overrides the PS heap geometry (Giraph runs
 	// shrink the young generation); nil derives defaults from H1Size.
 	HeapCfg *heap.Config
-	// Costs optionally overrides the GC cost parameters.
-	Costs *gc.CostParams
 
 	// TH is the TeraHeap configuration; required for every kind whose
 	// registry row has TeraHeap set.
 	TH *core.Config
 
-	// Device optionally provides a pre-built H2/off-heap device. When nil
-	// the session builds one from DeviceKind and Stripes.
-	Device *storage.Device
 	// DeviceKind is the technology backing H2/off-heap; the zero value
 	// (DRAM) defaults to NVMe SSD, the paper's base configuration (Deca,
 	// whose lifetime regions live in memory, keeps DRAM).
@@ -71,10 +65,6 @@ type Spec struct {
 	DRAMCacheBytes int64
 	// DRAMOldBytes is the DRAM share of the old generation (KindPanthera).
 	DRAMOldBytes int64
-
-	// G1 optionally overrides the G1 configuration (KindG1/KindG1TH);
-	// nil derives g1.DefaultConfig from H1Size.
-	G1 *g1.Config
 
 	// Classes and Clock are shared when non-nil (microbenchmarks build
 	// their class tables up front); nil builds fresh per-session ones.
@@ -203,7 +193,7 @@ func NewSession(spec Spec) *Session {
 	if info.TeraHeap && spec.TH == nil {
 		panic(fmt.Sprintf("rt: Spec.TH is required for kind %s", info.Name))
 	}
-	s := &Session{Spec: spec, Clock: spec.Clock, Classes: spec.Classes, Device: spec.Device}
+	s := &Session{Spec: spec, Clock: spec.Clock, Classes: spec.Classes}
 	if s.Clock == nil {
 		s.Clock = simclock.New()
 	}
@@ -267,8 +257,8 @@ func NewSession(spec Spec) *Session {
 }
 
 // device returns the session's H2/off-heap device, building it on first
-// use: Spec.Device when given, else a Spec.DeviceKind device (def when
-// DeviceKind is zero) striped across Spec.Stripes units.
+// use: a Spec.DeviceKind device (def when DeviceKind is zero) striped
+// across Spec.Stripes units.
 func (s *Session) device(def storage.Kind) *storage.Device {
 	if s.Device != nil {
 		return s.Device
@@ -303,14 +293,6 @@ func (s *Session) RecoveryStats() *recovery.Stats {
 	}
 	st := s.Recovery.Stats()
 	return &st
-}
-
-// g1Config resolves the G1 configuration for G1-based kinds.
-func (s *Session) g1Config() g1.Config {
-	if s.Spec.G1 != nil {
-		return *s.Spec.G1
-	}
-	return g1.DefaultConfig(s.Spec.H1Size)
 }
 
 // Fault returns the run's latched persistent storage failure, checking

@@ -8,11 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/placement"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -151,58 +148,77 @@ func TestTeraHeapKindsRequireTH(t *testing.T) {
 	}
 }
 
-// legacyRuntime constructs the kind the way the experiment runners did
-// before the session factory existed.
-func legacyRuntime(spec Spec) Runtime {
-	clock := simclock.New()
-	dev := storage.NewDevice(storage.NVMeSSD, clock)
-	switch spec.Kind {
-	case KindPS:
-		return NewJVM(Options{H1Size: spec.H1Size}, nil, clock)
-	case KindTH:
-		return NewJVM(Options{H1Size: spec.H1Size, TH: spec.TH, H2Device: dev}, nil, clock)
-	case KindG1:
-		return g1.New(g1.DefaultConfig(spec.H1Size), nil, clock)
-	case KindG1TH:
-		g, _ := g1.NewWithTeraHeap(g1.DefaultConfig(spec.H1Size), *spec.TH, dev, nil, clock)
-		return g
-	case KindMO:
-		return NewMemoryModeJVM(spec.H1Size, spec.DRAMCacheBytes, dev, nil, clock)
-	case KindPanthera:
-		return NewPantheraJVM(spec.H1Size, spec.DRAMOldBytes, dev, nil, clock)
-	case KindNG2C:
-		j := NewJVM(Options{H1Size: spec.H1Size, TH: spec.TH, H2Device: dev}, nil, clock)
-		j.SetPlacementPolicy(placement.NewNG2C(placement.DefaultNG2CConfig()))
-		return j
-	case KindDeca:
-		// Deca's lifetime regions live on a DRAM-cost device.
-		j := NewJVM(Options{H1Size: spec.H1Size, TH: spec.TH,
-			H2Device: storage.NewDevice(storage.DRAM, clock)}, nil, clock)
-		j.SetPlacementPolicy(placement.NewDeca())
-		return j
+// drivePressure follows driveMutator with enough young garbage to force
+// minor collections and enough cold arrays to reach Panthera's NVM part
+// of the old generation and MO's NVM behind its DRAM cache.
+func drivePressure(tb testing.TB, r Runtime) {
+	tb.Helper()
+	node := r.Classes().ByName("sess.Node")
+	cold := r.Classes().MustPrimArray("sess.cold[]")
+	for i := 0; i < 600; i++ {
+		a, err := r.AllocColdPrimArray(cold, 256)
+		if err != nil {
+			tb.Fatalf("AllocColdPrimArray %d: %v", i, err)
+		}
+		r.WritePrim(a, i%256, uint64(i))
 	}
-	panic("unknown kind")
+	h := r.NewHandle(vm.NullAddr)
+	for i := 0; i < 30000; i++ {
+		a, err := r.Alloc(node)
+		if err != nil {
+			tb.Fatalf("Alloc %d: %v", i, err)
+		}
+		r.WriteRef(a, 0, h.Addr())
+		if i%100 == 0 {
+			h.Set(a)
+		}
+	}
+	if err := r.FullGC(); err != nil {
+		tb.Fatalf("FullGC: %v", err)
+	}
 }
 
-// TestSessionMatchesLegacyConstruction: the factory is a pure refactor of
-// the old per-runner construction code, so a session-built runtime and a
-// legacy-built one must produce identical simulated time and GC activity
-// on the same workload.
+// TestSessionMatchesLegacyConstruction pins each kind's simulated time and
+// collection counts on testSpec: after driveMutator, and again after
+// drivePressure. The literals were recorded when every kind still had a
+// standalone constructor beside NewSession and the two agreed, so they
+// hold each registry row to the behaviour of the construction code it
+// replaced.
 func TestSessionMatchesLegacyConstruction(t *testing.T) {
-	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			run := func(build func(Spec) Runtime) (time.Duration, int, int) {
-				spec := testSpec(kind)
-				r := build(spec)
-				driveMutator(t, r)
+	type pin struct {
+		total        time.Duration
+		minor, major int
+	}
+	want := []struct {
+		kind             Kind
+		mutator, pressed pin
+	}{
+		{KindPS, pin{207344, 0, 1}, pin{861384, 2, 2}},
+		{KindTH, pin{207744, 0, 1}, pin{891784, 2, 2}},
+		{KindG1, pin{206004, 0, 1}, pin{858497, 2, 2}},
+		{KindMO, pin{544266, 0, 1}, pin{21564196, 2, 2}},
+		{KindPanthera, pin{207344, 0, 1}, pin{2436937, 1, 2}},
+		{KindG1TH, pin{206004, 0, 1}, pin{858497, 2, 2}},
+		{KindNG2C, pin{207744, 0, 1}, pin{891784, 2, 2}},
+		{KindDeca, pin{207744, 0, 1}, pin{891784, 2, 2}},
+	}
+	if len(want) != len(allKinds) {
+		t.Fatalf("pinned %d kinds, registry has %d", len(want), len(allKinds))
+	}
+	for _, w := range want {
+		t.Run(w.kind.String(), func(t *testing.T) {
+			r := NewSession(testSpec(w.kind)).Runtime
+			observe := func() pin {
 				st := r.GCStats()
-				return r.Breakdown().Total(), st.MinorCount, st.MajorCount
+				return pin{r.Breakdown().Total(), st.MinorCount, st.MajorCount}
 			}
-			lt, lminor, lmajor := run(legacyRuntime)
-			st, sminor, smajor := run(func(s Spec) Runtime { return NewSession(s).Runtime })
-			if lt != st || lminor != sminor || lmajor != smajor {
-				t.Errorf("session diverges from legacy construction: legacy(total=%v minor=%d major=%d) session(total=%v minor=%d major=%d)",
-					lt, lminor, lmajor, st, sminor, smajor)
+			driveMutator(t, r)
+			if got := observe(); got != w.mutator {
+				t.Errorf("after driveMutator: got %+v, want %+v", got, w.mutator)
+			}
+			drivePressure(t, r)
+			if got := observe(); got != w.pressed {
+				t.Errorf("after drivePressure: got %+v, want %+v", got, w.pressed)
 			}
 		})
 	}

@@ -15,7 +15,7 @@ func setup(t *testing.T) (*rt.JVM, *vm.Class, *vm.Class) {
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
 	arr := classes.MustRefArray("Object[]")
-	jvm := rt.NewJVM(rt.Options{H1Size: 4 * storage.MB}, classes, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 4 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
 	return jvm, node, arr
 }
 

@@ -14,16 +14,14 @@ import (
 
 func newCtx(t *testing.T, mode spark.Mode, h1Size int64) *spark.Context {
 	t.Helper()
-	clock := simclock.New()
-	var jvm *rt.JVM
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: h1Size}
 	if mode == spark.ModeTH {
 		cfg := core.DefaultConfig(256 * storage.MB)
 		cfg.RegionSize = 256 * storage.KB
 		cfg.CacheBytes = 4 * storage.MB
-		jvm = rt.NewJVM(rt.Options{H1Size: h1Size, TH: &cfg}, nil, clock)
-	} else {
-		jvm = rt.NewJVM(rt.Options{H1Size: h1Size}, nil, clock)
+		spec.Kind, spec.TH = rt.KindTH, &cfg
 	}
+	jvm := rt.NewSession(spec).Runtime
 	return spark.NewContext(spark.Conf{
 		RT:                jvm,
 		Mode:              mode,
@@ -185,8 +183,7 @@ func TestWaveFootprintScalesWithThreads(t *testing.T) {
 	// Unpersisted RDD: each wave holds Threads partitions live at once.
 	// With a tiny heap, 8 threads must OOM where 2 threads survive.
 	run := func(threads int) error {
-		clock := simclock.New()
-		jvm := rt.NewJVM(rt.Options{H1Size: 1 * storage.MB}, nil, clock)
+		jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB}).Runtime
 		ctx := spark.NewContext(spark.Conf{
 			RT: jvm, Mode: spark.ModeMO, Threads: threads, SerKind: serde.Kryo,
 		})

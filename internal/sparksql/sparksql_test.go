@@ -5,7 +5,6 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/serde"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/spark"
 	"github.com/carv-repro/teraheap-go/internal/sparksql"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -14,7 +13,7 @@ import (
 
 func newTable(t *testing.T, n int) (*sparksql.Table, *workloads.Rows) {
 	t.Helper()
-	jvm := rt.NewJVM(rt.Options{H1Size: 16 * storage.MB}, nil, simclock.New())
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 16 * storage.MB}).Runtime
 	ctx := spark.NewContext(spark.Conf{
 		RT: jvm, Mode: spark.ModeMO, Threads: 4, SerKind: serde.Kryo,
 	})

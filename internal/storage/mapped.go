@@ -78,13 +78,6 @@ func (m *MappedFile) ChargeAsyncWrite(n int64) {
 	m.dev.WriteAsync(n, m.cache.PageSize())
 }
 
-// BulkStore stages src at word index w and charges its asynchronous write
-// immediately; convenience for single-shot batched writes.
-func (m *MappedFile) BulkStore(w int64, src []uint64) {
-	m.StageWords(w, src)
-	m.ChargeAsyncWrite(int64(len(src)) * 8)
-}
-
 // insertClean adds a page as resident and clean without device traffic.
 func (c *PageCache) insertClean(page int64) {
 	s := c.slot(page)

@@ -137,26 +137,6 @@ func TestMappedFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMappedFileBulkStoreIsCheaperThanWordStores(t *testing.T) {
-	run := func(bulk bool) time.Duration {
-		clock := simclock.New()
-		dev := storage.NewDevice(storage.NVMeSSD, clock)
-		m := storage.NewMappedFile(dev, 1<<20, 4096, 8*1024)
-		data := make([]uint64, 4096)
-		if bulk {
-			m.BulkStore(0, data)
-		} else {
-			for i := range data {
-				m.Store(int64(i), 7)
-			}
-		}
-		return clock.Now()
-	}
-	if b, w := run(true), run(false); b >= w {
-		t.Fatalf("bulk store (%v) not cheaper than word stores (%v)", b, w)
-	}
-}
-
 func TestByteStoreCacheAndDelete(t *testing.T) {
 	clock := simclock.New()
 	dev := storage.NewDevice(storage.NVMeSSD, clock)

@@ -64,9 +64,6 @@ func NewRAM(base Addr, sizeBytes int64) *RAM {
 	return &RAM{base: base, words: make([]uint64, sizeBytes/WordSize)}
 }
 
-// SizeBytes returns the mapped size.
-func (r *RAM) SizeBytes() int64 { return int64(len(r.words)) * WordSize }
-
 // Load reads the word at a.
 func (r *RAM) Load(a Addr) uint64 { return r.words[(a-r.base)>>3] }
 

@@ -79,9 +79,6 @@ func (m *Mem) ClassOf(a Addr) *Class {
 // SizeWords returns the total object size in words including the header.
 func (m *Mem) SizeWords(a Addr) int { return int(uint32(m.Shape(a))) }
 
-// SizeBytes returns the total object size in bytes.
-func (m *Mem) SizeBytes(a Addr) int64 { return int64(m.SizeWords(a)) * WordSize }
-
 // NumRefs returns the number of reference fields of the object at a.
 func (m *Mem) NumRefs(a Addr) int { return int(m.Shape(a) >> 32) }
 

@@ -115,37 +115,19 @@ type Options struct {
 // New builds a TeraHeap-enabled runtime (or a vanilla one when H2Size is
 // zero and H2Config is nil).
 func New(o Options) *JVM {
-	clock := o.Clock
-	if clock == nil {
-		clock = simclock.New()
-	}
-	var thCfg *Config
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: o.H1Size, HeapCfg: o.HeapConfig,
+		DeviceKind: o.DeviceKind, Classes: o.Classes, Clock: o.Clock}
 	if o.H2Config != nil {
-		thCfg = o.H2Config
+		spec.Kind, spec.TH = rt.KindTH, o.H2Config
 	} else if o.H2Size > 0 {
 		c := core.DefaultConfig(o.H2Size)
-		thCfg = &c
+		spec.Kind, spec.TH = rt.KindTH, &c
 	}
-	var dev *Device
-	if thCfg != nil {
-		kind := o.DeviceKind
-		if kind == storage.DRAM {
-			kind = storage.NVMeSSD
-		}
-		dev = storage.NewDevice(kind, clock)
-	}
-	return rt.NewJVM(rt.Options{
-		H1Size:   o.H1Size,
-		HeapCfg:  o.HeapConfig,
-		TH:       thCfg,
-		H2Device: dev,
-	}, o.Classes, clock)
+	return rt.NewSession(spec).Runtime.(*JVM)
 }
 
 // NewNative builds a vanilla (no-H2) runtime: the native-JVM baseline.
-func NewNative(h1Size int64) *JVM {
-	return rt.NewJVM(rt.Options{H1Size: h1Size}, nil, nil)
-}
+func NewNative(h1Size int64) *JVM { return New(Options{H1Size: h1Size}) }
 
 // DefaultH2Config returns the default second-heap configuration for the
 // given capacity.
