@@ -178,6 +178,9 @@ func (m mappedMemory) Store(a vm.Addr, v uint64) {
 	m.th.mapped.Store(a.Word(vm.H2Base), v)
 }
 func (m mappedMemory) Peek(a vm.Addr) uint64 { return m.th.mapped.PeekWord(a.Word(vm.H2Base)) }
+func (m mappedMemory) LoadRun(hdr, a vm.Addr, stride int, dst []uint64) {
+	m.th.mapped.LoadRun(hdr.Word(vm.H2Base), a.Word(vm.H2Base), stride, dst)
+}
 
 // ConfigError is the typed error for an invalid TeraHeap configuration.
 // Bad configurations come from user input (experiment sweeps, CLI flags),

@@ -71,6 +71,7 @@ type Engine struct {
 
 	superstep int
 	comb      Combiner // non-nil when the program has a message combiner
+	primBuf   []uint64 // reused by readPrims
 	// Label space: input-superstep edges use label 1; the message store of
 	// superstep s uses label msgLabelBase+s.
 	Stats EngineStats
@@ -524,7 +525,7 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 			e.RT.WritePrim(pt.values.Addr(), i, f2b(nv))
 		}
 		pt.active[i] = send
-		if send && deg > 0 {
+		if send && deg > 0 && e.comb != nil {
 			for j := 0; j < deg; j++ {
 				t := int(e.RT.ReadPrim(ea, 2*j))
 				tp := t / per
@@ -533,22 +534,38 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 				if weighted {
 					msgVal += b2f(e.RT.ReadPrim(ea, 2*j+1))
 				}
-				if e.comb != nil {
-					// Combine straight into the target's dense store —
-					// Giraph's combiner path. Updates to a store that
-					// already moved to H2 pay the device
-					// read-modify-write the paper describes (§7.2).
-					tgt := e.partitions[tp]
-					acc := tgt.curDense[l]
-					if merged := e.comb.Combine(acc, msgVal); merged != acc {
-						tgt.curDense[l] = merged
-						e.RT.WritePrim(tgt.cur.h.Addr(), l, f2b(merged))
-					}
-				} else {
-					out[tp] = append(out[tp], msgPair{local: int32(l), val: msgVal})
+				// Combine straight into the target's dense store —
+				// Giraph's combiner path. Updates to a store that
+				// already moved to H2 pay the device read-modify-write
+				// the paper describes (§7.2); the writes interleave with
+				// the edge reads, so those stay per word.
+				tgt := e.partitions[tp]
+				acc := tgt.curDense[l]
+				if merged := e.comb.Combine(acc, msgVal); merged != acc {
+					tgt.curDense[l] = merged
+					e.RT.WritePrim(tgt.cur.h.Addr(), l, f2b(merged))
 				}
-				sent++
 			}
+			sent += int64(deg)
+		} else if send && deg > 0 {
+			// Uncombined: no heap access between the edge reads, so the
+			// edges are one run of (target, weight) word pairs, or of
+			// every other word when the weights are not read.
+			stride, words := 2, deg
+			if weighted {
+				stride, words = 1, 2*deg
+			}
+			run := e.readPrims(ea, stride, words)
+			for j := 0; j < deg; j++ {
+				tw, msgVal := run[j], msgVal
+				if weighted {
+					tw, msgVal = run[2*j], msgVal+b2f(run[2*j+1])
+				}
+				t := int(tw)
+				tp := t / per
+				out[tp] = append(out[tp], msgPair{local: int32(t - tp*per), val: msgVal})
+			}
+			sent += int64(deg)
 		}
 		elems += int64(deg) + 1
 	}
@@ -591,9 +608,8 @@ func (e *Engine) gatherMessages(pt *partition) [][]float64 {
 		id := e.comb.CombineIdentity()
 		addr := pt.inMsgs.h.Addr()
 		n := e.RT.Mem().NumPrims(addr)
-		for i := 0; i < n && i < len(msgs); i++ {
-			v := b2f(e.RT.ReadPrim(addr, i))
-			if v != id {
+		for i, w := range e.readPrims(addr, 1, min(n, len(msgs))) {
+			if v := b2f(w); v != id {
 				msgs[i] = append(msgs[i], v)
 			}
 		}
@@ -606,8 +622,8 @@ func (e *Engine) gatherMessages(pt *partition) [][]float64 {
 				continue
 			}
 			n := e.RT.Mem().NumPrims(chunk)
-			for k := 0; k < n; k++ {
-				local, val := unpackMsg(e.RT.ReadPrim(chunk, k))
+			for _, w := range e.readPrims(chunk, 1, n) {
+				local, val := unpackMsg(w)
 				if int(local) >= 0 && int(local) < len(msgs) {
 					msgs[local] = append(msgs[local], val)
 				}
@@ -617,6 +633,17 @@ func (e *Engine) gatherMessages(pt *partition) [][]float64 {
 	}
 	e.chargeElements(reads)
 	return msgs
+}
+
+// readPrims reads n primitive words of the object at a, from word 0 in
+// steps of stride, as one run. The slice is reused by the next call.
+func (e *Engine) readPrims(a vm.Addr, stride, n int) []uint64 {
+	if cap(e.primBuf) < n {
+		e.primBuf = make([]uint64, n)
+	}
+	buf := e.primBuf[:n]
+	e.RT.Mem().PrimRun(a, 0, stride, buf)
+	return buf
 }
 
 // ensureResident reloads an offloaded store (OOC mode).

@@ -245,13 +245,19 @@ func TestCDLPMatchesReferenceLabelPropagation(t *testing.T) {
 	}
 }
 
+// uncombinedSSSP is SSSP without its combiner, so the engine takes the
+// uncombined message path: each vertex's edges are read as one run of
+// (target, weight) word pairs.
+type uncombinedSSSP struct {
+	giraph.Program
+	giraph.EdgeWeightUser
+}
+
+// TestSSSPUsesEdgeWeights runs SSSP with its combiner (weights read per
+// word beside the combined-store writes) and without it (weights read in
+// the edge run), on OOC and on TeraHeap, against Bellman-Ford.
 func TestSSSPUsesEdgeWeights(t *testing.T) {
 	g := workloads.GenGraph(31, 300, 5, 0.8)
-	e := newEngine(t, giraph.ModeOOC, 16*storage.MB, g, 4)
-	got, err := e.Run(&giraph.SSSP{Source: 0, MaxIters: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Reference Bellman-Ford with the engine's edge weights.
 	w := func(u, v int) float64 { return 1.0 + float64((u+v)%7)/7.0 }
 	dist := make([]float64, g.N)
@@ -276,13 +282,24 @@ func TestSSSPUsesEdgeWeights(t *testing.T) {
 			break
 		}
 	}
-	for v := range got {
-		// Messages carry float32 precision; allow tiny error.
-		if math.IsInf(dist[v], 1) != math.IsInf(got[v], 1) {
-			t.Fatalf("reachability differs at %d", v)
-		}
-		if !math.IsInf(dist[v], 1) && math.Abs(got[v]-dist[v]) > 1e-3 {
-			t.Fatalf("dist[%d] = %v, want %v", v, got[v], dist[v])
+	for _, mode := range []giraph.Mode{giraph.ModeOOC, giraph.ModeTH} {
+		sssp := &giraph.SSSP{Source: 0, MaxIters: 40}
+		for _, prog := range []giraph.Program{sssp, uncombinedSSSP{sssp, sssp}} {
+			_, combined := prog.(giraph.Combiner)
+			e := newEngine(t, mode, 16*storage.MB, g, 4)
+			got, err := e.Run(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range got {
+				// Messages carry float32 precision; allow tiny error.
+				if math.IsInf(dist[v], 1) != math.IsInf(got[v], 1) {
+					t.Fatalf("%v combined=%v: reachability differs at %d", mode, combined, v)
+				}
+				if !math.IsInf(dist[v], 1) && math.Abs(got[v]-dist[v]) > 1e-3 {
+					t.Fatalf("%v combined=%v: dist[%d] = %v, want %v", mode, combined, v, got[v], dist[v])
+				}
+			}
 		}
 	}
 }

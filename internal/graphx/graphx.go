@@ -27,6 +27,8 @@ type Graph struct {
 	Data  *workloads.Graph
 	Parts int
 	Edges *spark.RDD
+
+	edgeBuf []uint64 // reused by readEdges
 }
 
 // partRange returns the [lo, hi) vertex range of partition p.
@@ -115,6 +117,17 @@ func (g *Graph) forEachAdjacency(fn func(v int, edges vm.Addr, deg int)) error {
 	})
 }
 
+// readEdges reads the deg targets of the out-edge array at edges as one
+// primitive run. The slice is reused by the next call.
+func (g *Graph) readEdges(edges vm.Addr, deg int) []uint64 {
+	if cap(g.edgeBuf) < deg {
+		g.edgeBuf = make([]uint64, deg)
+	}
+	buf := g.edgeBuf[:deg]
+	g.Ctx.RT.Mem().PrimRun(edges, 0, 1, buf)
+	return buf
+}
+
 // allocIterationTemps models the unpersisted per-iteration RDD a stage
 // produces for one partition (e.g. a new ranks partition): allocated,
 // touched, and abandoned.
@@ -148,8 +161,7 @@ func (g *Graph) PageRank(iters int) ([]float64, error) {
 				return
 			}
 			share := ranks[v] / float64(deg)
-			for j := 0; j < deg; j++ {
-				t := int(g.Ctx.RT.ReadPrim(edges, j))
+			for _, t := range g.readEdges(edges, deg) {
 				contribs[t] += share
 			}
 		})
@@ -184,8 +196,8 @@ func (g *Graph) ConnectedComponents(maxIters int) ([]int32, error) {
 		next := make([]int32, n)
 		copy(next, labels)
 		err := g.forEachAdjacency(func(v int, edges vm.Addr, deg int) {
-			for j := 0; j < deg; j++ {
-				t := int(g.Ctx.RT.ReadPrim(edges, j))
+			for _, w := range g.readEdges(edges, deg) {
+				t := int(w)
 				if labels[v] < next[t] {
 					next[t] = labels[v]
 					changed++
@@ -231,8 +243,8 @@ func (g *Graph) SSSP(src int, maxIters int) ([]float64, error) {
 			if math.IsInf(dist[v], 1) {
 				return
 			}
-			for j := 0; j < deg; j++ {
-				t := int(g.Ctx.RT.ReadPrim(edges, j))
+			for _, e := range g.readEdges(edges, deg) {
+				t := int(e)
 				// Edge weight derived deterministically from endpoints.
 				w := 1.0 + float64((v+t)%7)/7.0
 				if d := dist[v] + w; d < dist[t] {
@@ -275,8 +287,8 @@ func (g *Graph) SVDPlusPlus(iters, dim int) (float64, error) {
 		var sumErr float64
 		var samples int64
 		err := g.forEachAdjacency(func(v int, edges vm.Addr, deg int) {
-			for j := 0; j < deg; j++ {
-				t := int(g.Ctx.RT.ReadPrim(edges, j))
+			for _, w := range g.readEdges(edges, deg) {
+				t := int(w)
 				rating := 1.0 + float64((v*31+t)%5) // deterministic pseudo-rating
 				var dot float64
 				for k := 0; k < dim; k++ {
@@ -320,8 +332,8 @@ func (g *Graph) TriangleCount() (int64, error) {
 		nbr[i] = make(map[int32]struct{})
 	}
 	err := g.forEachAdjacency(func(v int, edges vm.Addr, deg int) {
-		for j := 0; j < deg; j++ {
-			t := int32(g.Ctx.RT.ReadPrim(edges, j))
+		for _, w := range g.readEdges(edges, deg) {
+			t := int32(w)
 			if int(t) != v {
 				nbr[v][t] = struct{}{}
 				nbr[t][int32(v)] = struct{}{}

@@ -28,6 +28,7 @@ func TestMicroAllocPins(t *testing.T) {
 		"pagecache_touch_hit":        0,
 		"pagecache_touch_miss_evict": 0,
 		"pagecache_invalidate":       0,
+		"h2_touch_run":               0,
 		"rootset_create_release":     1, // the Handle object itself
 		"minor_gc_scavenge":          0,
 		"minor_gc_scavenge_gang4":    0,
@@ -36,6 +37,7 @@ func TestMicroAllocPins(t *testing.T) {
 		"writeback_submit_drain":     0,
 		"vm_load_h1":                 0,
 		"vm_load_h2":                 0,
+		"prim_run_h2":                0,
 		"copy_object":                0,
 		"major_adjust_lookup":        0,
 	}
@@ -63,7 +65,7 @@ func TestMicrosHaveUniqueStableNames(t *testing.T) {
 		}
 		seen[m.Name] = true
 	}
-	if want := 13; len(seen) != want {
+	if want := 15; len(seen) != want {
 		t.Fatalf("expected %d micros, got %d", want, len(seen))
 	}
 }

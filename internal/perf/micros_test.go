@@ -32,6 +32,7 @@ func Micros() []Micro {
 		{Name: "pagecache_touch_hit", Setup: setupPageCacheHit},
 		{Name: "pagecache_touch_miss_evict", Setup: setupPageCacheMiss},
 		{Name: "pagecache_invalidate", Setup: setupPageCacheInvalidate},
+		{Name: "h2_touch_run", Setup: setupTouchRun},
 		{Name: "rootset_create_release", Setup: setupRootSet},
 		{Name: "minor_gc_scavenge", Setup: setupScavenge},
 		{Name: "minor_gc_scavenge_gang4", Setup: setupScavengeGang4},
@@ -40,6 +41,7 @@ func Micros() []Micro {
 		{Name: "writeback_submit_drain", Setup: setupWriteback},
 		{Name: "vm_load_h1", Setup: setupLoadH1},
 		{Name: "vm_load_h2", Setup: setupLoadH2},
+		{Name: "prim_run_h2", Setup: setupPrimRunH2},
 		{Name: "copy_object", Setup: setupCopyObject},
 		{Name: "major_adjust_lookup", Setup: setupAdjustLookup},
 	}
@@ -86,6 +88,22 @@ func setupPageCacheInvalidate() func() {
 			c.Touch(p, true)
 		}
 		c.InvalidateRange(0, 7)
+	}
+}
+
+// setupTouchRun: a warm cache where each op is one 64-touch run on a
+// resident page, the page-cache step of an H2 object read.
+func setupTouchRun() func() {
+	clock := simclock.New()
+	dev := storage.NewDevice(storage.NVMeSSD, clock)
+	c := storage.NewPageCache(dev, storage.DefaultPageSize, 64)
+	for p := int64(0); p < 64; p++ {
+		c.Touch(p, false)
+	}
+	i := int64(0)
+	return func() {
+		c.TouchRun(i&63, 64, false)
+		i++
 	}
 }
 
@@ -297,6 +315,21 @@ func setupLoadH2() func() {
 			sink += as.Load(vm.H2Base + i*67*vm.WordSize)
 		}
 	}
+	op() // warm: fault the pages in
+	return op
+}
+
+// setupPrimRunH2: one 1000-word primitive run over a resident H2 object
+// that straddles two pages, so the run makes one TouchRun on the header's
+// page and the pair replay on the next.
+func setupPrimRunH2() func() {
+	thcfg := core.DefaultConfig(64 * storage.MB)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
+	m := j.Mem()
+	const prims = 1000
+	m.AS.Store(vm.H2Base+vm.WordSize, vm.HeaderWords+prims) // shape: no refs
+	dst := make([]uint64, prims)
+	op := func() { m.PrimRun(vm.H2Base, 0, 1, dst) }
 	op() // warm: fault the pages in
 	return op
 }

@@ -86,6 +86,9 @@ type mappedVMMemory struct {
 func (m mappedVMMemory) Load(a vm.Addr) uint64     { return m.f.Load(a.Word(m.base)) }
 func (m mappedVMMemory) Store(a vm.Addr, v uint64) { m.f.Store(a.Word(m.base), v) }
 func (m mappedVMMemory) Peek(a vm.Addr) uint64     { return m.f.PeekWord(a.Word(m.base)) }
+func (m mappedVMMemory) LoadRun(hdr, a vm.Addr, stride int, dst []uint64) {
+	m.f.LoadRun(hdr.Word(m.base), a.Word(m.base), stride, dst)
+}
 
 // nvmDirectMemory models byte-addressable NVM accessed with load/store
 // instructions (App Direct mode): every word access charges an amortized

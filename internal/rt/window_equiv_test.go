@@ -3,6 +3,7 @@ package rt
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -26,8 +27,10 @@ func windowCaches(ses *Session) []*storage.PageCache {
 // through the windowed AddressSpace methods and once through Resolve. PS
 // and G1 put all of H1 in the DRAM window, Panthera only its DRAM prefix
 // (the trace includes the words at dramEnd-8 and dramEnd), Spark-MO has no
-// window, and the TeraHeap kinds add the H2 window. Values, page-cache
-// hits and faults, device ops and the clock must all agree.
+// window, and the TeraHeap kinds add the H2 window. A second trace then
+// reads object runs with Mem.PrimRun on one session and the PrimAt loop it
+// stands for on the other (see primRunTrace). Values, page-cache counters,
+// device ops and the clock must all agree.
 func TestWindowEquivalenceComposedKinds(t *testing.T) {
 	for _, kind := range []Kind{KindPS, KindG1, KindPanthera, KindMO, KindTH, KindG1TH} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -36,8 +39,9 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 			as, ref := got.Runtime.Mem().AS, want.Runtime.Mem().AS
 
 			var edges []vm.Addr
+			var dramEnd vm.Addr
 			if kind == KindPanthera {
-				dramEnd := got.Runtime.(*JVM).Collector().H1.Old.Start + vm.Addr(spec.DRAMOldBytes)
+				dramEnd = got.Runtime.(*JVM).Collector().H1.Old.Start + vm.Addr(spec.DRAMOldBytes)
 				edges = append(edges, dramEnd-vm.WordSize, dramEnd)
 			}
 			type span struct{ start, words vm.Addr }
@@ -85,10 +89,14 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 				}
 			}
 
+			primRunTrace(t, got, want, dramEnd)
+
 			gc, wc := windowCaches(got), windowCaches(want)
 			for i := range gc {
-				if gc[i].Hits != wc[i].Hits || gc[i].Faults != wc[i].Faults {
-					t.Errorf("cache %d: hits/faults %d/%d, want %d/%d", i, gc[i].Hits, gc[i].Faults, wc[i].Hits, wc[i].Faults)
+				g := [5]int64{gc[i].Hits, gc[i].Faults, gc[i].SeqFaults, gc[i].Writebacks, gc[i].Evictions}
+				w := [5]int64{wc[i].Hits, wc[i].Faults, wc[i].SeqFaults, wc[i].Writebacks, wc[i].Evictions}
+				if g != w {
+					t.Errorf("cache %d: hits/faults/seq/writebacks/evictions %v, want %v", i, g, w)
 				}
 			}
 			if g, w := got.Device.Stats(), want.Device.Stats(); g != w {
@@ -102,5 +110,73 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 				t.Error("trace charged nothing on a kind with a charged mapping: vacuous")
 			}
 		})
+	}
+}
+
+// primRunTrace writes object headers at fixed and random addresses of
+// both sessions and reads primitive runs from them: Mem.PrimRun on got,
+// the PrimAt loop on want. The fixed objects straddle pages, put the run
+// on a different page from the header, read at stride 2 and (on Panthera)
+// straddle dramEnd; stores and mutator time in between dirty pages and
+// expire writeback windows.
+func primRunTrace(t *testing.T, got, want *Session, dramEnd vm.Addr) {
+	t.Helper()
+	gm, wm := got.Runtime.Mem(), want.Runtime.Mem()
+	type run struct {
+		a                      vm.Addr
+		refs, prims, i, stride int
+		n                      int
+	}
+	const pageWords = storage.DefaultPageSize / vm.WordSize
+	bases := []vm.Addr{vm.H1Base + 3*storage.MB}
+	if got.TH != nil {
+		bases = append(bases, vm.H2Base+5*vm.WordSize)
+	}
+	if dramEnd != 0 {
+		bases = append(bases, dramEnd-40*vm.WordSize)
+	}
+	var runs []run
+	for _, b := range bases {
+		runs = append(runs,
+			run{a: b, refs: 1, prims: 60, i: 0, stride: 1, n: 60},                         // one page
+			run{a: b, refs: 2, prims: 3 * pageWords, i: 0, stride: 1, n: 3 * pageWords},   // straddles pages
+			run{a: b, refs: 0, prims: 3 * pageWords, i: 2 * pageWords, stride: 1, n: 100}, // run off the header's page
+			run{a: b, refs: 1, prims: 2 * pageWords, i: 1, stride: 2, n: pageWords - 1},   // stride 2
+			run{a: b, refs: 3, prims: 2 * pageWords, i: pageWords - 8, stride: 3, n: 50},  // stride 3 across a page
+			run{a: b + 8*vm.WordSize, refs: 0, prims: 10, i: 9, stride: 1, n: 1},          // last word only
+		)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for len(runs) < 400 {
+		b := bases[rng.Intn(len(bases))] + vm.Addr(rng.Intn(64*int(pageWords)))*vm.WordSize
+		prims := 1 + rng.Intn(2*int(pageWords))
+		i := rng.Intn(prims)
+		stride := 1 + rng.Intn(3)
+		runs = append(runs, run{a: b, refs: rng.Intn(4), prims: prims, i: i, stride: stride, n: rng.Intn((prims-1-i)/stride + 2)})
+	}
+	for k, r := range runs {
+		size := vm.HeaderWords + r.refs + r.prims
+		if gm.AS.Resolve(r.a) == nil || gm.AS.Resolve(r.a+vm.Addr(size-1)*vm.WordSize) == nil {
+			t.Fatalf("run %d: object at %v (%d words) is not mapped", k, r.a, size)
+		}
+		shape := uint64(size) | uint64(r.refs)<<32
+		gm.AS.Store(r.a+vm.WordSize, shape)
+		wm.AS.Store(r.a+vm.WordSize, shape)
+		dst := make([]uint64, r.n)
+		gm.PrimRun(r.a, r.i, r.stride, dst)
+		for j := range dst {
+			if w := wm.PrimAt(r.a, r.i+j*r.stride); dst[j] != w {
+				t.Fatalf("run %d %+v: word %d = %#x, want %#x", k, r, j, dst[j], w)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			v := rng.Uint64()
+			f := vm.Addr(vm.HeaderWords+r.refs+rng.Intn(r.prims)) * vm.WordSize
+			gm.AS.Store(r.a+f, v)
+			wm.AS.Store(r.a+f, v)
+		}
+		d := time.Duration(rng.Intn(100)) * time.Microsecond
+		ChargeCompute(got.Clock, d)
+		ChargeCompute(want.Clock, d)
 	}
 }

@@ -246,6 +246,7 @@ type engine struct {
 
 	collector *PauseLatencyCollector
 	st        *Stats
+	readBuf   [8]uint64 // readValue's words; touchWords caps them at 8
 }
 
 // outcome classifies one reply.
@@ -388,8 +389,10 @@ func (e *engine) readValue(key int, out *outcome) {
 		return
 	}
 	sig := keySig(key)
-	for i := 0; i < e.touchWords(); i++ {
-		if v := e.rtm.ReadPrim(a, i); v != sig+uint64(i) {
+	words := e.readBuf[:e.touchWords()]
+	e.rtm.Mem().PrimRun(a, 0, 1, words)
+	for i, v := range words {
+		if v != sig+uint64(i) {
 			panic(fmt.Sprintf("server: key %d word %d: got %#x want %#x", key, i, v, sig+uint64(i)))
 		}
 	}
@@ -501,6 +504,7 @@ func (e *engine) serveLoop(ia time.Duration) error {
 	)
 	primaryAt := func(i int) time.Duration { return serveStart + time.Duration(i+1)*ia }
 	arr := workloads.NewRand(e.cfg.Seed)
+	keys := workloads.NewZipf(e.cfg.Keys, e.cfg.ZipfS)
 
 	closeWindow := func() {
 		e.st.Windows = append(e.st.Windows, Window{
@@ -528,7 +532,7 @@ func (e *engine) serveLoop(ia time.Duration) error {
 			}
 			req = request{
 				at:     primaryAt(nextIdx),
-				key:    arr.Zipf(e.cfg.Keys, e.cfg.ZipfS),
+				key:    keys.Draw(arr),
 				client: arr.Uint64() % uint64(e.cfg.Clients),
 				op:     op,
 			}

@@ -57,6 +57,32 @@ func (m *MappedFile) Store(w int64, v uint64) {
 	m.words[w] = v
 }
 
+// LoadRun fills dst[k] with the word at index w+k*stride, touching the
+// page cache exactly as the per-word sequence Load(hdr), Load(w+k*stride)
+// for each k in order would: the header's page, then the word's. The words
+// that share a page are touched in one step, as TouchRun when that page is
+// the header's and as alternating pairs otherwise.
+func (m *MappedFile) LoadRun(hdr, w int64, stride int, dst []uint64) {
+	hp := hdr / m.pageWords
+	for k := 0; k < len(dst); {
+		p := (w + int64(k*stride)) / m.pageWords
+		// Words k..e-1 lie on page p.
+		e := min(len(dst), k+1+int(((p+1)*m.pageWords-1-w-int64(k*stride))/int64(stride)))
+		if p == hp {
+			m.cache.TouchRun(hp, 2*(e-k), false)
+		} else {
+			m.cache.touchPairs(hp, p, e-k)
+		}
+		if stride == 1 {
+			copy(dst[k:e], m.words[w+int64(k):])
+			k = e
+		}
+		for ; k < e; k++ {
+			dst[k] = m.words[w+int64(k*stride)]
+		}
+	}
+}
+
 // StageWords copies src into the mapping at word index w without any
 // device charge, marking the touched pages resident and clean. It is the
 // staging half of TeraHeap's promotion buffers: the cost is charged once

@@ -157,6 +157,36 @@ func (c *PageCache) Touch(page int64, write bool) {
 	}
 }
 
+// TouchRun equals n consecutive Touch(page, write) calls: one real Touch,
+// then n-1 hits. After the first touch the page is resident at the LRU
+// front, so later hits do not move it; a fault leaves it clean, so a write
+// dirties it at the current time; and a hit changes neither the clock nor
+// the page state, so the writeback-window check cannot fire again.
+func (c *PageCache) TouchRun(page int64, n int, write bool) {
+	if n <= 0 {
+		return
+	}
+	c.Touch(page, write)
+	c.Hits += int64(n - 1)
+}
+
+// touchPairs equals m repetitions of Touch(a, false), Touch(b, false) for
+// a != b. Each pair is replayed until one takes neither a fault nor a
+// writeback: such a pair leaves b at the LRU front with a behind it, the
+// page states and the clock unchanged, so every later pair repeats it as
+// two plain hits.
+func (c *PageCache) touchPairs(a, b int64, m int) {
+	for ; m > 0; m-- {
+		faults, writebacks := c.Faults, c.Writebacks
+		c.Touch(a, false)
+		c.Touch(b, false)
+		if c.Faults == faults && c.Writebacks == writebacks {
+			c.Hits += 2 * int64(m-1)
+			return
+		}
+	}
+}
+
 // Resident reports whether the page is currently cached.
 func (c *PageCache) Resident(page int64) bool {
 	return page >= 0 && page < int64(len(c.slots)) && c.slots[page].state != pageAbsent

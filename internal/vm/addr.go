@@ -78,6 +78,15 @@ type Peeker interface {
 	Peek(a Addr) uint64
 }
 
+// RunLoader is optionally implemented by Memory backends that can read
+// an object's primitive run in one call. LoadRun(hdr, a, stride, dst) must
+// equal, for each k in order, Load(hdr) followed by dst[k] = Load(a +
+// k*stride words): the sequence a PrimAt loop issues, since every PrimAt
+// reads the shape word before its field.
+type RunLoader interface {
+	LoadRun(hdr, a Addr, stride int, dst []uint64)
+}
+
 // Mapping binds an address range to a Memory implementation.
 type Mapping struct {
 	Start, End Addr // [Start, End)
@@ -91,9 +100,10 @@ type Mapping struct {
 //     of H1 under PS and G1, the DRAM prefix under Panthera). DRAM charges
 //     nothing, so a word inside it is read or written straight from the
 //     backing slice with no interface call;
-//   - the H2 window is the mapping that starts at H2Base. It still calls
-//     its Memory for every word, so each H2 access reaches the mapped file
-//     and touches its page cache exactly as a scan would.
+//   - the H2 window is the mapping that starts at H2Base. A word access
+//     calls its Memory, so it reaches the mapped file and touches its page
+//     cache exactly as a scan would; an object's primitive run (loadRun)
+//     makes one RunLoader call that replays the same page-cache sequence.
 //
 // Any other address falls through to a linear scan of the mappings.
 type AddressSpace struct {
@@ -117,10 +127,21 @@ func (as *AddressSpace) Map(start, end Addr, mem Memory) {
 
 // Resolve returns the memory covering a, or nil.
 func (as *AddressSpace) Resolve(a Addr) Memory {
+	if m := as.mapping(a); m != nil {
+		return m.Mem
+	}
+	return nil
+}
+
+// mapping returns the mapping covering a, or nil: the H2 window, then a
+// scan of the mappings.
+func (as *AddressSpace) mapping(a Addr) *Mapping {
+	if a >= as.h2.Start && a < as.h2.End {
+		return &as.h2
+	}
 	for i := range as.mappings {
-		m := &as.mappings[i]
-		if a >= m.Start && a < m.End {
-			return m.Mem
+		if m := &as.mappings[i]; a >= m.Start && a < m.End {
+			return m
 		}
 	}
 	return nil
@@ -136,15 +157,12 @@ func (as *AddressSpace) ram(a Addr, n int) ([]uint64, bool) {
 	return as.ramWords[i : i+uint64(n)], true
 }
 
-// slow resolves an address outside the DRAM window: the H2 window, then
-// the scan. It panics on unmapped addresses: an unmapped access is a
-// simulator bug, not a recoverable condition.
+// slow resolves an address outside the DRAM window. It panics on
+// unmapped addresses: an unmapped access is a simulator bug, not a
+// recoverable condition.
 func (as *AddressSpace) slow(a Addr, op string) Memory {
-	if a >= as.h2.Start && a < as.h2.End {
-		return as.h2.Mem
-	}
-	if m := as.Resolve(a); m != nil {
-		return m
+	if m := as.mapping(a); m != nil {
+		return m.Mem
 	}
 	panic(fmt.Sprintf("vm: %s unmapped address %v", op, a))
 }
@@ -183,3 +201,34 @@ func (as *AddressSpace) Store(a Addr, v uint64) {
 }
 
 func (as *AddressSpace) storeSlow(a Addr, v uint64) { as.slow(a, "store to").Store(a, v) }
+
+// loadRun fills dst[k] with the word at a+k*stride words, for k in order,
+// as if each word were loaded right after the word at hdr (the object's
+// shape word, which precedes the run in the same mapping). Inside the DRAM
+// window it is a copy. A mapping whose Memory is a RunLoader covering the
+// whole range takes one LoadRun call; anything else (Panthera's NVM, a run
+// straddling two mappings) loads word by word.
+func (as *AddressSpace) loadRun(hdr, a Addr, stride int, dst []uint64) {
+	last := a + Addr((len(dst)-1)*stride*WordSize)
+	if w, ok := as.ram(hdr, int(last-hdr)>>3+1); ok {
+		w = w[(a-hdr)>>3:]
+		if stride == 1 {
+			copy(dst, w)
+			return
+		}
+		for k := range dst {
+			dst[k] = w[k*stride]
+		}
+		return
+	}
+	if m := as.mapping(a); m != nil && hdr >= m.Start && last < m.End {
+		if r, ok := m.Mem.(RunLoader); ok {
+			r.LoadRun(hdr, a, stride, dst)
+			return
+		}
+	}
+	for k := range dst {
+		as.Load(hdr)
+		dst[k] = as.Load(a + Addr(k*stride*WordSize))
+	}
+}

@@ -1,5 +1,7 @@
 package vm
 
+import "fmt"
+
 // Object header layout (3 words, mirroring the paper's extended header):
 //
 //	word 0: status word — class id, age, GC flags; or a forwarding pointer
@@ -149,6 +151,24 @@ func (m *Mem) SetRefAt(a Addr, i int, v Addr) {
 // PrimAt returns primitive word i (i counts from the first primitive word).
 func (m *Mem) PrimAt(a Addr, i int) uint64 {
 	return m.AS.Load(a + Addr((HeaderWords+m.NumRefs(a)+i)*WordSize))
+}
+
+// PrimRun fills dst[k] with PrimAt(a, i+k*stride) for k in order, leaving
+// the page cache, device counters and clock exactly as that loop would. On
+// the DRAM window it is one copy; on a mapped file it is one page-cache
+// step per page rather than two Memory calls per word. A run reaching past
+// the object's end panics, as an unmapped access does.
+func (m *Mem) PrimRun(a Addr, i, stride int, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	shape := m.AS.Peek(a + hdrShape*WordSize)
+	first := HeaderWords + ShapeNumRefs(shape) + i
+	if i < 0 || stride < 1 || first+(len(dst)-1)*stride >= ShapeSizeWords(shape) {
+		panic(fmt.Sprintf("vm: primitive run of %d words from %d by %d past the end of the %d-word object at %v",
+			len(dst), i, stride, ShapeSizeWords(shape), a))
+	}
+	m.AS.loadRun(a+hdrShape*WordSize, a+Addr(first*WordSize), stride, dst)
 }
 
 // SetPrimAt writes primitive word i.

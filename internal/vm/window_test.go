@@ -20,6 +20,9 @@ type fileMem struct {
 func (m fileMem) Load(a vm.Addr) uint64     { return m.f.Load(a.Word(m.base)) }
 func (m fileMem) Store(a vm.Addr, v uint64) { m.f.Store(a.Word(m.base), v) }
 func (m fileMem) Peek(a vm.Addr) uint64     { return m.f.PeekWord(a.Word(m.base)) }
+func (m fileMem) LoadRun(hdr, a vm.Addr, stride int, dst []uint64) {
+	m.f.LoadRun(hdr.Word(m.base), a.Word(m.base), stride, dst)
+}
 
 // layout is one address-space composition plus the charged state the
 // window must leave untouched.
@@ -224,6 +227,42 @@ func TestWindowUnmappedPanics(t *testing.T) {
 					t.Errorf("%s: %s %v: panic %q", name, op, a, msg)
 				}
 			}
+		}
+	}
+}
+
+// TestPrimRunBounds: a run is checked against the object's shape word
+// before any word is read, so a run past the end panics, on the DRAM
+// window and on a mapped file alike, without touching the page cache.
+func TestPrimRunBounds(t *testing.T) {
+	for _, base := range []vm.Addr{vm.H1Base, vm.H2Base} {
+		l := windowLayouts["th"]()
+		m := vm.NewMem(l.as, vm.NewClassTable())
+		c := m.Classes.MustFixed("T", 1, 4)
+		m.InitObject(base, c, 1, c.InstanceWords())
+		for i := 0; i < 4; i++ {
+			m.SetPrimAt(base, i, uint64(10+i))
+		}
+		dst := make([]uint64, 2)
+		m.PrimRun(base, 1, 2, dst)
+		if dst[0] != 11 || dst[1] != 13 {
+			t.Errorf("%v: PrimRun(1, stride 2) = %v, want [11 13]", base, dst)
+		}
+		m.PrimRun(base, 4, 1, nil) // an empty run reads nothing, even at the end
+		cache := l.files[0].Cache()
+		hits, faults := cache.Hits, cache.Faults
+		for _, r := range []struct{ i, stride, n int }{{0, 1, 5}, {4, 1, 1}, {1, 2, 3}, {3, 3, 2}, {-1, 1, 1}, {0, 0, 2}} {
+			msg := func() (msg string) {
+				defer func() { msg, _ = recover().(string) }()
+				m.PrimRun(base, r.i, r.stride, make([]uint64, r.n))
+				return ""
+			}()
+			if !strings.Contains(msg, "past the end of the 8-word object") {
+				t.Errorf("%v: PrimRun(%d, stride %d, %d words): panic %q", base, r.i, r.stride, r.n, msg)
+			}
+		}
+		if cache.Hits != hits || cache.Faults != faults {
+			t.Errorf("%v: rejected runs touched the page cache", base)
 		}
 	}
 }

@@ -22,8 +22,9 @@ func GenGraph(seed uint64, n int, avgDeg float64, skew float64) *Graph {
 	}
 	raw := make([]int, n)
 	var rawSum int64
+	degrees, targets := NewZipf(maxDeg, skew), NewZipf(n, 1.1)
 	for v := 0; v < n; v++ {
-		raw[v] = 1 + r.Zipf(maxDeg, skew)
+		raw[v] = 1 + degrees.Draw(r)
 		rawSum += int64(raw[v])
 	}
 	scale := float64(totalEdges) / float64(rawSum)
@@ -39,7 +40,7 @@ func GenGraph(seed uint64, n int, avgDeg float64, skew float64) *Graph {
 			// low-id (high-degree) vertices, half uniform.
 			var t int
 			if r.Float64() < 0.5 {
-				t = r.Zipf(n, 1.1)
+				t = targets.Draw(r)
 			} else {
 				t = r.Intn(n)
 			}
@@ -100,8 +101,9 @@ type Rows struct {
 func GenRows(seed uint64, n, k int) *Rows {
 	r := NewRand(seed)
 	rows := &Rows{N: n, Keys: make([]int32, n), Vals: make([]int64, n)}
+	keys := NewZipf(k, 0.9)
 	for i := 0; i < n; i++ {
-		rows.Keys[i] = int32(r.Zipf(k, 0.9))
+		rows.Keys[i] = int32(keys.Draw(r))
 		rows.Vals[i] = int64(r.Intn(1000))
 	}
 	return rows

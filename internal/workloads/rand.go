@@ -48,32 +48,33 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Zipf returns a sample in [0, n) with P(k) ∝ 1/(k+1)^s using inverse
-// transform over a precomputed CDF is too costly per call, so it uses the
-// rejection-inversion-free approximation adequate for degree skew.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
+// Zipf samples ranks in [0, n) with P(k) ∝ 1/(k+1)^s by inverting the
+// CDF of the continuous analogue, an approximation adequate for degree and
+// key-popularity skew. Build it once per (n, s): it holds Pow(n, 1-s) and
+// 1/(1-s), so a draw makes one Pow call.
+type Zipf struct {
+	n      int
+	s      float64
+	pow    float64 // Pow(n, 1-s)
+	invExp float64 // 1/(1-s)
+}
+
+// NewZipf builds the sampler for n ranks with skew s.
+func NewZipf(n int, s float64) Zipf {
+	return Zipf{n: n, s: s, pow: math.Pow(float64(n), 1-s), invExp: 1 / (1 - s)}
+}
+
+// Draw returns one rank, consuming one Float64 from r (none when n <= 1).
+func (z Zipf) Draw(r *Rand) int {
+	if z.n <= 1 {
 		return 0
 	}
-	// Inverse-CDF approximation for the continuous analogue.
 	u := r.Float64()
-	if s == 1 {
-		k := int(math.Pow(float64(n), u)) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= n {
-			k = n - 1
-		}
-		return k
+	var k int
+	if z.s == 1 {
+		k = int(math.Pow(float64(z.n), u)) - 1
+	} else {
+		k = int(math.Pow(u*(z.pow-1)+1, z.invExp) - 1)
 	}
-	x := math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1
-	k := int(x)
-	if k < 0 {
-		k = 0
-	}
-	if k >= n {
-		k = n - 1
-	}
-	return k
+	return min(max(k, 0), z.n-1)
 }
