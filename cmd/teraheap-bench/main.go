@@ -49,7 +49,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/server"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
-	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
 
 func main() {
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	csvOut := fs.Bool("csv", false, "emit fig6/fig7 results as CSV instead of tables")
 	jobs := fs.Int("j", 0, "parallel experiment runs (0 = GOMAXPROCS)")
-	compare := fs.Bool("compare", false, "with \"all\": rerun the suite at -j 1 and report the speedup")
 	verify := fs.Bool("verify", false, "run the heap invariant verifier before and after every GC")
 	faultSpec := fs.String("fault", "", "fault-injection plan, e.g. seed=1,dev-err=0.01,wb-fail=0.05")
 	gcWorkers := fs.Int("gc-workers", 1, "simulated GC gang size on PS-based runtimes (1 = serial charge)")
@@ -249,15 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	case "all":
-		parallel := runAll(env, stdout, stderr)
-		if *compare {
-			workloads.ResetCaches() // serial rerun regenerates datasets too
-			fmt.Fprintf(stderr, "# rerunning at -j 1 for comparison\n")
-			serial := runAll(&experiments.Env{Layers: env.Layers, Jobs: 1}, io.Discard, stderr)
-			fmt.Fprintf(stderr, "# speedup vs -j 1: %.2fx (parallel %v, serial %v)\n",
-				float64(serial)/float64(parallel), parallel.Round(time.Millisecond),
-				serial.Round(time.Millisecond))
-		}
+		runAll(env, stdout, stderr)
 	default:
 		ran := false
 		for _, e := range suite {
@@ -283,18 +273,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runAll runs the whole suite on env, streaming figure text to stdout and
-// per-figure wall-clock timings to stderr, and returns the total
-// wall-clock time.
-func runAll(env *experiments.Env, stdout, stderr io.Writer) time.Duration {
+// per-figure wall-clock timings to stderr.
+func runAll(env *experiments.Env, stdout, stderr io.Writer) {
 	start := time.Now()
 	for _, e := range suite {
 		figStart := time.Now()
 		fmt.Fprint(stdout, e.fn(env))
 		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, time.Since(figStart).Round(time.Millisecond))
 	}
-	total := time.Since(start)
-	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), env.Jobs)
-	return total
+	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", time.Since(start).Round(time.Millisecond), env.Jobs)
 }
 
 // runOne is the "run" subcommand: one Spark or Giraph configuration on
@@ -427,7 +414,7 @@ func contains(xs []string, s string) bool {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: teraheap-bench [-csv] [-j N] [-compare] [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] <experiment> [workload]
+	fmt.Fprintln(w, `usage: teraheap-bench [-csv] [-j N] [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] <experiment> [workload]
        teraheap-bench serve [CONFIG]
        teraheap-bench [-fault PLAN] chaos-serve [CONFIG]
        teraheap-bench [-verify] [-fault PLAN] [-gc-workers N] [-wb-depth N] run spark
@@ -476,7 +463,6 @@ region-fail + corrupt plan, with the verifier forced on.
 flags:
   -j N       run N experiment configurations in parallel (0 = GOMAXPROCS,
              N < 0 is a usage error); output is byte-identical for every -j
-  -compare   with "all": rerun at -j 1 and report the measured speedup
   -csv       emit fig6/fig7 results as CSV
   -verify    run the heap invariant verifier before and after every GC
              (the VerifyBeforeGC/VerifyAfterGC analog; panics on the first

@@ -26,18 +26,17 @@ func main() {
 	thCfg.RegionSize = 64 * storage.KB
 	thCfg.HighThreshold = 0.60
 	thCfg.LowThreshold = 0.40
-	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &thCfg,
-		Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
-	col := jvm.Collector()
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &thCfg,
+		Classes: classes, Clock: clock})
+	jvm := ses.Runtime
 
 	state := func(step string) {
 		st := jvm.GCStats()
-		ths := jvm.TeraHeap().Stats()
-		fmt.Printf("%-34s eden=%5.0fKB old=%5.0fKB (%.0f%%) | minors=%d majors=%d | H2=%5.0fKB moved=%d trips=%d\n",
-			step,
-			float64(col.H1.Eden.Used())/1024, float64(col.H1.Old.Used())/1024,
-			100*col.H1.OldOccupancy(), st.MinorCount, st.MajorCount,
-			float64(jvm.TeraHeap().UsedBytes())/1024, ths.ObjectsMoved, ths.HighThresholdTrips)
+		ths := ses.TH.Stats()
+		used, capacity := jvm.HeapUsed()
+		fmt.Printf("%-34s H1=%5.0fKB (%.0f%%) | minors=%d majors=%d | H2=%5.0fKB moved=%d trips=%d\n",
+			step, float64(used)/1024, 100*float64(used)/float64(capacity), st.MinorCount, st.MajorCount,
+			float64(ses.TH.UsedBytes())/1024, ths.ObjectsMoved, ths.HighThresholdTrips)
 	}
 
 	state("start")
@@ -116,6 +115,6 @@ func main() {
 		panic(err)
 	}
 	state("after release + major GC")
-	fmt.Printf("    regions reclaimed in bulk: %d\n", jvm.TeraHeap().Stats().RegionsReclaimed)
+	fmt.Printf("    regions reclaimed in bulk: %d\n", ses.TH.Stats().RegionsReclaimed)
 	fmt.Printf("\nvirtual time: %v\n", clock.Breakdown())
 }

@@ -27,8 +27,9 @@ func main() {
 	thCfg := core.DefaultConfig(256 * storage.MB)
 	thCfg.RegionSize = 256 * storage.KB
 	thCfg.CacheBytes = 2 * storage.MB
-	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thCfg,
-		Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thCfg,
+		Classes: classes, Clock: clock})
+	jvm := ses.Runtime
 
 	// Build a partition-shaped object group: one root array holding 10k
 	// Point objects.
@@ -61,9 +62,9 @@ func main() {
 	}
 	fmt.Printf("sum of squares read straight from H2: %d\n", sum)
 
-	st := jvm.TeraHeap().Stats()
+	st := ses.TH.Stats()
 	fmt.Printf("objects moved to H2: %d (%d bytes), regions in use: %d\n",
-		st.ObjectsMoved, st.BytesMoved, jvm.TeraHeap().ActiveRegions())
+		st.ObjectsMoved, st.BytesMoved, ses.TH.ActiveRegions())
 	fmt.Printf("virtual time breakdown: %v\n", jvm.Breakdown())
 
 	// Release the group: the next major GC reclaims its regions in bulk —
@@ -71,7 +72,7 @@ func main() {
 	jvm.Release(h)
 	check(jvm.FullGC())
 	fmt.Printf("after release: H2 used = %d bytes, regions reclaimed = %d\n",
-		jvm.TeraHeap().UsedBytes(), jvm.TeraHeap().Stats().RegionsReclaimed)
+		ses.TH.UsedBytes(), ses.TH.Stats().RegionsReclaimed)
 }
 
 func check(err error) {

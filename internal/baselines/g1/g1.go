@@ -11,7 +11,6 @@ package g1
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -132,28 +131,21 @@ type G1 struct {
 	th gc.SecondHeap
 
 	// hooks is the collector lifecycle-hook plane (same contract as
-	// gc.Collector's); vhook is the registered verifier hook, if any.
+	// gc.Collector's).
 	hooks gc.Hooks
-	vhook *verifyHook
 
 	// policy is the placement-policy seam for young-evacuation promotion
 	// decisions; placement.Default reproduces the legacy age threshold.
 	policy placement.Policy
 }
 
-var _ = fmt.Sprintf // keep fmt imported for panics below
-
-// New builds a G1 runtime. The TH_VERIFY=1 environment variable registers
-// the full-heap invariant verifier, run before and after every collection.
+// New builds a G1 runtime.
 func New(cfg Config, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
 	n := int(cfg.H1Size / cfg.RegionSize)
 	if n < 8 {
 		panic("g1: need at least 8 regions")
 	}
 	g := &G1{cfg: cfg, clock: clock, classes: classes, as: &vm.AddressSpace{}, roots: vm.NewRootSet(), th: gc.NoSecondHeap{}, policy: placement.Default{}}
-	if os.Getenv("TH_VERIFY") == "1" {
-		g.SetVerify(true)
-	}
 	ram := vm.NewRAM(vm.H1Base, cfg.H1Size)
 	g.as.Map(vm.H1Base, vm.H1Base+vm.Addr(cfg.H1Size), ram)
 	g.mem = vm.NewMem(g.as, classes)

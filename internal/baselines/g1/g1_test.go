@@ -1,9 +1,11 @@
 package g1_test
 
 import (
+	"os"
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
+	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -25,7 +27,32 @@ func newEnv(t *testing.T, h1Size int64) *env {
 		parr: classes.MustPrimArray("long[]"),
 	}
 	e.g = g1.New(g1.DefaultConfig(h1Size), classes, simclock.New())
+	verifyFromEnv(e.g)
 	return e
+}
+
+// verifyFromEnv gives a G1 built directly by g1.New the verifier that
+// rt.NewSession registers on sessions: with TH_VERIFY=1 the full heap is
+// checked before and after every pause, and the first violation panics
+// with a check.Report.
+func verifyFromEnv(g *g1.G1) {
+	if os.Getenv("TH_VERIFY") == "1" {
+		g.Hooks().Register(&envVerifier{g: g})
+	}
+}
+
+type envVerifier struct {
+	gc.BaseHook
+	g *g1.G1
+}
+
+func (h *envVerifier) BeforeGC(p gc.Phase) { h.verify("before ", p) }
+func (h *envVerifier) AfterGC(p gc.Phase)  { h.verify("after ", p) }
+
+func (h *envVerifier) verify(when string, p gc.Phase) {
+	if failures := h.g.VerifyNow(); len(failures) > 0 {
+		panic(check.Report(when+p.String()+" GC", failures))
+	}
 }
 
 func (e *env) node3(t *testing.T, left, right vm.Addr, v uint64) vm.Addr {
@@ -104,6 +131,7 @@ func TestG1MixedCollectionsReclaim(t *testing.T) {
 	e.arr = classes.MustRefArray("Object[]")
 	e.parr = classes.MustPrimArray("long[]")
 	e.g = g1.New(cfg, classes, simclock.New())
+	verifyFromEnv(e.g)
 	h := e.list(t, 100)
 	// Create long-lived garbage in old regions: tenure lists, then drop.
 	var dead []*vm.Handle

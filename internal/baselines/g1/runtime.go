@@ -6,9 +6,8 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// G1 implements rt.Runtime; the assertion lives in runtime_iface_test.go
-// (external test package) because rt's Session factory imports this
-// package, so asserting here would be an import cycle.
+// G1 implements rt.Runtime; the assertion lives in internal/rt, which
+// imports this package.
 
 // Classes returns the class table.
 func (g *G1) Classes() *vm.ClassTable { return g.classes }
@@ -92,21 +91,11 @@ func (g *G1) NewHandle(a vm.Addr) *vm.Handle { return g.roots.Create(a) }
 // Release unroots a handle.
 func (g *G1) Release(h *vm.Handle) { g.roots.Release(h) }
 
-// TagRoot applies h2_tag_root when a TeraHeap is attached.
-func (g *G1) TagRoot(h *vm.Handle, label uint64) {
-	if tagger, ok := g.th.(interface {
-		TagRoot(*vm.Handle, uint64)
-	}); ok {
-		tagger.TagRoot(h, label)
-	}
-}
+// TagRoot applies h2_tag_root (a no-op without a second heap).
+func (g *G1) TagRoot(h *vm.Handle, label uint64) { g.th.TagRoot(h, label) }
 
-// MoveHint applies h2_move when a TeraHeap is attached.
-func (g *G1) MoveHint(label uint64) {
-	if mover, ok := g.th.(interface{ Move(uint64) }); ok {
-		mover.Move(label)
-	}
-}
+// MoveHint applies h2_move (a no-op without a second heap).
+func (g *G1) MoveHint(label uint64) { g.th.Move(label) }
 
 // InSecondHeap reports whether a resides in the attached second heap.
 func (g *G1) InSecondHeap(a vm.Addr) bool { return g.th.Contains(a) }
@@ -124,6 +113,9 @@ func (g *G1) OOM() error {
 	}
 	return nil
 }
+
+// Hooks returns the collector's lifecycle-hook plane.
+func (g *G1) Hooks() *gc.Hooks { return &g.hooks }
 
 // GCStats returns collector statistics.
 func (g *G1) GCStats() *gc.Stats { return &g.stats }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/carv-repro/teraheap-go/internal/check"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
@@ -23,47 +22,6 @@ import (
 //     what the write barrier and the evacuation walks mark);
 //   - startArr is allocated lazily and covers old and humongous-start
 //     addresses only; entries elsewhere must be null.
-
-// verifyHook adapts the verifier to the lifecycle-hook plane with G1's
-// phase labels (young / mixed cycle / full GC).
-type verifyHook struct {
-	gc.BaseHook
-	g *G1
-}
-
-func g1PhaseName(p gc.Phase) string {
-	switch p {
-	case gc.PhaseMinor:
-		return "young GC"
-	case gc.PhaseMixed:
-		return "mixed cycle"
-	}
-	return "full GC"
-}
-
-func (h *verifyHook) BeforeGC(p gc.Phase) { h.g.runVerify("before " + g1PhaseName(p)) }
-func (h *verifyHook) AfterGC(p gc.Phase)  { h.g.runVerify("after " + g1PhaseName(p)) }
-
-// Hooks returns the collector's lifecycle-hook plane.
-func (g *G1) Hooks() *gc.Hooks { return &g.hooks }
-
-// SetVerify toggles before/after-collection heap verification: a shim that
-// registers (or removes) the verifier hook at the front of the hook plane.
-func (g *G1) SetVerify(v bool) {
-	if v == (g.vhook != nil) {
-		return
-	}
-	if v {
-		g.vhook = &verifyHook{g: g}
-		g.hooks.RegisterFirst(g.vhook)
-		return
-	}
-	g.hooks.Remove(g.vhook)
-	g.vhook = nil
-}
-
-// VerifyEnabled reports whether the verifier hook is registered.
-func (g *G1) VerifyEnabled() bool { return g.vhook != nil }
 
 // VerifyNow runs every invariant rule against the quiescent heap and
 // returns all violations found.
@@ -90,12 +48,6 @@ func (g *G1) VerifyNow() []check.Failure {
 	}
 	check.VerifyClock(g.clock, report)
 	return failures
-}
-
-func (g *G1) runVerify(when string) {
-	if failures := g.VerifyNow(); len(failures) > 0 {
-		panic(check.Report(when, failures))
-	}
 }
 
 // g1obj is one parsed live object.

@@ -14,7 +14,7 @@ func TestSizeSegregationSeparatesChains(t *testing.T) {
 		c.Ext.BigObjectWords = 64
 		c.RegionSize = 16 * storage.KB
 	})
-	th := e.jvm.TeraHeap()
+	th := e.th
 	// Small and big reservations under the same label land in different
 	// regions.
 	small, ok := th.PrepareMove(5, 8)
@@ -39,7 +39,7 @@ func TestSizeSegregationDisabledSharesChain(t *testing.T) {
 	e := newTHEnv(t, 1<<20, func(c *core.Config) {
 		c.RegionSize = 16 * storage.KB
 	})
-	th := e.jvm.TeraHeap()
+	th := e.th
 	a, _ := th.PrepareMove(5, 8)
 	b, _ := th.PrepareMove(5, 128)
 	ra := int(int64(a-vm.H2Base) / (16 * storage.KB))
@@ -58,7 +58,7 @@ func TestDynamicThresholdsAdapt(t *testing.T) {
 		c.Ext.DynamicThresholds = true
 		c.Ext.DynamicFloor = 0.20
 	})
-	th := e.jvm.TeraHeap()
+	th := e.th
 	start := th.LowThresholdNow()
 	// Sustained pressure: a big tagged partition kept live.
 	h := e.buildPartition(t, 1800)
@@ -83,7 +83,7 @@ func TestDynamicThresholdsRecoverOnCalm(t *testing.T) {
 		c.Ext.DynamicThresholds = true
 		c.Ext.DynamicCeil = 0.60
 	})
-	th := e.jvm.TeraHeap()
+	th := e.th
 	// No pressure at all: several calm majors raise the low threshold.
 	h := e.buildPartition(t, 16)
 	_ = h

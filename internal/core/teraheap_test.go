@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -13,7 +14,8 @@ import (
 
 type thEnv struct {
 	clock *simclock.Clock
-	jvm   *rt.JVM
+	jvm   *gc.Collector
+	th    *core.TeraHeap
 	node  *vm.Class
 	arr   *vm.Class
 	meta  *vm.Class // excluded class
@@ -36,7 +38,8 @@ func newTHEnv(t *testing.T, h1Size int64, mutate func(*core.Config)) *thEnv {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e.jvm = rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: h1Size, TH: &cfg, Classes: classes, Clock: clock}).Runtime.(*rt.JVM)
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: h1Size, TH: &cfg, Classes: classes, Clock: clock})
+	e.jvm, e.th = ses.Runtime.(*gc.Collector), ses.TH
 	return e
 }
 
@@ -94,7 +97,7 @@ func TestTagAndMoveToH2(t *testing.T) {
 	}
 	// Direct access to H2 objects — no deserialization.
 	e.checkPartition(t, h, 64)
-	st := e.jvm.TeraHeap().Stats()
+	st := e.th.Stats()
 	if st.ObjectsMoved < 65 {
 		t.Fatalf("objects moved = %d, want >= 65", st.ObjectsMoved)
 	}
@@ -158,7 +161,7 @@ func TestBackwardRefsSurviveGC(t *testing.T) {
 	el := e.jvm.ReadRef(h.Addr(), 3)
 	young := e.allocNode(t, vm.NullAddr, vm.NullAddr, 4242)
 	e.jvm.WriteRef(el, 0, young)
-	if err := e.jvm.Collector().MinorGC(); err != nil {
+	if err := e.jvm.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
 	back := e.jvm.ReadRef(el, 0)
@@ -186,7 +189,7 @@ func TestRegionReclamation(t *testing.T) {
 	if err := e.jvm.FullGC(); err != nil {
 		t.Fatal(err)
 	}
-	th := e.jvm.TeraHeap()
+	th := e.th
 	if th.ActiveRegions() == 0 {
 		t.Fatal("no active regions after move")
 	}
@@ -226,7 +229,7 @@ func TestHighThresholdForcesMove(t *testing.T) {
 	if !e.jvm.InSecondHeap(h.Addr()) {
 		t.Fatal("high threshold did not force movement")
 	}
-	if e.jvm.TeraHeap().Stats().HighThresholdTrips == 0 {
+	if e.th.Stats().HighThresholdTrips == 0 {
 		t.Fatal("threshold trip not recorded")
 	}
 }
@@ -269,7 +272,7 @@ func TestDependencyListsBeatUnionFind(t *testing.T) {
 		if err := e.jvm.FullGC(); err != nil {
 			t.Fatal(err)
 		}
-		return e.jvm.TeraHeap().Stats().RegionsReclaimed
+		return e.th.Stats().RegionsReclaimed
 	}
 	dep := run(core.DependencyLists)
 	uf := run(core.UnionFind)
@@ -286,7 +289,7 @@ func TestMinorDirectPromotionToH2(t *testing.T) {
 	h := e.buildPartition(t, 32)
 	e.jvm.TagRoot(h, 11)
 	e.jvm.MoveHint(11)
-	if err := e.jvm.Collector().MinorGC(); err != nil {
+	if err := e.jvm.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
 	if !e.jvm.InSecondHeap(h.Addr()) {
@@ -317,14 +320,14 @@ func TestH2CardStatesAfterGC(t *testing.T) {
 	y := e.allocNode(t, vm.NullAddr, vm.NullAddr, 1)
 	e.jvm.WriteRef(el, 0, y)
 	yh := e.jvm.NewHandle(y)
-	if err := e.jvm.Collector().MinorGC(); err != nil {
+	if err := e.jvm.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.jvm.FullGC(); err != nil {
 		t.Fatal(err)
 	}
 	_ = yh
-	st := e.jvm.TeraHeap().Stats()
+	st := e.th.Stats()
 	if st.MinorCardsScanned == 0 {
 		t.Fatal("minor GC scanned no H2 cards")
 	}
@@ -416,7 +419,7 @@ func TestRandomLifecycleDrainsH2(t *testing.T) {
 		if err := e.jvm.FullGC(); err != nil {
 			t.Fatal(err)
 		}
-		th := e.jvm.TeraHeap()
+		th := e.th
 		if th.UsedBytes() != 0 {
 			t.Fatalf("seed %d: H2 not drained: %d bytes in %d regions",
 				seed, th.UsedBytes(), th.ActiveRegions())

@@ -22,7 +22,7 @@ func h2Env(t *testing.T) (*thEnv, *vm.Handle) {
 	if !e.jvm.InSecondHeap(h.Addr()) {
 		t.Fatal("partition not moved to H2")
 	}
-	if fails := e.jvm.Collector().VerifyNow(); len(fails) != 0 {
+	if fails := e.jvm.VerifyNow(); len(fails) != 0 {
 		t.Fatalf("clean heap reported violations: %v", fails)
 	}
 	return e, h
@@ -33,10 +33,10 @@ func h2Env(t *testing.T) (*thEnv, *vm.Handle) {
 // bogus address.
 func TestVerifyCatchesSegFirstCorruption(t *testing.T) {
 	e, h := h2Env(t)
-	if !e.jvm.TeraHeap().CorruptSegFirstForTest(h.Addr()) {
+	if !e.th.CorruptSegFirstForTest(h.Addr()) {
 		t.Fatal("corruption hook found no region")
 	}
-	fails := e.jvm.Collector().VerifyNow()
+	fails := e.jvm.VerifyNow()
 	found := false
 	for _, f := range fails {
 		if f.Rule == "h2-seg-first" && f.Region >= 0 && f.Holder == h.Addr()+vm.WordSize {
@@ -54,10 +54,10 @@ func TestVerifyCatchesSegFirstCorruption(t *testing.T) {
 // list must surface h2-dep-missing naming the array as holder.
 func TestVerifyCatchesDroppedDependency(t *testing.T) {
 	e, h := h2Env(t)
-	if !e.jvm.TeraHeap().DropDepsForTest(h.Addr()) {
+	if !e.th.DropDepsForTest(h.Addr()) {
 		t.Fatal("corruption hook found no region")
 	}
-	fails := e.jvm.Collector().VerifyNow()
+	fails := e.jvm.VerifyNow()
 	found := false
 	for _, f := range fails {
 		if f.Rule == "h2-dep-missing" && f.Holder == h.Addr() && f.Field >= 0 {

@@ -28,13 +28,12 @@ func vmClassesForSizeSeg() *vm.ClassTable {
 	return classes
 }
 
-// thJVM builds a TeraHeap JVM for the synthetic ablations through the
-// session factory (verification follows the environment; the ablations
-// are fault-free by design).
-func (e *Env) thJVM(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) *rt.JVM {
-	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &thCfg,
+// thSession builds a PS + TeraHeap session for the synthetic ablations
+// (verification follows the environment; the ablations are fault-free by
+// design).
+func (e *Env) thSession(thCfg core.Config, classes *vm.ClassTable, clock *simclock.Clock) *rt.Session {
+	return rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &thCfg,
 		Classes: classes, Clock: clock, Layers: rt.Layers{Verify: e.Layers.Verify}})
-	return ses.Runtime.(*rt.JVM)
 }
 
 // AblationStriping quantifies §7.1's remark that "using more NVMe SSDs
@@ -172,7 +171,8 @@ func (e *Env) AblationSizeSegregation() string {
 		thCfg.RegionSize = 32 * storage.KB
 		thCfg.Ext.SizeSegregatedRegions = seg
 		thCfg.Ext.BigObjectWords = 512
-		jvm := e.thJVM(thCfg, classes, clock)
+		ses := e.thSession(thCfg, classes, clock)
+		jvm := ses.Runtime
 
 		small := classes.ByName("small")
 		bigArr := classes.ByName("big[]")
@@ -223,7 +223,7 @@ func (e *Env) AblationSizeSegregation() string {
 			panic(err)
 		}
 		_ = keepRoots
-		th := jvm.TeraHeap()
+		th := ses.TH
 		return th.Stats().RegionsReclaimed, th.UsedBytes() / 1024
 	}
 	// Ablation-style closures go through the executor too: index 0 is the

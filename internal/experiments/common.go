@@ -88,8 +88,6 @@ type RunResult struct {
 	// FinalLowThreshold is the low threshold after any dynamic
 	// adaptation (TeraHeap runs only).
 	FinalLowThreshold float64
-	// H2UsedBytes is the second heap's live allocation at run end.
-	H2UsedBytes int64
 
 	// Recovery snapshots the self-healing layer's counters (TeraHeap runs
 	// with recovery installed only).
@@ -139,7 +137,6 @@ func (r RunResult) RowNamed(name string) metrics.Row {
 
 // sparkSpec describes one Table 3 workload.
 type sparkSpec struct {
-	name      string
 	datasetGB float64
 	// Fig 6 DRAM ladders (paper values).
 	sdDramGB []float64
@@ -212,13 +209,13 @@ func sum64(xs []float64) float64 {
 // trainings run 12 epochs — the cache:compute ratio per epoch is what
 // shapes the figures, not the epoch count).
 var sparkSpecs = map[string]*sparkSpec{
-	"PR": {name: "PR", datasetGB: 80, sdDramGB: []float64{32, 48, 80, 144}, thDramGB: []float64{32, 80}, thH1Frac: 0.8, parts: 128,
+	"PR": {datasetGB: 80, sdDramGB: []float64{32, 48, 80, 144}, thDramGB: []float64{32, 80}, thH1Frac: 0.8, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(101, ds), 128)
 			r, err := g.PageRank(10)
 			return sum64(r), err
 		}},
-	"CC": {name: "CC", datasetGB: 84, sdDramGB: []float64{33, 50, 84, 152}, thDramGB: []float64{33, 84}, thH1Frac: 0.8, parts: 128,
+	"CC": {datasetGB: 84, sdDramGB: []float64{33, 50, 84, 152}, thDramGB: []float64{33, 84}, thH1Frac: 0.8, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(102, ds), 128)
 			r, err := g.ConnectedComponents(12)
@@ -228,7 +225,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return s, err
 		}},
-	"SSSP": {name: "SSSP", datasetGB: 58, sdDramGB: []float64{27, 37, 58, 100}, thDramGB: []float64{37, 58}, thH1Frac: 0.72, parts: 128,
+	"SSSP": {datasetGB: 58, sdDramGB: []float64{27, 37, 58, 100}, thDramGB: []float64{37, 58}, thH1Frac: 0.72, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(103, ds), 128)
 			r, err := g.SSSP(0, 12)
@@ -240,18 +237,18 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return s, err
 		}},
-	"SVD": {name: "SVD", datasetGB: 40, sdDramGB: []float64{22, 28, 40, 64}, thDramGB: []float64{28, 40}, thH1Frac: 0.85, parts: 128,
+	"SVD": {datasetGB: 40, sdDramGB: []float64{22, 28, 40, 64}, thDramGB: []float64{28, 40}, thH1Frac: 0.85, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(104, ds), 128)
 			return g.SVDPlusPlus(5, 8)
 		}},
-	"TR": {name: "TR", datasetGB: 80, sdDramGB: []float64{47, 56, 64}, thDramGB: []float64{47, 64}, thH1Frac: 0.8, parts: 128,
+	"TR": {datasetGB: 80, sdDramGB: []float64{47, 56, 64}, thDramGB: []float64{47, 64}, thH1Frac: 0.8, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(105, ds/4), 128) // TR uses a denser, smaller graph
 			c, err := g.TriangleCount()
 			return float64(c), err
 		}},
-	"LR": {name: "LR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
+	"LR": {datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(106, ds), 128)
 			w, err := d.LinearRegression(12)
@@ -260,7 +257,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return sum64(w), nil
 		}},
-	"LgR": {name: "LgR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
+	"LgR": {datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(107, ds), 128)
 			w, err := d.LogisticRegression(12)
@@ -269,7 +266,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return sum64(w), nil
 		}},
-	"SVM": {name: "SVM", datasetGB: 48, sdDramGB: []float64{28, 32, 36, 48}, thDramGB: []float64{36, 48}, thH1Frac: 0.67, hugePages: true, parts: 128,
+	"SVM": {datasetGB: 48, sdDramGB: []float64{28, 32, 36, 48}, thDramGB: []float64{36, 48}, thH1Frac: 0.67, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(108, ds), 128)
 			w, err := d.SVM(12)
@@ -278,7 +275,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return sum64(w), nil
 		}},
-	"BC": {name: "BC", datasetGB: 98, sdDramGB: []float64{53, 57, 98, 180}, thDramGB: []float64{57, 98}, thH1Frac: 0.84, parts: 128,
+	"BC": {datasetGB: 98, sdDramGB: []float64{53, 57, 98, 180}, thDramGB: []float64{57, 98}, thH1Frac: 0.84, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(109, ds), 128)
 			m, err := d.NaiveBayes()
@@ -287,14 +284,14 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return m.Prior[0] + sum64(m.Mean[0]), nil
 		}},
-	"RL": {name: "RL", datasetGB: 63, sdDramGB: []float64{24, 37, 63}, thDramGB: []float64{37, 63}, thH1Frac: 0.75, parts: 128,
+	"RL": {datasetGB: 63, sdDramGB: []float64{24, 37, 63}, thDramGB: []float64{37, 63}, thH1Frac: 0.75, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			tbl := sparksql.Load(ctx, rowsFromBytes(110, ds), 128)
 			c, err := tbl.RunQueryMix(6)
 			return float64(c), err
 		}},
 	// KM appears only in the Panthera comparison (Fig 12c).
-	"KM": {name: "KM", datasetGB: 64, sdDramGB: []float64{32, 64}, thDramGB: []float64{32, 64}, thH1Frac: 0.77, hugePages: true, parts: 128,
+	"KM": {datasetGB: 64, sdDramGB: []float64{32, 64}, thDramGB: []float64{32, 64}, thH1Frac: 0.77, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(111, ds), 128)
 			return d.KMeans(8, 10)
@@ -331,9 +328,6 @@ func RunSpark(cfg SparkRun) RunResult {
 	case cfg.Runtime == rt.KindMO || cfg.Runtime == rt.KindPanthera:
 		mode = spark.ModeMO
 	}
-	// Row labels come from the kind registry (the six legacy labels are
-	// byte-identical to the hand-written ones they replace).
-	name := fmt.Sprintf("%s/%s/%.0fGB", spec.name, cfg.Runtime.SparkLabel(), cfg.DramGB)
 	ses := rt.NewSession(sspec)
 
 	ctx := spark.NewContext(spark.Conf{
@@ -347,9 +341,15 @@ func RunSpark(cfg SparkRun) RunResult {
 	})
 
 	checksum, err := spec.run(ctx, datasetBytes)
-	res := collect(ses, name, err)
+	res := collect(ses, cfg.name(), err)
 	res.Checksum = checksum
 	return res
+}
+
+// name is the run's result name: workload, the kind's Spark row label
+// (from the kind registry) and DRAM size.
+func (cfg SparkRun) name() string {
+	return fmt.Sprintf("%s/%s/%.0fGB", cfg.Workload, cfg.Runtime.SparkLabel(), cfg.DramGB)
 }
 
 // heapBudgetGB is the managed-heap budget of a dramGB machine: what the

@@ -41,15 +41,16 @@ func (s Spec) run(layers *rt.Layers) RunResult {
 	panic(fmt.Sprintf("experiments: empty Spec %+v", s))
 }
 
-// label names a spec for the failed-run result when its goroutine panics
-// (the run's real name is minted inside RunSpark/RunGiraph, which never
-// returned).
+// label names a spec for the failed-run result when its goroutine panics:
+// the name RunSpark, RunGiraph or RunServe would have given the run.
 func (s Spec) label(i int) string {
 	switch {
 	case s.Spark != nil:
-		return fmt.Sprintf("%s/%s/%.0fGB", s.Spark.Workload, s.Spark.Runtime.SparkLabel(), s.Spark.DramGB)
+		return s.Spark.name()
 	case s.Giraph != nil:
-		return fmt.Sprintf("%s/%.0fGB", s.Giraph.Workload, s.Giraph.DramGB)
+		return s.Giraph.name()
+	case s.Serve != nil:
+		return s.Serve.name()
 	}
 	return fmt.Sprintf("spec-%d", i)
 }

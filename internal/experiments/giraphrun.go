@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/rt"
@@ -84,7 +85,6 @@ func RunGiraph(cfg GiraphRun) RunResult {
 	}
 
 	sspec := rt.Spec{Layers: layersOf(cfg.Ctx)}
-	var name string
 	switch cfg.Mode {
 	case giraph.ModeTH:
 		h1, thCfg := giraphTHSizing(spec, cfg).Resolve()
@@ -95,19 +95,16 @@ func RunGiraph(cfg GiraphRun) RunResult {
 		sspec.H1Size = h1
 		sspec.HeapCfg = giraphHeapCfg(h1)
 		sspec.TH = &thCfg
-		name = fmt.Sprintf("%s/th/%.0fGB", spec.name, cfg.DramGB)
 	default:
 		heapGB := cfg.DramGB * spec.oocHeapFrac
 		sspec.Kind = rt.KindPS
 		sspec.H1Size = GB(heapGB)
 		sspec.HeapCfg = giraphHeapCfg(GB(heapGB))
-		name = fmt.Sprintf("%s/ooc/%.0fGB", spec.name, cfg.DramGB)
 	}
 	ses := rt.NewSession(sspec)
-	jvm := ses.Runtime.(*rt.JVM)
 
 	eng, err := giraph.NewEngine(giraph.Conf{
-		RT:            jvm,
+		RT:            ses.Runtime,
 		Mode:          cfg.Mode,
 		Threads:       cfg.Threads,
 		OOCDev:        ses.Device,
@@ -125,15 +122,24 @@ func RunGiraph(cfg GiraphRun) RunResult {
 				// Shutdown collections: the first moves any still-advised
 				// groups (receiving regions are pinned for their cycle), the
 				// second reclaims everything that died; then measure.
-				if jvm.FullGC() == nil && jvm.FullGC() == nil {
-					ses.TH.AnalyzeLiveRegions(collectH2Roots(jvm))
+				if ses.Runtime.FullGC() == nil && ses.Runtime.FullGC() == nil {
+					ses.TH.AnalyzeLiveRegions(collectH2Roots(ses.Runtime.(*gc.Collector)))
 				}
 			}
 		}
 	}
-	res := collect(ses, name, err)
+	res := collect(ses, cfg.name(), err)
 	res.Checksum = checksum
 	return res
+}
+
+// name is the run's result name: workload, mode (th or ooc) and DRAM size.
+func (cfg GiraphRun) name() string {
+	mode := "ooc"
+	if cfg.Mode == giraph.ModeTH {
+		mode = "th"
+	}
+	return fmt.Sprintf("%s/%s/%.0fGB", cfg.Workload, mode, cfg.DramGB)
 }
 
 // giraphTHSizing maps a Table 4 workload onto the shared TeraHeap sizing
@@ -150,19 +156,18 @@ func giraphTHSizing(spec *giraphSpec, cfg GiraphRun) rt.THSizing {
 
 // collectH2Roots gathers every H1→H2 forward reference plus every rooted
 // handle pointing into H2 — the root set for the offline Fig 10 analysis.
-func collectH2Roots(jvm *rt.JVM) []vm.Addr {
-	col := jvm.Collector()
-	m := col.Mem
+func collectH2Roots(col *gc.Collector) []vm.Addr {
+	m := col.Mem()
 	var roots []vm.Addr
 	col.Roots.ForEach(func(h *vm.Handle) {
-		if a := h.Addr(); !a.IsNull() && jvm.InSecondHeap(a) {
+		if a := h.Addr(); !a.IsNull() && col.InSecondHeap(a) {
 			roots = append(roots, a)
 		}
 	})
 	scan := func(a vm.Addr) {
 		n := m.NumRefs(a)
 		for i := 0; i < n; i++ {
-			if t := m.RefAt(a, i); !t.IsNull() && jvm.InSecondHeap(t) {
+			if t := m.RefAt(a, i); !t.IsNull() && col.InSecondHeap(t) {
 				roots = append(roots, t)
 			}
 		}

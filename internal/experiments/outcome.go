@@ -32,7 +32,6 @@ func collect(ses *rt.Session, name string, err error) RunResult {
 		res.THStats = &s
 		res.PageFaults = th.Mapped().Cache().Faults
 		res.FinalLowThreshold = th.LowThresholdNow()
-		res.H2UsedBytes = th.UsedBytes()
 	}
 	if err != nil {
 		var oom *gc.OOMError

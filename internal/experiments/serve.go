@@ -36,10 +36,8 @@ type ServeRun struct {
 // requested kind exactly like the Spark runs do, hands it to server.Run,
 // and maps the outcome onto the shared RunResult shape.
 func RunServe(cfg ServeRun) RunResult {
-	if cfg.DramGB == 0 {
-		cfg.DramGB = DefaultServeDramGB
-	}
-	heapGB := heapBudgetGB(cfg.DramGB)
+	dram := cfg.dramGB()
+	heapGB := heapBudgetGB(dram)
 	th := rt.THSizing{
 		BudgetGB:    heapGB,
 		H1Frac:      0.8,
@@ -48,15 +46,27 @@ func RunServe(cfg ServeRun) RunResult {
 		CacheGB:     DR2GB,
 		BytesPerGB:  Scale,
 	}
-	sspec := sizedSpec(cfg.Kind, cfg.DramGB, th, nil, cfg.Ctx)
+	sspec := sizedSpec(cfg.Kind, dram, th, nil, cfg.Ctx)
 	sspec.Recovery = cfg.Recovery
-	name := fmt.Sprintf("serve/%s/%.0fGB/r%gk", cfg.Kind, cfg.DramGB, cfg.Cfg.RatePerSec/1000)
 
 	ses := rt.NewSession(sspec)
 	stats, err := server.Run(ses, cfg.Cfg)
-	res := collect(ses, name, err)
+	res := collect(ses, cfg.name(), err)
 	res.Serve = stats
 	return res
+}
+
+// dramGB is the run's DRAM size: DramGB, or DefaultServeDramGB when 0.
+func (cfg ServeRun) dramGB() float64 {
+	if cfg.DramGB == 0 {
+		return DefaultServeDramGB
+	}
+	return cfg.DramGB
+}
+
+// name is the run's result name: kind, DRAM size and offered rate.
+func (cfg ServeRun) name() string {
+	return fmt.Sprintf("serve/%s/%.0fGB/r%gk", cfg.Kind, cfg.dramGB(), cfg.Cfg.RatePerSec/1000)
 }
 
 // DefaultServeRates are the sweep's offered arrival rates: under-loaded,

@@ -48,7 +48,7 @@ func (e *Env) BarrierOverhead() string {
 			sspec.Kind = rt.KindTH
 			sspec.TH = &cfg
 		}
-		jvm := rt.NewSession(sspec).Runtime.(*rt.JVM)
+		jvm := rt.NewSession(sspec).Runtime
 		// Pointer-churn mutator: build and rewire small object graphs with
 		// DaCapo-like barrier density (a few reference stores per ~100ns
 		// of compute).
@@ -96,7 +96,8 @@ func (e *Env) AblationGroupMode() string {
 		thCfg := core.DefaultConfig(64 * storage.MB)
 		thCfg.RegionSize = 16 * storage.KB
 		thCfg.GroupMode = mode
-		jvm := e.thJVM(thCfg, classes, clock)
+		ses := e.thSession(thCfg, classes, clock)
+		jvm := ses.Runtime
 
 		const chains, chainLen, payload = 40, 3, 128
 		type link struct {
@@ -147,7 +148,7 @@ func (e *Env) AblationGroupMode() string {
 		if err := jvm.FullGC(); err != nil {
 			panic(err)
 		}
-		th := jvm.TeraHeap()
+		th := ses.TH
 		return th.Stats().RegionsReclaimed, th.UsedBytes()
 	}
 	type groupResult struct{ reclaimed, used int64 }

@@ -8,7 +8,6 @@ package gc
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/check"
@@ -110,14 +109,21 @@ func (e *ClassKindError) Error() string {
 }
 
 // Collector is the Parallel Scavenge collector over H1 with optional
-// TeraHeap (H2) extensions.
+// TeraHeap (H2) extensions. It is also the managed runtime of every
+// PS-based kind: it implements rt.Runtime directly.
 type Collector struct {
-	Mem   *vm.Mem
 	H1    *heap.H1
 	Roots *vm.RootSet
 	TH    SecondHeap
-	Clock *simclock.Clock
 	Costs CostParams
+
+	// PretenureCold places cold (long-lived framework) allocations
+	// straight into the old generation: Panthera's policy for its
+	// NVM-backed old generation. Set before any allocation.
+	PretenureCold bool
+
+	mem   *vm.Mem
+	clock *simclock.Clock
 
 	stats Stats
 
@@ -163,8 +169,8 @@ type Collector struct {
 	gang gang
 
 	// verifier holds the invariant verifier's reusable scratch (maps,
-	// queues, parsed-object arrays) so TH_VERIFY=1 runs do not rebuild
-	// them around every GC.
+	// queues, parsed-object arrays) so verified runs do not rebuild them
+	// around every GC.
 	verifier *check.Verifier
 
 	// barrierEnabled mirrors the paper's EnableTeraHeap flag: when false,
@@ -173,10 +179,8 @@ type Collector struct {
 
 	// hooks is the ordered lifecycle-hook plane: cross-cutting layers
 	// (verification, event accounting, tracing) register here instead of
-	// patching the collection phases. vhook is the registered verifier
-	// hook, if any (the SetVerify shim toggles it).
+	// patching the collection phases.
 	hooks Hooks
-	vhook *verifyHook
 
 	// policy is the placement-policy seam consulted at every target-space
 	// decision (alloc-time pretenuring, scavenge-time promotion) and fed
@@ -187,21 +191,19 @@ type Collector struct {
 
 // New builds a collector over an already laid-out (and mapped) H1: DRAM
 // for the native and TeraHeap JVMs, NVM-backed for the Spark-MO and
-// Panthera baselines. th may be nil for a vanilla JVM (no H2). The
-// TH_VERIFY=1 environment variable registers the invariant verifier (the
-// VerifyBeforeGC/VerifyAfterGC analog) on every collector.
+// Panthera baselines. th may be nil for a vanilla JVM (no H2).
 func New(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
 	if th == nil {
 		th = NoSecondHeap{}
 	}
 	_, noTH := th.(NoSecondHeap)
 	c := &Collector{
-		Mem:            vm.NewMem(as, classes),
 		H1:             h1,
 		Roots:          vm.NewRootSet(),
 		TH:             th,
-		Clock:          clock,
 		Costs:          costs,
+		mem:            vm.NewMem(as, classes),
+		clock:          clock,
 		startArray:     make([]vm.Addr, h1.Cards.NumCards()),
 		barrierEnabled: !noTH,
 		policy:         placement.Default{},
@@ -215,14 +217,23 @@ func New(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTa
 		return t
 	}
 	c.isYoungFn = c.H1.InYoung
-	if os.Getenv("TH_VERIFY") == "1" {
-		c.SetVerify(true)
-	}
 	return c
 }
 
+// Classes returns the class table.
+func (c *Collector) Classes() *vm.ClassTable { return c.mem.Classes }
+
+// Mem returns the object accessors.
+func (c *Collector) Mem() *vm.Mem { return c.mem }
+
+// Clock returns the simulation clock.
+func (c *Collector) Clock() *simclock.Clock { return c.clock }
+
+// Breakdown snapshots the execution-time breakdown.
+func (c *Collector) Breakdown() simclock.Breakdown { return c.clock.Breakdown() }
+
 // Hooks returns the collector's lifecycle-hook plane. Cross-cutting layers
-// register here; the verifier and the session event counters are the stock
+// register here; the session's verifier and event counters are the stock
 // implementations.
 func (c *Collector) Hooks() *Hooks { return &c.hooks }
 
@@ -235,31 +246,17 @@ func (c *Collector) SetPlacementPolicy(p placement.Policy) {
 	c.policy = p
 }
 
-// SetVerify enables or disables invariant verification around every GC: a
-// shim that registers (or removes) the verifier hook as the first entry of
-// the hook plane.
-func (c *Collector) SetVerify(v bool) {
-	if v == (c.vhook != nil) {
-		return
-	}
-	if v {
-		c.vhook = &verifyHook{c: c}
-		c.hooks.RegisterFirst(c.vhook)
-		return
-	}
-	c.hooks.Remove(c.vhook)
-	c.vhook = nil
-}
-
-// VerifyEnabled reports whether the verifier hook is registered.
-func (c *Collector) VerifyEnabled() bool { return c.vhook != nil }
-
 // SetFaultInjector attaches the run's fault injector so persistent device
 // failures latch on the collector at the next allocation or GC boundary.
 func (c *Collector) SetFaultInjector(in *fault.Injector) { c.inj = in }
 
-// Fault returns the latched persistent storage fault, if any.
-func (c *Collector) Fault() *FaultError { return c.flt }
+// Fault returns the latched persistent storage fault, or nil.
+func (c *Collector) Fault() error {
+	if c.flt == nil {
+		return nil
+	}
+	return c.flt
+}
 
 // pollFault latches (and returns) a FaultError once the injector reports a
 // persistent device or region failure. Checked at allocation and GC
@@ -305,12 +302,12 @@ func (c *Collector) latchOOM(e *OOMError) *OOMError {
 // simulated time.
 func (c *Collector) VerifyNow() []check.Failure {
 	v := check.PSView{
-		AS:         c.Mem.AS,
-		Classes:    c.Mem.Classes,
+		AS:         c.mem.AS,
+		Classes:    c.mem.Classes,
 		H1:         c.H1,
 		Roots:      c.Roots,
 		StartArray: c.startArray,
-		Clock:      c.Clock,
+		Clock:      c.clock,
 	}
 	if h2, ok := c.TH.(check.H2); ok {
 		v.H2 = h2
@@ -319,14 +316,6 @@ func (c *Collector) VerifyNow() []check.Failure {
 		c.verifier = check.NewVerifier()
 	}
 	return c.verifier.VerifyPS(v)
-}
-
-// runVerify panics with a structured report if any invariant is violated;
-// called before and after each GC pause when verification is enabled.
-func (c *Collector) runVerify(when string) {
-	if failures := c.VerifyNow(); len(failures) > 0 {
-		panic(check.Report(when, failures))
-	}
 }
 
 // AllocPretenured places an object directly in the old generation (the
@@ -341,7 +330,7 @@ func (c *Collector) AllocPretenured(class *vm.Class, numRefs, sizeWords int) (vm
 	}
 	a, ok := c.allocOld(sizeWords)
 	if !ok {
-		if err := c.MajorGC(); err != nil {
+		if err := c.FullGC(); err != nil {
 			return vm.NullAddr, err
 		}
 		a, ok = c.allocOld(sizeWords)
@@ -349,23 +338,40 @@ func (c *Collector) AllocPretenured(class *vm.Class, numRefs, sizeWords int) (vm
 	if !ok {
 		return vm.NullAddr, c.latchOOM(&OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "pretenured allocation"})
 	}
-	c.Mem.InitObject(a, class, numRefs, sizeWords)
+	c.mem.InitObject(a, class, numRefs, sizeWords)
 	c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
 	c.stats.ObjectsAllocated++
 	return a, nil
 }
 
-// Stats returns the accumulated GC statistics.
-func (c *Collector) Stats() *Stats { return &c.stats }
+// GCStats returns the accumulated GC statistics.
+func (c *Collector) GCStats() *Stats { return &c.stats }
 
-// OOM returns the latched out-of-memory error, if any.
-func (c *Collector) OOM() *OOMError { return c.oom }
+// OOM returns the latched out-of-memory error, or nil.
+func (c *Collector) OOM() error {
+	if c.oom == nil {
+		return nil
+	}
+	return c.oom
+}
 
 // NewHandle roots a fresh handle holding a.
 func (c *Collector) NewHandle(a vm.Addr) *vm.Handle { return c.Roots.Create(a) }
 
 // Release unroots h.
 func (c *Collector) Release(h *vm.Handle) { c.Roots.Release(h) }
+
+// TagRoot applies h2_tag_root (a no-op without a second heap).
+func (c *Collector) TagRoot(h *vm.Handle, label uint64) { c.TH.TagRoot(h, label) }
+
+// MoveHint applies h2_move (a no-op without a second heap).
+func (c *Collector) MoveHint(label uint64) { c.TH.Move(label) }
+
+// InSecondHeap reports whether a is in H2.
+func (c *Collector) InSecondHeap(a vm.Addr) bool { return c.TH.Contains(a) }
+
+// HeapUsed returns H1 usage and capacity.
+func (c *Collector) HeapUsed() (int64, int64) { return c.H1.Used(), c.H1.Cfg.H1Size }
 
 // Alloc allocates a fixed-layout instance of class.
 func (c *Collector) Alloc(class *vm.Class) (vm.Addr, error) {
@@ -393,8 +399,12 @@ func (c *Collector) AllocPrimArray(class *vm.Class, n int) (vm.Addr, error) {
 
 // AllocCold, AllocColdRefArray, and AllocColdPrimArray are the framework's
 // cold-allocation hint: identical to the plain variants, except the cold
-// bit reaches the placement policy's alloc-time decision.
+// bit reaches the placement policy's alloc-time decision — or, with
+// PretenureCold, the object is pretenured (AllocPretenured).
 func (c *Collector) AllocCold(class *vm.Class) (vm.Addr, error) {
+	if c.PretenureCold {
+		return c.AllocPretenured(class, class.NumRefs, class.InstanceWords())
+	}
 	if class.Kind != vm.KindFixed {
 		return vm.NullAddr, &ClassKindError{Call: "Alloc", Class: class.Name}
 	}
@@ -403,6 +413,9 @@ func (c *Collector) AllocCold(class *vm.Class) (vm.Addr, error) {
 
 // AllocColdRefArray allocates a reference array flagged cold.
 func (c *Collector) AllocColdRefArray(class *vm.Class, n int) (vm.Addr, error) {
+	if c.PretenureCold {
+		return c.AllocPretenured(class, n, vm.HeaderWords+n)
+	}
 	if class.Kind != vm.KindRefArray {
 		return vm.NullAddr, &ClassKindError{Call: "AllocRefArray", Class: class.Name}
 	}
@@ -411,6 +424,9 @@ func (c *Collector) AllocColdRefArray(class *vm.Class, n int) (vm.Addr, error) {
 
 // AllocColdPrimArray allocates a primitive array flagged cold.
 func (c *Collector) AllocColdPrimArray(class *vm.Class, n int) (vm.Addr, error) {
+	if c.PretenureCold {
+		return c.AllocPretenured(class, 0, vm.HeaderWords+n)
+	}
 	if class.Kind != vm.KindPrimArray {
 		return vm.NullAddr, &ClassKindError{Call: "AllocPrimArray", Class: class.Name}
 	}
@@ -429,8 +445,8 @@ func (c *Collector) allocObject(class *vm.Class, numRefs, sizeWords int, cold bo
 		// generation when it has room; otherwise fall through to the
 		// legacy eden path rather than forcing a full collection.
 		if a, ok := c.allocOld(sizeWords); ok {
-			c.Mem.InitObject(a, class, numRefs, sizeWords)
-			c.Mem.SetStatus(a, c.Mem.Status(a)|vm.FlagPretenured)
+			c.mem.InitObject(a, class, numRefs, sizeWords)
+			c.mem.SetStatus(a, c.mem.Status(a)|vm.FlagPretenured)
 			c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
 			c.stats.ObjectsAllocated++
 			c.policy.NotePretenured(placement.Site(class.ID))
@@ -441,7 +457,7 @@ func (c *Collector) allocObject(class *vm.Class, numRefs, sizeWords int, cold bo
 	if err != nil {
 		return vm.NullAddr, err
 	}
-	c.Mem.InitObject(a, class, numRefs, sizeWords)
+	c.mem.InitObject(a, class, numRefs, sizeWords)
 	c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
 	c.stats.ObjectsAllocated++
 	return a, nil
@@ -472,7 +488,7 @@ func (c *Collector) allocWords(sizeWords int) (vm.Addr, error) {
 	if a, ok := c.allocOld(sizeWords); ok {
 		return a, nil
 	}
-	if err := c.MajorGC(); err != nil {
+	if err := c.FullGC(); err != nil {
 		return vm.NullAddr, err
 	}
 	if a, ok := c.allocOld(sizeWords); ok {
@@ -490,7 +506,7 @@ func (c *Collector) ensureMinorHeadroom() error {
 	if c.H1.Old.Free() >= c.H1.YoungUsed() {
 		return nil
 	}
-	return c.MajorGC()
+	return c.FullGC()
 }
 
 func (c *Collector) allocOld(sizeWords int) (vm.Addr, bool) {
@@ -524,27 +540,27 @@ func (c *Collector) rebuildStartArray() {
 	for i := range c.startArray {
 		c.startArray[i] = vm.NullAddr
 	}
-	c.H1.Old.Walk(c.Mem, func(a vm.Addr) { c.noteOldAlloc(a) })
+	c.H1.Old.Walk(c.mem, func(a vm.Addr) { c.noteOldAlloc(a) })
 }
 
 // WriteRef performs a mutator reference-field store with the post-write
 // barrier (§4): a reference range check selects the H1 or H2 card table.
 func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	c.Clock.Charge(simclock.Other, c.Costs.BarrierCost)
+	c.clock.Charge(simclock.Other, c.Costs.BarrierCost)
 	c.stats.BarrierExecutions++
 	if c.barrierEnabled {
 		// The extra reference range check EnableTeraHeap compiles in;
 		// the paper measures its overhead at <3% on DaCapo (§4).
-		c.Clock.Charge(simclock.Other, c.Costs.BarrierCost)
+		c.clock.Charge(simclock.Other, c.Costs.BarrierCost)
 	}
 	if c.TH.Contains(obj) {
 		// Updating an H2 object: the store itself is a device
 		// read-modify-write through the mapped file.
-		c.Mem.SetRefAt(obj, field, val)
+		c.mem.SetRefAt(obj, field, val)
 		c.TH.DirtyCard(obj)
 		return
 	}
-	c.Mem.SetRefAt(obj, field, val)
+	c.mem.SetRefAt(obj, field, val)
 	if c.H1.InOld(obj) && !val.IsNull() {
 		c.H1.Cards.MarkDirty(obj)
 	}
@@ -553,17 +569,17 @@ func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
 // WritePrim performs a mutator primitive-word store (no card needed, but
 // H2 stores still pay device cost through the mapped file).
 func (c *Collector) WritePrim(obj vm.Addr, i int, v uint64) {
-	c.Mem.SetPrimAt(obj, i, v)
+	c.mem.SetPrimAt(obj, i, v)
 }
 
 // ReadRef loads a reference field (H2 loads charge page faults).
 func (c *Collector) ReadRef(obj vm.Addr, field int) vm.Addr {
-	return c.Mem.RefAt(obj, field)
+	return c.mem.RefAt(obj, field)
 }
 
 // ReadPrim loads a primitive word.
 func (c *Collector) ReadPrim(obj vm.Addr, i int) uint64 {
-	return c.Mem.PrimAt(obj, i)
+	return c.mem.PrimAt(obj, i)
 }
 
 // chargeGC divides CPU work across GC threads and bills the category.
@@ -571,7 +587,7 @@ func (c *Collector) chargeGC(cat simclock.Category, d time.Duration, threads int
 	if threads < 1 {
 		threads = 1
 	}
-	c.Clock.Charge(cat, d/time.Duration(threads))
+	c.clock.Charge(cat, d/time.Duration(threads))
 }
 
 // adjustRef computes the post-compaction address for ref by binary search

@@ -1,8 +1,10 @@
 package gc_test
 
 import (
+	"os"
 	"testing"
 
+	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
@@ -34,7 +36,32 @@ func newTestEnv(t *testing.T, h1Size int64) *testEnv {
 	}
 	as := &vm.AddressSpace{}
 	e.col = gc.New(heap.New(heap.DefaultConfig(h1Size), as), gc.DefaultCostParams(), as, classes, clock, nil)
+	verifyFromEnv(e.col)
 	return e
+}
+
+// verifyFromEnv gives a collector built directly by gc.New the verifier
+// that rt.NewSession registers on sessions: with TH_VERIFY=1 the full heap
+// is checked before and after every pause, and the first violation panics
+// with a check.Report.
+func verifyFromEnv(col *gc.Collector) {
+	if os.Getenv("TH_VERIFY") == "1" {
+		col.Hooks().Register(&envVerifier{col: col})
+	}
+}
+
+type envVerifier struct {
+	gc.BaseHook
+	col *gc.Collector
+}
+
+func (h *envVerifier) BeforeGC(p gc.Phase) { h.verify("before ", p) }
+func (h *envVerifier) AfterGC(p gc.Phase)  { h.verify("after ", p) }
+
+func (h *envVerifier) verify(when string, p gc.Phase) {
+	if failures := h.col.VerifyNow(); len(failures) > 0 {
+		panic(check.Report(when+p.String()+" GC", failures))
+	}
 }
 
 // allocNode builds a Node{left, right, value}.
@@ -89,8 +116,8 @@ func TestAllocAndRead(t *testing.T) {
 	if got := e.col.ReadRef(a, 0); !got.IsNull() {
 		t.Fatalf("fresh ref field = %v, want null", got)
 	}
-	if e.col.Mem.ClassOf(a).Name != "Node" {
-		t.Fatalf("class = %q", e.col.Mem.ClassOf(a).Name)
+	if e.col.Mem().ClassOf(a).Name != "Node" {
+		t.Fatalf("class = %q", e.col.Mem().ClassOf(a).Name)
 	}
 }
 
@@ -101,8 +128,8 @@ func TestMinorGCPreservesGraph(t *testing.T) {
 		t.Fatalf("minor GC: %v", err)
 	}
 	e.checkList(t, h, 50)
-	if e.col.Stats().MinorCount != 1 {
-		t.Fatalf("minor count = %d", e.col.Stats().MinorCount)
+	if e.col.GCStats().MinorCount != 1 {
+		t.Fatalf("minor count = %d", e.col.GCStats().MinorCount)
 	}
 }
 
@@ -178,7 +205,7 @@ func TestMajorGCCompactsAndPreserves(t *testing.T) {
 	}
 	e.col.Release(g)
 	oldUsedBefore := e.col.H1.Old.Used()
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatalf("major GC: %v", err)
 	}
 	e.checkList(t, h, 200)
@@ -212,7 +239,7 @@ func TestRefArrayAndPrimArray(t *testing.T) {
 	if err := e.col.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
@@ -261,7 +288,7 @@ func TestSharedStructurePreservedAcrossGC(t *testing.T) {
 	if err := e.col.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatal(err)
 	}
 	sa := e.col.ReadRef(ha.Addr(), 0)
@@ -280,7 +307,7 @@ func TestGCTimeIsCharged(t *testing.T) {
 	if err := e.col.MinorGC(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatal(err)
 	}
 	b := e.clock.Breakdown()
@@ -290,7 +317,7 @@ func TestGCTimeIsCharged(t *testing.T) {
 	if b.Get(simclock.MajorGC) <= 0 {
 		t.Fatal("no major GC time charged")
 	}
-	cys := e.col.Stats().Cycles
+	cys := e.col.GCStats().Cycles
 	if len(cys) != 2 {
 		t.Fatalf("cycles = %d, want 2", len(cys))
 	}
@@ -357,10 +384,10 @@ func TestLargeObjectGoesDirectlyOld(t *testing.T) {
 func TestBarrierCountsExecutions(t *testing.T) {
 	e := newTestEnv(t, 1<<20)
 	a := e.allocNode(t, vm.NullAddr, vm.NullAddr, 1)
-	n0 := e.col.Stats().BarrierExecutions
+	n0 := e.col.GCStats().BarrierExecutions
 	e.col.WriteRef(a, 0, vm.NullAddr)
 	e.col.WriteRef(a, 1, vm.NullAddr)
-	if got := e.col.Stats().BarrierExecutions - n0; got != 2 {
+	if got := e.col.GCStats().BarrierExecutions - n0; got != 2 {
 		t.Fatalf("barriers = %d", got)
 	}
 }
@@ -374,7 +401,7 @@ func TestHandleReleasedMidGraphIsCollected(t *testing.T) {
 	if !drop.IsNull() {
 		t.Fatal("release did not null the handle")
 	}
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatal(err)
 	}
 	if e.col.H1.Used() >= usedBefore {

@@ -5,23 +5,25 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// fallbackEnv builds a TH JVM with the verifier on, a tagged+advised
+// fallbackEnv builds a TH session with the verifier on, a tagged+advised
 // closure of count 1024-word arrays hanging off one root, and returns the
 // pieces the exhaustion tests inspect.
-func fallbackEnv(t *testing.T, h2Size int64, count int) (*rt.JVM, *core.TeraHeap, *vm.Handle, []*vm.Handle) {
+func fallbackEnv(t *testing.T, h2Size int64, count int) (*gc.Collector, *core.TeraHeap, *vm.Handle, []*vm.Handle) {
 	t.Helper()
 	classes := vm.NewClassTable()
 	classes.MustRefArray("root[]")
 	classes.MustPrimArray("big[]")
 	cfg := core.DefaultConfig(h2Size)
 	cfg.RegionSize = 32 * storage.KB
-	jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 2 * storage.MB, TH: &cfg, Classes: classes}).Runtime.(*rt.JVM)
-	jvm.SetVerify(true)
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 2 * storage.MB, TH: &cfg, Classes: classes,
+		Layers: rt.Layers{Verify: true}})
+	jvm := ses.Runtime.(*gc.Collector)
 
 	rootArr := classes.ByName("root[]")
 	bigArr := classes.ByName("big[]")
@@ -42,7 +44,7 @@ func fallbackEnv(t *testing.T, h2Size int64, count int) (*rt.JVM, *core.TeraHeap
 		members = append(members, jvm.NewHandle(b))
 	}
 	jvm.MoveHint(label)
-	return jvm, jvm.TeraHeap(), h, members
+	return jvm, ses.TH, h, members
 }
 
 // TestForcedH2ExhaustionKeepsClosureInH1 drives the fault plane's forced
@@ -53,6 +55,7 @@ func TestForcedH2ExhaustionKeepsClosureInH1(t *testing.T) {
 	jvm, th, h, members := fallbackEnv(t, 64*storage.MB, 16)
 	inj := fault.NewInjector(&fault.Plan{Seed: 7, H2ExhaustRate: 1})
 	jvm.SetFaultInjector(inj)
+	th.SetFaultInjector(inj)
 
 	if err := jvm.FullGC(); err != nil {
 		t.Fatalf("FullGC under forced exhaustion: %v", err)
@@ -77,6 +80,7 @@ func TestForcedH2ExhaustionKeepsClosureInH1(t *testing.T) {
 	// The heap must stay fully functional: a second verified major GC with
 	// the injector removed moves the closure out.
 	jvm.SetFaultInjector(nil)
+	th.SetFaultInjector(nil)
 	if err := jvm.FullGC(); err != nil {
 		t.Fatalf("FullGC after removing injector: %v", err)
 	}

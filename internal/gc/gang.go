@@ -77,6 +77,6 @@ func (c *Collector) beginGangPhase() { c.gang.reset(c.Costs.Workers) }
 func (c *Collector) endGangPhase(cat simclock.Category, threads int) {
 	c.chargeGC(cat, c.gang.spans.Max(), threads)
 	if c.Costs.Workers > 1 {
-		c.Clock.Charge(cat, c.Costs.StealSyncCost)
+		c.clock.Charge(cat, c.Costs.StealSyncCost)
 	}
 }

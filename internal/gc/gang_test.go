@@ -25,10 +25,10 @@ func gangRun(t *testing.T, workers int) (minor, major time.Duration, st *gc.Stat
 			t.Fatalf("minor GC (workers=%d): %v", workers, err)
 		}
 	}
-	if err := e.col.MajorGC(); err != nil {
+	if err := e.col.FullGC(); err != nil {
 		t.Fatalf("major GC (workers=%d): %v", workers, err)
 	}
-	st = e.col.Stats()
+	st = e.col.GCStats()
 	return st.MinorTime, st.MajorTime, st, h, e
 }
 
@@ -120,6 +120,7 @@ func TestGangSurvivesScavengeFallback(t *testing.T) {
 	costs := gc.DefaultCostParams()
 	costs.Workers = 4
 	col := gc.New(heap.New(heap.DefaultConfig(1<<19), as), costs, as, classes, clock, nil)
+	verifyFromEnv(col)
 
 	h := col.NewHandle(vm.NullAddr)
 	for i := 0; ; i++ {
@@ -134,8 +135,8 @@ func TestGangSurvivesScavengeFallback(t *testing.T) {
 		}
 	}
 	// Whatever state the fallback left, a fresh major GC must run cleanly.
-	if err := col.MajorGC(); err == nil {
-		if col.Stats().MajorCount == 0 {
+	if err := col.FullGC(); err == nil {
+		if col.GCStats().MajorCount == 0 {
 			t.Fatal("major GC recorded no cycle")
 		}
 	}

@@ -8,9 +8,9 @@ package gc
 //
 // Hooks observe; they must not mutate the heap, allocate in it, or charge
 // simulated time, so a run's results are byte-identical with any set of
-// hooks registered. (The verifier hook enforces its findings by panicking
-// with a structured report, which is an abort, not a mutation.) Two
-// sanctioned exceptions exist. The recovery layer (internal/recovery):
+// hooks registered. (The verifier hook that rt.NewSession registers
+// enforces its findings by panicking with a structured report, which is an
+// abort, not a mutation.) Two sanctioned exceptions exist. The recovery layer (internal/recovery):
 // its OnFault fires only at collector safepoints and only after a fault
 // has already perturbed the run, so the byte-identity contract — which is
 // quantified over fault-free runs — is preserved. And the writeback drain
@@ -93,13 +93,6 @@ func (hs *Hooks) Register(h Hook) {
 	hs.list = append(hs.list, h)
 }
 
-// RegisterFirst prepends h, so it observes every event before the hooks
-// already registered (the verifier uses this: it must see the heap before
-// any other layer reacts to the event).
-func (hs *Hooks) RegisterFirst(h Hook) {
-	hs.list = append([]Hook{h}, hs.list...)
-}
-
 // Remove deletes the first registered hook equal to h, preserving order.
 // It reports whether a hook was removed. The removal is copy-on-write so
 // an in-flight fan-out (which holds the old slice header) is never
@@ -148,24 +141,3 @@ func (hs *Hooks) OnOOM(err error) {
 		h.OnOOM(err)
 	}
 }
-
-// verifyHook runs the full-heap invariant verifier around every pause: the
-// first stock implementation of the hook plane (the VerifyBeforeGC/
-// VerifyAfterGC analog). It panics with a structured report on the first
-// violation.
-type verifyHook struct {
-	BaseHook
-	c *Collector
-}
-
-// psPhaseName keeps the verifier's report labels identical to the
-// pre-hook-plane call sites.
-func psPhaseName(p Phase) string {
-	if p == PhaseMajor {
-		return "major GC"
-	}
-	return "minor GC"
-}
-
-func (h *verifyHook) BeforeGC(p Phase) { h.c.runVerify("before " + psPhaseName(p)) }
-func (h *verifyHook) AfterGC(p Phase)  { h.c.runVerify("after " + psPhaseName(p)) }

@@ -24,14 +24,14 @@ func (h *recHook) OnFault(error) {
 	}
 }
 
-// TestHooksOrdering checks Register/RegisterFirst invocation order for
-// every event kind.
+// TestHooksOrdering checks that registration order is invocation order
+// for every event kind.
 func TestHooksOrdering(t *testing.T) {
 	var events []string
 	hs := &Hooks{}
+	hs.Register(&recHook{name: "v", events: &events})
 	hs.Register(&recHook{name: "a", events: &events})
 	hs.Register(&recHook{name: "b", events: &events})
-	hs.RegisterFirst(&recHook{name: "v", events: &events})
 
 	hs.BeforeGC(PhaseMinor)
 	hs.OnFault(errors.New("x"))

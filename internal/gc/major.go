@@ -8,9 +8,9 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// MajorGC runs one full collection: mark, precompact, adjust, compact,
+// FullGC runs one major collection: mark, precompact, adjust, compact,
 // with the paper's TeraHeap extensions in each phase (§4).
-func (c *Collector) MajorGC() error {
+func (c *Collector) FullGC() error {
 	if c.oom != nil {
 		return c.oom
 	}
@@ -18,9 +18,9 @@ func (c *Collector) MajorGC() error {
 		return flt
 	}
 	c.hooks.BeforeGC(PhaseMajor)
-	prevCat := c.Clock.SetContext(simclock.MajorGC)
-	defer c.Clock.SetContext(prevCat)
-	before := c.Clock.Breakdown()
+	prevCat := c.clock.SetContext(simclock.MajorGC)
+	defer c.clock.SetContext(prevCat)
+	before := c.clock.Breakdown()
 	usedBefore := c.H1.Used()
 
 	var cy Cycle
@@ -29,12 +29,12 @@ func (c *Collector) MajorGC() error {
 	// Each of the four phases is one gang barrier: its work items are
 	// dealt round-robin onto per-worker spans and the phase charges
 	// max-over-workers (see endGangPhase).
-	start := c.Clock.Breakdown()
+	start := c.clock.Breakdown()
 	c.beginGangPhase()
 	mk := c.majorMark(&cy)
 	c.endMajorPhase(&cy, PhaseMark, start)
 
-	start = c.Clock.Breakdown()
+	start = c.clock.Breakdown()
 	c.beginGangPhase()
 	fw, err := c.majorPrecompact(mk, &cy)
 	if err != nil {
@@ -42,23 +42,23 @@ func (c *Collector) MajorGC() error {
 	}
 	c.endMajorPhase(&cy, PhasePrecompact, start)
 
-	start = c.Clock.Breakdown()
+	start = c.clock.Breakdown()
 	c.beginGangPhase()
 	c.majorAdjust(fw)
 	c.endMajorPhase(&cy, PhaseAdjust, start)
 
-	start = c.Clock.Breakdown()
+	start = c.clock.Breakdown()
 	c.beginGangPhase()
 	c.majorCompact(fw, &cy)
 	c.endMajorPhase(&cy, PhaseCompact, start)
 
-	c.Clock.Charge(simclock.MajorGC, c.Costs.PausePerGC)
+	c.clock.Charge(simclock.MajorGC, c.Costs.PausePerGC)
 
 	liveOld := c.H1.Old.Used()
 	c.TH.FinishMajor(liveOld, c.H1.Old.Capacity())
 
-	delta := c.Clock.Breakdown().Sub(before)
-	cy.At = c.Clock.Now()
+	delta := c.clock.Breakdown().Sub(before)
+	cy.At = c.clock.Now()
 	cy.Duration = delta.Get(simclock.MajorGC)
 	cy.OldOccupancyAfter = c.H1.OldOccupancy()
 	cy.ReclaimedBytes = usedBefore - c.H1.Used()
@@ -77,7 +77,7 @@ func (c *Collector) MajorGC() error {
 // charged since start as that phase's share of the cycle.
 func (c *Collector) endMajorPhase(cy *Cycle, p MajorPhase, start simclock.Breakdown) {
 	c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
-	cy.Phases[p] = c.Clock.Breakdown().Sub(start).Get(simclock.MajorGC)
+	cy.Phases[p] = c.clock.Breakdown().Sub(start).Get(simclock.MajorGC)
 }
 
 // backRef records one H2-to-H1 backward reference gathered at the start
@@ -98,7 +98,7 @@ type markState struct {
 // transitive closures of tagged root key-objects, then mark from roots
 // while fencing H2 and recording forward references.
 func (c *Collector) majorMark(cy *Cycle) *markState {
-	m := c.Mem
+	m := c.mem
 	st := &markState{}
 	// Pressure is judged on the data that will survive this collection —
 	// the old generation plus the survivor space (eden is mostly garbage)
@@ -307,7 +307,7 @@ func (x *FwdIndex) Lookup(src, dst []vm.Addr, ref vm.Addr) (vm.Addr, bool) {
 // Old-generation objects are assigned first so in-place compaction copies
 // never overwrite unprocessed sources.
 func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, error) {
-	m := c.Mem
+	m := c.mem
 	fw := &c.fwState
 	fw.src = fw.src[:0]
 	fw.dst = fw.dst[:0]
@@ -423,7 +423,7 @@ func growAddrs(buf []vm.Addr, n int) []vm.Addr {
 // recording new cross-region and backward references for objects bound
 // for H2.
 func (c *Collector) majorAdjust(fw *forwarding) {
-	m := c.Mem
+	m := c.mem
 
 	// Backward references held by existing H2 objects. This must run
 	// before the forwarding loop below: the scan recomputes each
@@ -496,7 +496,7 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 // generation objects first (sliding compaction), then young survivors,
 // with H2-bound objects written through the promotion buffers.
 func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
-	m := c.Mem
+	m := c.mem
 
 	moveOne := func(i int) {
 		c.gang.beginItem() // each live object is one compaction work item

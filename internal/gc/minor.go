@@ -56,8 +56,8 @@ func (c *Collector) MinorGC() (err error) {
 		return flt
 	}
 	c.hooks.BeforeGC(PhaseMinor)
-	prevCat := c.Clock.SetContext(simclock.MinorGC)
-	defer c.Clock.SetContext(prevCat)
+	prevCat := c.clock.SetContext(simclock.MinorGC)
+	defer c.clock.SetContext(prevCat)
 	defer func() {
 		// A promotion failure mid-scavenge (possible only when MinorGC is
 		// invoked directly, bypassing ensureMinorHeadroom's guarantee)
@@ -73,7 +73,7 @@ func (c *Collector) MinorGC() (err error) {
 			err = c.latchOOM(sa.err)
 		}
 	}()
-	before := c.Clock.Breakdown()
+	before := c.clock.Breakdown()
 
 	s := &c.scav
 	s.begin(c.H1.Old.Top)
@@ -111,12 +111,12 @@ func (c *Collector) MinorGC() (err error) {
 	// Bill CPU work. The scavenge is one barrier: a single gang phase from
 	// roots through drain.
 	c.endGangPhase(simclock.MinorGC, c.Costs.MinorGCThreads)
-	c.Clock.Charge(simclock.MinorGC, c.Costs.PausePerGC)
+	c.clock.Charge(simclock.MinorGC, c.Costs.PausePerGC)
 
-	delta := c.Clock.Breakdown().Sub(before)
+	delta := c.clock.Breakdown().Sub(before)
 	c.stats.record(Cycle{
 		Kind:              Minor,
-		At:                c.Clock.Now(),
+		At:                c.clock.Now(),
 		Duration:          delta.Get(simclock.MinorGC),
 		BytesCopied:       s.bytesCopied,
 		BytesPromoted:     s.bytesPromoted,
@@ -149,7 +149,7 @@ func (s *scavenger) begin(oldTop vm.Addr) {
 // copyYoung evacuates the young object at a, returning its new address.
 func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	c := s.c
-	m := c.Mem
+	m := c.mem
 	if m.Forwarded(a) {
 		return m.Forwardee(a)
 	}
@@ -239,7 +239,7 @@ func (s *scavenger) drain() {
 // evacuating any young targets.
 func (s *scavenger) scanCopied(dst vm.Addr) {
 	c := s.c
-	m := c.Mem
+	m := c.mem
 	n := m.NumRefs(dst)
 	anyYoung := false
 	for i := 0; i < n; i++ {
@@ -268,7 +268,7 @@ func (s *scavenger) scanCopied(dst vm.Addr) {
 // dependencies.
 func (s *scavenger) commitH2Move(mv pendingH2Move) {
 	c := s.c
-	m := c.Mem
+	m := c.mem
 	shape := m.Shape(mv.src)
 	size := int(uint32(shape))
 	numRefs := int(shape >> 32)
@@ -354,7 +354,7 @@ func (s *scavenger) scanDirtyCards() {
 // references survivors.
 func (s *scavenger) scanCard(i int) {
 	c := s.c
-	m := c.Mem
+	m := c.mem
 	cards := c.H1.Cards
 	cards.Set(i, heap.CardClean)
 	_, hi := cards.CardBounds(i)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -22,7 +23,8 @@ type shadowNode struct {
 // major GCs, tenuring, and TeraHeap movement.
 type shadowModel struct {
 	t    *testing.T
-	jvm  *rt.JVM
+	jvm  *gc.Collector
+	th   bool // a second heap is attached
 	node *vm.Class
 	rnd  *workloads.Rand
 
@@ -31,20 +33,20 @@ type shadowModel struct {
 	nextID uint64
 }
 
-func newShadowModel(t *testing.T, withTH bool, seed uint64) *shadowModel {
+func newShadowModel(t *testing.T, withTH, verify bool, seed uint64) *shadowModel {
 	classes := vm.NewClassTable()
 	m := &shadowModel{
 		t:    t,
 		node: classes.MustFixed("Node", 2, 1),
 		rnd:  workloads.NewRand(seed),
 	}
-	spec := rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}
+	spec := rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes, Layers: rt.Layers{Verify: verify}}
 	if withTH {
 		cfg := core.DefaultConfig(64 * storage.MB)
 		cfg.RegionSize = 32 * storage.KB
 		spec.Kind, spec.TH = rt.KindTH, &cfg
 	}
-	m.jvm = rt.NewSession(spec).Runtime.(*rt.JVM)
+	m.jvm, m.th = rt.NewSession(spec).Runtime.(*gc.Collector), withTH
 	return m
 }
 
@@ -138,11 +140,11 @@ func (m *shadowModel) verify() {
 }
 
 func runShadow(t *testing.T, withTH bool, seed uint64, steps int) {
-	newShadowModel(t, withTH, seed).run(steps)
+	newShadowModel(t, withTH, false, seed).run(steps)
 }
 
 func (m *shadowModel) run(steps int) {
-	t, withTH := m.t, m.jvm.TeraHeap() != nil
+	t, withTH := m.t, m.th
 	for step := 0; step < steps; step++ {
 		switch m.rnd.Intn(10) {
 		case 0, 1, 2, 3, 4: // allocate, linking random existing nodes
@@ -152,7 +154,7 @@ func (m *shadowModel) run(steps int) {
 		case 7: // drop a root (its subgraph may become garbage)
 			m.drop(m.rnd.Intn(1 << 20))
 		case 8: // force a minor GC
-			if err := m.jvm.Collector().MinorGC(); err != nil {
+			if err := m.jvm.MinorGC(); err != nil {
 				t.Fatal(err)
 			}
 		case 9: // occasionally a major GC, with TH tagging beforehand

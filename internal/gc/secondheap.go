@@ -92,6 +92,12 @@ type SecondHeap interface {
 	// FinishMajor frees dead H2 regions in bulk and evaluates the
 	// high/low threshold policy given the old generation's live bytes.
 	FinishMajor(oldLiveBytes, oldCapacity int64)
+
+	// TagRoot and Move are the framework hints (§3.1): h2_tag_root labels
+	// the key-object h with label, and h2_move advises label's group for
+	// movement. Both collectors forward them unchanged.
+	TagRoot(h *vm.Handle, label uint64)
+	Move(label uint64)
 }
 
 // TaggedRoot pairs a rooted handle with the label it was tagged with.
@@ -153,5 +159,11 @@ func (NoSecondHeap) NoteForwardRef(vm.Addr) {}
 
 // FinishMajor is a no-op.
 func (NoSecondHeap) FinishMajor(int64, int64) {}
+
+// TagRoot is a no-op.
+func (NoSecondHeap) TagRoot(*vm.Handle, uint64) {}
+
+// Move is a no-op.
+func (NoSecondHeap) Move(uint64) {}
 
 var _ SecondHeap = NoSecondHeap{}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -16,25 +17,22 @@ import (
 // violation.
 func TestShadowModelVerified(t *testing.T) {
 	for _, withTH := range []bool{false, true} {
-		m := newShadowModel(t, withTH, 99)
-		m.jvm.SetVerify(true)
-		m.run(1500)
+		newShadowModel(t, withTH, true, 99).run(1500)
 	}
 }
 
-// verifyEnv builds a small PS JVM (no TeraHeap) with an already-tenured
+// verifyEnv builds a small PS collector (no TeraHeap) with an already-tenured
 // object holding a young reference, the setup the H1 card rules are about.
-func verifyEnv(t *testing.T) (jvm *rt.JVM, old, young vm.Addr) {
+func verifyEnv(t *testing.T) (c *gc.Collector, old, young vm.Addr) {
 	t.Helper()
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
-	jvm = rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
-	a, err := jvm.Alloc(node)
+	c = rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*gc.Collector)
+	a, err := c.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := jvm.NewHandle(a)
-	c := jvm.Collector()
+	h := c.NewHandle(a)
 	for i := 0; i < c.H1.Cfg.TenureAge+1; i++ {
 		if err := c.MinorGC(); err != nil {
 			t.Fatal(err)
@@ -44,20 +42,19 @@ func verifyEnv(t *testing.T) (jvm *rt.JVM, old, young vm.Addr) {
 	if !c.H1.InOld(old) {
 		t.Fatalf("object %v not tenured after %d minor GCs", old, c.H1.Cfg.TenureAge+1)
 	}
-	y, err := jvm.Alloc(node)
+	y, err := c.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jvm.WriteRef(old, 0, y)
-	return jvm, old, y
+	c.WriteRef(old, 0, y)
+	return c, old, y
 }
 
 // TestVerifyCatchesCardCorruption pins the structured failure the verifier
 // must produce when an old-to-young card is lost: the violation names the
 // holder object and the card.
 func TestVerifyCatchesCardCorruption(t *testing.T) {
-	jvm, old, _ := verifyEnv(t)
-	c := jvm.Collector()
+	c, old, _ := verifyEnv(t)
 	if fails := c.VerifyNow(); len(fails) != 0 {
 		t.Fatalf("clean heap reported violations: %v", fails)
 	}
@@ -76,11 +73,10 @@ func TestVerifyCatchesCardCorruption(t *testing.T) {
 // TestVerifyCatchesDanglingRef pins the failure for a reference targeting
 // a non-object address.
 func TestVerifyCatchesDanglingRef(t *testing.T) {
-	jvm, old, young := verifyEnv(t)
-	c := jvm.Collector()
+	c, old, young := verifyEnv(t)
 	// Point the old object's second field one word past the young object's
 	// header — inside the heap but not an object start.
-	jvm.Mem().SetRefAt(old, 1, young+vm.WordSize)
+	c.Mem().SetRefAt(old, 1, young+vm.WordSize)
 	fails := c.VerifyNow()
 	found := false
 	for _, f := range fails {
@@ -104,16 +100,15 @@ func TestVerifyCatchesDanglingRef(t *testing.T) {
 func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
-	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
-	c := jvm.Collector()
+	c := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 1 * storage.MB, Classes: classes}).Runtime.(*gc.Collector)
 
 	// X: tenured, the last (only) old-generation object, so the next
 	// promotion lands in X's card.
-	x, err := jvm.Alloc(node)
+	x, err := c.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hx := jvm.NewHandle(x)
+	hx := c.NewHandle(x)
 	for i := 0; i < c.H1.Cfg.TenureAge+1; i++ {
 		if err := c.MinorGC(); err != nil {
 			t.Fatal(err)
@@ -124,11 +119,11 @@ func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 	}
 
 	// Y: aged to the brink, promoted by the NEXT scavenge.
-	y, err := jvm.Alloc(node)
+	y, err := c.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy := jvm.NewHandle(y)
+	hy := c.NewHandle(y)
 	for i := 0; i < c.H1.Cfg.TenureAge-1; i++ {
 		if err := c.MinorGC(); err != nil {
 			t.Fatal(err)
@@ -136,12 +131,12 @@ func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 	}
 
 	// S: fresh young object shared by X (dirtying X's card) and Y.
-	s, err := jvm.Alloc(node)
+	s, err := c.Alloc(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jvm.WriteRef(hx.Addr(), 0, s)
-	jvm.WriteRef(hy.Addr(), 0, s)
+	c.WriteRef(hx.Addr(), 0, s)
+	c.WriteRef(hy.Addr(), 0, s)
 
 	if err := c.MinorGC(); err != nil {
 		t.Fatal(err)
@@ -149,7 +144,7 @@ func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 	if !c.H1.InOld(hy.Addr()) {
 		t.Fatal("Y not promoted")
 	}
-	sx, sy := jvm.ReadRef(hx.Addr(), 0), jvm.ReadRef(hy.Addr(), 0)
+	sx, sy := c.ReadRef(hx.Addr(), 0), c.ReadRef(hy.Addr(), 0)
 	if sx != sy {
 		t.Fatalf("shared child split by scavenge: X sees %v, Y sees %v", sx, sy)
 	}
@@ -165,15 +160,16 @@ func TestCardWalkPromotionKeepsSharing(t *testing.T) {
 // it). The minor path used to clear only the mark bit, leaking the
 // closure bit into the H2 image.
 func TestH2ImageStatusMinorVsMajor(t *testing.T) {
+	// The heap deliberately holds stale GC bits mid-test: keep the
+	// environment's verifier off so the run is deterministic under
+	// TH_VERIFY=1.
+	t.Setenv("TH_VERIFY", "")
 	build := func(viaMinor bool) uint64 {
 		classes := vm.NewClassTable()
 		node := classes.MustFixed("Node", 2, 1)
 		cfg := core.DefaultConfig(64 * storage.MB)
 		cfg.RegionSize = 32 * storage.KB
-		jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &cfg, Classes: classes}).Runtime.(*rt.JVM)
-		// The heap deliberately holds stale GC bits mid-test; disable the
-		// env-triggered verifier so the run is deterministic under TH_VERIFY.
-		jvm.SetVerify(false)
+		jvm := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 1 * storage.MB, TH: &cfg, Classes: classes}).Runtime.(*gc.Collector)
 		a, err := jvm.Alloc(node)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +181,7 @@ func TestH2ImageStatusMinorVsMajor(t *testing.T) {
 		m.SetMarked(h.Addr(), true)
 		m.SetInClosure(h.Addr(), true)
 		if viaMinor {
-			if err := jvm.Collector().MinorGC(); err != nil {
+			if err := jvm.MinorGC(); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
@@ -161,8 +162,7 @@ func TestTHMovesEdgesAndMessages(t *testing.T) {
 	if err := e.RT.FullGC(); err != nil {
 		t.Fatal(err)
 	}
-	jvm := e.RT.(*rt.JVM)
-	st := jvm.TeraHeap().Stats()
+	st := e.RT.(*gc.Collector).TH.(*core.TeraHeap).Stats()
 	if st.ObjectsMoved == 0 {
 		t.Fatal("TeraHeap moved nothing")
 	}

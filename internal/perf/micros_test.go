@@ -7,6 +7,8 @@
 package perf
 
 import (
+	"os"
+
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/placement"
@@ -121,34 +123,41 @@ func setupRootSet() func() {
 	}
 }
 
+// unverified builds a session without the verifier hook even when
+// TH_VERIFY=1 is set: micros measure the collector itself, so allocs/op
+// must not depend on the environment.
+func unverified(spec rt.Spec) *rt.Session {
+	if v, ok := os.LookupEnv("TH_VERIFY"); ok {
+		os.Unsetenv("TH_VERIFY")
+		defer os.Setenv("TH_VERIFY", v)
+	}
+	return rt.NewSession(spec)
+}
+
 // setupScavenge: a PS JVM with a tenured working set; each op allocates
 // young garbage and runs one minor GC. Steady state must be 0 allocs/op.
 func setupScavenge() func() {
-	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
-	node := j.Classes().MustFixed("Node", 1, 1)
-	h := j.NewHandle(vm.NullAddr)
+	col := unverified(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*gc.Collector)
+	node := col.Classes().MustFixed("Node", 1, 1)
+	h := col.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {
-		a, err := j.Alloc(node)
+		a, err := col.Alloc(node)
 		if err != nil {
 			panic(err)
 		}
-		j.WriteRef(a, 0, h.Addr())
+		col.WriteRef(a, 0, h.Addr())
 		h.Set(a)
 	}
-	col := j.Collector()
-	// Micros measure the scavenge path itself: force the env-triggered
-	// verifier off so allocs/op is identical with or without TH_VERIFY=1.
-	col.SetVerify(false)
 	op := func() {
 		for i := 0; i < 32; i++ {
-			if _, err := j.Alloc(node); err != nil {
+			if _, err := col.Alloc(node); err != nil {
 				panic(err)
 			}
 		}
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.Stats().ResetCycles()
+		col.GCStats().ResetCycles()
 	}
 	// Warm up: tenure the working set and grow every reusable buffer.
 	for i := 0; i < 32; i++ {
@@ -162,30 +171,28 @@ func setupScavenge() func() {
 // measured against the serial baseline. Steady state must stay 0
 // allocs/op: the gang reuses its span backing across phases.
 func setupScavengeGang4() func() {
-	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
-	node := j.Classes().MustFixed("Node", 1, 1)
-	h := j.NewHandle(vm.NullAddr)
+	col := unverified(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*gc.Collector)
+	node := col.Classes().MustFixed("Node", 1, 1)
+	h := col.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {
-		a, err := j.Alloc(node)
+		a, err := col.Alloc(node)
 		if err != nil {
 			panic(err)
 		}
-		j.WriteRef(a, 0, h.Addr())
+		col.WriteRef(a, 0, h.Addr())
 		h.Set(a)
 	}
-	col := j.Collector()
-	col.SetVerify(false)
 	col.Costs.Workers = 4
 	op := func() {
 		for i := 0; i < 32; i++ {
-			if _, err := j.Alloc(node); err != nil {
+			if _, err := col.Alloc(node); err != nil {
 				panic(err)
 			}
 		}
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.Stats().ResetCycles()
+		col.GCStats().ResetCycles()
 	}
 	for i := 0; i < 32; i++ {
 		op()
@@ -200,30 +207,28 @@ func setupScavengeGang4() func() {
 // policy seam; steady state must stay 0 allocs/op — the profiler's site
 // slab is grown during warm-up and never reallocated after.
 func setupScavengeNG2C() func() {
-	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
-	j.SetPlacementPolicy(placement.NewNG2C(placement.DefaultNG2CConfig()))
-	node := j.Classes().MustFixed("Node", 1, 1)
-	h := j.NewHandle(vm.NullAddr)
+	col := unverified(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*gc.Collector)
+	col.SetPlacementPolicy(placement.NewNG2C(placement.DefaultNG2CConfig()))
+	node := col.Classes().MustFixed("Node", 1, 1)
+	h := col.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {
-		a, err := j.Alloc(node)
+		a, err := col.Alloc(node)
 		if err != nil {
 			panic(err)
 		}
-		j.WriteRef(a, 0, h.Addr())
+		col.WriteRef(a, 0, h.Addr())
 		h.Set(a)
 	}
-	col := j.Collector()
-	col.SetVerify(false)
 	op := func() {
 		for i := 0; i < 32; i++ {
-			if _, err := j.Alloc(node); err != nil {
+			if _, err := col.Alloc(node); err != nil {
 				panic(err)
 			}
 		}
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.Stats().ResetCycles()
+		col.GCStats().ResetCycles()
 	}
 	for i := 0; i < 32; i++ {
 		op()
@@ -253,9 +258,8 @@ func setupWriteback() func() {
 // visitors. Steady state must be 0 allocs/op.
 func setupCardScan() func() {
 	thcfg := core.DefaultConfig(64 * storage.MB)
-	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
-	th := j.TeraHeap()
-	j.Collector().SetVerify(false) // env-independent, as in setupScavenge
+	ses := unverified(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg})
+	j, th := ses.Runtime.(*gc.Collector), ses.TH
 	node := j.Classes().MustFixed("Node", 4, 1)
 
 	root, err := j.Alloc(node)
@@ -265,7 +269,7 @@ func setupCardScan() func() {
 	h := j.NewHandle(root)
 	j.TagRoot(h, 7)
 	j.MoveHint(7)
-	if err := j.Collector().MinorGC(); err != nil {
+	if err := j.MinorGC(); err != nil {
 		panic(err)
 	}
 	if !th.Contains(h.Addr()) {
@@ -293,7 +297,7 @@ func setupCardScan() func() {
 // setupLoadH1: 64 word loads spread over a PS heap's H1, every one inside
 // the DRAM window.
 func setupLoadH1() func() {
-	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime
 	as := j.Mem().AS
 	var sink uint64
 	return func() {
@@ -307,7 +311,7 @@ func setupLoadH1() func() {
 // so every load takes the H2 window and hits the page cache.
 func setupLoadH2() func() {
 	thcfg := core.DefaultConfig(64 * storage.MB)
-	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime
 	as := j.Mem().AS
 	var sink uint64
 	op := func() {
@@ -324,7 +328,7 @@ func setupLoadH2() func() {
 // page and the pair replay on the next.
 func setupPrimRunH2() func() {
 	thcfg := core.DefaultConfig(64 * storage.MB)
-	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime.(*rt.JVM)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindTH, H1Size: 8 * storage.MB, TH: &thcfg}).Runtime
 	m := j.Mem()
 	const prims = 1000
 	m.AS.Store(vm.H2Base+vm.WordSize, vm.HeaderWords+prims) // shape: no refs
@@ -337,7 +341,7 @@ func setupPrimRunH2() func() {
 // setupCopyObject: one 32-word object copy between two H1 addresses inside
 // the DRAM window, the major compaction and scavenge copy.
 func setupCopyObject() func() {
-	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*rt.JVM)
+	j := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime
 	m := j.Mem()
 	src, dst := vm.H1Base+4096, vm.H1Base+1*storage.MB
 	return func() { m.CopyObject(dst, src, 32) }

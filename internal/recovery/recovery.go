@@ -289,7 +289,7 @@ func (m *Manager) salvageRegion(id int) bool {
 			// salvage failure.
 			return false
 		}
-		m.col.Mem.CopyObject(dst, o.Addr, o.SizeWords)
+		m.col.Mem().CopyObject(dst, o.Addr, o.SizeWords)
 		remap[o.Addr] = dst
 		dsts = append(dsts, dst)
 		m.stats.SalvagedObjects++
@@ -311,11 +311,11 @@ func (m *Manager) salvageRegion(id int) bool {
 		}
 	})
 	for _, sp := range []*vm.Space{m.col.H1.Eden, m.col.H1.From, m.col.H1.Old} {
-		sp.Walk(m.col.Mem, func(a vm.Addr) {
-			n := m.col.Mem.NumRefs(a)
+		sp.Walk(m.col.Mem(), func(a vm.Addr) {
+			n := m.col.Mem().NumRefs(a)
 			for i := 0; i < n; i++ {
-				if nt, ok := remap[m.col.Mem.RefAt(a, i)]; ok {
-					m.col.Mem.SetRefAt(a, i, nt)
+				if nt, ok := remap[m.col.Mem().RefAt(a, i)]; ok {
+					m.col.Mem().SetRefAt(a, i, nt)
 				}
 			}
 		})
@@ -326,9 +326,9 @@ func (m *Manager) salvageRegion(id int) bool {
 	// objects now holds an old→young reference H2's card plane no longer
 	// tracks; dirty its H1 card so the next minor scan finds it.
 	for _, dst := range dsts {
-		n := m.col.Mem.NumRefs(dst)
+		n := m.col.Mem().NumRefs(dst)
 		for i := 0; i < n; i++ {
-			if t := m.col.Mem.RefAt(dst, i); !t.IsNull() && m.col.H1.InYoung(t) {
+			if t := m.col.Mem().RefAt(dst, i); !t.IsNull() && m.col.H1.InYoung(t) {
 				m.col.H1.Cards.MarkDirty(dst)
 				break
 			}

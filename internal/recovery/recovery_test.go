@@ -17,7 +17,7 @@ import (
 // tagged+advised closure: one root ref-array holding count 1024-word prim
 // arrays, each stamped with a distinctive pattern so post-salvage reads
 // can prove the data survived the device failure.
-func salvageEnv(t *testing.T, plan *fault.Plan, count int) (*rt.Session, *rt.JVM, *vm.Handle, []*vm.Handle) {
+func salvageEnv(t *testing.T, plan *fault.Plan, count int) (*rt.Session, rt.Runtime, *vm.Handle, []*vm.Handle) {
 	t.Helper()
 	classes := vm.NewClassTable()
 	classes.MustRefArray("root[]")
@@ -28,7 +28,7 @@ func salvageEnv(t *testing.T, plan *fault.Plan, count int) (*rt.Session, *rt.JVM
 		Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &cfg,
 		Classes: classes, Layers: rt.Layers{Verify: true, FaultPlan: plan},
 	})
-	jvm := ses.Runtime.(*rt.JVM)
+	jvm := ses.Runtime
 
 	root, err := jvm.AllocRefArray(classes.ByName("root[]"), count)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestRecoveryDisabledPreservesLatch(t *testing.T) {
 	if ses.Recovery != nil || ses.RecoveryStats() != nil {
 		t.Fatal("recovery layer installed despite Enabled=false")
 	}
-	jvm := ses.Runtime.(*rt.JVM)
+	jvm := ses.Runtime
 	root, err := jvm.AllocRefArray(classes.ByName("root[]"), 16)
 	if err != nil {
 		t.Fatal(err)

@@ -57,54 +57,54 @@ var kindTable = []KindInfo{
 	{Kind: KindDeca, Name: "deca", SparkLabel: "deca", TeraHeap: true, build: buildPSH2(newDeca, storage.DRAM)},
 }
 
-func buildPS(s *Session) { s.Runtime = newDRAMJVM(s, nil) }
+func buildPS(s *Session) { s.Runtime = newDRAMCollector(s, nil) }
 
 // buildPSH2 is the PS + TeraHeap builder the TH, NG2C and Deca kinds
 // share: H2 on a device of kind dev (when Spec.DeviceKind is zero), and
-// the placement policy newPolicy builds (nil keeps the default policy).
+// the placement policy newPolicy builds, installed on the collector and
+// on H2's movement decisions (nil keeps the default policy).
 func buildPSH2(newPolicy func() placement.Policy, dev storage.Kind) func(*Session) {
 	return func(s *Session) {
-		jvm := newDRAMJVM(s, s.device(dev))
+		col := newDRAMCollector(s, s.device(dev))
 		if newPolicy != nil {
 			s.Placement = newPolicy()
-			jvm.SetPlacementPolicy(s.Placement)
+			col.SetPlacementPolicy(s.Placement)
+			s.TH.SetPlacementPolicy(s.Placement)
 		}
-		s.Runtime = jvm
-		s.TH = jvm.TeraHeap()
+		s.Runtime = col
 	}
 }
 
 func newNG2C() placement.Policy { return placement.NewNG2C(placement.DefaultNG2CConfig()) }
 func newDeca() placement.Policy { return placement.NewDeca() }
 
-// newDRAMJVM builds a PS runtime over a DRAM H1 (Spec.HeapCfg, else the
-// default geometry for Spec.H1Size), with a second heap on h2 when h2 is
-// non-nil.
-func newDRAMJVM(s *Session, h2 *storage.Device) *JVM {
+// newDRAMCollector builds a PS collector over a DRAM H1 (Spec.HeapCfg,
+// else the default geometry for Spec.H1Size), with a second heap on h2
+// (the session's TH) when h2 is non-nil.
+func newDRAMCollector(s *Session, h2 *storage.Device) *gc.Collector {
 	as := &vm.AddressSpace{}
-	var th *core.TeraHeap
 	if h2 != nil {
-		th = core.New(*s.Spec.TH, h2, as, s.Clock)
+		s.TH = core.New(*s.Spec.TH, h2, as, s.Clock)
 	}
 	hc := heap.DefaultConfig(s.Spec.H1Size)
 	if s.Spec.HeapCfg != nil {
 		hc = *s.Spec.HeapCfg
 	}
-	return newJVM(s, heap.New(hc, as), as, th, false)
+	return newCollector(s, heap.New(hc, as), as)
 }
 
-// newJVM wires a PS collector over h1, already laid out and mapped into
-// as, attaching th as the second heap when it is non-nil.
-func newJVM(s *Session, h1 *heap.H1, as *vm.AddressSpace, th *core.TeraHeap, pretenure bool) *JVM {
+// newCollector wires a PS collector over h1, already laid out and mapped
+// into as, attaching the session's TH as the second heap when it is set.
+func newCollector(s *Session, h1 *heap.H1, as *vm.AddressSpace) *gc.Collector {
 	var sh gc.SecondHeap // a nil *core.TeraHeap must stay a nil interface
-	if th != nil {
-		sh = th
+	if s.TH != nil {
+		sh = s.TH
 	}
 	col := gc.New(h1, gc.DefaultCostParams(), as, s.Classes, s.Clock, sh)
-	if th != nil {
-		th.AttachMem(col.Mem)
+	if s.TH != nil {
+		s.TH.AttachMem(col.Mem())
 	}
-	return &JVM{clock: s.Clock, classes: s.Classes, collector: col, th: th, pretenure: pretenure}
+	return col
 }
 
 func buildG1(s *Session) { s.Runtime = g1.New(g1.DefaultConfig(s.Spec.H1Size), s.Classes, s.Clock) }
@@ -129,7 +129,7 @@ func buildMO(s *Session) {
 	mapped := storage.NewMappedFile(s.device(storage.NVMeSSD), size, storage.DefaultPageSize, s.Spec.DRAMCacheBytes)
 	as := &vm.AddressSpace{}
 	as.Map(vm.H1Base, vm.H1Base+vm.Addr(size), mappedVMMemory{f: mapped, base: vm.H1Base})
-	s.Runtime = newJVM(s, heap.NewUnmapped(heap.DefaultConfig(size)), as, nil, false)
+	s.Runtime = newCollector(s, heap.NewUnmapped(heap.DefaultConfig(size)), as)
 }
 
 // buildPanthera is the Panthera baseline: the young generation and
@@ -147,7 +147,9 @@ func buildPanthera(s *Session) {
 	if dramEnd < h1.Old.End {
 		as.Map(dramEnd, h1.Old.End, newNVMDirectMemory(dramEnd, int64(h1.Old.End-dramEnd), nvm, s.Clock))
 	}
-	s.Runtime = newJVM(s, h1, as, nil, true)
+	col := newCollector(s, h1, as)
+	col.PretenureCold = true
+	s.Runtime = col
 }
 
 // Kinds returns the registered kinds in registry order. The slice is a

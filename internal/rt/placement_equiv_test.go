@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -42,17 +43,20 @@ func (p *legacyDouble) Stats() placement.Stats {
 	return placement.Stats{Policy: "legacy-double"}
 }
 
-// installPolicy reaches the policy seam on whichever runtime flavour the
-// session built.
-func installPolicy(tb testing.TB, r Runtime, p placement.Policy) {
+// installPolicy reaches the policy seam on whichever collector the
+// session built, and on its second heap's movement decisions.
+func installPolicy(tb testing.TB, s *Session, p placement.Policy) {
 	tb.Helper()
-	switch rt := r.(type) {
-	case *JVM:
+	switch rt := s.Runtime.(type) {
+	case *gc.Collector:
 		rt.SetPlacementPolicy(p)
+		if s.TH != nil {
+			s.TH.SetPlacementPolicy(p)
+		}
 	case *g1.G1:
 		rt.SetPlacementPolicy(p)
 	default:
-		tb.Fatalf("runtime %T has no placement seam", r)
+		tb.Fatalf("runtime %T has no placement seam", s.Runtime)
 	}
 }
 
@@ -122,7 +126,7 @@ func TestDefaultPolicyEquivalence(t *testing.T) {
 
 			seamed := NewSession(testSpec(kind))
 			double := &legacyDouble{}
-			installPolicy(t, seamed.Runtime, double)
+			installPolicy(t, seamed, double)
 			driveEquivWorkload(t, seamed.Runtime)
 
 			a, b := equivFingerprint(stock), equivFingerprint(seamed)

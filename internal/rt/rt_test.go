@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -56,13 +57,13 @@ func TestMemoryModeJVMWorksAndChargesNVM(t *testing.T) {
 }
 
 func TestPantheraPretenuresCold(t *testing.T) {
-	j := nvmSession(rt.KindPanthera, 256*storage.KB).Runtime.(*rt.JVM)
+	j := nvmSession(rt.KindPanthera, 256*storage.KB).Runtime.(*gc.Collector)
 	cls := j.Classes().MustPrimArray("cold[]")
 	a, err := j.AllocColdPrimArray(cls, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !j.Collector().H1.InOld(a) {
+	if !j.H1.InOld(a) {
 		t.Fatalf("cold allocation not pretenured: %v", a)
 	}
 	// Writing deep into the old generation touches the NVM part.

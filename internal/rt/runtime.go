@@ -5,13 +5,16 @@
 // NewSession is the only construction path: a Spec names a runtime kind,
 // and that kind's row in the registry (kinds.go) builds it — the paper's
 // six configurations (native PS, TeraHeap, G1, Spark-MO, Panthera, G1 with
-// TeraHeap) plus NG2C and Deca. The G1 baseline lives in
-// internal/baselines/g1 and implements the same Runtime interface.
+// TeraHeap) plus NG2C and Deca. The runtime is the collector itself: the
+// Parallel Scavenge collector (internal/gc) for the PS-based kinds and the
+// G1 baseline (internal/baselines/g1) for the G1 kinds.
 package rt
 
 import (
 	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
+	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -64,12 +67,20 @@ type Runtime interface {
 	// point for cross-cutting observers (verification, event accounting,
 	// tracing). Both collectors fire the same events.
 	Hooks() *gc.Hooks
-	// SetVerify toggles the stock full-heap verifier hook.
-	SetVerify(v bool)
+	// VerifyNow runs the full-heap invariant verifier and returns the
+	// violations found (none when the heap is consistent). It never
+	// charges simulated time.
+	VerifyNow() []check.Failure
 
 	GCStats() *gc.Stats
 	Breakdown() simclock.Breakdown
 }
+
+// Both collectors are runtimes.
+var (
+	_ Runtime = (*gc.Collector)(nil)
+	_ Runtime = (*g1.G1)(nil)
+)
 
 // ChargeCompute bills mutator CPU work to the Other category; frameworks
 // use it to price per-element computation.

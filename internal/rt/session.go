@@ -2,7 +2,9 @@ package rt
 
 import (
 	"fmt"
+	"os"
 
+	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/gc"
@@ -86,7 +88,8 @@ type Spec struct {
 // knobs. Spec embeds them, and the experiment runners carry them as one
 // value (the Ctx of a run and the Layers of an experiments.Env).
 type Layers struct {
-	// Verify registers the full-heap invariant verifier hook.
+	// Verify registers the full-heap invariant verifier hook (the
+	// TH_VERIFY=1 environment variable does the same for every session).
 	Verify bool
 	// FaultPlan, when non-nil, builds this run's fault injector and
 	// attaches it to the device and runtime. The plan is shared immutable
@@ -137,6 +140,27 @@ type Session struct {
 	// Placement is the session's placement policy when the kind installs
 	// a non-default one (NG2C, Deca); nil for legacy-placement kinds.
 	Placement placement.Policy
+
+	// verifier is the registered verifier hook, nil when verification is
+	// off.
+	verifier *verifyHook
+}
+
+// verifyHook runs the full-heap invariant verifier around every pause (the
+// VerifyBeforeGC/VerifyAfterGC analog) and panics with a structured report
+// on the first violation: the first stock hook of the plane.
+type verifyHook struct {
+	gc.BaseHook
+	rt Runtime
+}
+
+func (h *verifyHook) BeforeGC(p gc.Phase) { h.verify("before ", p) }
+func (h *verifyHook) AfterGC(p gc.Phase)  { h.verify("after ", p) }
+
+func (h *verifyHook) verify(when string, p gc.Phase) {
+	if failures := h.rt.VerifyNow(); len(failures) > 0 {
+		panic(check.Report(when+p.String()+" GC", failures))
+	}
 }
 
 // EventStats counts collector lifecycle events: the second stock hook of
@@ -206,18 +230,19 @@ func NewSession(spec Spec) *Session {
 	dev := s.device(storage.NVMeSSD)
 
 	// Gang size: cost attribution only, so it is set post-construction on
-	// the collector the PS-based kinds share. G1 kinds model their own
-	// pause pipeline and take no gang.
-	jvm, isJVM := s.Runtime.(*JVM)
-	if isJVM {
-		jvm.Collector().Costs.Workers = spec.GCWorkers
+	// the PS collector. G1 kinds model their own pause pipeline and take
+	// no gang.
+	col, isPS := s.Runtime.(*gc.Collector)
+	if isPS {
+		col.Costs.Workers = spec.GCWorkers
 	}
 
 	// Cross-cutting layers ride the hook plane, in fixed order: the
 	// verifier first (it must see the heap before any layer reacts),
 	// event accounting second.
-	if spec.Verify {
-		s.Runtime.SetVerify(true)
+	if spec.Verify || os.Getenv("TH_VERIFY") == "1" {
+		s.verifier = &verifyHook{rt: s.Runtime}
+		s.Runtime.Hooks().Register(s.verifier)
 	}
 	s.Events = &EventStats{}
 	s.Runtime.Hooks().Register(s.Events)
@@ -231,25 +256,29 @@ func NewSession(spec Spec) *Session {
 		s.Runtime.Hooks().Register(&writebackHook{dev: dev})
 	}
 
+	// One injector per run, attached to the device, the PS collector and
+	// the second heap: all fault decisions draw from a single monotonic
+	// counter, which is what makes a faulty run reproducible from its seed.
 	s.Injector = fault.NewInjector(spec.FaultPlan)
 	dev.SetFaultInjector(s.Injector)
-	if s.Injector != nil {
-		if fi, ok := s.Runtime.(interface{ SetFaultInjector(*fault.Injector) }); ok {
-			fi.SetFaultInjector(s.Injector)
-		}
+	if isPS {
+		col.SetFaultInjector(s.Injector)
+	}
+	if s.TH != nil {
+		s.TH.SetFaultInjector(s.Injector)
 	}
 
 	// The recovery layer registers last, so the verifier and event counters
 	// observe a fault before any repair runs. Salvage re-materializes into
 	// the PS collector's old generation, so only sessions with both a PS
 	// collector and a second heap get one.
-	if isJVM && s.TH != nil {
+	if isPS && s.TH != nil {
 		pol := recovery.DefaultPolicy()
 		if spec.Recovery != nil {
 			pol = *spec.Recovery
 		}
 		if pol.Enabled {
-			s.Recovery = recovery.NewManager(pol, jvm.Collector(), s.TH, s.Injector, s.Clock)
+			s.Recovery = recovery.NewManager(pol, col, s.TH, s.Injector, s.Clock)
 			s.Recovery.Install()
 		}
 	}
@@ -297,8 +326,8 @@ func (s *Session) RecoveryStats() *recovery.Stats {
 
 // Fault returns the run's latched persistent storage failure, checking
 // the injector first (device-level failures latch there even on runtimes
-// without collector-level polling, like the G1 baseline) and then the
-// runtime. Nil when the run is healthy.
+// without collector-level polling, like the G1 baseline) and then the PS
+// collector. Nil when the run is healthy.
 func (s *Session) Fault() error {
 	if f := s.Injector.Failure(); f != nil {
 		return f
@@ -306,8 +335,8 @@ func (s *Session) Fault() error {
 	if rf := s.Injector.RegionFault(); rf != nil {
 		return rf
 	}
-	if fr, ok := s.Runtime.(interface{ Fault() error }); ok {
-		return fr.Fault()
+	if col, ok := s.Runtime.(*gc.Collector); ok {
+		return col.Fault()
 	}
 	return nil
 }

@@ -60,8 +60,8 @@ func driveMutator(tb testing.TB, r Runtime) {
 // whose hook plane, injector, and second heap match the spec, and which
 // survives a smoke workload.
 func TestNewSessionAllKinds(t *testing.T) {
-	// The CI verify job exports TH_VERIFY=1, which force-registers the
-	// verifier at the collector level regardless of the spec.
+	// The CI verify job exports TH_VERIFY=1, which makes NewSession
+	// register the verifier regardless of the spec.
 	envVerify := os.Getenv("TH_VERIFY") == "1"
 	for _, kind := range allKinds {
 		for _, verify := range []bool{false, true} {
@@ -85,12 +85,8 @@ func TestNewSessionAllKinds(t *testing.T) {
 						t.Errorf("injector presence: got %v want %v", ses.Injector != nil, withPlan)
 					}
 					wantVerify := verify || envVerify
-					ve, ok := ses.Runtime.(interface{ VerifyEnabled() bool })
-					if !ok {
-						t.Fatalf("runtime %T does not expose VerifyEnabled", ses.Runtime)
-					}
-					if ve.VerifyEnabled() != wantVerify {
-						t.Errorf("VerifyEnabled: got %v want %v", ve.VerifyEnabled(), wantVerify)
+					if got := ses.verifier != nil; got != wantVerify {
+						t.Errorf("verifier registered: got %v want %v", got, wantVerify)
 					}
 					wantHooks := 1 // EventStats
 					if wantVerify {
@@ -229,9 +225,7 @@ func TestSessionMatchesLegacyConstruction(t *testing.T) {
 // configuration — the property that lets verified chaos runs interleave
 // with unverified baseline runs in one process.
 func TestConcurrentSessionsDoNotShareConfig(t *testing.T) {
-	if os.Getenv("TH_VERIFY") == "1" {
-		t.Skip("TH_VERIFY=1 force-enables the verifier on every collector")
-	}
+	t.Setenv("TH_VERIFY", "") // the environment would verify every session
 	var wg sync.WaitGroup
 	check := func(verify, withPlan bool) {
 		defer wg.Done()
@@ -242,8 +236,8 @@ func TestConcurrentSessionsDoNotShareConfig(t *testing.T) {
 		}
 		ses := NewSession(spec)
 		driveMutator(t, ses.Runtime)
-		if got := ses.Runtime.(interface{ VerifyEnabled() bool }).VerifyEnabled(); got != verify {
-			t.Errorf("verify=%v session observed VerifyEnabled=%v", verify, got)
+		if got := ses.verifier != nil; got != verify {
+			t.Errorf("verify=%v session observed a registered verifier=%v", verify, got)
 		}
 		if (ses.Injector != nil) != withPlan {
 			t.Errorf("withPlan=%v session observed injector=%v", withPlan, ses.Injector != nil)

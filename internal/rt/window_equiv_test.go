@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -41,7 +42,7 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 			var edges []vm.Addr
 			var dramEnd vm.Addr
 			if kind == KindPanthera {
-				dramEnd = got.Runtime.(*JVM).Collector().H1.Old.Start + vm.Addr(spec.DRAMOldBytes)
+				dramEnd = got.Runtime.(*gc.Collector).H1.Old.Start + vm.Addr(spec.DRAMOldBytes)
 				edges = append(edges, dramEnd-vm.WordSize, dramEnd)
 			}
 			type span struct{ start, words vm.Addr }

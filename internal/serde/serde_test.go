@@ -10,17 +10,17 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-func setup(t *testing.T) (*rt.JVM, *vm.Class, *vm.Class) {
+func setup(t *testing.T) (rt.Runtime, *vm.Class, *vm.Class) {
 	t.Helper()
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
 	arr := classes.MustRefArray("Object[]")
-	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 4 * storage.MB, Classes: classes}).Runtime.(*rt.JVM)
+	jvm := rt.NewSession(rt.Spec{Kind: rt.KindPS, H1Size: 4 * storage.MB, Classes: classes}).Runtime
 	return jvm, node, arr
 }
 
 // buildGraph makes a root array of n nodes, with some shared structure.
-func buildGraph(t *testing.T, jvm *rt.JVM, arr, node *vm.Class, n int) *vm.Handle {
+func buildGraph(t *testing.T, jvm rt.Runtime, arr, node *vm.Class, n int) *vm.Handle {
 	t.Helper()
 	root, err := jvm.AllocRefArray(arr, n)
 	if err != nil {

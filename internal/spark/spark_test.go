@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/serde"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
@@ -143,8 +144,7 @@ func TestTHModeMovesCachedDataToH2(t *testing.T) {
 	if got := sumRDD(t, r, 200); got != want {
 		t.Fatalf("post-move pass: sum = %d, want %d", got, want)
 	}
-	jvm := ctx.RT.(*rt.JVM)
-	if jvm.TeraHeap().Stats().ObjectsMoved == 0 {
+	if ctx.RT.(*gc.Collector).TH.(*core.TeraHeap).Stats().ObjectsMoved == 0 {
 		t.Fatal("nothing moved to H2")
 	}
 	if ctx.BM.Spills != 0 {

@@ -5,7 +5,8 @@
 //
 // The package re-exports the building blocks from the internal packages:
 //
-//   - New / NewNative build a TeraHeap-enabled or vanilla managed runtime;
+//   - New / NewNative build a TeraHeap-enabled or vanilla Session: the
+//     runtime plus its clock, device and second heap;
 //   - Runtime is the allocation/access surface (with post-write barriers);
 //   - TagRoot / MoveHint are the paper's h2_tag_root / h2_move hints;
 //   - spark-like and giraph-like framework simulations live in
@@ -13,7 +14,7 @@
 //
 // A minimal session:
 //
-//	rt := teraheap.New(teraheap.Options{H1Size: 8 << 20, H2Size: 256 << 20})
+//	rt := teraheap.New(teraheap.Options{H1Size: 8 << 20, H2Size: 256 << 20}).Runtime
 //	classes := rt.Classes()
 //	cls := classes.MustPrimArray("data")
 //	a, _ := rt.AllocPrimArray(cls, 1024)
@@ -41,8 +42,9 @@ type (
 	// Runtime is a managed runtime: allocation, barriered access, roots,
 	// TeraHeap hints, and GC control.
 	Runtime = rt.Runtime
-	// JVM is the Parallel Scavenge-based Runtime implementation.
-	JVM = rt.JVM
+	// Session is a wired runtime: the Runtime plus the clock, device and
+	// second heap (TH, nil on a native runtime) it was built with.
+	Session = rt.Session
 	// Config configures the second heap (regions, card segments,
 	// thresholds, promotion buffers).
 	Config = core.Config
@@ -112,9 +114,9 @@ type Options struct {
 	Clock *Clock
 }
 
-// New builds a TeraHeap-enabled runtime (or a vanilla one when H2Size is
+// New builds a TeraHeap-enabled session (or a vanilla one when H2Size is
 // zero and H2Config is nil).
-func New(o Options) *JVM {
+func New(o Options) *Session {
 	spec := rt.Spec{Kind: rt.KindPS, H1Size: o.H1Size, HeapCfg: o.HeapConfig,
 		DeviceKind: o.DeviceKind, Classes: o.Classes, Clock: o.Clock}
 	if o.H2Config != nil {
@@ -123,11 +125,11 @@ func New(o Options) *JVM {
 		c := core.DefaultConfig(o.H2Size)
 		spec.Kind, spec.TH = rt.KindTH, &c
 	}
-	return rt.NewSession(spec).Runtime.(*JVM)
+	return rt.NewSession(spec)
 }
 
-// NewNative builds a vanilla (no-H2) runtime: the native-JVM baseline.
-func NewNative(h1Size int64) *JVM { return New(Options{H1Size: h1Size}) }
+// NewNative builds a vanilla (no-H2) session: the native-JVM baseline.
+func NewNative(h1Size int64) *Session { return New(Options{H1Size: h1Size}) }
 
 // DefaultH2Config returns the default second-heap configuration for the
 // given capacity.

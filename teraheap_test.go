@@ -10,10 +10,11 @@ import (
 // would.
 
 func TestPublicAPIRoundTrip(t *testing.T) {
-	rt := teraheap.New(teraheap.Options{
+	ses := teraheap.New(teraheap.Options{
 		H1Size: 4 * teraheap.MB,
 		H2Size: 64 * teraheap.MB,
 	})
+	rt := ses.Runtime
 	classes := rt.Classes()
 	point := classes.MustFixed("Point", 0, 2)
 	arr := classes.MustRefArray("Point[]")
@@ -58,17 +59,18 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if b.Total() <= 0 {
 		t.Fatal("no virtual time elapsed")
 	}
-	st := rt.TeraHeap().Stats()
+	st := ses.TH.Stats()
 	if st.ObjectsMoved < int64(n) {
 		t.Fatalf("moved = %d", st.ObjectsMoved)
 	}
 }
 
 func TestPublicAPINativeRuntime(t *testing.T) {
-	rt := teraheap.NewNative(2 * teraheap.MB)
-	if rt.TeraHeap() != nil {
+	ses := teraheap.NewNative(2 * teraheap.MB)
+	if ses.TH != nil {
 		t.Fatal("native runtime has an H2")
 	}
+	rt := ses.Runtime
 	cls := rt.Classes().MustPrimArray("x[]")
 	a, err := rt.AllocPrimArray(cls, 100)
 	if err != nil {
@@ -88,9 +90,9 @@ func TestPublicAPINativeRuntime(t *testing.T) {
 }
 
 func TestPublicAPISparkContext(t *testing.T) {
-	rt := teraheap.New(teraheap.Options{H1Size: 4 * teraheap.MB, H2Size: 64 * teraheap.MB})
+	ses := teraheap.New(teraheap.Options{H1Size: 4 * teraheap.MB, H2Size: 64 * teraheap.MB})
 	ctx := teraheap.NewSparkContext(teraheap.SparkConf{
-		RT: rt, Mode: teraheap.SparkTH, Threads: 4,
+		RT: ses.Runtime, Mode: teraheap.SparkTH, Threads: 4,
 	})
 	if ctx == nil || ctx.BM == nil {
 		t.Fatal("context not wired")
