@@ -21,19 +21,20 @@ import (
 func main() {
 	clock := simclock.New()
 	classes := teraClasses()
-	cfg := g1.DefaultConfig(2 * storage.MB)
 	thCfg := core.DefaultConfig(64 * storage.MB)
 	thCfg.RegionSize = 32 * storage.KB
-	ses := rt.NewSession(rt.Spec{Kind: rt.KindG1TH, H1Size: cfg.H1Size, TH: &thCfg,
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindG1TH, H1Size: 2 * storage.MB, TH: &thCfg,
 		Classes: classes, Clock: clock})
 	g, th := ses.Runtime.(*g1.G1), ses.TH
 
+	rs := g.RegionSize()
+	_, h1Size := g.HeapUsed()
 	fmt.Printf("G1 heap: %d regions of %d KB (humongous above %d KB)\n",
-		cfg.H1Size/cfg.RegionSize, cfg.RegionSize/1024, cfg.RegionSize/2/1024)
+		h1Size/rs, rs/1024, rs/2/1024)
 
 	// A humongous array: 1.5 G1 regions, immovable by G1 itself.
 	parr := classes.ByName("long[]")
-	humWords := int(cfg.RegionSize/8) * 3 / 2
+	humWords := int(rs/8) * 3 / 2
 	big, err := g.AllocPrimArray(parr, humWords)
 	check(err)
 	h := g.NewHandle(big)

@@ -7,28 +7,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// noteObjStart records an object header position for card scanning.
-func (g *G1) noteObjStart(a vm.Addr) {
-	i := int64(a-g.cardsBase) / int64(g.cfg.CardSize)
-	if g.startArr == nil {
-		g.startArr = make([]vm.Addr, len(g.cards))
-	}
-	if g.startArr[i].IsNull() || a < g.startArr[i] {
-		g.startArr[i] = a
-	}
-}
-
-func (g *G1) clearStartRange(r *region) {
-	if g.startArr == nil {
-		return
-	}
-	lo := int64(r.start-g.cardsBase) / int64(g.cfg.CardSize)
-	hi := int64(r.end-1-g.cardsBase) / int64(g.cfg.CardSize)
-	for i := lo; i <= hi; i++ {
-		g.startArr[i] = vm.NullAddr
-	}
-}
-
 // allocWords is the G1 allocation slow path.
 func (g *G1) allocWords(sizeWords int) (vm.Addr, error) {
 	if g.oom != nil {
@@ -84,7 +62,7 @@ func (g *G1) bump(r *region, sizeWords int) (vm.Addr, bool) {
 // failure to find a contiguous run after a full GC is the fragmentation
 // OOM the paper observes for SVM, BC, and RL.
 func (g *G1) allocHumongous(sizeWords int) (vm.Addr, error) {
-	need := int((int64(sizeWords)*vm.WordSize + g.cfg.RegionSize - 1) / g.cfg.RegionSize)
+	need := int((int64(sizeWords)*vm.WordSize + g.regionSize - 1) / g.regionSize)
 	for attempt := 0; attempt < 3; attempt++ {
 		// Humongous runs must not eat the evacuation reserve.
 		if len(g.free)-need < g.evacReserve() {
@@ -109,7 +87,7 @@ func (g *G1) allocHumongous(sizeWords int) (vm.Addr, error) {
 			for i := 1; i < need; i++ {
 				g.regions[start+i].kind = regHumongousCont
 			}
-			g.noteObjStart(r.start)
+			g.cards.NoteStart(r.start)
 			return r.start, nil
 		}
 		if err := g.fullGC(); err != nil {

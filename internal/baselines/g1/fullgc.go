@@ -24,7 +24,7 @@ func (g *G1) fullGC() error {
 	before := g.clock.Breakdown()
 	usedBefore := g.usedBytes()
 
-	g.th.BeginMajorMark(g.usedBytes(), g.cfg.H1Size)
+	g.th.BeginMajorMark(g.usedBytes(), g.h1Size)
 	objects, refs := g.markAll()
 
 	// Reclaim dead humongous runs first (more contiguous space).
@@ -148,16 +148,11 @@ func (g *G1) fullGC() error {
 	// Rebuild region bookkeeping.
 	g.eden, g.survivor, g.old, g.free = nil, nil, nil, nil
 	g.curEden = nil
-	for i := range g.cards {
-		g.cards[i] = 0
-		if g.startArr != nil {
-			g.startArr[i] = vm.NullAddr
-		}
-	}
+	g.cards.ClearAll()
 	for _, r := range g.regions {
 		switch r.kind {
 		case regHumongousStart:
-			g.noteObjStart(r.start)
+			g.cards.NoteStart(r.start)
 			continue
 		case regHumongousCont:
 			continue
@@ -176,18 +171,18 @@ func (g *G1) fullGC() error {
 	sort.Ints(g.free)
 	// Restore object-start info for packed regions.
 	for i := range src {
-		g.noteObjStart(dst[i])
+		g.cards.NoteStart(dst[i])
 	}
 
 	// Full GC is single-threaded and expensive.
-	cpu := time.Duration(objects)*g.cfg.Costs.MarkPerObject +
-		time.Duration(refs+adjRefs)*g.cfg.Costs.ScanPerRef +
-		time.Duration(packedBytes)*g.cfg.Costs.CopyPerByte
+	cpu := time.Duration(objects)*gc.MarkPerObject +
+		time.Duration(refs+adjRefs)*gc.ScanPerRef +
+		time.Duration(packedBytes)*gc.CopyPerByte
 	g.clock.Charge(simclock.MajorGC, cpu)
-	g.clock.Charge(simclock.MajorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
-	g.th.FinishMajor(g.usedBytes(), g.cfg.H1Size)
+	g.th.FinishMajor(g.usedBytes(), g.h1Size)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
 		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
 		BytesCopied: packedBytes, ReclaimedBytes: usedBefore - g.usedBytes(),
@@ -205,7 +200,7 @@ func (g *G1) usedBytes() int64 {
 	for _, r := range g.regions {
 		if r.kind == regHumongousStart {
 			// The whole run is reserved.
-			t += int64(r.humRegions) * g.cfg.RegionSize
+			t += int64(r.humRegions) * g.regionSize
 		} else if r.kind != regHumongousCont {
 			t += r.used()
 		}

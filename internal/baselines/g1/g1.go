@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/gc"
+	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -32,29 +33,26 @@ const (
 	regHumongousCont
 )
 
-// Config sizes the G1 heap.
-type Config struct {
-	H1Size     int64
-	RegionSize int64 // 0 → H1Size/256, clamped to [4KB, 32MB]
-	// YoungTarget is the number of eden regions allocated before a young
-	// collection runs (0 → 1/4 of the regions).
-	YoungTarget int
-	// IHOP is the old-space occupancy fraction that starts concurrent
+// G1's policy constants.
+const (
+	// ihop is the old-space occupancy fraction that starts concurrent
 	// marking (G1 default 0.45).
-	IHOP float64
-	// MixedLiveThreshold: old regions with a lower live fraction are
+	ihop = 0.45
+	// mixedLiveThreshold: old regions with a lower live fraction are
 	// eligible for mixed collections (G1's garbage-first policy).
-	MixedLiveThreshold float64
-	TenureAge          int
-	CardSize           int
-	// ConcurrencyDiscount scales marking cost (concurrent with mutator).
-	ConcurrencyDiscount float64
-	GCThreads           int
-	Costs               gc.CostParams
-}
+	mixedLiveThreshold = 0.65
+	// tenureAge is the number of young collections an object survives
+	// before promotion to an old region.
+	tenureAge = 3
+	// concurrencyDiscount scales marking cost (concurrent with mutator).
+	concurrencyDiscount = 0.25
+	// gcThreads divides G1's young-evacuation and marking CPU work.
+	gcThreads = 8
+)
 
-// DefaultConfig returns G1-like defaults for the heap size.
-func DefaultConfig(h1Size int64) Config {
+// regionSizeFor returns the region size for an h1Size-byte heap:
+// h1Size/256 clamped to [4KB, 32MB], rounded down to a power of two.
+func regionSizeFor(h1Size int64) int64 {
 	rs := h1Size / 256
 	if rs < 4<<10 {
 		rs = 4 << 10
@@ -62,22 +60,11 @@ func DefaultConfig(h1Size int64) Config {
 	if rs > 32<<20 {
 		rs = 32 << 20
 	}
-	// Round to a power of two.
 	p := int64(1)
 	for p*2 <= rs {
 		p *= 2
 	}
-	return Config{
-		H1Size:              h1Size / p * p,
-		RegionSize:          p,
-		IHOP:                0.45,
-		MixedLiveThreshold:  0.65,
-		TenureAge:           3,
-		CardSize:            512,
-		ConcurrencyDiscount: 0.25,
-		GCThreads:           8,
-		Costs:               gc.DefaultCostParams(),
-	}
+	return p
 }
 
 // region is one G1 heap region.
@@ -97,12 +84,13 @@ func (r *region) used() int64 { return int64(r.top - r.start) }
 
 // G1 is the collector and runtime.
 type G1 struct {
-	cfg     Config
-	clock   *simclock.Clock
-	classes *vm.ClassTable
-	as      *vm.AddressSpace
-	mem     *vm.Mem
-	roots   *vm.RootSet
+	h1Size     int64 // whole number of regions
+	regionSize int64
+	clock      *simclock.Clock
+	classes    *vm.ClassTable
+	as         *vm.AddressSpace
+	mem        *vm.Mem
+	roots      *vm.RootSet
 
 	regions []*region
 	free    []int // free region ids (sorted)
@@ -114,11 +102,9 @@ type G1 struct {
 
 	curEden *region
 
-	cards     []byte // global card table: clean/dirty
-	cardsBase vm.Addr
-	// startArr maps each card to the first object starting in it (old and
-	// humongous regions only).
-	startArr    []vm.Addr
+	// cards covers the whole heap; object starts are recorded for old and
+	// humongous-start regions only.
+	cards       *heap.CardTable
 	stats       gc.Stats
 	oom         *gc.OOMError
 	youngTarget int
@@ -139,38 +125,38 @@ type G1 struct {
 	policy placement.Policy
 }
 
-// New builds a G1 runtime.
-func New(cfg Config, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
-	n := int(cfg.H1Size / cfg.RegionSize)
+// New builds a G1 runtime over an h1Size-byte heap, rounded down to a
+// whole number of regions.
+func New(h1Size int64, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
+	rs := regionSizeFor(h1Size)
+	h1Size = h1Size / rs * rs
+	n := int(h1Size / rs)
 	if n < 8 {
 		panic("g1: need at least 8 regions")
 	}
-	g := &G1{cfg: cfg, clock: clock, classes: classes, as: &vm.AddressSpace{}, roots: vm.NewRootSet(), th: gc.NoSecondHeap{}, policy: placement.Default{}}
-	ram := vm.NewRAM(vm.H1Base, cfg.H1Size)
-	g.as.Map(vm.H1Base, vm.H1Base+vm.Addr(cfg.H1Size), ram)
+	g := &G1{h1Size: h1Size, regionSize: rs, clock: clock, classes: classes, as: &vm.AddressSpace{}, roots: vm.NewRootSet(), th: gc.NoSecondHeap{}, policy: placement.Default{}}
+	ram := vm.NewRAM(vm.H1Base, h1Size)
+	g.as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), ram)
 	g.mem = vm.NewMem(g.as, classes)
 	for i := 0; i < n; i++ {
-		start := vm.H1Base + vm.Addr(int64(i)*cfg.RegionSize)
+		start := vm.H1Base + vm.Addr(int64(i)*rs)
 		g.regions = append(g.regions, &region{
-			id: i, kind: regFree, start: start, end: start + vm.Addr(cfg.RegionSize), top: start,
+			id: i, kind: regFree, start: start, end: start + vm.Addr(rs), top: start,
 		})
 		g.free = append(g.free, i)
 	}
-	g.cardsBase = vm.H1Base
-	g.cards = make([]byte, (cfg.H1Size+int64(cfg.CardSize)-1)/int64(cfg.CardSize))
-	g.youngTarget = cfg.YoungTarget
-	if g.youngTarget <= 0 {
-		g.youngTarget = n / 4
-		if g.youngTarget < 2 {
-			g.youngTarget = 2
-		}
-	}
+	g.cards = heap.NewCardTable(vm.H1Base, vm.H1Base+vm.Addr(h1Size))
+	// A young collection runs once a quarter of the regions are eden.
+	g.youngTarget = max(n/4, 2)
 	return g
 }
 
+// RegionSize returns the region size in bytes.
+func (g *G1) RegionSize() int64 { return g.regionSize }
+
 // regionOf returns the region containing a.
 func (g *G1) regionOf(a vm.Addr) *region {
-	i := int(int64(a-vm.H1Base) / g.cfg.RegionSize)
+	i := int(int64(a-vm.H1Base) / g.regionSize)
 	if i < 0 || i >= len(g.regions) {
 		return nil
 	}
@@ -217,15 +203,11 @@ func (g *G1) inYoung(a vm.Addr) bool {
 
 // humongousWords is the threshold above which an object is humongous.
 func (g *G1) humongousWords() int {
-	return int(g.cfg.RegionSize / 2 / vm.WordSize)
+	return int(g.regionSize / 2 / vm.WordSize)
 }
 
 func (g *G1) chargeGC(cat simclock.Category, d time.Duration) {
-	g.clock.Charge(cat, d/time.Duration(g.cfg.GCThreads))
-}
-
-func (g *G1) markCard(a vm.Addr) {
-	g.cards[int64(a-g.cardsBase)/int64(g.cfg.CardSize)] = 1
+	g.clock.Charge(cat, d/gcThreads)
 }
 
 // latchOOM records the out-of-memory condition (subsequent allocations
@@ -235,10 +217,6 @@ func (g *G1) latchOOM(e *gc.OOMError) *gc.OOMError {
 	g.hooks.OnOOM(e)
 	return e
 }
-
-// AddressSpace exposes the G1 heap's address space so a second heap can
-// be mapped into it.
-func (g *G1) AddressSpace() *vm.AddressSpace { return g.as }
 
 // AttachSecondHeap wires a TeraHeap into the collector (TeraHeap-under-
 // G1). Must be called before any allocation.

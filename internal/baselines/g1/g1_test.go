@@ -3,6 +3,7 @@ package g1_test
 import (
 	"os"
 	"testing"
+	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/check"
@@ -26,7 +27,7 @@ func newEnv(t *testing.T, h1Size int64) *env {
 		arr:  classes.MustRefArray("Object[]"),
 		parr: classes.MustPrimArray("long[]"),
 	}
-	e.g = g1.New(g1.DefaultConfig(h1Size), classes, simclock.New())
+	e.g = g1.New(h1Size, classes, simclock.New())
 	verifyFromEnv(e.g)
 	return e
 }
@@ -121,17 +122,8 @@ func TestG1FullGCPreservesGraph(t *testing.T) {
 
 func TestG1MixedCollectionsReclaim(t *testing.T) {
 	e := newEnv(t, 1<<21)
-	// Small young target → frequent young GCs → fast tenuring into old
-	// regions, driving occupancy past the IHOP.
-	cfg := g1.DefaultConfig(1 << 21)
-	cfg.YoungTarget = 8
-	cfg.IHOP = 0.25
-	classes := vm.NewClassTable()
-	e.node = classes.MustFixed("Node", 2, 1)
-	e.arr = classes.MustRefArray("Object[]")
-	e.parr = classes.MustPrimArray("long[]")
-	e.g = g1.New(cfg, classes, simclock.New())
-	verifyFromEnv(e.g)
+	phases := &phaseCounter{}
+	e.g.Hooks().Register(phases)
 	h := e.list(t, 100)
 	// Create long-lived garbage in old regions: tenure lists, then drop.
 	var dead []*vm.Handle
@@ -158,12 +150,27 @@ func TestG1MixedCollectionsReclaim(t *testing.T) {
 	if e.g.GCStats().MajorCount == 0 {
 		t.Fatal("no marking/mixed cycles ran")
 	}
+	if phases.n[gc.PhaseMixed] == 0 {
+		t.Fatalf("no mixed collection ran (young %d, major %d)", phases.n[gc.PhaseMinor], phases.n[gc.PhaseMajor])
+	}
+}
+
+// phaseCounter counts the collections of each phase.
+type phaseCounter struct {
+	gc.BaseHook
+	n map[gc.Phase]int
+}
+
+func (p *phaseCounter) AfterGC(ph gc.Phase) {
+	if p.n == nil {
+		p.n = make(map[gc.Phase]int)
+	}
+	p.n[ph]++
 }
 
 func TestG1HumongousAllocAndReclaim(t *testing.T) {
-	e := newEnv(t, 1<<21) // region size 8KB → humongous > 4KB
-	cfg := g1.DefaultConfig(1 << 21)
-	humWords := int(cfg.RegionSize) // definitely humongous
+	e := newEnv(t, 1<<21)             // region size 8KB → humongous > 4KB
+	humWords := int(e.g.RegionSize()) // definitely humongous
 	a, err := e.g.AllocPrimArray(e.parr, humWords)
 	if err != nil {
 		t.Fatalf("humongous alloc: %v", err)
@@ -194,9 +201,8 @@ func TestG1HumongousAllocAndReclaim(t *testing.T) {
 }
 
 func TestG1HumongousFragmentationOOM(t *testing.T) {
-	e := newEnv(t, 1<<20) // 128 regions of 8KB (wait: 1MB/256=4KB regions)
-	cfg := g1.DefaultConfig(1 << 20)
-	humWords := int(cfg.RegionSize/vm.WordSize) * 3 / 4 // ~0.75 region each
+	e := newEnv(t, 1<<20)                                 // 128 regions of 8KB (wait: 1MB/256=4KB regions)
+	humWords := int(e.g.RegionSize()/vm.WordSize) * 3 / 4 // ~0.75 region each
 	var held []*vm.Handle
 	var sawOOM bool
 	for i := 0; i < 4096; i++ {
@@ -269,5 +275,110 @@ func TestG1CardTableOldToYoung(t *testing.T) {
 	}
 	if v := e.g.ReadPrim(got, 0); v != 321 {
 		t.Fatalf("young target = %d", v)
+	}
+}
+
+// TestG1CostTablePinned drives a fixed workload through young, mixed and
+// full collections and pins the GC time it charges, so a change to any
+// per-operation GC cost fails here by name.
+func TestG1CostTablePinned(t *testing.T) {
+	e := newEnv(t, 1<<21)
+	phases := &phaseCounter{}
+	e.g.Hooks().Register(phases)
+	h := e.list(t, 100)
+	var dead []*vm.Handle
+	for i := 0; i < 8; i++ {
+		dead = append(dead, e.list(t, 800))
+		for j := 0; j < 4; j++ {
+			e.g.Release(e.list(t, 400))
+		}
+	}
+	for _, d := range dead {
+		e.g.Release(d)
+	}
+	if err := e.g.MarkingCycle(); err != nil {
+		t.Fatal(err)
+	}
+	// Old-to-young references put objects in dirty cards for the next
+	// young collections.
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 64; i++ {
+			y := e.node3(t, vm.NullAddr, vm.NullAddr, uint64(i))
+			a := h.Addr()
+			for j := 0; j < i; j++ {
+				a = e.g.ReadRef(a, 0)
+			}
+			e.g.WriteRef(a, 1, y)
+		}
+		for j := 0; j < 30; j++ {
+			e.g.Release(e.list(t, 400))
+		}
+	}
+	if err := e.g.FullGC(); err != nil {
+		t.Fatal(err)
+	}
+	e.check(t, h, 100)
+	if phases.n[gc.PhaseMinor] == 0 || phases.n[gc.PhaseMixed] == 0 || phases.n[gc.PhaseMajor] == 0 {
+		t.Fatalf("workload must run every collection kind: %v", phases.n)
+	}
+	const wantMinor, wantMajor = 1222248 * time.Nanosecond, 406957 * time.Nanosecond
+	if st := e.g.GCStats(); st.MinorTime != wantMinor || st.MajorTime != wantMajor {
+		t.Fatalf("minor %d ns major %d ns, want %d and %d",
+			st.MinorTime.Nanoseconds(), st.MajorTime.Nanoseconds(), wantMinor.Nanoseconds(), wantMajor.Nanoseconds())
+	}
+}
+
+// oldHolder tenures one node into an old region and stores a reference
+// to a fresh young node in its field 1. It returns the holder.
+func (e *env) oldHolder(t *testing.T) vm.Addr {
+	t.Helper()
+	h := e.list(t, 1)
+	for i := 0; !e.g.InOldForTest(h.Addr()); i++ {
+		if i == 100 {
+			t.Fatal("holder was not tenured into an old region")
+		}
+		e.g.Release(e.list(t, 400))
+	}
+	y := e.node3(t, vm.NullAddr, vm.NullAddr, 321)
+	e.g.NewHandle(y)
+	e.g.WriteRef(h.Addr(), 1, y)
+	if f := e.g.VerifyNow(); len(f) != 0 {
+		t.Fatalf("consistent heap reported %d violation(s): %v", len(f), f[0])
+	}
+	return h.Addr()
+}
+
+// findRule returns the first failure of rule, or fails the test.
+func findRule(t *testing.T, failures []check.Failure, rule string) check.Failure {
+	t.Helper()
+	for _, f := range failures {
+		if f.Rule == rule {
+			return f
+		}
+	}
+	t.Fatalf("no %s failure in %v", rule, failures)
+	return check.Failure{}
+}
+
+// A clean card under an old holder of a young reference is the card rule's
+// violation, located at that card, holder and field.
+func TestG1VerifierCatchesCleanCard(t *testing.T) {
+	e := newEnv(t, 1<<20)
+	holder := e.oldHolder(t)
+	ci := e.g.CleanCardForTest(holder)
+	f := findRule(t, e.g.VerifyNow(), "h1-card-missing-dirty")
+	if f.Card != ci || f.Holder != holder || f.Field != 1 {
+		t.Fatalf("located at card %d holder %v field %d, want card %d holder %v field 1", f.Card, f.Holder, f.Field, ci, holder)
+	}
+}
+
+// A start entry that is not the lowest object start in its card is the
+// start-array rule's violation, located at that card.
+func TestG1VerifierCatchesBadStartEntry(t *testing.T) {
+	e := newEnv(t, 1<<20)
+	holder := e.oldHolder(t)
+	ci := e.g.CorruptStartForTest(holder)
+	if f := findRule(t, e.g.VerifyNow(), "h1-start-array"); f.Card != ci {
+		t.Fatalf("located at card %d, want %d", f.Card, ci)
 	}
 }

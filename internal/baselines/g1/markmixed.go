@@ -37,14 +37,14 @@ func (g *G1) markAndMixed() (int, error) {
 	defer g.clock.SetContext(prev)
 	before := g.clock.Breakdown()
 
-	g.th.BeginMajorMark(g.usedBytes(), g.cfg.H1Size)
+	g.th.BeginMajorMark(g.usedBytes(), g.h1Size)
 	objects, refs := g.markAll()
 	// TeraHeap-under-G1: move advised closures out during the marking
 	// cycle (§7.1); this also frees humongous runs whose objects left.
 	movedToH2 := g.moveClosuresToH2()
 	// Concurrent marking: most of the traversal overlaps the mutator.
-	cpu := time.Duration(float64(time.Duration(objects)*g.cfg.Costs.MarkPerObject+
-		time.Duration(refs)*g.cfg.Costs.ScanPerRef) * g.cfg.ConcurrencyDiscount)
+	cpu := time.Duration(float64(time.Duration(objects)*gc.MarkPerObject+
+		time.Duration(refs)*gc.ScanPerRef) * concurrencyDiscount)
 	g.chargeGC(simclock.MajorGC, cpu)
 
 	// Reclaim wholly-dead humongous runs and old regions eagerly.
@@ -64,7 +64,7 @@ func (g *G1) markAndMixed() (int, error) {
 		if r.liveBytes == 0 {
 			reclaimed += r.used()
 			regionsFreed++
-			g.clearStartRange(r)
+			g.cards.ClearStarts(r.start, r.end)
 			g.releaseRegion(r)
 			continue
 		}
@@ -86,9 +86,9 @@ func (g *G1) markAndMixed() (int, error) {
 		}
 	})
 
-	g.clock.Charge(simclock.MajorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
 	delta := g.clock.Breakdown().Sub(before)
-	g.th.FinishMajor(g.usedBytes(), g.cfg.H1Size)
+	g.th.FinishMajor(g.usedBytes(), g.h1Size)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
 		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
 		BytesCopied: moved, ReclaimedBytes: reclaimed, BytesMovedToH2: movedToH2,
@@ -164,10 +164,10 @@ func (g *G1) freeHumongous(r *region) {
 		}
 	}
 	g.hum = out
-	g.clearStartRange(r)
+	g.cards.ClearStarts(r.start, r.end)
 	for i := 0; i < n; i++ {
 		rr := g.regions[r.id+i]
-		g.clearStartRange(rr)
+		g.cards.ClearStarts(rr.start, rr.end)
 		g.releaseRegion(rr)
 	}
 }
@@ -183,7 +183,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	var cands []cand
 	for _, id := range g.old {
 		r := g.regions[id]
-		if float64(r.liveBytes) < g.cfg.MixedLiveThreshold*float64(g.cfg.RegionSize) {
+		if float64(r.liveBytes) < mixedLiveThreshold*float64(g.regionSize) {
 			cands = append(cands, cand{id, r.liveBytes})
 		}
 	}
@@ -209,7 +209,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 			break
 		}
 		csLive += c.live
-		if csLive > int64(len(g.free)-4)*g.cfg.RegionSize {
+		if csLive > int64(len(g.free)-4)*g.regionSize {
 			break
 		}
 		cs[c.id] = true
@@ -247,7 +247,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 					}
 				}
 				g.mem.CopyObject(d, a, size)
-				g.noteObjStart(d)
+				g.cards.NoteStart(d)
 				g.mem.SetForwardee(a, d)
 				moved += int64(size) * vm.WordSize
 				// Preserve old-to-young card information for the new
@@ -256,7 +256,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 				nr := g.mem.NumRefs(d)
 				for f := 0; f < nr; f++ {
 					if t := g.mem.RefAt(d, f); !t.IsNull() && g.inYoung(t) {
-						g.markCard(d)
+						g.cards.MarkDirty(d)
 						break
 					}
 				}
@@ -264,7 +264,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 			a += vm.Addr(size * vm.WordSize)
 		}
 	}
-	g.chargeGC(simclock.MajorGC, time.Duration(moved)*g.cfg.Costs.CopyPerByte)
+	g.chargeGC(simclock.MajorGC, time.Duration(moved)*gc.CopyPerByte)
 
 	// Fix references everywhere (modelled remembered-set cost: charged
 	// proportional to the moved volume, already covered above; the walk
@@ -307,7 +307,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	for _, id := range g.old {
 		if cs[id] {
 			r := g.regions[id]
-			g.clearStartRange(r)
+			g.cards.ClearStarts(r.start, r.end)
 			g.releaseRegion(r)
 			continue
 		}

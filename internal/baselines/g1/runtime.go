@@ -60,7 +60,7 @@ func (g *G1) allocObject(c *vm.Class, numRefs, sizeWords int) (vm.Addr, error) {
 // WriteRef stores a reference with G1's post-write barrier, extended with
 // the H2 reference range check when a second heap is attached.
 func (g *G1) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	g.clock.Charge(simclock.Other, g.cfg.Costs.BarrierCost)
+	g.clock.Charge(simclock.Other, gc.BarrierCost)
 	g.stats.BarrierExecutions++
 	if g.th.Contains(obj) {
 		g.mem.SetRefAt(obj, field, val)
@@ -72,7 +72,7 @@ func (g *G1) WriteRef(obj vm.Addr, field int, val vm.Addr) {
 		return
 	}
 	if r := g.regionOf(obj); r != nil && (r.kind == regOld || r.kind == regHumongousStart) {
-		g.markCard(obj)
+		g.cards.MarkDirty(obj)
 	}
 }
 
@@ -101,7 +101,7 @@ func (g *G1) MoveHint(label uint64) { g.th.Move(label) }
 func (g *G1) InSecondHeap(a vm.Addr) bool { return g.th.Contains(a) }
 
 // HeapUsed returns used and capacity bytes.
-func (g *G1) HeapUsed() (int64, int64) { return g.usedBytes(), g.cfg.H1Size }
+func (g *G1) HeapUsed() (int64, int64) { return g.usedBytes(), g.h1Size }
 
 // FullGC forces a full collection.
 func (g *G1) FullGC() error { return g.fullGC() }

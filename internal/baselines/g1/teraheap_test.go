@@ -72,8 +72,7 @@ func TestG1THMovesClosureDuringMarking(t *testing.T) {
 
 func TestG1THHumongousMovesFreeRuns(t *testing.T) {
 	g, th, _, parr := newG1TH(t, 1<<21)
-	cfg := g1.DefaultConfig(1 << 21)
-	humWords := int(cfg.RegionSize/8) * 3 / 2 // 1.5 regions
+	humWords := int(g.RegionSize()/8) * 3 / 2 // 1.5 regions
 	a, err := g.AllocPrimArray(parr, humWords)
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,10 @@ import (
 //     forwardee is in H2 and the shape word still parses;
 //   - humongous regions hold exactly one object whose extent may span the
 //     whole contiguous run, past the start region's end;
-//   - the card table is one-bit (clean/dirty) over the whole heap, and the
-//     dirty requirement applies to the card of the holder's START (that is
-//     what the write barrier and the evacuation walks mark);
-//   - startArr is allocated lazily and covers old and humongous-start
-//     addresses only; entries elsewhere must be null.
+//   - the card table covers the whole heap, but records object starts for
+//     old and humongous-start regions only, so only their objects (and
+//     their husks) go to the shared card rules; entries elsewhere must be
+//     null.
 
 // VerifyNow runs every invariant rule against the quiescent heap and
 // returns all violations found.
@@ -37,8 +36,7 @@ func (g *G1) VerifyNow() []check.Failure {
 
 	g.verifyRegionLists(report)
 	g.verifyReachable(starts, report)
-	g.verifyCards(live, report)
-	g.verifyStartArr(live, husks, report)
+	check.NewVerifier().VerifyCards(g.as, g.cards, g.cardObjects(live, husks), g.inYoung, report)
 
 	if h2, ok := g.th.(check.H2); ok {
 		h2.VerifySelf(g.inYoung, func(a vm.Addr) bool {
@@ -78,7 +76,8 @@ func kindName(k regionKind) string {
 
 // walkRegions parse-walks every region, validating headers, husks,
 // humongous run shapes and per-region accounting. It returns the live
-// objects and the husk start addresses (husks matter for startArr).
+// objects and the husk start addresses (husks matter for the start
+// array).
 func (g *G1) walkRegions(report func(check.Failure)) (live []g1obj, husks []vm.Addr) {
 	humCovered := make(map[int]bool)
 	for _, r := range g.regions {
@@ -175,7 +174,7 @@ func (g *G1) walkHumongous(r *region, humCovered map[int]bool, report func(check
 			Card: -1, Field: -1, Detail: "humongous start region holds no object"})
 		return nil
 	}
-	runEnd := r.start + vm.Addr(int64(r.humRegions)*g.cfg.RegionSize)
+	runEnd := r.start + vm.Addr(int64(r.humRegions)*g.regionSize)
 	status := g.as.Peek(r.start)
 	if vm.StatusForwarded(status) {
 		// Runs whose object moved to H2 are freed within the marking pause;
@@ -346,64 +345,21 @@ func (g *G1) verifyReachable(starts map[vm.Addr]*g1obj, report func(check.Failur
 	}
 }
 
-// verifyCards checks the one-bit card table: every old or humongous object
-// holding a young reference must have the card of its START dirty — that
-// is the card the write barrier and the evacuation walks mark, and the
-// card scan parses forward from the start array, so a holder is found iff
-// its start's card is dirty.
-func (g *G1) verifyCards(live []g1obj, report func(check.Failure)) {
+// cardObjects returns the objects whose starts the card table records:
+// the live objects of old and humongous-start regions, and the husks in
+// old regions (a husk's start still parses; its fields are stale, so it is
+// passed with no references).
+func (g *G1) cardObjects(live []g1obj, husks []vm.Addr) []check.Object {
+	var objs []check.Object
 	for i := range live {
-		o := &live[i]
-		if o.region.kind != regOld && o.region.kind != regHumongousStart {
-			continue
+		if k := live[i].region.kind; k == regOld || k == regHumongousStart {
+			objs = append(objs, check.Object{Addr: live[i].addr, NumRefs: live[i].numRefs})
 		}
-		for f := 0; f < o.numRefs; f++ {
-			t := vm.Addr(g.as.Peek(o.addr + vm.Addr((vm.HeaderWords+f)*vm.WordSize)))
-			if t.IsNull() || !g.inYoung(t) {
-				continue
-			}
-			ci := int(int64(o.addr-g.cardsBase) / int64(g.cfg.CardSize))
-			if g.cards[ci] == 0 {
-				report(check.Failure{Rule: "g1-card-missing-dirty", Space: kindName(o.region.kind),
-					Region: o.region.id, Card: ci, Holder: o.addr, Field: f,
-					Detail: fmt.Sprintf("object holds young reference %v but the card of its start is clean", t)})
-			}
-			break // one young ref suffices to require the card
-		}
-	}
-}
-
-// verifyStartArr checks that startArr[i] is exactly the lowest object
-// header (live or husk) starting in card i within old and humongous-start
-// regions, and null everywhere else. A nil startArr means no old or
-// humongous object was ever noted, so every expectation must be null too.
-func (g *G1) verifyStartArr(live []g1obj, husks []vm.Addr, report func(check.Failure)) {
-	want := make([]vm.Addr, len(g.cards))
-	note := func(a vm.Addr) {
-		r := g.regionOf(a)
-		if r == nil || (r.kind != regOld && r.kind != regHumongousStart) {
-			return
-		}
-		i := int64(a-g.cardsBase) / int64(g.cfg.CardSize)
-		if want[i].IsNull() || a < want[i] {
-			want[i] = a
-		}
-	}
-	for i := range live {
-		note(live[i].addr)
 	}
 	for _, a := range husks {
-		note(a)
-	}
-	for i := range want {
-		var got vm.Addr
-		if g.startArr != nil {
-			got = g.startArr[i]
-		}
-		if got != want[i] {
-			report(check.Failure{Rule: "g1-start-array", Space: "old", Region: -1, Card: i,
-				Holder: got, Field: -1,
-				Detail: fmt.Sprintf("startArr[%d]=%v but lowest object header in card is %v", i, got, want[i])})
+		if g.regionOf(a).kind == regOld {
+			objs = append(objs, check.Object{Addr: a})
 		}
 	}
+	return objs
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/gc"
+	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -23,7 +24,7 @@ func (g *G1) youngGC() error {
 	// completed marking cycle is followed by a cooldown: re-marking after
 	// every single young collection would dwarf the collections
 	// themselves.
-	if g.oldOccupancy() > g.cfg.IHOP {
+	if g.oldOccupancy() > ihop {
 		if g.markCooldown > 0 {
 			g.markCooldown--
 		} else {
@@ -112,7 +113,7 @@ func (g *G1) youngGCNoMark() error {
 			}
 			return false
 		}
-		if g.policy.Promote(site, age, g.cfg.TenureAge) {
+		if g.policy.Promote(site, age, tenureAge) {
 			promoted = place(&curOld, regOld)
 		}
 		if !ok {
@@ -130,7 +131,7 @@ func (g *G1) youngGCNoMark() error {
 		g.mem.SetForwardee(a, dst)
 		if promoted {
 			bytesPromoted += int64(size) * vm.WordSize
-			g.noteObjStart(dst)
+			g.cards.NoteStart(dst)
 		} else {
 			bytesCopied += int64(size) * vm.WordSize
 		}
@@ -156,18 +157,16 @@ func (g *G1) youngGCNoMark() error {
 	}, g.inYoung)
 
 	// Roots 3: dirty cards over old and humongous regions.
-	for ci := range g.cards {
-		cardsScanned++
-		if g.cards[ci] == 0 {
+	cards := g.cards
+	n := cards.NumCards()
+	cardsScanned = int64(n)
+	for ci := 0; ci < n; ci++ {
+		if cards.Get(ci) == heap.CardClean {
 			continue
 		}
-		g.cards[ci] = 0
-		lo := g.cardsBase + vm.Addr(int64(ci)*int64(g.cfg.CardSize))
-		hi := lo + vm.Addr(g.cfg.CardSize)
-		var obj vm.Addr
-		if g.startArr != nil {
-			obj = g.startArr[ci]
-		}
+		cards.Set(ci, heap.CardClean)
+		_, hi := cards.CardBounds(ci)
+		obj := cards.FirstStart(ci)
 		anyYoung := false
 		for !obj.IsNull() && obj < hi {
 			r := g.regionOf(obj)
@@ -180,8 +179,8 @@ func (g *G1) youngGCNoMark() error {
 				continue
 			}
 			cardObjects++
-			n := g.mem.NumRefs(obj)
-			for f := 0; f < n; f++ {
+			nrefs := g.mem.NumRefs(obj)
+			for f := 0; f < nrefs; f++ {
 				t := g.mem.RefAt(obj, f)
 				refsScanned++
 				if !t.IsNull() && inCS(t) {
@@ -195,7 +194,7 @@ func (g *G1) youngGCNoMark() error {
 			obj += vm.Addr(g.mem.SizeWords(obj) * vm.WordSize)
 		}
 		if anyYoung {
-			g.cards[ci] = 1
+			cards.Set(ci, heap.CardDirty)
 		}
 	}
 
@@ -220,7 +219,7 @@ func (g *G1) youngGCNoMark() error {
 		}
 		if anyYoung {
 			if r := g.regionOf(dst); r != nil && r.kind == regOld {
-				g.markCard(dst)
+				g.cards.MarkDirty(dst)
 			}
 		}
 	}
@@ -233,12 +232,12 @@ func (g *G1) youngGCNoMark() error {
 		g.releaseRegion(g.regions[id])
 	}
 
-	cpu := time.Duration(bytesCopied+bytesPromoted)*g.cfg.Costs.CopyPerByte +
-		time.Duration(refsScanned)*g.cfg.Costs.ScanPerRef +
-		time.Duration(cardsScanned)*g.cfg.Costs.PerCard +
-		time.Duration(cardObjects)*g.cfg.Costs.PerCardObject
+	cpu := time.Duration(bytesCopied+bytesPromoted)*gc.CopyPerByte +
+		time.Duration(refsScanned)*gc.ScanPerRef +
+		time.Duration(cardsScanned)*gc.PerCard +
+		time.Duration(cardObjects)*gc.PerCardObject
 	g.chargeGC(simclock.MinorGC, cpu)
-	g.clock.Charge(simclock.MinorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MinorGC, gc.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{

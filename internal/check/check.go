@@ -7,9 +7,10 @@
 //	    object targets a mapped address holding a valid class id and a
 //	    sane size/numRefs, and no forwarding pointers survive outside a
 //	    GC pause;
-//	(b) H1 card-table/start-array consistency: every old-generation
-//	    object holding a young reference lies in a dirty card, and
-//	    startArray[i] is exactly the lowest object header in card i;
+//	(b) H1 card-table/start-array consistency, one rule set for both
+//	    collectors (VerifyCards): every old object holding a young
+//	    reference has the card of its start dirty, and each card's
+//	    first-start entry is exactly the lowest object header in it;
 //	(c) H2 card-table and region-metadata consistency (delegated to the
 //	    H2 implementation, which owns the region internals);
 //	(d) accounting conservation: space Used() equals the sum of walked
@@ -111,20 +112,18 @@ type H2 interface {
 // Scavenge-style collector (the gc.Collector used by the PS, TeraHeap,
 // memory-mode and Panthera configurations).
 type PSView struct {
-	AS         *vm.AddressSpace
-	Classes    *vm.ClassTable
-	H1         *heap.H1
-	Roots      *vm.RootSet
-	StartArray []vm.Addr // collector's old-gen start array, indexed like H1.Cards
-	Clock      *simclock.Clock
-	H2         H2 // nil when no second heap is attached
+	AS      *vm.AddressSpace
+	Classes *vm.ClassTable
+	H1      *heap.H1
+	Roots   *vm.RootSet
+	Clock   *simclock.Clock
+	H2      H2 // nil when no second heap is attached
 }
 
-// object is one parsed heap object.
-type object struct {
-	addr    vm.Addr
-	size    int // words
-	numRefs int
+// Object is one parsed heap object: its start and reference-field count.
+type Object struct {
+	Addr    vm.Addr
+	NumRefs int
 }
 
 // Verifier runs the PS invariant rules with reusable scratch state, so a
@@ -132,8 +131,8 @@ type object struct {
 // maps, object lists and BFS queue across runs instead of reallocating
 // them each pause.
 type Verifier struct {
-	starts  map[vm.Addr]object
-	objs    []object // arena for per-space object lists
+	starts  map[vm.Addr]Object
+	objs    []Object // arena for per-space object lists
 	visited map[vm.Addr]bool
 	queue   []vm.Addr
 	want    []vm.Addr
@@ -143,7 +142,7 @@ type Verifier struct {
 // NewVerifier returns a Verifier with empty scratch state.
 func NewVerifier() *Verifier {
 	vr := &Verifier{
-		starts:  make(map[vm.Addr]object),
+		starts:  make(map[vm.Addr]Object),
 		visited: make(map[vm.Addr]bool),
 	}
 	vr.isStart = func(a vm.Addr) bool {
@@ -180,8 +179,7 @@ func (vr *Verifier) VerifyPS(v PSView) []Failure {
 	}
 
 	vr.verifyReachable(v, report)
-	verifyOldCards(v, old, report)
-	vr.verifyStartArray(v, old, report)
+	vr.VerifyCards(v.AS, v.H1.Cards, old, v.H1.InYoung, report)
 
 	if v.H2 != nil {
 		v.H2.VerifySelf(v.H1.InYoung, vr.isStart, report)
@@ -252,7 +250,7 @@ func (vr *Verifier) walkSpace(v PSView, sp *vm.Space, name string, report func(F
 				Detail: fmt.Sprintf("object end %v exceeds space top %v", end, sp.Top)})
 			return
 		}
-		o := object{addr: a, size: size, numRefs: numRefs}
+		o := Object{Addr: a, NumRefs: numRefs}
 		vr.objs = append(vr.objs, o)
 		vr.starts[a] = o
 		sumWords += int64(size)
@@ -301,7 +299,7 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		o := vr.starts[a]
-		for i := 0; i < o.numRefs; i++ {
+		for i := 0; i < o.NumRefs; i++ {
 			t := vm.Addr(v.AS.Peek(a + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
 			if t.IsNull() {
 				continue
@@ -331,36 +329,18 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 	vr.queue = queue[:0]
 }
 
-// verifyOldCards checks that every old-generation object holding a young
-// reference lies in a dirty card (rule (b), first half).
-func verifyOldCards(v PSView, old []object, report func(Failure)) {
-	cards := v.H1.Cards
-	for i := range old {
-		o := &old[i]
-		for f := 0; f < o.numRefs; f++ {
-			t := vm.Addr(v.AS.Peek(o.addr + vm.Addr((vm.HeaderWords+f)*vm.WordSize)))
-			if t.IsNull() || !v.H1.InYoung(t) {
-				continue
-			}
-			ci := cards.Index(o.addr)
-			if cards.Get(ci) != heap.CardDirty {
-				report(Failure{Rule: "h1-card-missing-dirty", Space: "old", Region: -1, Card: ci,
-					Holder: o.addr, Field: f,
-					Detail: fmt.Sprintf("old object holds young reference %v but its card is clean", t)})
-			}
-			break // one young ref suffices to require the card
-		}
-	}
-}
-
-// verifyStartArray checks that startArray[i] is exactly the lowest object
-// header starting in card i, and null for cards where no object starts
-// (rule (b), second half).
-func (vr *Verifier) verifyStartArray(v PSView, old []object, report func(Failure)) {
-	if v.StartArray == nil {
-		return
-	}
-	cards := v.H1.Cards
+// VerifyCards checks rule (b) over an H1 card table, for either
+// collector. objs are the objects whose starts the table records: the
+// old generation for Parallel Scavenge; the old and humongous regions for
+// G1, with the husks of objects moved to H2 passed with NumRefs 0 (their
+// start still parses, but their fields are stale). Two rules:
+//
+//   - the card rule: an object holding a young reference has the card of
+//     its start dirty — the card the write barrier and the GC walks mark,
+//     and the one the card scan parses forward from;
+//   - the start-array rule: each card's first-start entry is exactly the
+//     lowest object start in that card, and null where none starts.
+func (vr *Verifier) VerifyCards(as *vm.AddressSpace, cards *heap.CardTable, objs []Object, isYoung func(vm.Addr) bool, report func(Failure)) {
 	n := cards.NumCards()
 	want := vr.want
 	if cap(want) < n {
@@ -370,21 +350,30 @@ func (vr *Verifier) verifyStartArray(v PSView, old []object, report func(Failure
 		clear(want)
 	}
 	vr.want = want
-	for i := range old {
-		a := old[i].addr
-		ci := cards.Index(a)
-		if ci < 0 || ci >= n {
-			continue
+	for i := range objs {
+		o := &objs[i]
+		ci := cards.Index(o.Addr)
+		if want[ci].IsNull() || o.Addr < want[ci] {
+			want[ci] = o.Addr
 		}
-		if want[ci].IsNull() || a < want[ci] {
-			want[ci] = a
+		for f := 0; f < o.NumRefs; f++ {
+			t := vm.Addr(as.Peek(o.Addr + vm.Addr((vm.HeaderWords+f)*vm.WordSize)))
+			if t.IsNull() || !isYoung(t) {
+				continue
+			}
+			if cards.Get(ci) != heap.CardDirty {
+				report(Failure{Rule: "h1-card-missing-dirty", Space: "old", Region: -1, Card: ci,
+					Holder: o.Addr, Field: f,
+					Detail: fmt.Sprintf("old object holds young reference %v but the card of its start is clean", t)})
+			}
+			break // one young ref suffices to require the card
 		}
 	}
-	for i := 0; i < n && i < len(v.StartArray); i++ {
-		if v.StartArray[i] != want[i] {
+	for i := range want {
+		if got := cards.FirstStart(i); got != want[i] {
 			report(Failure{Rule: "h1-start-array", Space: "old", Region: -1, Card: i,
-				Holder: v.StartArray[i], Field: -1,
-				Detail: fmt.Sprintf("startArray[%d]=%v but lowest object header in card is %v", i, v.StartArray[i], want[i])})
+				Holder: got, Field: -1,
+				Detail: fmt.Sprintf("start entry of card %d is %v but lowest object header in card is %v", i, got, want[i])})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
@@ -143,9 +144,9 @@ func (th *TeraHeap) ScanBackwardRefs(major bool, visit func(uint64, vm.Addr) vm.
 		}
 	}
 
-	cpu := time.Duration(cardsExamined)*th.cfg.CardScanCost +
-		time.Duration(objectsScanned)*th.cfg.ObjScanCost
-	th.clock.ChargeAmbient(cpu / time.Duration(th.cfg.GCThreads))
+	cpu := time.Duration(cardsExamined)*gc.PerCard +
+		time.Duration(objectsScanned)*gc.PerCardObject
+	th.clock.ChargeAmbient(cpu / gc.MinorGCThreads)
 	th.stats.CardsScanned += cardsExamined
 	th.stats.H2ObjectsScanned += objectsScanned
 	if !major {

@@ -302,7 +302,7 @@ func (th *TeraHeap) CommitMove(dst vm.Addr, image []uint64) {
 	r.buf.words = append(r.buf.words, image...)
 	r.buf.recs = append(r.buf.recs, bufRec{word: dst.Word(vm.H2Base), off: off, n: len(image)})
 	r.buf.pendingBytes += int64(len(image)) * vm.WordSize
-	if r.buf.pendingBytes >= th.cfg.PromotionBufferBytes {
+	if r.buf.pendingBytes >= promotionBufferBytes {
 		th.flushRegion(r)
 	}
 }

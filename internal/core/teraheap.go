@@ -32,6 +32,9 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
+// promotionBufferBytes is the per-region staging buffer (paper: 2 MB).
+const promotionBufferBytes = 2 * storage.MB
+
 // GroupMode selects how cross-region references are tracked (§3.3).
 type GroupMode int
 
@@ -64,18 +67,11 @@ type Config struct {
 	EnableMoveHint bool
 	// GroupMode selects dependency lists or Union-Find groups.
 	GroupMode GroupMode
-	// PromotionBufferBytes is the per-region staging buffer (paper: 2 MB).
-	PromotionBufferBytes int64
 	// PageSize for the H2 mapping (4 KB, or 2 MB huge pages for the Spark
 	// ML workloads).
 	PageSize int
 	// CacheBytes is the DRAM page-cache budget for H2 (the DR2 share).
 	CacheBytes int64
-	// GCThreads parallelize card scanning CPU cost.
-	GCThreads int
-	// CardScanCost and ObjScanCost price card-table work.
-	CardScanCost time.Duration
-	ObjScanCost  time.Duration
 
 	// Ext enables the future-work extensions (dynamic thresholds,
 	// size-segregated placement); zero value disables both.
@@ -86,19 +82,15 @@ type Config struct {
 // on the given device-independent defaults.
 func DefaultConfig(h2Size int64) Config {
 	return Config{
-		H2Size:               h2Size,
-		RegionSize:           16 * storage.KB * 1024, // 16 MB
-		CardSegmentSize:      4 * storage.KB,
-		HighThreshold:        0.85,
-		LowThreshold:         0.50,
-		EnableMoveHint:       true,
-		GroupMode:            DependencyLists,
-		PromotionBufferBytes: 2 * storage.MB,
-		PageSize:             storage.DefaultPageSize,
-		CacheBytes:           0,
-		GCThreads:            16,
-		CardScanCost:         2 * time.Nanosecond,
-		ObjScanCost:          10 * time.Nanosecond,
+		H2Size:          h2Size,
+		RegionSize:      16 * storage.KB * 1024, // 16 MB
+		CardSegmentSize: 4 * storage.KB,
+		HighThreshold:   0.85,
+		LowThreshold:    0.50,
+		EnableMoveHint:  true,
+		GroupMode:       DependencyLists,
+		PageSize:        storage.DefaultPageSize,
+		CacheBytes:      0,
 	}
 }
 
@@ -157,9 +149,10 @@ type TeraHeap struct {
 	// checksum scrubber (ScrubStep).
 	scrubCursor int
 
-	// placement, when non-nil, overrides the H2 movement decisions
-	// (young->H2 on minor GC, closure moves at major GC). Nil keeps the
-	// legacy hint/threshold logic bit-for-bit.
+	// placement is the placement-policy seam for the H2 movement
+	// decisions (young->H2 on minor GC, closure moves at major GC), handed
+	// the hint/threshold decision as its default. placement.Default
+	// returns that decision unchanged.
 	placement placement.Policy
 
 	stats Stats
@@ -226,18 +219,16 @@ func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *sim
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GCThreads < 1 {
-		cfg.GCThreads = 1
-	}
 	// Objects must not span regions, so region size bounds object size;
 	// cap H2Size to a whole number of regions.
 	numRegions := cfg.H2Size / cfg.RegionSize
 	cfg.H2Size = numRegions * cfg.RegionSize
 
 	th := &TeraHeap{
-		cfg:    cfg,
-		clock:  clock,
-		mapped: storage.NewMappedFile(dev, cfg.H2Size, cfg.PageSize, cfg.CacheBytes),
+		cfg:       cfg,
+		clock:     clock,
+		mapped:    storage.NewMappedFile(dev, cfg.H2Size, cfg.PageSize, cfg.CacheBytes),
+		placement: placement.Default{},
 	}
 	as.Map(vm.H2Base, vm.H2Base+vm.Addr(cfg.H2Size), mappedMemory{th: th})
 	th.cards = newCardTable(cfg, int(numRegions))
@@ -260,8 +251,13 @@ func (th *TeraHeap) SetAdmission(f func() bool) { th.admit = f }
 func (th *TeraHeap) AttachMem(m *vm.Mem) { th.mem = m }
 
 // SetPlacementPolicy installs a placement policy over the H2 movement
-// decisions; nil restores the legacy hint/threshold logic.
-func (th *TeraHeap) SetPlacementPolicy(p placement.Policy) { th.placement = p }
+// decisions; nil restores the default policy (the hint/threshold logic).
+func (th *TeraHeap) SetPlacementPolicy(p placement.Policy) {
+	if p == nil {
+		p = placement.Default{}
+	}
+	th.placement = p
+}
 
 // Mapped exposes the underlying mapping (examples, tests, experiments).
 func (th *TeraHeap) Mapped() *storage.MappedFile { return th.mapped }
@@ -358,11 +354,7 @@ func (th *TeraHeap) DirtyCard(a vm.Addr) {
 // movement under pressure runs through the major-GC closure instead,
 // where advised groups go first and the budget applies).
 func (th *TeraHeap) MoveOnMinor(label uint64) bool {
-	advised := th.cfg.EnableMoveHint && th.advised(label)
-	if th.placement != nil {
-		return th.placement.MoveToH2OnMinor(label, advised)
-	}
-	return advised
+	return th.placement.MoveToH2OnMinor(label, th.Advised(label))
 }
 
 // Advised reports whether label's move hint was issued.
@@ -376,11 +368,7 @@ func (th *TeraHeap) Advised(label uint64) bool {
 // above the relief target — the low threshold when set, otherwise the
 // high threshold.
 func (th *TeraHeap) ShouldMoveLabel(label uint64, selectedWords int64) bool {
-	legacy := th.shouldMoveLabelLegacy(label, selectedWords)
-	if th.placement != nil {
-		return th.placement.MoveClosureAtMajor(label, legacy)
-	}
-	return legacy
+	return th.placement.MoveClosureAtMajor(label, th.shouldMoveLabelLegacy(label, selectedWords))
 }
 
 // shouldMoveLabelLegacy is the pre-policy-plane decision, verbatim.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
@@ -424,5 +425,34 @@ func TestRandomLifecycleDrainsH2(t *testing.T) {
 			t.Fatalf("seed %d: H2 not drained: %d bytes in %d regions",
 				seed, th.UsedBytes(), th.ActiveRegions())
 		}
+	}
+}
+
+// TestH2CardScanCostPinned pins the simulated time the H2 card scan
+// charges during minor GC (Stats.MinorScanTime), so a change to the
+// card-scan costs fails here by name.
+func TestH2CardScanCostPinned(t *testing.T) {
+	// A partition spanning tens of card segments, so one more nanosecond
+	// per examined card or per scanned object moves the total.
+	e := newTHEnv(t, 1<<20, nil)
+	h := e.buildPartition(t, 2048)
+	e.jvm.TagRoot(h, 5)
+	e.jvm.MoveHint(5)
+	if err := e.jvm.FullGC(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		y := e.allocNode(t, vm.NullAddr, vm.NullAddr, uint64(i))
+		e.jvm.WriteRef(e.jvm.ReadRef(h.Addr(), 512*i), 0, y)
+		if err := e.jvm.MinorGC(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.th.Stats()
+	const wantTime, wantCards, wantObjs = 66072 * time.Nanosecond, 116, 768
+	if st.MinorScanTime != wantTime || st.MinorCardsScanned != wantCards || st.MinorH2ObjectsScanned != wantObjs {
+		t.Fatalf("minor H2 scan: %d ns, %d cards, %d objects; want %d ns, %d cards, %d objects",
+			st.MinorScanTime.Nanoseconds(), st.MinorCardsScanned, st.MinorH2ObjectsScanned,
+			wantTime.Nanoseconds(), wantCards, wantObjs)
 	}
 }

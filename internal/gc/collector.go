@@ -18,52 +18,31 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// CostParams prices GC and barrier CPU work in virtual time. Device I/O is
-// priced separately by internal/storage. Defaults approximate a 2.4 GHz
+// The GC and barrier cost table: per-operation CPU prices in virtual time,
+// read by both collectors and by TeraHeap's H2 card scan. Device I/O is
+// priced separately by internal/storage. The values approximate a 2.4 GHz
 // server core.
-type CostParams struct {
-	CopyPerByte    time.Duration // memcpy during scavenge/compaction
-	ScanPerRef     time.Duration // following one reference
-	MarkPerObject  time.Duration // visiting one object in mark phase
-	PerCard        time.Duration // examining one card table entry
-	PerCardObject  time.Duration // scanning one object found in a dirty card
-	BarrierCost    time.Duration // one post-write barrier execution
-	PausePerGC     time.Duration // fixed safepoint/start/stop overhead
-	MinorGCThreads int           // parallel scavenge threads (paper: 16)
-	MajorGCThreads int           // old generation threads (paper: 1)
-
-	// Workers is the simulated GC gang size. The work items of each pause
-	// phase are dealt round-robin onto Workers per-worker spans (0 counts
-	// as 1) and the phase charges the longest span divided by the phase's
-	// thread count. A gang of one is therefore the serial charge: the sum
-	// of the phase's CPU work over the thread count. Above one worker each
-	// barrier also pays StealSyncCost.
-	Workers int
+const (
+	// CopyPerByte prices memcpy during scavenge, evacuation and
+	// compaction. time.Nanosecond/4 truncates to 0: copy volume costs no
+	// simulated time. The intended ~4 GB/s per thread needs sub-nanosecond
+	// pricing, a model change left open (see ROADMAP).
+	CopyPerByte   = time.Nanosecond / 4
+	ScanPerRef    = 12 * time.Nanosecond   // following one reference
+	MarkPerObject = 18 * time.Nanosecond   // visiting one object in mark phase
+	PerCard       = 2 * time.Nanosecond    // examining one card table entry
+	PerCardObject = 10 * time.Nanosecond   // scanning one object found in a dirty card
+	BarrierCost   = 1 * time.Nanosecond    // one post-write barrier execution
+	PausePerGC    = 200 * time.Microsecond // fixed safepoint/start/stop overhead
 	// StealSyncCost models the work-stealing and termination-barrier
 	// overhead of one gang synchronization point; charged once per barrier
-	// (minor GC: 1; major GC: one per phase) only when Workers > 1.
-	StealSyncCost time.Duration
-}
+	// (minor GC: 1; major GC: one per phase) only when the gang has more
+	// than one worker.
+	StealSyncCost = time.Microsecond
 
-// DefaultCostParams returns the calibrated defaults.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		// time.Nanosecond/4 truncates to 0: copy volume costs no simulated
-		// time. The intended ~4 GB/s per thread needs sub-nanosecond
-		// pricing, a model change left open (see ROADMAP).
-		CopyPerByte:    time.Nanosecond / 4,
-		ScanPerRef:     12 * time.Nanosecond,
-		MarkPerObject:  18 * time.Nanosecond,
-		PerCard:        2 * time.Nanosecond,
-		PerCardObject:  10 * time.Nanosecond,
-		BarrierCost:    1 * time.Nanosecond,
-		PausePerGC:     200 * time.Microsecond,
-		MinorGCThreads: 16,
-		MajorGCThreads: 1,
-		Workers:        1,
-		StealSyncCost:  time.Microsecond,
-	}
-}
+	MinorGCThreads = 16 // parallel scavenge threads (paper: 16)
+	MajorGCThreads = 1  // old generation threads (paper: 1)
+)
 
 // OOMError reports that the heap could not satisfy an allocation even
 // after a full collection — the paper's missing "OOM" bars.
@@ -115,7 +94,14 @@ type Collector struct {
 	H1    *heap.H1
 	Roots *vm.RootSet
 	TH    SecondHeap
-	Costs CostParams
+
+	// Workers is the simulated GC gang size. The work items of each pause
+	// phase are dealt round-robin onto Workers per-worker spans (0 counts
+	// as 1) and the phase charges the longest span divided by the phase's
+	// thread count. A gang of one is therefore the serial charge: the sum
+	// of the phase's CPU work over the thread count. Above one worker each
+	// barrier also pays StealSyncCost. Set before the first collection.
+	Workers int
 
 	// PretenureCold places cold (long-lived framework) allocations
 	// straight into the old generation: Panthera's policy for its
@@ -126,11 +112,6 @@ type Collector struct {
 	clock *simclock.Clock
 
 	stats Stats
-
-	// startArray maps old-generation card index to the first object
-	// starting in that card (PS's object start array), enabling dirty-card
-	// scanning without walking the whole old generation.
-	startArray []vm.Addr
 
 	// oom latches after an OOMError so subsequent allocations fail fast.
 	oom *OOMError
@@ -192,7 +173,7 @@ type Collector struct {
 // New builds a collector over an already laid-out (and mapped) H1: DRAM
 // for the native and TeraHeap JVMs, NVM-backed for the Spark-MO and
 // Panthera baselines. th may be nil for a vanilla JVM (no H2).
-func New(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
+func New(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
 	if th == nil {
 		th = NoSecondHeap{}
 	}
@@ -201,10 +182,8 @@ func New(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTa
 		H1:             h1,
 		Roots:          vm.NewRootSet(),
 		TH:             th,
-		Costs:          costs,
 		mem:            vm.NewMem(as, classes),
 		clock:          clock,
-		startArray:     make([]vm.Addr, h1.Cards.NumCards()),
 		barrierEnabled: !noTH,
 		policy:         placement.Default{},
 	}
@@ -302,12 +281,11 @@ func (c *Collector) latchOOM(e *OOMError) *OOMError {
 // simulated time.
 func (c *Collector) VerifyNow() []check.Failure {
 	v := check.PSView{
-		AS:         c.mem.AS,
-		Classes:    c.mem.Classes,
-		H1:         c.H1,
-		Roots:      c.Roots,
-		StartArray: c.startArray,
-		Clock:      c.clock,
+		AS:      c.mem.AS,
+		Classes: c.mem.Classes,
+		H1:      c.H1,
+		Roots:   c.Roots,
+		Clock:   c.clock,
 	}
 	if h2, ok := c.TH.(check.H2); ok {
 		v.H2 = h2
@@ -512,7 +490,7 @@ func (c *Collector) ensureMinorHeadroom() error {
 func (c *Collector) allocOld(sizeWords int) (vm.Addr, bool) {
 	a, ok := c.H1.Old.Alloc(sizeWords)
 	if ok {
-		c.noteOldAlloc(a)
+		c.H1.Cards.NoteStart(a)
 	}
 	return a, ok
 }
@@ -528,30 +506,15 @@ func (c *Collector) SalvageAllocOld(sizeWords int) (vm.Addr, bool) {
 	return c.allocOld(sizeWords)
 }
 
-// noteOldAlloc maintains the object start array for dirty-card scanning.
-func (c *Collector) noteOldAlloc(a vm.Addr) {
-	i := c.H1.Cards.Index(a)
-	if c.startArray[i].IsNull() || a < c.startArray[i] {
-		c.startArray[i] = a
-	}
-}
-
-func (c *Collector) rebuildStartArray() {
-	for i := range c.startArray {
-		c.startArray[i] = vm.NullAddr
-	}
-	c.H1.Old.Walk(c.mem, func(a vm.Addr) { c.noteOldAlloc(a) })
-}
-
 // WriteRef performs a mutator reference-field store with the post-write
 // barrier (§4): a reference range check selects the H1 or H2 card table.
 func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	c.clock.Charge(simclock.Other, c.Costs.BarrierCost)
+	c.clock.Charge(simclock.Other, BarrierCost)
 	c.stats.BarrierExecutions++
 	if c.barrierEnabled {
 		// The extra reference range check EnableTeraHeap compiles in;
 		// the paper measures its overhead at <3% on DaCapo (§4).
-		c.clock.Charge(simclock.Other, c.Costs.BarrierCost)
+		c.clock.Charge(simclock.Other, BarrierCost)
 	}
 	if c.TH.Contains(obj) {
 		// Updating an H2 object: the store itself is a device
@@ -580,14 +543,6 @@ func (c *Collector) ReadRef(obj vm.Addr, field int) vm.Addr {
 // ReadPrim loads a primitive word.
 func (c *Collector) ReadPrim(obj vm.Addr, i int) uint64 {
 	return c.mem.PrimAt(obj, i)
-}
-
-// chargeGC divides CPU work across GC threads and bills the category.
-func (c *Collector) chargeGC(cat simclock.Category, d time.Duration, threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	c.clock.Charge(cat, d/time.Duration(threads))
 }
 
 // adjustRef computes the post-compaction address for ref by binary search

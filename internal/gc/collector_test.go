@@ -35,7 +35,7 @@ func newTestEnv(t *testing.T, h1Size int64) *testEnv {
 		parr:    classes.MustPrimArray("long[]"),
 	}
 	as := &vm.AddressSpace{}
-	e.col = gc.New(heap.New(heap.DefaultConfig(h1Size), as), gc.DefaultCostParams(), as, classes, clock, nil)
+	e.col = gc.New(heap.New(heap.DefaultConfig(h1Size), as), as, classes, clock, nil)
 	verifyFromEnv(e.col)
 	return e
 }

@@ -68,15 +68,15 @@ func (g *gang) sweepUniform(n int, per time.Duration) {
 // beginGangPhase arms per-worker attribution for one barrier-delimited
 // phase. Every pause phase is a gang phase; a gang of one (Workers 0 or
 // 1) accrues every item on one span, which is the serial charge.
-func (c *Collector) beginGangPhase() { c.gang.reset(c.Costs.Workers) }
+func (c *Collector) beginGangPhase() { c.gang.reset(c.Workers) }
 
 // endGangPhase closes a phase opened by beginGangPhase: the pause charge
 // is the longest worker span divided by the phase's thread count, plus
 // one barrier's steal/sync overhead when more than one worker has to
 // synchronize.
 func (c *Collector) endGangPhase(cat simclock.Category, threads int) {
-	c.chargeGC(cat, c.gang.spans.Max(), threads)
-	if c.Costs.Workers > 1 {
-		c.clock.Charge(cat, c.Costs.StealSyncCost)
+	c.clock.Charge(cat, c.gang.spans.Max()/time.Duration(threads))
+	if c.Workers > 1 {
+		c.clock.Charge(cat, StealSyncCost)
 	}
 }

@@ -16,7 +16,7 @@ import (
 func gangRun(t *testing.T, workers int) (minor, major time.Duration, st *gc.Stats, h *vm.Handle, e *testEnv) {
 	t.Helper()
 	e = newTestEnv(t, 1<<23)
-	e.col.Costs.Workers = workers
+	e.col.Workers = workers
 	h = e.buildList(t, 4000)
 	for round := 0; round < 4; round++ {
 		g := e.buildList(t, 2000) // garbage
@@ -117,9 +117,8 @@ func TestGangSurvivesScavengeFallback(t *testing.T) {
 	classes := vm.NewClassTable()
 	node := classes.MustFixed("Node", 2, 1)
 	as := &vm.AddressSpace{}
-	costs := gc.DefaultCostParams()
-	costs.Workers = 4
-	col := gc.New(heap.New(heap.DefaultConfig(1<<19), as), costs, as, classes, clock, nil)
+	col := gc.New(heap.New(heap.DefaultConfig(1<<19), as), as, classes, clock, nil)
+	col.Workers = 4
 	verifyFromEnv(col)
 
 	h := col.NewHandle(vm.NullAddr)

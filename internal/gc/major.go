@@ -52,7 +52,7 @@ func (c *Collector) FullGC() error {
 	c.majorCompact(fw, &cy)
 	c.endMajorPhase(&cy, PhaseCompact, start)
 
-	c.clock.Charge(simclock.MajorGC, c.Costs.PausePerGC)
+	c.clock.Charge(simclock.MajorGC, PausePerGC)
 
 	liveOld := c.H1.Old.Used()
 	c.TH.FinishMajor(liveOld, c.H1.Old.Capacity())
@@ -76,7 +76,7 @@ func (c *Collector) FullGC() error {
 // endMajorPhase closes one major-GC gang phase and records the pause time
 // charged since start as that phase's share of the cycle.
 func (c *Collector) endMajorPhase(cy *Cycle, p MajorPhase, start simclock.Breakdown) {
-	c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+	c.endGangPhase(simclock.MajorGC, MajorGCThreads)
 	cy.Phases[p] = c.clock.Breakdown().Sub(start).Get(simclock.MajorGC)
 }
 
@@ -132,12 +132,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			m.SetInClosure(o, true)
 			m.SetLabel(o, label)
 			st.closureWords += int64(m.SizeWords(o))
-			c.gang.charge(c.Costs.MarkPerObject)
+			c.gang.charge(MarkPerObject)
 			n := m.NumRefs(o)
 			for i := 0; i < n; i++ {
 				if t := m.RefAt(o, i); !t.IsNull() && c.H1.Contains(t) {
 					closureStack = append(closureStack, t)
-					c.gang.charge(c.Costs.ScanPerRef)
+					c.gang.charge(ScanPerRef)
 				}
 			}
 		}
@@ -212,12 +212,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			continue
 		}
 		m.SetMarked(o, true)
-		c.gang.charge(c.Costs.MarkPerObject)
+		c.gang.charge(MarkPerObject)
 		st.liveBytes += int64(m.SizeWords(o)) * vm.WordSize
 		n := m.NumRefs(o)
 		for i := 0; i < n; i++ {
 			if t := m.RefAt(o, i); !t.IsNull() {
-				c.gang.charge(c.Costs.ScanPerRef)
+				c.gang.charge(ScanPerRef)
 				stack = append(stack, t)
 			}
 		}
@@ -381,7 +381,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	oldDst := growAddrs(c.oldDst, len(oldLive))
 	for i, a := range oldLive {
 		c.gang.beginItem()
-		c.gang.charge(c.Costs.PerCardObject)
+		c.gang.charge(PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -391,7 +391,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	youngDst := growAddrs(c.youngDst, len(youngLive))
 	for i, a := range youngLive {
 		c.gang.beginItem()
-		c.gang.charge(c.Costs.PerCardObject)
+		c.gang.charge(PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -438,7 +438,7 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 		if !ok {
 			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
 		}
-		c.gang.charge(c.Costs.ScanPerRef)
+		c.gang.charge(ScanPerRef)
 		return nt
 	}, func(vm.Addr) bool { return false })
 
@@ -451,7 +451,7 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 			if t.IsNull() {
 				continue
 			}
-			c.gang.charge(c.Costs.ScanPerRef)
+			c.gang.charge(ScanPerRef)
 			if c.TH.Contains(t) {
 				if toH2 {
 					c.TH.NoteCrossRegionRef(fw.dst[i], t)
@@ -525,7 +525,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 		st := m.Status(dst)
 		m.SetStatus(dst, st&^uint64(vm.FlagMark|vm.FlagClosure))
 		cy.BytesCopied += int64(size) * vm.WordSize
-		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
 	}
 
 	for i := fw.oldStartIdx; i < len(fw.src); i++ {
@@ -541,6 +541,6 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	c.H1.From.Reset()
 	c.H1.To.Reset()
 	c.H1.Cards.ClearAll()
-	c.rebuildStartArray()
+	c.H1.Old.Walk(c.mem, c.H1.Cards.NoteStart)
 	c.TH.FlushBuffers()
 }

@@ -110,8 +110,8 @@ func (c *Collector) MinorGC() (err error) {
 
 	// Bill CPU work. The scavenge is one barrier: a single gang phase from
 	// roots through drain.
-	c.endGangPhase(simclock.MinorGC, c.Costs.MinorGCThreads)
-	c.clock.Charge(simclock.MinorGC, c.Costs.PausePerGC)
+	c.endGangPhase(simclock.MinorGC, MinorGCThreads)
+	c.clock.Charge(simclock.MinorGC, PausePerGC)
 
 	delta := c.clock.Breakdown().Sub(before)
 	c.stats.record(Cycle{
@@ -208,7 +208,7 @@ func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	} else {
 		s.bytesCopied += int64(size) * vm.WordSize
 	}
-	c.gang.charge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+	c.gang.charge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
 	s.worklist = append(s.worklist, dst)
 	c.policy.NoteScavenge(site, age, promoted)
 	return dst
@@ -244,7 +244,7 @@ func (s *scavenger) scanCopied(dst vm.Addr) {
 	anyYoung := false
 	for i := 0; i < n; i++ {
 		t := m.RefAt(dst, i)
-		c.gang.charge(c.Costs.ScanPerRef)
+		c.gang.charge(ScanPerRef)
 		if t.IsNull() || c.TH.Contains(t) {
 			continue // fence: never cross into H2
 		}
@@ -290,7 +290,7 @@ func (s *scavenger) commitH2Move(mv pendingH2Move) {
 	image[2] = label
 	for i := 0; i < numRefs; i++ {
 		t := vm.Addr(m.AS.Load(mv.src + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
-		c.gang.charge(c.Costs.ScanPerRef)
+		c.gang.charge(ScanPerRef)
 		switch {
 		case t.IsNull():
 		case c.TH.Contains(t):
@@ -338,7 +338,7 @@ func (s *scavenger) scanDirtyCards() {
 	// the bulk deal assigned their index.
 	g := &c.gang
 	sweepStart := g.next
-	g.sweepUniform(n, c.Costs.PerCard)
+	g.sweepUniform(n, PerCard)
 	s.cardsScanned += int64(n)
 	for i := 0; i < n; i++ {
 		if cards.Get(i) != heap.CardDirty {
@@ -358,14 +358,14 @@ func (s *scavenger) scanCard(i int) {
 	cards := c.H1.Cards
 	cards.Set(i, heap.CardClean)
 	_, hi := cards.CardBounds(i)
-	obj := c.startArray[i]
+	obj := cards.FirstStart(i)
 	anyYoung := false
 	for !obj.IsNull() && obj < hi && obj < s.oldTop {
-		c.gang.charge(c.Costs.PerCardObject)
+		c.gang.charge(PerCardObject)
 		nrefs := m.NumRefs(obj)
 		for f := 0; f < nrefs; f++ {
 			t := m.RefAt(obj, f)
-			c.gang.charge(c.Costs.ScanPerRef)
+			c.gang.charge(ScanPerRef)
 			if t.IsNull() || c.TH.Contains(t) {
 				continue
 			}

@@ -51,9 +51,10 @@ type Conf struct {
 	OOCCacheBytes int64
 	// OOCHighWater is the H1 usage fraction that triggers offloading.
 	OOCHighWater float64
-
-	ComputePerElem time.Duration
 }
+
+// computePerElem is the mutator CPU cost per element visited.
+const computePerElem = 60 * time.Nanosecond
 
 // Engine runs BSP computations over a partitioned graph.
 type Engine struct {
@@ -136,9 +137,6 @@ func unpackMsg(w uint64) (int32, float64) {
 func NewEngine(conf Conf, g *workloads.Graph, parts int) (*Engine, error) {
 	if conf.Threads <= 0 {
 		conf.Threads = 8
-	}
-	if conf.ComputePerElem == 0 {
-		conf.ComputePerElem = 60 * time.Nanosecond
 	}
 	if conf.OOCHighWater == 0 {
 		// Relative to the whole heap; the old generation is 2/3 of it, so
@@ -357,7 +355,7 @@ func (e *Engine) materializeDenseStore(data []float64, st *store) error {
 
 func (e *Engine) chargeElements(n int64) {
 	e.RT.Clock().Charge(simclock.Other,
-		time.Duration(n)*e.Conf.ComputePerElem/time.Duration(e.Conf.Threads))
+		time.Duration(n)*computePerElem/time.Duration(e.Conf.Threads))
 }
 
 // Run executes prog until convergence or its superstep cap, returning the

@@ -17,15 +17,14 @@ type Config struct {
 	// YoungFraction of H1 devoted to the young generation (PS default
 	// NewRatio=2 → 1/3).
 	YoungFraction float64
-	// SurvivorFraction of the young generation per survivor space
-	// (PS default SurvivorRatio=8 → 1/10 each).
-	SurvivorFraction float64
 	// TenureAge is the number of minor GCs an object survives before
 	// promotion to the old generation.
 	TenureAge int
-	// CardSize is the H1 card segment size in bytes (JVM default 512).
-	CardSize int
 }
+
+// survivorFraction is the share of the young generation per survivor space
+// (PS default SurvivorRatio=8 → 1/10 each).
+const survivorFraction = 0.1
 
 // ConfigError is the typed error for an invalid H1 configuration. Heap
 // geometry comes from user input (experiment sweeps, CLI flags), so bad
@@ -42,8 +41,6 @@ func (cfg *Config) Validate() error {
 		return &ConfigError{Reason: fmt.Sprintf("non-positive H1 size %d", cfg.H1Size)}
 	case cfg.YoungFraction <= 0 || cfg.YoungFraction >= 1:
 		return &ConfigError{Reason: fmt.Sprintf("bad young fraction %v", cfg.YoungFraction)}
-	case cfg.SurvivorFraction < 0 || cfg.SurvivorFraction >= 0.5:
-		return &ConfigError{Reason: fmt.Sprintf("bad survivor fraction %v", cfg.SurvivorFraction)}
 	}
 	return nil
 }
@@ -51,11 +48,9 @@ func (cfg *Config) Validate() error {
 // DefaultConfig returns PS-like defaults for the given heap size.
 func DefaultConfig(h1Size int64) Config {
 	return Config{
-		H1Size:           h1Size,
-		YoungFraction:    1.0 / 3.0,
-		SurvivorFraction: 0.1,
-		TenureAge:        3,
-		CardSize:         512,
+		H1Size:        h1Size,
+		YoungFraction: 1.0 / 3.0,
+		TenureAge:     3,
 	}
 }
 
@@ -67,7 +62,8 @@ type H1 struct {
 	To   *vm.Space
 	Old  *vm.Space
 
-	// Cards covers the old generation, tracking old-to-young references.
+	// Cards covers the old generation, tracking old-to-young references
+	// and the first object start in each card.
 	Cards *CardTable
 
 	ram *vm.RAM
@@ -95,7 +91,7 @@ func NewUnmapped(cfg Config) *H1 {
 	cfg.H1Size &^= 63
 	align := func(n int64) int64 { return n &^ (vm.WordSize*8 - 1) }
 	youngSize := align(int64(float64(cfg.H1Size) * cfg.YoungFraction))
-	survSize := align(int64(float64(youngSize) * cfg.SurvivorFraction))
+	survSize := align(int64(float64(youngSize) * survivorFraction))
 	edenSize := youngSize - 2*survSize
 	oldSize := cfg.H1Size - youngSize
 
@@ -105,7 +101,7 @@ func NewUnmapped(cfg Config) *H1 {
 	h.From = vm.NewSpace("from", base+vm.Addr(edenSize), survSize)
 	h.To = vm.NewSpace("to", base+vm.Addr(edenSize+survSize), survSize)
 	h.Old = vm.NewSpace("old", base+vm.Addr(youngSize), oldSize)
-	h.Cards = NewCardTable(h.Old.Start, h.Old.End, cfg.CardSize)
+	h.Cards = NewCardTable(h.Old.Start, h.Old.End)
 	return h
 }
 

@@ -61,7 +61,7 @@ func TestSwapSurvivors(t *testing.T) {
 }
 
 func TestCardTableIndexBounds(t *testing.T) {
-	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+10_000, 512)
+	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+10_000)
 	if ct.NumCards() != 20 {
 		t.Fatalf("cards = %d", ct.NumCards())
 	}
@@ -82,23 +82,43 @@ func TestCardTableIndexBounds(t *testing.T) {
 }
 
 func TestCardTableMarkAndClear(t *testing.T) {
-	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+1<<16, 512)
+	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+1<<16)
 	ct.MarkDirty(vm.H1Base + 1000)
 	ct.MarkDirty(vm.H1Base + 40_000)
 	ct.MarkDirty(vm.H1Base - 8) // out of range: ignored
 	if ct.CountDirty() != 2 {
 		t.Fatalf("dirty = %d", ct.CountDirty())
 	}
-	var visited []int
-	ct.ForEach(func(s byte) bool { return s == heap.CardDirty }, func(i int) {
-		visited = append(visited, i)
-	})
-	if len(visited) != 2 {
-		t.Fatalf("visited %v", visited)
+	if ct.Get(ct.Index(vm.H1Base+1000)) != heap.CardDirty || ct.Get(ct.Index(vm.H1Base+40_000)) != heap.CardDirty {
+		t.Fatal("marked cards are not dirty")
 	}
 	ct.ClearAll()
 	if ct.CountDirty() != 0 {
 		t.Fatal("clear failed")
+	}
+}
+
+func TestCardTableStarts(t *testing.T) {
+	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+1<<16)
+	// Two objects in card 1, noted out of order, and one in card 3.
+	ct.NoteStart(vm.H1Base + 600)
+	ct.NoteStart(vm.H1Base + 520)
+	ct.NoteStart(vm.H1Base + 3*512 + 8)
+	if got := ct.FirstStart(1); got != vm.H1Base+520 {
+		t.Fatalf("card 1 first start %v", got)
+	}
+	if got := ct.FirstStart(2); !got.IsNull() {
+		t.Fatalf("card 2 holds no object but records %v", got)
+	}
+	// Clearing [card 0, card 2) keeps card 3.
+	ct.ClearStarts(vm.H1Base, vm.H1Base+2*512)
+	if !ct.FirstStart(1).IsNull() || ct.FirstStart(3) != vm.H1Base+3*512+8 {
+		t.Fatalf("range clear: card 1 %v, card 3 %v", ct.FirstStart(1), ct.FirstStart(3))
+	}
+	ct.MarkDirty(vm.H1Base + 3*512)
+	ct.ClearAll()
+	if !ct.FirstStart(3).IsNull() || ct.CountDirty() != 0 {
+		t.Fatal("ClearAll kept a start or a dirty card")
 	}
 }
 

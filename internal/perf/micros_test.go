@@ -182,7 +182,7 @@ func setupScavengeGang4() func() {
 		col.WriteRef(a, 0, h.Addr())
 		h.Set(a)
 	}
-	col.Costs.Workers = 4
+	col.Workers = 4
 	op := func() {
 		for i := 0; i < 32; i++ {
 			if _, err := col.Alloc(node); err != nil {
@@ -208,7 +208,7 @@ func setupScavengeGang4() func() {
 // slab is grown during warm-up and never reallocated after.
 func setupScavengeNG2C() func() {
 	col := unverified(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*gc.Collector)
-	col.SetPlacementPolicy(placement.NewNG2C(placement.DefaultNG2CConfig()))
+	col.SetPlacementPolicy(placement.NewNG2C())
 	node := col.Classes().MustFixed("Node", 1, 1)
 	h := col.NewHandle(vm.NullAddr)
 	for i := 0; i < 64; i++ {

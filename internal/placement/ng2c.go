@@ -2,33 +2,26 @@ package placement
 
 import "github.com/carv-repro/teraheap-go/internal/vm"
 
-// NG2CConfig tunes the NG2C-style allocation-site pretenuring profiler
+// The NG2C-style allocation-site pretenuring profiler's thresholds
 // ("NG2C: Pretenuring Garbage Collection with Dynamic Generations for
 // HotSpot Big Data Applications", ISMM'17).
-type NG2CConfig struct {
-	// PromoteThreshold is the number of age-based tenurings a site must
-	// accumulate before the profiler flips it to the pretenure state
+const (
+	// ng2cPromoteThreshold is the number of age-based tenurings a site
+	// must accumulate before the profiler flips it to the pretenure state
 	// (subsequent allocations go straight to the old generation and
 	// survivors skip the survivor spaces).
-	PromoteThreshold int
-	// DemoteThreshold is the number of dead pretenured objects a site
+	ng2cPromoteThreshold = 16
+	// ng2cDemoteThreshold is the number of dead pretenured objects a site
 	// may accumulate before it is demoted back to young allocation (the
 	// paper's misprediction correction).
-	DemoteThreshold int
-	// Generations is the number of survivor-free target generations
+	ng2cDemoteThreshold = 64
+	// ng2cGenerations is the number of survivor-free target generations
 	// pretenured sites are spread across (round-robin by flip order).
 	// The simulated old space is a single physical space, so target
 	// generations are an accounting dimension: per-generation placement
 	// counters for the pretenure figure.
-	Generations int
-}
-
-// DefaultNG2CConfig returns the profiler defaults.
-func DefaultNG2CConfig() NG2CConfig {
-	return NG2CConfig{PromoteThreshold: 16, DemoteThreshold: 64, Generations: 3}
-}
-
-const maxNG2CGenerations = 8
+	ng2cGenerations = 3
+)
 
 // ng2cSite is the per-allocation-site profile. Sites live in a dense
 // slab indexed by class ID so hot-path decisions never hash or allocate.
@@ -47,34 +40,17 @@ type ng2cSite struct {
 // so two processes running the same workload build byte-identical
 // profiles.
 type NG2C struct {
-	cfg   NG2CConfig
 	sites []ng2cSite
 	flips int // young->pretenure transitions, drives generation assignment
 
 	early     int64
 	mispred   int64
 	demotions int64
-	gens      [maxNG2CGenerations]int64
+	gens      [ng2cGenerations]int64
 }
 
-// NewNG2C builds the profiler; zero or negative config fields take the
-// defaults and Generations is clamped to [1, 8].
-func NewNG2C(cfg NG2CConfig) *NG2C {
-	def := DefaultNG2CConfig()
-	if cfg.PromoteThreshold <= 0 {
-		cfg.PromoteThreshold = def.PromoteThreshold
-	}
-	if cfg.DemoteThreshold <= 0 {
-		cfg.DemoteThreshold = def.DemoteThreshold
-	}
-	if cfg.Generations <= 0 {
-		cfg.Generations = def.Generations
-	}
-	if cfg.Generations > maxNG2CGenerations {
-		cfg.Generations = maxNG2CGenerations
-	}
-	return &NG2C{cfg: cfg, sites: make([]ng2cSite, 1024)}
-}
+// NewNG2C builds the profiler.
+func NewNG2C() *NG2C { return &NG2C{sites: make([]ng2cSite, 1024)} }
 
 // site returns the profile slot for s, growing the dense slab on first
 // contact with a new class-ID range. Growth is bounded by the class-ID
@@ -138,9 +114,9 @@ func (p *NG2C) NoteScavenge(site Site, _ int, promoted bool) {
 		p.early++
 		return
 	}
-	if st.promotions >= int64(p.cfg.PromoteThreshold) {
+	if st.promotions >= ng2cPromoteThreshold {
 		st.pretenure = true
-		st.gen = uint8(p.flips % p.cfg.Generations)
+		st.gen = uint8(p.flips % ng2cGenerations)
 		p.flips++
 	}
 }
@@ -155,7 +131,7 @@ func (p *NG2C) NoteDeadOld(status uint64) {
 	st := p.site(SiteFromStatus(status))
 	st.deadPret++
 	p.mispred++
-	if st.pretenure && st.deadPret >= int64(p.cfg.DemoteThreshold) {
+	if st.pretenure && st.deadPret >= ng2cDemoteThreshold {
 		st.pretenure = false
 		st.promotions = 0
 		st.deadPret = 0
@@ -184,6 +160,6 @@ func (p *NG2C) Stats() Stats {
 		}
 		s.PretenuredObjects += st.pretenured
 	}
-	s.Generations = append(s.Generations, p.gens[:p.cfg.Generations]...)
+	s.Generations = append(s.Generations, p.gens[:]...)
 	return s
 }

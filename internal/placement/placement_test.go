@@ -79,8 +79,8 @@ func TestDefaultIsLegacy(t *testing.T) {
 // property is CI's two-process pretenure cmp).
 func TestNG2CDeterministicProfile(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xDEADBEEF} {
-		a := NewNG2C(DefaultNG2CConfig())
-		b := NewNG2C(DefaultNG2CConfig())
+		a := NewNG2C()
+		b := NewNG2C()
 		drive(a, seed, 50000)
 		drive(b, seed, 50000)
 		sa, sb := a.Stats(), b.Stats()
@@ -100,19 +100,22 @@ func TestNG2CDeterministicProfile(t *testing.T) {
 // young, flipped to pretenure at the promote threshold, demoted at the
 // misprediction threshold.
 func TestNG2CFlipAndDemote(t *testing.T) {
-	p := NewNG2C(NG2CConfig{PromoteThreshold: 4, DemoteThreshold: 3, Generations: 2})
+	p := NewNG2C()
 	const site = Site(42)
 	if p.AllocTarget(site, 8, false) != AllocDefault {
 		t.Fatal("unflipped site must allocate young")
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < ng2cPromoteThreshold; i++ {
+		if p.AllocTarget(site, 8, false) != AllocDefault {
+			t.Fatalf("site flipped after %d promotions, before the threshold", i)
+		}
 		if got := p.Promote(site, 3, 3); !got {
 			t.Fatalf("age=tenure must promote (i=%d)", i)
 		}
 		p.NoteScavenge(site, 3, true)
 	}
 	if p.AllocTarget(site, 8, false) != AllocOld {
-		t.Fatal("site must flip to pretenure after 4 promotions")
+		t.Fatalf("site must flip to pretenure after %d promotions", ng2cPromoteThreshold)
 	}
 	if !p.Promote(site, 1, 3) {
 		t.Fatal("pretenured site must be survivor-free (promote below tenure age)")
@@ -122,42 +125,27 @@ func TestNG2CFlipAndDemote(t *testing.T) {
 	if s.SitesPretenured != 1 || s.PretenuredObjects != 1 {
 		t.Fatalf("after flip: %+v", s)
 	}
-	if len(s.Generations) != 2 || s.Generations[0]+s.Generations[1] != 1 {
+	if len(s.Generations) != ng2cGenerations || s.Generations[0]+s.Generations[1]+s.Generations[2] != 1 {
 		t.Fatalf("generation accounting: %+v", s.Generations)
 	}
 	status := uint64(site) | vm.FlagPretenured
-	for i := 0; i < 3; i++ {
+	for i := 0; i < ng2cDemoteThreshold; i++ {
+		if p.AllocTarget(site, 8, false) != AllocOld {
+			t.Fatalf("site demoted after %d dead pretenured objects, before the threshold", i)
+		}
 		p.NoteDeadOld(status)
 	}
 	if p.AllocTarget(site, 8, false) != AllocDefault {
-		t.Fatal("site must demote after 3 dead pretenured objects")
+		t.Fatalf("site must demote after %d dead pretenured objects", ng2cDemoteThreshold)
 	}
 	s = p.Stats()
-	if s.Demotions != 1 || s.Mispredictions != 3 || s.SitesPretenured != 0 {
+	if s.Demotions != 1 || s.Mispredictions != ng2cDemoteThreshold || s.SitesPretenured != 0 {
 		t.Fatalf("after demotion: %+v", s)
 	}
 	// Non-pretenured dead objects are not mispredictions.
 	p.NoteDeadOld(uint64(site))
-	if got := p.Stats().Mispredictions; got != 3 {
+	if got := p.Stats().Mispredictions; got != ng2cDemoteThreshold {
 		t.Fatalf("unflagged dead old object counted as misprediction: %d", got)
-	}
-}
-
-// TestNG2CDegenerateConfigs: zero/negative/huge config fields are
-// sanitized, never panic.
-func TestNG2CDegenerateConfigs(t *testing.T) {
-	for _, cfg := range []NG2CConfig{
-		{},
-		{PromoteThreshold: -1, DemoteThreshold: -1, Generations: -5},
-		{Generations: 1 << 30},
-		{PromoteThreshold: 1, DemoteThreshold: 1, Generations: 1},
-	} {
-		p := NewNG2C(cfg)
-		drive(p, 99, 10000)
-		s := p.Stats()
-		if len(s.Generations) < 1 || len(s.Generations) > maxNG2CGenerations {
-			t.Errorf("config %+v: %d generations", cfg, len(s.Generations))
-		}
 	}
 }
 
@@ -165,7 +153,7 @@ func TestNG2CDegenerateConfigs(t *testing.T) {
 // slab slot exists, policy decisions and feedback perform zero heap
 // allocations per operation.
 func TestNG2CZeroAllocSteadyState(t *testing.T) {
-	p := NewNG2C(DefaultNG2CConfig())
+	p := NewNG2C()
 	// Warm-up: touch the full site range so the slab is grown.
 	for s := Site(0); s < 1024; s++ {
 		p.AllocTarget(s, 8, false)
@@ -231,18 +219,17 @@ func TestDecaZeroAllocSteadyState(t *testing.T) {
 // FuzzNG2C: no event stream, however degenerate, may panic the profiler,
 // and identical streams must produce identical profiles.
 func FuzzNG2C(f *testing.F) {
-	f.Add(uint64(1), 1000, 16, 64, 3)
-	f.Add(uint64(0), 1, 0, 0, 0)
-	f.Add(^uint64(0), 5000, -1, -1, 100)
-	f.Add(uint64(12345), 2000, 1, 1, 8)
-	f.Fuzz(func(t *testing.T, seed uint64, n, promote, demote, gens int) {
+	f.Add(uint64(1), 1000)
+	f.Add(uint64(0), 1)
+	f.Add(^uint64(0), 5000)
+	f.Add(uint64(12345), 19999)
+	f.Fuzz(func(t *testing.T, seed uint64, n int) {
 		if n < 0 {
 			n = -n
 		}
 		n %= 20000
-		cfg := NG2CConfig{PromoteThreshold: promote, DemoteThreshold: demote, Generations: gens}
-		a := NewNG2C(cfg)
-		b := NewNG2C(cfg)
+		a := NewNG2C()
+		b := NewNG2C()
 		drive(a, seed, n)
 		drive(b, seed, n)
 		if !reflect.DeepEqual(a.Stats(), b.Stats()) {
@@ -262,7 +249,7 @@ func FuzzSiteFromStatus(f *testing.F) {
 		if uint64(s) > uint64(siteMask) {
 			t.Fatalf("site %d out of class-ID range", s)
 		}
-		p := NewNG2C(DefaultNG2CConfig())
+		p := NewNG2C()
 		p.AllocTarget(s, 1, false)
 		p.NoteDeadOld(status)
 	})

@@ -75,7 +75,7 @@ func buildPSH2(newPolicy func() placement.Policy, dev storage.Kind) func(*Sessio
 	}
 }
 
-func newNG2C() placement.Policy { return placement.NewNG2C(placement.DefaultNG2CConfig()) }
+func newNG2C() placement.Policy { return placement.NewNG2C() }
 func newDeca() placement.Policy { return placement.NewDeca() }
 
 // newDRAMCollector builds a PS collector over a DRAM H1 (Spec.HeapCfg,
@@ -100,20 +100,20 @@ func newCollector(s *Session, h1 *heap.H1, as *vm.AddressSpace) *gc.Collector {
 	if s.TH != nil {
 		sh = s.TH
 	}
-	col := gc.New(h1, gc.DefaultCostParams(), as, s.Classes, s.Clock, sh)
+	col := gc.New(h1, as, s.Classes, s.Clock, sh)
 	if s.TH != nil {
 		s.TH.AttachMem(col.Mem())
 	}
 	return col
 }
 
-func buildG1(s *Session) { s.Runtime = g1.New(g1.DefaultConfig(s.Spec.H1Size), s.Classes, s.Clock) }
+func buildG1(s *Session) { s.Runtime = g1.New(s.Spec.H1Size, s.Classes, s.Clock) }
 
 // buildG1TH is the §7.1 "TeraHeap can also be used with G1" configuration:
 // a G1 heap with an attached second heap on an NVMe device.
 func buildG1TH(s *Session) {
 	dev := s.device(storage.NVMeSSD)
-	g := g1.New(g1.DefaultConfig(s.Spec.H1Size), s.Classes, s.Clock)
+	g := g1.New(s.Spec.H1Size, s.Classes, s.Clock)
 	s.TH = core.New(*s.Spec.TH, dev, g.Mem().AS, s.Clock)
 	s.TH.AttachMem(g.Mem())
 	g.AttachSecondHeap(s.TH)

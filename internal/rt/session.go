@@ -234,7 +234,7 @@ func NewSession(spec Spec) *Session {
 	// no gang.
 	col, isPS := s.Runtime.(*gc.Collector)
 	if isPS {
-		col.Costs.Workers = spec.GCWorkers
+		col.Workers = spec.GCWorkers
 	}
 
 	// Cross-cutting layers ride the hook plane, in fixed order: the

@@ -58,10 +58,10 @@ type Conf struct {
 	// OnHeapCacheBytes is the ModeSD on-heap cache budget (paper: 50% of
 	// the heap).
 	OnHeapCacheBytes int64
-
-	// ComputePerElem is the mutator CPU cost per element visited.
-	ComputePerElem time.Duration
 }
+
+// computePerElem is the mutator CPU cost per element visited.
+const computePerElem = 60 * time.Nanosecond
 
 // Context is a Spark session.
 type Context struct {
@@ -82,9 +82,6 @@ type Context struct {
 func NewContext(conf Conf) *Context {
 	if conf.Threads <= 0 {
 		conf.Threads = 8
-	}
-	if conf.ComputePerElem == 0 {
-		conf.ComputePerElem = 60 * time.Nanosecond
 	}
 	classes := conf.RT.Classes()
 	cls := func(name string, mk func() *vm.Class) *vm.Class {
@@ -126,7 +123,7 @@ func (ctx *Context) ChargeCompute(d time.Duration) {
 
 // ChargeElements bills per-element compute for n elements.
 func (ctx *Context) ChargeElements(n int64) {
-	ctx.ChargeCompute(time.Duration(n) * ctx.Conf.ComputePerElem)
+	ctx.ChargeCompute(time.Duration(n) * computePerElem)
 }
 
 // Shuffle models one shuffle stage moving the given number of element
