@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
@@ -123,6 +124,10 @@ type G1 struct {
 	// policy is the placement-policy seam for young-evacuation promotion
 	// decisions; placement.Default reproduces the legacy age threshold.
 	policy placement.Policy
+
+	// verifier holds the invariant verifier's reusable scratch, built on
+	// the first VerifyNow.
+	verifier *check.Verifier
 }
 
 // New builds a G1 runtime over an h1Size-byte heap, rounded down to a

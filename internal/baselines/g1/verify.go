@@ -7,20 +7,22 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// This file adapts the check package's invariant rules to G1's region
-// layout. The differences from the Parallel Scavenge walk:
+// This file holds G1's own verifier rules; the object-header parse, the
+// root/reference walk and the card rules are check's, shared with Parallel
+// Scavenge and H2. G1's own rules:
 //
-//   - objects live in fixed-size regions classified by kind, and the
-//     region lists (free/eden/survivor/old/hum) must agree with the kinds;
-//   - husks — objects moved to H2 during a marking cycle — legitimately
-//     keep their forwarding pointer outside a pause, but only when the
-//     forwardee is in H2 and the shape word still parses;
-//   - humongous regions hold exactly one object whose extent may span the
-//     whole contiguous run, past the start region's end;
-//   - the card table covers the whole heap, but records object starts for
-//     old and humongous-start regions only, so only their objects (and
-//     their husks) go to the shared card rules; entries elsewhere must be
-//     null.
+//   - the region lists (free/eden/survivor/old/hum) agree with the kinds,
+//     and free regions are empty;
+//   - a humongous run is a start region followed by its continuation
+//     regions, and holds exactly one object, which may extend past the
+//     start region's end; no continuation region is orphaned;
+//   - the husk rule: an object moved to H2 during a marking cycle leaves a
+//     forwarded husk in its H1 region, legal outside a pause only in a
+//     linear region, only when the forwardee is in H2, and only when the
+//     shape still parses (the parse admits it through Span.Husk);
+//   - the card table covers the whole heap but records object starts for
+//     old and humongous regions only, so only their objects (husks
+//     included) go to the card rules.
 
 // VerifyNow runs every invariant rule against the quiescent heap and
 // returns all violations found.
@@ -28,32 +30,21 @@ func (g *G1) VerifyNow() []check.Failure {
 	var failures []check.Failure
 	report := func(f check.Failure) { failures = append(failures, f) }
 
-	live, husks := g.walkRegions(report)
-	starts := make(map[vm.Addr]*g1obj, len(live))
-	for i := range live {
-		starts[live[i].addr] = &live[i]
+	if g.verifier == nil {
+		g.verifier = check.NewVerifier()
 	}
-
+	vr := g.verifier
+	vr.Begin(g.as, g.classes)
+	cardObjs := g.parseRegions(vr, report)
 	g.verifyRegionLists(report)
-	g.verifyReachable(starts, report)
-	check.NewVerifier().VerifyCards(g.as, g.cards, g.cardObjects(live, husks), g.inYoung, report)
-
-	if h2, ok := g.th.(check.H2); ok {
-		h2.VerifySelf(g.inYoung, func(a vm.Addr) bool {
-			_, ok := starts[a]
-			return ok
-		}, report)
+	h2, _ := g.th.(check.H2)
+	vr.VerifyRoots(g.roots, h2, report)
+	vr.VerifyCards(g.cards, cardObjs, g.inYoung, report)
+	if h2 != nil {
+		h2.VerifySelf(vr, g.inYoung, report)
 	}
 	check.VerifyClock(g.clock, report)
 	return failures
-}
-
-// g1obj is one parsed live object.
-type g1obj struct {
-	addr    vm.Addr
-	size    int // words
-	numRefs int
-	region  *region
 }
 
 func kindName(k regionKind) string {
@@ -74,12 +65,14 @@ func kindName(k regionKind) string {
 	return "?"
 }
 
-// walkRegions parse-walks every region, validating headers, husks,
-// humongous run shapes and per-region accounting. It returns the live
-// objects and the husk start addresses (husks matter for the start
-// array).
-func (g *G1) walkRegions(report func(check.Failure)) (live []g1obj, husks []vm.Addr) {
-	humCovered := make(map[int]bool)
+// parseRegions parses every region through the shared header rules and
+// checks the free-region and humongous-run rules. It returns the objects
+// whose starts the card table records: those of old and humongous
+// regions, husks included.
+func (g *G1) parseRegions(vr *check.Verifier, report func(check.Failure)) []check.Object {
+	var cardObjs []check.Object
+	humCovered := make([]bool, len(g.regions))
+	husk := g.th.Contains
 	for _, r := range g.regions {
 		switch r.kind {
 		case regFree:
@@ -89,9 +82,13 @@ func (g *G1) walkRegions(report func(check.Failure)) (live []g1obj, husks []vm.A
 					Detail: fmt.Sprintf("free region top %v != start %v", r.top, r.start)})
 			}
 		case regEden, regSurvivor, regOld:
-			live = append(live, g.walkLinearRegion(r, &husks, report)...)
+			objs, _ := vr.Parse(check.Span{Space: kindName(r.kind), Region: r.id,
+				Start: r.start, Top: r.top, End: r.end, Husk: husk}, report)
+			if r.kind == regOld {
+				cardObjs = append(cardObjs, objs...)
+			}
 		case regHumongousStart:
-			live = append(live, g.walkHumongous(r, humCovered, report)...)
+			cardObjs = append(cardObjs, g.parseHumongous(vr, r, humCovered, report)...)
 		}
 	}
 	for _, r := range g.regions {
@@ -101,58 +98,14 @@ func (g *G1) walkRegions(report func(check.Failure)) (live []g1obj, husks []vm.A
 				Detail: "continuation region not covered by any humongous run"})
 		}
 	}
-	return live, husks
+	return cardObjs
 }
 
-// walkLinearRegion parses one bump-allocated region [start, top).
-func (g *G1) walkLinearRegion(r *region, husks *[]vm.Addr, report func(check.Failure)) []g1obj {
-	name := kindName(r.kind)
-	var objs []g1obj
-	var sumWords int64
-	a := r.start
-	for a < r.top {
-		status := g.as.Peek(a)
-		if vm.StatusForwarded(status) {
-			// Husk of an object moved to H2: legal outside a pause only if
-			// the forwardee actually is in H2 and the shape still parses.
-			fw := vm.StatusForwardee(status)
-			if !g.th.Contains(fw) {
-				report(check.Failure{Rule: "g1-forwarding-outside-pause", Space: name, Region: r.id,
-					Card: -1, Holder: a, Field: -1,
-					Detail: fmt.Sprintf("forwarding pointer to non-H2 address %v survives outside a GC pause", fw)})
-				return objs
-			}
-			size := vm.ShapeSizeWords(g.as.Peek(a + vm.WordSize))
-			if size < vm.HeaderWords {
-				report(check.Failure{Rule: "g1-bad-husk-shape", Space: name, Region: r.id,
-					Card: -1, Holder: a, Field: -1,
-					Detail: fmt.Sprintf("husk shape size %d words below header size", size)})
-				return objs
-			}
-			*husks = append(*husks, a)
-			sumWords += int64(size)
-			a += vm.Addr(size * vm.WordSize)
-			continue
-		}
-		o, ok := g.parseObject(r, a, name, r.top, report)
-		if !ok {
-			return objs
-		}
-		objs = append(objs, o)
-		sumWords += int64(o.size)
-		a += vm.Addr(o.size * vm.WordSize)
-	}
-	if got, want := sumWords*vm.WordSize, r.used(); got != want {
-		report(check.Failure{Rule: "g1-accounting", Space: name, Region: r.id, Card: -1, Field: -1,
-			Detail: fmt.Sprintf("walked object bytes %d != used() %d", got, want)})
-	}
-	return objs
-}
-
-// walkHumongous parses a humongous run: exactly one object at the start
-// region's start, extending to top (which may lie past the start region's
-// end, inside a continuation region of the run).
-func (g *G1) walkHumongous(r *region, humCovered map[int]bool, report func(check.Failure)) []g1obj {
+// parseHumongous checks a humongous run's shape and parses its one
+// object, which starts at the start region's start and may extend to the
+// end of the run's last region. A humongous object is never a husk: runs
+// whose object moved to H2 are freed within the marking pause.
+func (g *G1) parseHumongous(vr *check.Verifier, r *region, humCovered []bool, report func(check.Failure)) []check.Object {
 	if r.humRegions < 1 {
 		report(check.Failure{Rule: "g1-humongous-run", Space: "humongous", Region: r.id,
 			Card: -1, Field: -1,
@@ -175,59 +128,13 @@ func (g *G1) walkHumongous(r *region, humCovered map[int]bool, report func(check
 		return nil
 	}
 	runEnd := r.start + vm.Addr(int64(r.humRegions)*g.regionSize)
-	status := g.as.Peek(r.start)
-	if vm.StatusForwarded(status) {
-		// Runs whose object moved to H2 are freed within the marking pause;
-		// a humongous husk must never survive to a quiescent point.
-		report(check.Failure{Rule: "g1-forwarding-outside-pause", Space: "humongous", Region: r.id,
-			Card: -1, Holder: r.start, Field: -1,
-			Detail: fmt.Sprintf("humongous object forwarded to %v outside a GC pause", vm.StatusForwardee(status))})
-		return nil
+	objs, ok := vr.Parse(check.Span{Space: "humongous", Region: r.id, Start: r.start, Top: r.top, End: runEnd}, report)
+	if ok && len(objs) != 1 {
+		report(check.Failure{Rule: "g1-humongous-run", Space: "humongous", Region: r.id,
+			Card: -1, Field: -1,
+			Detail: fmt.Sprintf("humongous run holds %d objects, want exactly one", len(objs))})
 	}
-	o, ok := g.parseObject(r, r.start, "humongous", runEnd, report)
-	if !ok {
-		return nil
-	}
-	if end := r.start + vm.Addr(o.size*vm.WordSize); end != r.top {
-		report(check.Failure{Rule: "g1-accounting", Space: "humongous", Region: r.id,
-			Card: -1, Holder: r.start, Field: -1,
-			Detail: fmt.Sprintf("humongous object end %v != region top %v", end, r.top)})
-	}
-	return []g1obj{o}
-}
-
-// parseObject validates one non-forwarded object header at a, bounded by
-// limit.
-func (g *G1) parseObject(r *region, a vm.Addr, name string, limit vm.Addr, report func(check.Failure)) (g1obj, bool) {
-	status := g.as.Peek(a)
-	if status&(vm.FlagMark|vm.FlagClosure) != 0 {
-		report(check.Failure{Rule: "g1-stale-gc-bits", Space: name, Region: r.id,
-			Card: -1, Holder: a, Field: -1,
-			Detail: fmt.Sprintf("mark/closure bits 0x%x set outside a GC pause", status&(vm.FlagMark|vm.FlagClosure))})
-	}
-	cid := vm.StatusClassID(status)
-	if cid == 0 || int(cid) >= g.classes.Len() {
-		report(check.Failure{Rule: "g1-bad-class", Space: name, Region: r.id,
-			Card: -1, Holder: a, Field: -1,
-			Detail: fmt.Sprintf("class id %d out of range [1, %d)", cid, g.classes.Len())})
-		return g1obj{}, false
-	}
-	shape := g.as.Peek(a + vm.WordSize)
-	size := vm.ShapeSizeWords(shape)
-	numRefs := vm.ShapeNumRefs(shape)
-	if size < vm.HeaderWords || vm.HeaderWords+numRefs > size {
-		report(check.Failure{Rule: "g1-bad-shape", Space: name, Region: r.id,
-			Card: -1, Holder: a, Field: -1,
-			Detail: fmt.Sprintf("size %d words, %d refs is not a valid shape", size, numRefs)})
-		return g1obj{}, false
-	}
-	if end := a + vm.Addr(size*vm.WordSize); end > limit {
-		report(check.Failure{Rule: "g1-object-overruns-top", Space: name, Region: r.id,
-			Card: -1, Holder: a, Field: -1,
-			Detail: fmt.Sprintf("object end %v exceeds limit %v", end, limit)})
-		return g1obj{}, false
-	}
-	return g1obj{addr: a, size: size, numRefs: numRefs, region: r}, true
+	return objs
 }
 
 // verifyRegionLists checks that the free/eden/survivor/old/hum id lists
@@ -275,91 +182,4 @@ func (g *G1) verifyRegionLists(report func(check.Failure)) {
 			Card: -1, Field: -1,
 			Detail: fmt.Sprintf("current eden region has kind %s", kindName(g.curEden.kind))})
 	}
-}
-
-// verifyReachable BFS-walks the object graph from the root set: every
-// reference must target null, a live (non-husk) H1 object start, or an
-// allocated H2 address.
-func (g *G1) verifyReachable(starts map[vm.Addr]*g1obj, report func(check.Failure)) {
-	h2, hasH2 := g.th.(check.H2)
-	visited := make(map[vm.Addr]bool)
-	var queue []vm.Addr
-	push := func(a vm.Addr) {
-		if !visited[a] {
-			visited[a] = true
-			queue = append(queue, a)
-		}
-	}
-	rootIdx := 0
-	g.roots.ForEach(func(h *vm.Handle) {
-		a := h.Addr()
-		switch {
-		case a.IsNull():
-		case g.th.Contains(a):
-			if hasH2 && !h2.ContainsAllocated(a) {
-				report(check.Failure{Rule: "root-dangling-h2", Space: "roots", Region: -1,
-					Card: -1, Field: rootIdx,
-					Detail: fmt.Sprintf("root handle %d targets unallocated H2 address %v", rootIdx, a)})
-			}
-		default:
-			if _, ok := starts[a]; !ok {
-				report(check.Failure{Rule: "root-dangling", Space: "roots", Region: -1,
-					Card: -1, Field: rootIdx,
-					Detail: fmt.Sprintf("root handle %d targets %v, not a live H1 object start", rootIdx, a)})
-			} else {
-				push(a)
-			}
-		}
-		rootIdx++
-	})
-	for len(queue) > 0 {
-		a := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		o := starts[a]
-		for i := 0; i < o.numRefs; i++ {
-			t := vm.Addr(g.as.Peek(a + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
-			if t.IsNull() {
-				continue
-			}
-			if g.th.Contains(t) {
-				if hasH2 && !h2.ContainsAllocated(t) {
-					report(check.Failure{Rule: "ref-dangling-h2", Space: kindName(o.region.kind),
-						Region: o.region.id, Card: -1, Holder: a, Field: i,
-						Detail: fmt.Sprintf("reference targets unallocated H2 address %v", t)})
-				}
-				continue // H2 interiors are verified by H2.VerifySelf
-			}
-			if _, ok := starts[t]; !ok {
-				rule := "ref-dangling"
-				detail := fmt.Sprintf("reference targets %v, not a live object start", t)
-				if g.as.Resolve(t) == nil {
-					rule = "ref-unmapped"
-					detail = fmt.Sprintf("reference targets unmapped address %v", t)
-				}
-				report(check.Failure{Rule: rule, Space: kindName(o.region.kind),
-					Region: o.region.id, Card: -1, Holder: a, Field: i, Detail: detail})
-				continue
-			}
-			push(t)
-		}
-	}
-}
-
-// cardObjects returns the objects whose starts the card table records:
-// the live objects of old and humongous-start regions, and the husks in
-// old regions (a husk's start still parses; its fields are stale, so it is
-// passed with no references).
-func (g *G1) cardObjects(live []g1obj, husks []vm.Addr) []check.Object {
-	var objs []check.Object
-	for i := range live {
-		if k := live[i].region.kind; k == regOld || k == regHumongousStart {
-			objs = append(objs, check.Object{Addr: live[i].addr, NumRefs: live[i].numRefs})
-		}
-	}
-	for _, a := range husks {
-		if g.regionOf(a).kind == regOld {
-			objs = append(objs, check.Object{Addr: a})
-		}
-	}
-	return objs
 }

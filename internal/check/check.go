@@ -1,23 +1,30 @@
 // Package check is the simulator's analog of OpenJDK's
 // -XX:+VerifyBeforeGC/-XX:+VerifyAfterGC: a full-heap, full-metadata
-// invariant verifier. It walks H1 (eden, survivors, old generation) and —
-// through the H2 interface — every second-heap region, and validates
+// invariant verifier. H2 holds objects in the H1 format, so the object
+// header parse and the root/reference walk exist once, here, for every
+// heap: a Verifier parses PS spaces (VerifyPS), G1 regions and humongous
+// runs, and H2 regions (through the H2 interface) span by span (Parse),
+// then walks the object graph from the roots (VerifyRoots). The rules:
 //
-//	(a) object-graph closure: every reference field of every reachable
-//	    object targets a mapped address holding a valid class id and a
-//	    sane size/numRefs, and no forwarding pointers survive outside a
-//	    GC pause;
-//	(b) H1 card-table/start-array consistency, one rule set for both
+//	(a) object headers: no forwarding pointer outside a GC pause (G1's
+//	    husks excepted, see Span.Husk), no stale mark/closure bit, a
+//	    class id in range, a valid shape, an end within the space;
+//	(b) object-graph closure: every root and every reference field of
+//	    every reachable object targets null, a parsed object start, or
+//	    an allocated H2 address;
+//	(c) H1 card-table/start-array consistency, one rule set for both
 //	    collectors (VerifyCards): every old object holding a young
 //	    reference has the card of its start dirty, and each card's
 //	    first-start entry is exactly the lowest object header in it;
-//	(c) H2 card-table and region-metadata consistency (delegated to the
-//	    H2 implementation, which owns the region internals);
-//	(d) accounting conservation: space Used() equals the sum of walked
-//	    object sizes, and simclock category breakdowns sum to Total().
+//	(d) accounting: each walk lands exactly on its space's allocation
+//	    top, and simclock category breakdowns sum to Total() (VerifyClock).
 //
-// All heap reads go through the cost-free Peek path so that enabling
-// verification never perturbs the deterministic simulated clock.
+// The collectors and the H2 implementation check only the metadata they
+// own (G1's region lists and humongous runs; H2's segment cards, segFirst
+// arrays, dependency lists, object counts and promotion buffers) and
+// report through the shared Failure type. All heap reads go through the
+// cost-free Peek path so that enabling verification never perturbs the
+// deterministic simulated clock.
 package check
 
 import (
@@ -92,20 +99,22 @@ func Report(when string, failures []Failure) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// H2 is the verifier's view of a second heap. Region internals (segment
-// cards, segFirst arrays, dependency lists, promotion buffers) are private
-// to the implementing package, so the H2 side verifies itself and reports
-// through the shared Failure type.
+// H2 is the verifier's view of a second heap. H2 objects have the H1
+// object format, so their headers parse through the same Verifier; region
+// internals (segment cards, segFirst arrays, dependency lists, promotion
+// buffers) are private to the implementing package, so the H2 side checks
+// them itself and reports through the shared Failure type.
 type H2 interface {
 	// Contains reports whether a falls inside the H2 address range.
 	Contains(a vm.Addr) bool
 	// ContainsAllocated reports whether a falls inside the allocated
 	// prefix of a live H2 region (i.e. is a plausible H2 object address).
 	ContainsAllocated(a vm.Addr) bool
-	// VerifySelf checks every H2 region's objects and metadata.
-	// isYoung classifies H1 addresses for backward-reference card states;
-	// validH1 reports whether an address is a valid H1 object start.
-	VerifySelf(isYoung func(vm.Addr) bool, validH1 func(vm.Addr) bool, report func(Failure))
+	// VerifySelf parses every allocated H2 region through vr and checks
+	// the region metadata. isYoung classifies H1 addresses for
+	// backward-reference card states; vr.IsStart tells valid H1 object
+	// starts, so the H1 spaces are parsed first.
+	VerifySelf(vr *Verifier, isYoung func(vm.Addr) bool, report func(Failure))
 }
 
 // PSView is everything the verifier needs to check a Parallel
@@ -121,41 +130,71 @@ type PSView struct {
 }
 
 // Object is one parsed heap object: its start and reference-field count.
+// A husk is an Object with no references: its fields are stale.
 type Object struct {
 	Addr    vm.Addr
 	NumRefs int
+	span    int // index of the Span it was parsed in
 }
 
-// Verifier runs the PS invariant rules with reusable scratch state, so a
-// collector that verifies after every cycle (TH_VERIFY=1) amortizes the
-// maps, object lists and BFS queue across runs instead of reallocating
-// them each pause.
+// Span is one bump-allocated run of objects for the header parse: a PS
+// space, a G1 region or humongous run, or an H2 region.
+type Span struct {
+	Space  string // space name in failures: "eden", "old", "humongous", "h2", ...
+	Region int    // G1/H2 region id, or -1
+	Start  vm.Addr
+	// Top is the allocation top: the walked object bytes must sum to
+	// Top-Start.
+	Top vm.Addr
+	// End is the capacity end: no object may extend past it.
+	End vm.Addr
+	// Husk, when set, admits a forwarded header whose forwardee it
+	// accepts: the husk of an object moved to H2, which G1 leaves in its
+	// H1 region until the region is evacuated. A husk's shape must still
+	// parse; it is not an object start. Unset, every forwarding pointer
+	// is a violation.
+	Husk func(forwardee vm.Addr) bool
+}
+
+// Verifier holds the one object-header parse and the one root/reference
+// walk, for every heap: PS spaces, G1 regions and H2 regions. Its scratch
+// state is reused across runs, so a collector that verifies after every
+// cycle (TH_VERIFY=1) amortizes the maps, object lists and BFS queue
+// instead of reallocating them each pause.
 type Verifier struct {
+	as      *vm.AddressSpace
+	classes *vm.ClassTable
+	spans   []Span
 	starts  map[vm.Addr]Object
-	objs    []Object // arena for per-space object lists
+	objs    []Object // arena for the per-span object lists
 	visited map[vm.Addr]bool
 	queue   []vm.Addr
 	want    []vm.Addr
-	isStart func(vm.Addr) bool // pre-built closure over starts
 }
 
 // NewVerifier returns a Verifier with empty scratch state.
 func NewVerifier() *Verifier {
-	vr := &Verifier{
+	return &Verifier{
 		starts:  make(map[vm.Addr]Object),
 		visited: make(map[vm.Addr]bool),
 	}
-	vr.isStart = func(a vm.Addr) bool {
-		_, ok := vr.starts[a]
-		return ok
-	}
-	return vr
 }
 
-// VerifyPS runs every invariant rule against a quiescent (outside-pause)
-// PS heap and returns all violations found. One-shot convenience over
-// (*Verifier).VerifyPS.
-func VerifyPS(v PSView) []Failure { return NewVerifier().VerifyPS(v) }
+// Begin starts one verification of the heap behind as, forgetting the
+// objects the previous one parsed. All reads go through as.Peek.
+func (vr *Verifier) Begin(as *vm.AddressSpace, classes *vm.ClassTable) {
+	vr.as, vr.classes = as, classes
+	vr.spans = vr.spans[:0]
+	vr.objs = vr.objs[:0]
+	clear(vr.starts)
+}
+
+// IsStart reports whether a is the start of an object parsed since Begin
+// (husks excluded).
+func (vr *Verifier) IsStart(a vm.Addr) bool {
+	_, ok := vr.starts[a]
+	return ok
+}
 
 // VerifyPS runs every invariant rule against a quiescent (outside-pause)
 // PS heap and returns all violations found.
@@ -163,13 +202,10 @@ func (vr *Verifier) VerifyPS(v PSView) []Failure {
 	var failures []Failure
 	report := func(f Failure) { failures = append(failures, f) }
 
-	clear(vr.starts)
-	vr.objs = vr.objs[:0]
-	vr.walkSpace(v, v.H1.Eden, "eden", report)
-	vr.walkSpace(v, v.H1.From, "from", report)
-	oldStart := len(vr.objs)
-	vr.walkSpace(v, v.H1.Old, "old", report)
-	old := vr.objs[oldStart:]
+	vr.Begin(v.AS, v.Classes)
+	vr.Parse(spaceSpan(v.H1.Eden), report)
+	vr.Parse(spaceSpan(v.H1.From), report)
+	old, _ := vr.Parse(spaceSpan(v.H1.Old), report)
 
 	// To-space must be empty between pauses: scavenge swaps survivors
 	// after copying, major GC empties the young generation entirely.
@@ -178,16 +214,21 @@ func (vr *Verifier) VerifyPS(v PSView) []Failure {
 			Detail: fmt.Sprintf("to-space holds %d bytes outside a GC pause", v.H1.To.Used())})
 	}
 
-	vr.verifyReachable(v, report)
-	vr.VerifyCards(v.AS, v.H1.Cards, old, v.H1.InYoung, report)
+	vr.VerifyRoots(v.Roots, v.H2, report)
+	vr.VerifyCards(v.H1.Cards, old, v.H1.InYoung, report)
 
 	if v.H2 != nil {
-		v.H2.VerifySelf(v.H1.InYoung, vr.isStart, report)
+		v.H2.VerifySelf(vr, v.H1.InYoung, report)
 	}
 
 	VerifyClock(v.Clock, report)
 
 	return failures
+}
+
+// spaceSpan is the parse span of a PS space.
+func spaceSpan(sp *vm.Space) Span {
+	return Span{Space: sp.Name, Region: -1, Start: sp.Start, Top: sp.Top, End: sp.End}
 }
 
 // VerifyClock checks rule (d) for the simulated clock: the per-category
@@ -208,64 +249,87 @@ func VerifyClock(clock *simclock.Clock, report func(Failure)) {
 	}
 }
 
-// walkSpace parse-walks [sp.Start, sp.Top), validating every header and
-// checking that the walked sizes sum exactly to sp.Used(). Each valid
-// object is recorded in vr.starts and appended to the vr.objs arena.
-func (vr *Verifier) walkSpace(v PSView, sp *vm.Space, name string, report func(Failure)) {
-	var sumWords int64
-	a := sp.Start
-	for a < sp.Top {
-		status := v.AS.Peek(a)
-		if vm.StatusForwarded(status) {
-			report(Failure{Rule: "h1-forwarding-outside-pause", Space: name, Region: -1, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("forwarding pointer to %v survives outside a GC pause", vm.StatusForwardee(status))})
-			return // cannot parse past a clobbered header
+// Parse walks the objects of sp in address order and checks each header:
+// no forwarding pointer (unless sp admits it as a husk), no mark or
+// closure bit, a class id in range, a valid shape, and an end within
+// sp.End. A header that fails the forwarding, class, shape or end rule
+// cannot be parsed past: the walk stops there and ok is false. A walk
+// that reaches Top checks the accounting rule: the walked object bytes
+// equal Top-Start. Parse records each object start for IsStart and the
+// reference walk, and returns the span's objects (husks with no
+// references), as far as it got.
+func (vr *Verifier) Parse(sp Span, report func(Failure)) (objs []Object, ok bool) {
+	idx, first := len(vr.spans), len(vr.objs)
+	vr.spans = append(vr.spans, sp)
+	a, last := sp.Start, vm.NullAddr
+	for ok = true; a < sp.Top; {
+		numRefs, end, husk, parsed := vr.parseHeader(&sp, a, report)
+		if !parsed {
+			ok = false
+			break
 		}
-		if status&(vm.FlagMark|vm.FlagClosure) != 0 {
-			report(Failure{Rule: "h1-stale-gc-bits", Space: name, Region: -1, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("mark/closure bits 0x%x set outside a GC pause", status&(vm.FlagMark|vm.FlagClosure))})
+		o := Object{Addr: a, span: idx}
+		if !husk {
+			o.NumRefs = numRefs
+			vr.starts[a] = o
 		}
-		cid := vm.StatusClassID(status)
-		if cid == 0 || int(cid) >= v.Classes.Len() {
-			report(Failure{Rule: "h1-bad-class", Space: name, Region: -1, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("class id %d out of range [1, %d)", cid, v.Classes.Len())})
-			return
-		}
-		shape := v.AS.Peek(a + vm.WordSize)
-		size := vm.ShapeSizeWords(shape)
-		numRefs := vm.ShapeNumRefs(shape)
-		if size < vm.HeaderWords || vm.HeaderWords+numRefs > size {
-			report(Failure{Rule: "h1-bad-shape", Space: name, Region: -1, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("size %d words, %d refs is not a valid shape", size, numRefs)})
-			return
-		}
-		end := a + vm.Addr(size*vm.WordSize)
-		if end > sp.Top {
-			report(Failure{Rule: "h1-object-overruns-top", Space: name, Region: -1, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("object end %v exceeds space top %v", end, sp.Top)})
-			return
-		}
-		o := Object{Addr: a, NumRefs: numRefs}
 		vr.objs = append(vr.objs, o)
-		vr.starts[a] = o
-		sumWords += int64(size)
-		a = end
+		last, a = a, end
 	}
-	if got, want := sumWords*vm.WordSize, sp.Used(); got != want {
-		report(Failure{Rule: "h1-accounting", Space: name, Region: -1, Card: -1, Field: -1,
-			Detail: fmt.Sprintf("walked object bytes %d != Used() %d", got, want)})
+	if ok && a != sp.Top {
+		report(Failure{Rule: "accounting", Space: sp.Space, Region: sp.Region, Card: -1, Holder: last, Field: -1,
+			Detail: fmt.Sprintf("walked object bytes %d != used %d: the last object ends past top %v",
+				int64(a-sp.Start), int64(sp.Top-sp.Start), sp.Top)})
 	}
+	n := len(vr.objs)
+	return vr.objs[first:n:n], ok
 }
 
-// verifyReachable BFS-walks the object graph from the root set, checking
-// that every reference field of every reachable H1 object targets null, a
-// valid H1 object start, or an allocated H2 address.
-func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
+// parseHeader checks the header at a and returns the object's reference
+// count and end, and whether it is a husk. ok is false when the walk
+// cannot go on.
+func (vr *Verifier) parseHeader(sp *Span, a vm.Addr, report func(Failure)) (numRefs int, end vm.Addr, husk, ok bool) {
+	fail := func(rule, format string, args ...any) {
+		report(Failure{Rule: rule, Space: sp.Space, Region: sp.Region, Card: -1, Holder: a, Field: -1,
+			Detail: fmt.Sprintf(format, args...)})
+	}
+	status := vr.as.Peek(a)
+	husk = vm.StatusForwarded(status)
+	if husk {
+		if fw := vm.StatusForwardee(status); sp.Husk == nil || !sp.Husk(fw) {
+			fail("forwarding-outside-pause", "forwarding pointer to %v survives outside a GC pause", fw)
+			return 0, 0, husk, false
+		}
+	} else {
+		if bits := status & (vm.FlagMark | vm.FlagClosure); bits != 0 {
+			fail("stale-gc-bits", "mark/closure bits 0x%x set outside a GC pause", bits)
+		}
+		if cid := vm.StatusClassID(status); cid == 0 || int(cid) >= vr.classes.Len() {
+			fail("bad-class", "class id %d out of range [1, %d)", cid, vr.classes.Len())
+			return 0, 0, husk, false
+		}
+	}
+	shape := vr.as.Peek(a + vm.WordSize)
+	size := vm.ShapeSizeWords(shape)
+	numRefs = vm.ShapeNumRefs(shape)
+	if size < vm.HeaderWords || vm.HeaderWords+numRefs > size {
+		fail("bad-shape", "size %d words, %d refs is not a valid shape", size, numRefs)
+		return 0, 0, husk, false
+	}
+	end = a + vm.Addr(size*vm.WordSize)
+	if end > sp.End {
+		fail("object-overruns-end", "object end %v exceeds the %s end %v", end, sp.Space, sp.End)
+		return 0, 0, husk, false
+	}
+	return numRefs, end, husk, true
+}
+
+// VerifyRoots BFS-walks the object graph from the root set over the
+// objects parsed since Begin: every root and every reference field of
+// every reachable object targets null, an object start, or an allocated
+// H2 address (H2 interiors are H2.VerifySelf's). h2 is nil without a
+// second heap.
+func (vr *Verifier) VerifyRoots(roots *vm.RootSet, h2 H2, report func(Failure)) {
 	clear(vr.visited)
 	visited := vr.visited
 	queue := vr.queue[:0]
@@ -276,21 +340,19 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 		}
 	}
 	rootIdx := 0
-	v.Roots.ForEach(func(h *vm.Handle) {
+	roots.ForEach(func(h *vm.Handle) {
 		a := h.Addr()
-		if a.IsNull() {
-			rootIdx++
-			return
-		}
-		if v.H2 != nil && v.H2.Contains(a) {
-			if !v.H2.ContainsAllocated(a) {
+		switch {
+		case a.IsNull():
+		case h2 != nil && h2.Contains(a):
+			if !h2.ContainsAllocated(a) {
 				report(Failure{Rule: "root-dangling-h2", Space: "roots", Region: -1, Card: -1, Field: rootIdx,
 					Detail: fmt.Sprintf("root handle %d targets unallocated H2 address %v", rootIdx, a)})
 			}
-		} else if _, ok := vr.starts[a]; !ok {
+		case !vr.IsStart(a):
 			report(Failure{Rule: "root-dangling", Space: "roots", Region: -1, Card: -1, Field: rootIdx,
 				Detail: fmt.Sprintf("root handle %d targets %v, not a valid H1 object start", rootIdx, a)})
-		} else {
+		default:
 			push(a)
 		}
 		rootIdx++
@@ -299,27 +361,28 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		o := vr.starts[a]
+		sp := &vr.spans[o.span]
 		for i := 0; i < o.NumRefs; i++ {
-			t := vm.Addr(v.AS.Peek(a + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
+			t := vm.Addr(vr.as.Peek(a + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
 			if t.IsNull() {
 				continue
 			}
-			if v.H2 != nil && v.H2.Contains(t) {
-				if !v.H2.ContainsAllocated(t) {
-					report(Failure{Rule: "ref-dangling-h2", Space: spaceName(v, a), Region: -1, Card: -1,
+			if h2 != nil && h2.Contains(t) {
+				if !h2.ContainsAllocated(t) {
+					report(Failure{Rule: "ref-dangling-h2", Space: sp.Space, Region: sp.Region, Card: -1,
 						Holder: a, Field: i,
 						Detail: fmt.Sprintf("reference targets unallocated H2 address %v", t)})
 				}
-				continue // H2 interiors are verified by H2.VerifySelf
+				continue
 			}
-			if _, ok := vr.starts[t]; !ok {
+			if !vr.IsStart(t) {
 				rule := "ref-dangling"
 				detail := fmt.Sprintf("reference targets %v, not a valid object start", t)
-				if v.AS.Resolve(t) == nil {
+				if vr.as.Resolve(t) == nil {
 					rule = "ref-unmapped"
 					detail = fmt.Sprintf("reference targets unmapped address %v", t)
 				}
-				report(Failure{Rule: rule, Space: spaceName(v, a), Region: -1, Card: -1,
+				report(Failure{Rule: rule, Space: sp.Space, Region: sp.Region, Card: -1,
 					Holder: a, Field: i, Detail: detail})
 				continue
 			}
@@ -329,7 +392,7 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 	vr.queue = queue[:0]
 }
 
-// VerifyCards checks rule (b) over an H1 card table, for either
+// VerifyCards checks rule (c) over an H1 card table, for either
 // collector. objs are the objects whose starts the table records: the
 // old generation for Parallel Scavenge; the old and humongous regions for
 // G1, with the husks of objects moved to H2 passed with NumRefs 0 (their
@@ -340,7 +403,7 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 //     and the one the card scan parses forward from;
 //   - the start-array rule: each card's first-start entry is exactly the
 //     lowest object start in that card, and null where none starts.
-func (vr *Verifier) VerifyCards(as *vm.AddressSpace, cards *heap.CardTable, objs []Object, isYoung func(vm.Addr) bool, report func(Failure)) {
+func (vr *Verifier) VerifyCards(cards *heap.CardTable, objs []Object, isYoung func(vm.Addr) bool, report func(Failure)) {
 	n := cards.NumCards()
 	want := vr.want
 	if cap(want) < n {
@@ -357,7 +420,7 @@ func (vr *Verifier) VerifyCards(as *vm.AddressSpace, cards *heap.CardTable, objs
 			want[ci] = o.Addr
 		}
 		for f := 0; f < o.NumRefs; f++ {
-			t := vm.Addr(as.Peek(o.Addr + vm.Addr((vm.HeaderWords+f)*vm.WordSize)))
+			t := vm.Addr(vr.as.Peek(o.Addr + vm.Addr((vm.HeaderWords+f)*vm.WordSize)))
 			if t.IsNull() || !isYoung(t) {
 				continue
 			}
@@ -376,19 +439,4 @@ func (vr *Verifier) VerifyCards(as *vm.AddressSpace, cards *heap.CardTable, objs
 				Detail: fmt.Sprintf("start entry of card %d is %v but lowest object header in card is %v", i, got, want[i])})
 		}
 	}
-}
-
-// spaceName classifies an H1 address for failure reports.
-func spaceName(v PSView, a vm.Addr) string {
-	switch {
-	case v.H1.Eden.Contains(a):
-		return "eden"
-	case v.H1.From.Contains(a):
-		return "from"
-	case v.H1.To.Contains(a):
-		return "to"
-	case v.H1.Old.Contains(a):
-		return "old"
-	}
-	return "?"
 }

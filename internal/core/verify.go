@@ -14,15 +14,16 @@ func (th *TeraHeap) ContainsAllocated(a vm.Addr) bool {
 	return r != nil && a >= r.start && a < r.top
 }
 
-// VerifySelf implements check.H2: it parse-walks every allocated region
-// through the cost-free peek path and validates the H2-side invariants —
-// object headers carry no transient GC bits, segFirst entries are exactly
-// the first object starting in each card segment, segment card states are
-// at least as strong as the reference kinds actually present, dependency
-// lists (or union-find groups) cover every cross-region reference, and
-// per-region object/byte accounting matches the walk. It also runs the
-// page-cache LRU/map self-check. Only valid outside a GC pause.
-func (th *TeraHeap) VerifySelf(isYoung func(vm.Addr) bool, validH1 func(vm.Addr) bool, report func(check.Failure)) {
+// VerifySelf implements check.H2: it parses every allocated region
+// through vr's shared header rules (H2 objects have the H1 format) and
+// checks the H2-side metadata: no reservation or staged promotion-buffer
+// write survives a pause, per-region object counts and segFirst entries
+// match the parse, reference fields target H2 object starts or valid H1
+// object starts, segment card states are at least as strong as the
+// backward references present, and dependency lists (or union-find
+// groups) cover every cross-region reference. It also runs the page-cache
+// LRU/map self-check. Only valid outside a GC pause.
+func (th *TeraHeap) VerifySelf(vr *check.Verifier, isYoung func(vm.Addr) bool, report func(check.Failure)) {
 	if th.mem == nil {
 		return // not attached to a collector yet; nothing can be in H2
 	}
@@ -39,10 +40,10 @@ func (th *TeraHeap) VerifySelf(isYoung func(vm.Addr) bool, validH1 func(vm.Addr)
 		}
 	}
 
-	// Pass 1: parse every allocated region, validating headers, segFirst
-	// and accounting, and collecting the set of valid object starts.
-	starts := make(map[vm.Addr]struct{})
-	for _, r := range th.regions {
+	// Pass 1: parse every allocated region, so that every region's object
+	// starts are known to pass 2.
+	objs := make([][]check.Object, len(th.regions))
+	for i, r := range th.regions {
 		if r == nil {
 			continue
 		}
@@ -51,19 +52,17 @@ func (th *TeraHeap) VerifySelf(isYoung func(vm.Addr) bool, validH1 func(vm.Addr)
 				Region: r.id, Card: -1, Field: -1,
 				Detail: fmt.Sprintf("%d bytes (%d writes) staged outside a GC pause", r.buf.pendingBytes, len(r.buf.recs))})
 		}
-		if r.empty() {
-			continue
+		if !r.empty() {
+			objs[i] = th.verifyRegion(vr, r, report)
 		}
-		th.verifyRegion(r, starts, report)
 	}
 
 	// Pass 2: reference fields, segment card states and dependency
-	// coverage, now that every region's object starts are known.
-	for _, r := range th.regions {
-		if r == nil || r.empty() {
-			continue
+	// coverage.
+	for i, r := range th.regions {
+		if r != nil {
+			th.verifyRegionRefs(r, objs[i], vr.IsStart, isYoung, report)
 		}
-		th.verifyRegionRefs(r, starts, isYoung, validH1, report)
 	}
 
 	if err := th.mapped.Cache().CheckConsistency(); err != nil {
@@ -72,64 +71,22 @@ func (th *TeraHeap) VerifySelf(isYoung func(vm.Addr) bool, validH1 func(vm.Addr)
 	}
 }
 
-// verifyRegion parse-walks one region, reporting header and metadata
-// violations and adding each valid object start to starts.
-func (th *TeraHeap) verifyRegion(r *region, starts map[vm.Addr]struct{}, report func(check.Failure)) {
-	segFirstWant := make([]vm.Addr, len(r.segFirst))
-	var objects, sumBytes int64
-	a := r.start
-	for a < r.top {
-		status := th.peekWord(a)
-		if vm.StatusForwarded(status) {
-			report(check.Failure{Rule: "h2-forwarding", Space: "h2", Region: r.id, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("H2 object holds forwarding pointer to %v", vm.StatusForwardee(status))})
-			return
-		}
-		if status&(vm.FlagMark|vm.FlagClosure) != 0 {
-			report(check.Failure{Rule: "h2-stale-gc-bits", Space: "h2", Region: r.id, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("mark/closure bits 0x%x survived the move to H2", status&(vm.FlagMark|vm.FlagClosure))})
-		}
-		cid := vm.StatusClassID(status)
-		if cid == 0 || int(cid) >= th.mem.Classes.Len() {
-			report(check.Failure{Rule: "h2-bad-class", Space: "h2", Region: r.id, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("class id %d out of range [1, %d)", cid, th.mem.Classes.Len())})
-			return
-		}
-		shape := th.peekWord(a + vm.WordSize)
-		size := vm.ShapeSizeWords(shape)
-		numRefs := vm.ShapeNumRefs(shape)
-		if size < vm.HeaderWords || vm.HeaderWords+numRefs > size {
-			report(check.Failure{Rule: "h2-bad-shape", Space: "h2", Region: r.id, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("size %d words, %d refs is not a valid shape", size, numRefs)})
-			return
-		}
-		end := a + vm.Addr(size*vm.WordSize)
-		if end > r.top {
-			report(check.Failure{Rule: "h2-object-overruns-top", Space: "h2", Region: r.id, Card: -1,
-				Holder: a, Field: -1,
-				Detail: fmt.Sprintf("object end %v exceeds region top %v", end, r.top)})
-			return
-		}
-		seg := int(int64(a-r.start) / th.cfg.CardSegmentSize)
-		if segFirstWant[seg].IsNull() {
-			segFirstWant[seg] = a
-		}
-		starts[a] = struct{}{}
-		objects++
-		sumBytes += int64(size) * vm.WordSize
-		a = end
+// verifyRegion parses one region and checks its object count and segFirst
+// entries against the parse. It returns the objects parsed.
+func (th *TeraHeap) verifyRegion(vr *check.Verifier, r *region, report func(check.Failure)) []check.Object {
+	objs, ok := vr.Parse(check.Span{Space: "h2", Region: r.id, Start: r.start, Top: r.top, End: r.end}, report)
+	if !ok {
+		return objs
 	}
-	if objects != r.objects {
+	if int64(len(objs)) != r.objects {
 		report(check.Failure{Rule: "h2-object-count", Space: "h2", Region: r.id, Card: -1, Field: -1,
-			Detail: fmt.Sprintf("walked %d objects but region metadata records %d", objects, r.objects)})
+			Detail: fmt.Sprintf("walked %d objects but region metadata records %d", len(objs), r.objects)})
 	}
-	if sumBytes != r.used() {
-		report(check.Failure{Rule: "h2-accounting", Space: "h2", Region: r.id, Card: -1, Field: -1,
-			Detail: fmt.Sprintf("walked object bytes %d != region used() %d", sumBytes, r.used())})
+	segFirstWant := make([]vm.Addr, len(r.segFirst))
+	for _, o := range objs {
+		if seg := int(int64(o.Addr-r.start) / th.cfg.CardSegmentSize); segFirstWant[seg].IsNull() {
+			segFirstWant[seg] = o.Addr
+		}
 	}
 	for s := range r.segFirst {
 		if r.segFirst[s] != segFirstWant[s] {
@@ -138,21 +95,19 @@ func (th *TeraHeap) verifyRegion(r *region, starts map[vm.Addr]struct{}, report 
 				Detail: fmt.Sprintf("segFirst[%d]=%v but first object starting in segment is %v", s, r.segFirst[s], segFirstWant[s])})
 		}
 	}
+	return objs
 }
 
-// verifyRegionRefs walks one region's reference fields, checking target
-// validity, segment card states against the reference kinds present, and
-// dependency-list / union-find coverage of cross-region references.
-func (th *TeraHeap) verifyRegionRefs(r *region, starts map[vm.Addr]struct{}, isYoung func(vm.Addr) bool, validH1 func(vm.Addr) bool, report func(check.Failure)) {
-	for a := r.start; a < r.top; {
-		size := th.peekSizeWords(a)
-		if size < vm.HeaderWords {
-			return // already reported by verifyRegion
-		}
+// verifyRegionRefs walks the reference fields of one region's parsed
+// objects, checking target validity, segment card states against the
+// reference kinds present, and dependency-list / union-find coverage of
+// cross-region references. isStart tells object starts, H1 and H2.
+func (th *TeraHeap) verifyRegionRefs(r *region, objs []check.Object, isStart, isYoung func(vm.Addr) bool, report func(check.Failure)) {
+	for _, o := range objs {
+		a := o.Addr
 		seg := th.segmentOf(a)
 		st := th.cards.get(seg)
-		nrefs := th.peekNumRefs(a)
-		for f := 0; f < nrefs; f++ {
+		for f := 0; f < o.NumRefs; f++ {
 			t := th.peekRef(a, f)
 			if t.IsNull() {
 				continue
@@ -165,7 +120,7 @@ func (th *TeraHeap) verifyRegionRefs(r *region, starts map[vm.Addr]struct{}, isY
 						Detail: fmt.Sprintf("reference targets unallocated H2 address %v", t)})
 					continue
 				}
-				if _, ok := starts[t]; !ok {
+				if !isStart(t) {
 					report(check.Failure{Rule: "h2-ref-dangling", Space: "h2", Region: r.id, Card: seg,
 						Holder: a, Field: f,
 						Detail: fmt.Sprintf("reference targets %v, not an H2 object start", t)})
@@ -179,7 +134,7 @@ func (th *TeraHeap) verifyRegionRefs(r *region, starts map[vm.Addr]struct{}, isY
 				continue
 			}
 			// Backward reference into H1.
-			if !validH1(t) {
+			if !isStart(t) {
 				report(check.Failure{Rule: "h2-backward-ref-dangling", Space: "h2", Region: r.id, Card: seg,
 					Holder: a, Field: f,
 					Detail: fmt.Sprintf("backward reference targets %v, not a valid H1 object start", t)})
@@ -195,7 +150,6 @@ func (th *TeraHeap) verifyRegionRefs(r *region, starts map[vm.Addr]struct{}, isY
 					Detail: fmt.Sprintf("segment state %d weaker than backward reference to %v requires (%d)", st, t, need)})
 			}
 		}
-		a += vm.Addr(size * vm.WordSize)
 	}
 }
 

@@ -18,23 +18,26 @@ type ChaosResult struct {
 	Runs []RunResult
 }
 
-// Counts buckets the runs by outcome. A run lands in exactly one bucket:
-// panicked (executor-recovered), faulted (latched persistent device
-// failure), oom, recovered (the self-healing layer repaired a persistent
-// failure and the run finished with a correct result), degraded (absorbed
-// injected faults and still finished), or healthy.
+// Counts buckets the runs by outcome, in status's precedence. A run lands
+// in exactly one bucket: panicked (executor-recovered), faulted (latched
+// persistent device failure), oom, recovered (the self-healing layer
+// repaired a persistent failure and the run finished with a correct
+// result), degraded (absorbed injected faults and still finished), or
+// healthy. Panicked is the one outcome the chaos harness treats as a bug:
+// faulted and OOM runs are expected under an aggressive plan, but a panic
+// means a fault escaped the typed-error paths.
 func (r ChaosResult) Counts() (healthy, recovered, degraded, faulted, oom, panicked int) {
 	for _, run := range r.Runs {
-		switch {
-		case run.Failed:
+		switch run.status() {
+		case "PANIC":
 			panicked++
-		case run.Faulted:
+		case "FAULTED":
 			faulted++
-		case run.OOM:
+		case "OOM":
 			oom++
-		case run.Recovered():
+		case "RECOVERED":
 			recovered++
-		case run.Degraded():
+		case "degraded":
 			degraded++
 		default:
 			healthy++
@@ -58,18 +61,6 @@ func (r RunResult) status() string {
 		return "degraded"
 	}
 	return "ok"
-}
-
-// Panicked reports whether any run died by panic — the one outcome the
-// chaos harness treats as a bug. Faulted and OOM runs are expected under
-// an aggressive plan; a panic means a fault escaped the typed-error paths.
-func (r ChaosResult) Panicked() bool {
-	for _, run := range r.Runs {
-		if run.Failed {
-			return true
-		}
-	}
-	return false
 }
 
 // Format renders the chaos report. The output is a pure function of the

@@ -27,13 +27,13 @@ func chaosTestPlan(t *testing.T) *fault.Plan {
 // outcome — degraded, faulted, or OOM — and none panics.
 func TestChaosSurvivesFaultSchedule(t *testing.T) {
 	res := new(Env).RunChaos(chaosTestPlan(t))
-	if res.Panicked() {
+	healthy, recovered, degraded, faulted, oom, panicked := res.Counts()
+	if panicked != 0 {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
 	if len(res.Runs) != len(chaosSpecs(nil)) {
 		t.Fatalf("got %d runs, want %d", len(res.Runs), len(chaosSpecs(nil)))
 	}
-	healthy, recovered, degraded, faulted, oom, panicked := res.Counts()
 	if healthy+recovered+degraded+faulted+oom+panicked != len(res.Runs) {
 		t.Fatalf("outcome buckets don't partition the runs: %d+%d+%d+%d+%d+%d != %d",
 			healthy, recovered, degraded, faulted, oom, panicked, len(res.Runs))
@@ -124,10 +124,10 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := new(Env).RunChaos(plan)
-	if res.Panicked() {
+	_, recovered, _, faulted, oom, panicked := res.Counts()
+	if panicked != 0 {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
-	_, recovered, _, faulted, oom, _ := res.Counts()
 	if faulted != 0 || oom != 0 {
 		t.Fatalf("faulted=%d oom=%d under a survivable plan, want 0/0:\n%s", faulted, oom, res.Format())
 	}
