@@ -24,7 +24,6 @@ func (g *G1) fullGC() error {
 	before := g.clock.Breakdown()
 	usedBefore := g.usedBytes()
 
-	g.th.BeginMajorMark(g.usedBytes(), g.h1Size)
 	objects, refs := g.markAll()
 
 	// Reclaim dead humongous runs first (more contiguous space).
@@ -126,9 +125,11 @@ func (g *G1) fullGC() error {
 		}
 	})
 	// H2 backward references follow the packed objects.
-	g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		return adjust(t)
-	}, func(vm.Addr) bool { return false })
+	if g.th != nil {
+		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+			return adjust(t)
+		}, func(vm.Addr) bool { return false })
+	}
 
 	// Move (ascending: dst_i <= src_i, so sliding never clobbers).
 	for i, a := range src {
@@ -175,14 +176,16 @@ func (g *G1) fullGC() error {
 	}
 
 	// Full GC is single-threaded and expensive.
-	cpu := time.Duration(objects)*gc.MarkPerObject +
-		time.Duration(refs+adjRefs)*gc.ScanPerRef +
-		time.Duration(packedBytes)*gc.CopyPerByte
+	cpu := time.Duration(objects)*simclock.MarkPerObject +
+		time.Duration(refs+adjRefs)*simclock.ScanPerRef +
+		time.Duration(packedBytes)*simclock.CopyPerByte
 	g.clock.Charge(simclock.MajorGC, cpu)
-	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, simclock.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
-	g.th.FinishMajor(g.usedBytes(), g.h1Size)
+	if g.th != nil {
+		g.th.FinishMajor()
+	}
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
 		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
 		BytesCopied: packedBytes, ReclaimedBytes: usedBefore - g.usedBytes(),

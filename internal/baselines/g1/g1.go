@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/check"
+	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
@@ -113,9 +114,9 @@ type G1 struct {
 	// marking cycle may start.
 	markCooldown int
 
-	// th is the optional second heap (TeraHeap-under-G1, §7.1); inert by
-	// default.
-	th gc.SecondHeap
+	// th is the optional second heap (TeraHeap-under-G1, §7.1); nil
+	// without one.
+	th *core.TeraHeap
 
 	// hooks is the collector lifecycle-hook plane (same contract as
 	// gc.Collector's).
@@ -131,15 +132,16 @@ type G1 struct {
 }
 
 // New builds a G1 runtime over an h1Size-byte heap, rounded down to a
-// whole number of regions.
-func New(h1Size int64, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
+// whole number of regions and mapped into as. th, built over the same as
+// and classes, is the attached second heap, or nil for plain G1.
+func New(h1Size int64, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th *core.TeraHeap) *G1 {
 	rs := regionSizeFor(h1Size)
 	h1Size = h1Size / rs * rs
 	n := int(h1Size / rs)
 	if n < 8 {
 		panic("g1: need at least 8 regions")
 	}
-	g := &G1{h1Size: h1Size, regionSize: rs, clock: clock, classes: classes, as: &vm.AddressSpace{}, roots: vm.NewRootSet(), th: gc.NoSecondHeap{}, policy: placement.Default{}}
+	g := &G1{h1Size: h1Size, regionSize: rs, clock: clock, classes: classes, as: as, roots: vm.NewRootSet(), th: th, policy: placement.Default{}}
 	ram := vm.NewRAM(vm.H1Base, h1Size)
 	g.as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), ram)
 	g.mem = vm.NewMem(g.as, classes)
@@ -222,10 +224,6 @@ func (g *G1) latchOOM(e *gc.OOMError) *gc.OOMError {
 	g.hooks.OnOOM(e)
 	return e
 }
-
-// AttachSecondHeap wires a TeraHeap into the collector (TeraHeap-under-
-// G1). Must be called before any allocation.
-func (g *G1) AttachSecondHeap(th gc.SecondHeap) { g.th = th }
 
 // SetPlacementPolicy installs a placement policy; nil restores the
 // default (legacy) policy. Must be called before any allocation.

@@ -27,7 +27,7 @@ func newEnv(t *testing.T, h1Size int64) *env {
 		arr:  classes.MustRefArray("Object[]"),
 		parr: classes.MustPrimArray("long[]"),
 	}
-	e.g = g1.New(h1Size, classes, simclock.New())
+	e.g = g1.New(h1Size, &vm.AddressSpace{}, classes, simclock.New(), nil)
 	verifyFromEnv(e.g)
 	return e
 }

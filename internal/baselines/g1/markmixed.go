@@ -37,14 +37,13 @@ func (g *G1) markAndMixed() (int, error) {
 	defer g.clock.SetContext(prev)
 	before := g.clock.Breakdown()
 
-	g.th.BeginMajorMark(g.usedBytes(), g.h1Size)
 	objects, refs := g.markAll()
 	// TeraHeap-under-G1: move advised closures out during the marking
 	// cycle (§7.1); this also frees humongous runs whose objects left.
 	movedToH2 := g.moveClosuresToH2()
 	// Concurrent marking: most of the traversal overlaps the mutator.
-	cpu := time.Duration(float64(time.Duration(objects)*gc.MarkPerObject+
-		time.Duration(refs)*gc.ScanPerRef) * concurrencyDiscount)
+	cpu := time.Duration(float64(time.Duration(objects)*simclock.MarkPerObject+
+		time.Duration(refs)*simclock.ScanPerRef) * concurrencyDiscount)
 	g.chargeGC(simclock.MajorGC, cpu)
 
 	// Reclaim wholly-dead humongous runs and old regions eagerly.
@@ -86,9 +85,11 @@ func (g *G1) markAndMixed() (int, error) {
 		}
 	})
 
-	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, simclock.PausePerGC)
 	delta := g.clock.Breakdown().Sub(before)
-	g.th.FinishMajor(g.usedBytes(), g.h1Size)
+	if g.th != nil {
+		g.th.FinishMajor()
+	}
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
 		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
 		BytesCopied: moved, ReclaimedBytes: reclaimed, BytesMovedToH2: movedToH2,
@@ -100,8 +101,9 @@ func (g *G1) markAndMixed() (int, error) {
 	return regionsFreed, nil
 }
 
-// markAll marks live objects from the roots and refreshes per-region live
-// byte counts. Young regions must be empty.
+// markAll marks live objects from the roots (and, with a TeraHeap, from
+// H2's backward references after resetting its region live bits) and
+// refreshes per-region live byte counts. Young regions must be empty.
 func (g *G1) markAll() (objects, refs int64) {
 	for _, r := range g.regions {
 		r.liveBytes = 0
@@ -112,10 +114,13 @@ func (g *G1) markAll() (objects, refs int64) {
 			stack = append(stack, a)
 		}
 	})
-	g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		stack = append(stack, t)
-		return t
-	}, g.inYoung)
+	if g.th != nil {
+		g.th.BeginMajorMark()
+		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+			stack = append(stack, t)
+			return t
+		}, g.inYoung)
+	}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -264,7 +269,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 			a += vm.Addr(size * vm.WordSize)
 		}
 	}
-	g.chargeGC(simclock.MajorGC, time.Duration(moved)*gc.CopyPerByte)
+	g.chargeGC(simclock.MajorGC, time.Duration(moved)*simclock.CopyPerByte)
 
 	// Fix references everywhere (modelled remembered-set cost: charged
 	// proportional to the moved volume, already covered above; the walk
@@ -295,12 +300,14 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	// evacuated objects like every other reference, or they dangle once
 	// the source regions are freed (young collections only consult these
 	// via the H2 card table, which never sees the stale target again).
-	g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		if r := g.regionOf(t); r != nil && cs[r.id] && g.mem.Forwarded(t) {
-			return g.mem.Forwardee(t)
-		}
-		return t
-	}, g.inYoung)
+	if g.th != nil {
+		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+			if r := g.regionOf(t); r != nil && cs[r.id] && g.mem.Forwarded(t) {
+				return g.mem.Forwardee(t)
+			}
+			return t
+		}, g.inYoung)
+	}
 
 	// Free the collection set.
 	newOld := g.old[:0]

@@ -60,7 +60,7 @@ func (g *G1) allocObject(c *vm.Class, numRefs, sizeWords int) (vm.Addr, error) {
 // WriteRef stores a reference with G1's post-write barrier, extended with
 // the H2 reference range check when a second heap is attached.
 func (g *G1) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	g.clock.Charge(simclock.Other, gc.BarrierCost)
+	g.clock.Charge(simclock.Other, simclock.BarrierCost)
 	g.stats.BarrierExecutions++
 	if g.th.Contains(obj) {
 		g.mem.SetRefAt(obj, field, val)
@@ -92,10 +92,18 @@ func (g *G1) NewHandle(a vm.Addr) *vm.Handle { return g.roots.Create(a) }
 func (g *G1) Release(h *vm.Handle) { g.roots.Release(h) }
 
 // TagRoot applies h2_tag_root (a no-op without a second heap).
-func (g *G1) TagRoot(h *vm.Handle, label uint64) { g.th.TagRoot(h, label) }
+func (g *G1) TagRoot(h *vm.Handle, label uint64) {
+	if g.th != nil {
+		g.th.TagRoot(h, label)
+	}
+}
 
 // MoveHint applies h2_move (a no-op without a second heap).
-func (g *G1) MoveHint(label uint64) { g.th.Move(label) }
+func (g *G1) MoveHint(label uint64) {
+	if g.th != nil {
+		g.th.Move(label)
+	}
+}
 
 // InSecondHeap reports whether a resides in the attached second heap.
 func (g *G1) InSecondHeap(a vm.Addr) bool { return g.th.Contains(a) }

@@ -1,15 +1,12 @@
 package g1
 
-import (
-	"github.com/carv-repro/teraheap-go/internal/gc"
-	"github.com/carv-repro/teraheap-go/internal/vm"
-)
+import "github.com/carv-repro/teraheap-go/internal/vm"
 
 // TeraHeap-under-G1: the integration §7.1 sketches ("TeraHeap can also be
 // used with G1 to eliminate S/D cost and reduce the amount of data
 // subject to GC, by moving long-lived, humongous objects to H2").
 //
-// The G1 collector gains the same SecondHeap hooks as Parallel Scavenge:
+// The G1 collector calls the same TeraHeap hooks as Parallel Scavenge:
 //
 //   - the post-write barrier's reference range check (WriteRef);
 //   - fencing: neither young evacuation nor marking ever scans H2;
@@ -28,7 +25,7 @@ import (
 // are cleared. Returns the bytes moved.
 func (g *G1) moveClosuresToH2() int64 {
 	th := g.th
-	if _, none := th.(gc.NoSecondHeap); none {
+	if th == nil {
 		return 0
 	}
 	// Select closures (advised labels only; G1 integration does not use
@@ -54,7 +51,7 @@ func (g *G1) moveClosuresToH2() int64 {
 			if o.IsNull() || th.Contains(o) || g.mem.InClosure(o) {
 				continue
 			}
-			if th.ExcludeClass(g.mem.ClassOf(o)) {
+			if g.mem.ClassOf(o).Excluded {
 				continue
 			}
 			g.mem.SetInClosure(o, true)

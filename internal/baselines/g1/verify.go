@@ -37,7 +37,10 @@ func (g *G1) VerifyNow() []check.Failure {
 	vr.Begin(g.as, g.classes)
 	cardObjs := g.parseRegions(vr, report)
 	g.verifyRegionLists(report)
-	h2, _ := g.th.(check.H2)
+	var h2 check.H2
+	if g.th != nil { // a nil *TeraHeap in the interface would be non-nil
+		h2 = g.th
+	}
 	vr.VerifyRoots(g.roots, h2, report)
 	vr.VerifyCards(g.cards, cardObjs, g.inYoung, report)
 	if h2 != nil {

@@ -149,12 +149,14 @@ func (g *G1) youngGCNoMark() error {
 	})
 
 	// Roots 2: backward references from the second heap.
-	g.th.ScanBackwardRefs(false, func(_ uint64, t vm.Addr) vm.Addr {
-		if inCS(t) {
-			return evac(t)
-		}
-		return t
-	}, g.inYoung)
+	if g.th != nil {
+		g.th.ScanBackwardRefs(false, func(_ uint64, t vm.Addr) vm.Addr {
+			if inCS(t) {
+				return evac(t)
+			}
+			return t
+		}, g.inYoung)
+	}
 
 	// Roots 3: dirty cards over old and humongous regions.
 	cards := g.cards
@@ -232,12 +234,12 @@ func (g *G1) youngGCNoMark() error {
 		g.releaseRegion(g.regions[id])
 	}
 
-	cpu := time.Duration(bytesCopied+bytesPromoted)*gc.CopyPerByte +
-		time.Duration(refsScanned)*gc.ScanPerRef +
-		time.Duration(cardsScanned)*gc.PerCard +
-		time.Duration(cardObjects)*gc.PerCardObject
+	cpu := time.Duration(bytesCopied+bytesPromoted)*simclock.CopyPerByte +
+		time.Duration(refsScanned)*simclock.ScanPerRef +
+		time.Duration(cardsScanned)*simclock.PerCard +
+		time.Duration(cardObjects)*simclock.PerCardObject
 	g.chargeGC(simclock.MinorGC, cpu)
-	g.clock.Charge(simclock.MinorGC, gc.PausePerGC)
+	g.clock.Charge(simclock.MinorGC, simclock.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{

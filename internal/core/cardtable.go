@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/carv-repro/teraheap-go/internal/gc"
+	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
@@ -50,9 +50,6 @@ func (t *cardTable) raise(seg int, s byte) {
 // stored back (adjusting backward references), and the segment's state is
 // recomputed from what remains.
 func (th *TeraHeap) ScanBackwardRefs(major bool, visit func(uint64, vm.Addr) vm.Addr, isYoung func(vm.Addr) bool) {
-	if th.mem == nil {
-		panic("core: ScanBackwardRefs before AttachMem")
-	}
 	startBD := th.clock.Breakdown()
 	var cardsExamined, objectsScanned int64
 	segsPerRegion := th.segmentsPerRegion()
@@ -144,9 +141,9 @@ func (th *TeraHeap) ScanBackwardRefs(major bool, visit func(uint64, vm.Addr) vm.
 		}
 	}
 
-	cpu := time.Duration(cardsExamined)*gc.PerCard +
-		time.Duration(objectsScanned)*gc.PerCardObject
-	th.clock.ChargeAmbient(cpu / gc.MinorGCThreads)
+	cpu := time.Duration(cardsExamined)*simclock.PerCard +
+		time.Duration(objectsScanned)*simclock.PerCardObject
+	th.clock.ChargeAmbient(cpu / simclock.MinorGCThreads)
 	th.stats.CardsScanned += cardsExamined
 	th.stats.H2ObjectsScanned += objectsScanned
 	if !major {

@@ -467,6 +467,7 @@ func (th *TeraHeap) freeDeadRegions() {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		// order-insensitive: a reachability set; the reached set is the same in any order.
 		for dep := range th.regions[id].deps {
 			if !reached[dep] {
 				reached[dep] = true

@@ -17,7 +17,9 @@
 //   - per-region 2 MB promotion buffers writing objects to the device with
 //     batched asynchronous I/O (§3.2).
 //
-// It plugs into the Parallel Scavenge collector through gc.SecondHeap.
+// Both collectors (Parallel Scavenge in internal/gc, G1 in
+// internal/baselines/g1) call a *TeraHeap directly; a nil *TeraHeap means
+// the run has no H2.
 package core
 
 import (
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -94,12 +95,19 @@ func DefaultConfig(h2Size int64) Config {
 	}
 }
 
-// TeraHeap is the second heap. It implements gc.SecondHeap.
+// TaggedRoot pairs a rooted handle with the label it was tagged with.
+type TaggedRoot struct {
+	Handle *vm.Handle
+	Label  uint64
+}
+
+// TeraHeap is the second heap. The collectors hold it as a *TeraHeap that
+// is nil when the run has no H2: only Contains is safe on a nil receiver.
 type TeraHeap struct {
 	cfg    Config
 	clock  *simclock.Clock
 	mapped *storage.MappedFile
-	mem    *vm.Mem // object accessors; set by AttachMem after wiring
+	mem    *vm.Mem // object accessors over the shared address space
 
 	regions     []*region
 	freeRegions []int
@@ -111,7 +119,7 @@ type TeraHeap struct {
 
 	cards *cardTable
 
-	tagged []gc.TaggedRoot
+	tagged []TaggedRoot
 	// moveAdvised is a dense bitset indexed by label: frameworks assign
 	// small sequential labels (RDD ids, superstep counters), and MoveOnMinor
 	// is consulted once per scavenged object, so the lookup must not hash.
@@ -202,11 +210,12 @@ func (cfg *Config) Validate() error {
 	return nil
 }
 
-// New builds a TeraHeap over dev and maps H2 into as at vm.H2Base. It
-// panics on an invalid configuration; use NewChecked where bad configs
+// New builds a TeraHeap over dev, maps H2 into as at vm.H2Base, and reads
+// objects through as and classes, which the collector built next shares.
+// It panics on an invalid configuration; use NewChecked where bad configs
 // must surface as a failed run rather than kill the process.
-func New(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *simclock.Clock) *TeraHeap {
-	th, err := NewChecked(cfg, dev, as, clock)
+func New(cfg Config, dev *storage.Device, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock) *TeraHeap {
+	th, err := NewChecked(cfg, dev, as, classes, clock)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -215,7 +224,7 @@ func New(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *simclock.C
 
 // NewChecked builds a TeraHeap, returning a *ConfigError instead of
 // panicking when the configuration is invalid.
-func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *simclock.Clock) (*TeraHeap, error) {
+func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock) (*TeraHeap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,6 +237,7 @@ func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *sim
 		cfg:       cfg,
 		clock:     clock,
 		mapped:    storage.NewMappedFile(dev, cfg.H2Size, cfg.PageSize, cfg.CacheBytes),
+		mem:       vm.NewMem(as, classes),
 		placement: placement.Default{},
 	}
 	as.Map(vm.H2Base, vm.H2Base+vm.Addr(cfg.H2Size), mappedMemory{th: th})
@@ -245,10 +255,6 @@ func (th *TeraHeap) SetFaultInjector(in *fault.Injector) { th.inj = in }
 // after repeated persistent failures: a false return routes the promotion
 // to the §4 keep-it-in-H1 fallback.
 func (th *TeraHeap) SetAdmission(f func() bool) { th.admit = f }
-
-// AttachMem wires the object accessors (built after the collector) into
-// the card-table scanner.
-func (th *TeraHeap) AttachMem(m *vm.Mem) { th.mem = m }
 
 // SetPlacementPolicy installs a placement policy over the H2 movement
 // decisions; nil restores the default policy (the hint/threshold logic).
@@ -283,7 +289,7 @@ func (th *TeraHeap) TagRoot(h *vm.Handle, label uint64) {
 		return
 	}
 	th.mem.SetLabel(a, label)
-	th.tagged = append(th.tagged, gc.TaggedRoot{Handle: h, Label: label})
+	th.tagged = append(th.tagged, TaggedRoot{Handle: h, Label: label})
 	th.stats.RootsTagged++
 	th.clock.Charge(simclock.Other, 50*time.Nanosecond) // native call
 }
@@ -334,11 +340,13 @@ func (th *TeraHeap) advised(label uint64) bool {
 	return th.moveAdvisedBig != nil && th.moveAdvisedBig[label]
 }
 
-// --- gc.SecondHeap: mutator-side --------------------------------------------
+// --- Collector protocol: mutator-side ---------------------------------------
 
-// Contains is the reference range check.
+// Contains is the reference range check. A nil TeraHeap contains nothing:
+// it is the one method the collectors call without a nil check, on every
+// reference in the barrier, scavenge and mark loops.
 func (th *TeraHeap) Contains(a vm.Addr) bool {
-	return a >= vm.H2Base && a < vm.H2Base+vm.Addr(th.cfg.H2Size)
+	return th != nil && a >= vm.H2Base && a < vm.H2Base+vm.Addr(th.cfg.H2Size)
 }
 
 // DirtyCard marks the card of an updated H2 object dirty (post-write
@@ -347,7 +355,7 @@ func (th *TeraHeap) DirtyCard(a vm.Addr) {
 	th.cards.set(th.segmentOf(a), cardDirty)
 }
 
-// --- gc.SecondHeap: movement -------------------------------------------------
+// --- Collector protocol: movement --------------------------------------------
 
 // MoveOnMinor reports whether label's objects promote straight from the
 // young generation to H2 (the label's move hint has been issued; forced
@@ -389,13 +397,9 @@ func (th *TeraHeap) shouldMoveLabelLegacy(label uint64, selectedWords int64) boo
 	return float64(remaining) > th.cfg.LowThreshold*float64(th.pressureCap)
 }
 
-// ExcludeClass excludes runtime metadata and Reference-like classes from
-// transitive closures.
-func (th *TeraHeap) ExcludeClass(c *vm.Class) bool { return c.Excluded }
-
 // TaggedRoots returns live tagged roots, pruning entries whose key object
 // has already moved to H2 or been released.
-func (th *TeraHeap) TaggedRoots() []gc.TaggedRoot {
+func (th *TeraHeap) TaggedRoots() []TaggedRoot {
 	live := th.tagged[:0]
 	for _, tr := range th.tagged {
 		a := tr.Handle.Addr()
@@ -413,7 +417,7 @@ func (th *TeraHeap) TaggedRoots() []gc.TaggedRoot {
 // marking has measured the live volume that would REMAIN in H1 after the
 // advised (hinted) groups leave — so pressure that the hints already
 // relieve never forces still-mutable groups out (§3.2).
-func (th *TeraHeap) BeginMajorMark(oldUsedBytes, oldCapacity int64) {
+func (th *TeraHeap) BeginMajorMark() {
 	for _, r := range th.regions {
 		if r != nil {
 			r.live = false
@@ -423,18 +427,11 @@ func (th *TeraHeap) BeginMajorMark(oldUsedBytes, oldCapacity int64) {
 	th.forceMove = false
 	th.pressureLive = 0
 	th.pressureCap = 0
-	_ = oldUsedBytes
-	_ = oldCapacity
 }
 
-// EvaluatePressure implements gc.SecondHeap: re-arm the threshold policy
-// with the exact live volume measured by marking.
+// EvaluatePressure arms or disarms forced movement given the H1 live
+// volume marking measured against the old generation's capacity.
 func (th *TeraHeap) EvaluatePressure(liveBytes, oldCapacity int64) {
-	th.evaluateThreshold(liveBytes, oldCapacity)
-}
-
-// evaluateThreshold arms or disarms forced movement given H1 pressure.
-func (th *TeraHeap) evaluateThreshold(liveBytes, oldCapacity int64) {
 	occ := 0.0
 	if oldCapacity > 0 {
 		occ = float64(liveBytes) / float64(oldCapacity)
@@ -470,8 +467,6 @@ func (th *TeraHeap) NoteForwardRef(target vm.Addr) {
 
 // FinishMajor frees dead regions in bulk (§3.3). Threshold arming lives
 // entirely within the marking phase (EvaluatePressure).
-func (th *TeraHeap) FinishMajor(oldLiveBytes, oldCapacity int64) {
+func (th *TeraHeap) FinishMajor() {
 	th.freeDeadRegions()
-	_ = oldLiveBytes
-	_ = oldCapacity
 }

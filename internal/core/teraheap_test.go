@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/rt"
@@ -19,7 +20,6 @@ type thEnv struct {
 	th    *core.TeraHeap
 	node  *vm.Class
 	arr   *vm.Class
-	meta  *vm.Class // excluded class
 }
 
 func newTHEnv(t *testing.T, h1Size int64, mutate func(*core.Config)) *thEnv {
@@ -31,7 +31,6 @@ func newTHEnv(t *testing.T, h1Size int64, mutate func(*core.Config)) *thEnv {
 		node:  classes.MustFixed("Node", 2, 1),
 		arr:   classes.MustRefArray("Object[]"),
 	}
-	e.meta = classes.Register(&vm.Class{Name: "jvm.Class", Kind: vm.KindFixed, NumRefs: 1, NumPrims: 1, Excluded: true})
 	cfg := core.DefaultConfig(64 * storage.MB)
 	cfg.RegionSize = 64 * storage.KB
 	cfg.CardSegmentSize = 4 * storage.KB
@@ -120,31 +119,64 @@ func TestNoMoveWithoutHintOrPressure(t *testing.T) {
 	}
 }
 
+// TestExcludedClassStaysInH1 covers every closure path that moves objects
+// to H2: PS major-GC closure selection, PS minor-GC direct promotion
+// (young children inherit the label unless excluded), and the G1+TH
+// marking-cycle closure. In each, the element referencing a metadata
+// object moves to H2 while the metadata object stays in H1, intact.
 func TestExcludedClassStaysInH1(t *testing.T) {
-	e := newTHEnv(t, 1<<20, nil)
-	// Partition whose element 0 references a jvm.Class metadata object.
-	h := e.buildPartition(t, 8)
-	meta, err := e.jvm.Alloc(e.meta)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		kind    rt.Kind
+		h1Size  int64
+		collect func(rt.Runtime) error
+	}{
+		{"ps-major", rt.KindTH, 1 << 20, rt.Runtime.FullGC},
+		{"ps-minor", rt.KindTH, 1 << 20, func(r rt.Runtime) error { return r.(*gc.Collector).MinorGC() }},
+		{"g1-marking", rt.KindG1TH, 1 << 21, func(r rt.Runtime) error { return r.(*g1.G1).MarkingCycle() }},
 	}
-	el0 := e.jvm.ReadRef(h.Addr(), 0)
-	e.jvm.WriteRef(el0, 1, meta)
-	e.jvm.TagRoot(h, 3)
-	e.jvm.MoveHint(3)
-	if err := e.jvm.FullGC(); err != nil {
-		t.Fatal(err)
-	}
-	el0 = e.jvm.ReadRef(h.Addr(), 0)
-	if !e.jvm.InSecondHeap(el0) {
-		t.Fatal("element 0 not in H2")
-	}
-	metaNow := e.jvm.ReadRef(el0, 1)
-	if e.jvm.InSecondHeap(metaNow) {
-		t.Fatal("excluded metadata class moved to H2")
-	}
-	if v := e.jvm.ReadPrim(metaNow, 0); v != 0 {
-		t.Fatalf("metadata corrupted: %d", v)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			classes := vm.NewClassTable()
+			node := classes.MustFixed("Node", 2, 1)
+			arr := classes.MustRefArray("Object[]")
+			meta := classes.Register(&vm.Class{Name: "jvm.Class", Kind: vm.KindFixed, NumRefs: 1, NumPrims: 1, Excluded: true})
+			cfg := core.DefaultConfig(64 * storage.MB)
+			cfg.RegionSize = 64 * storage.KB
+			r := rt.NewSession(rt.Spec{Kind: tc.kind, H1Size: tc.h1Size, TH: &cfg, Classes: classes}).Runtime
+			alloc := func(a vm.Addr, err error) vm.Addr {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			// Partition whose element 0 references a jvm.Class metadata
+			// object; everything is still young.
+			h := r.NewHandle(alloc(r.AllocRefArray(arr, 8)))
+			for i := 0; i < 8; i++ {
+				r.WriteRef(h.Addr(), i, alloc(r.Alloc(node)))
+			}
+			m := alloc(r.Alloc(meta))
+			r.WritePrim(m, 0, 42)
+			r.WriteRef(r.ReadRef(h.Addr(), 0), 1, m)
+			r.TagRoot(h, 3)
+			r.MoveHint(3)
+			if err := tc.collect(r); err != nil {
+				t.Fatal(err)
+			}
+			el0 := r.ReadRef(h.Addr(), 0)
+			if !r.InSecondHeap(el0) {
+				t.Fatal("element 0 not in H2")
+			}
+			metaNow := r.ReadRef(el0, 1)
+			if r.InSecondHeap(metaNow) {
+				t.Fatal("excluded metadata class moved to H2")
+			}
+			if v := r.ReadPrim(metaNow, 0); v != 42 {
+				t.Fatalf("metadata corrupted: %d", v)
+			}
+		})
 	}
 }
 

@@ -24,10 +24,6 @@ func (th *TeraHeap) ContainsAllocated(a vm.Addr) bool {
 // groups) cover every cross-region reference. It also runs the page-cache
 // LRU/map self-check. Only valid outside a GC pause.
 func (th *TeraHeap) VerifySelf(vr *check.Verifier, isYoung func(vm.Addr) bool, report func(check.Failure)) {
-	if th.mem == nil {
-		return // not attached to a collector yet; nothing can be in H2
-	}
-
 	// No reservation or staged promotion-buffer write may survive a pause.
 	for _, r := range th.regions {
 		if r == nil {

@@ -1,47 +1,22 @@
 // Package gc implements the Parallel Scavenge-style generational collector
 // the paper extends (§2, §4): a copying minor GC over eden and two survivor
 // spaces with tenuring, and a four-phase (mark, precompact, adjust,
-// compact) major GC over the whole of H1. TeraHeap's extensions plug in
-// through the SecondHeap interface so the identical collector runs both the
-// native-JVM baselines and the TeraHeap configurations.
+// compact) major GC over the whole of H1. The same collector runs the
+// native-JVM baselines and the TeraHeap configurations: each phase calls
+// its *core.TeraHeap directly, and a nil TeraHeap is vanilla Parallel
+// Scavenge.
 package gc
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/check"
+	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
-)
-
-// The GC and barrier cost table: per-operation CPU prices in virtual time,
-// read by both collectors and by TeraHeap's H2 card scan. Device I/O is
-// priced separately by internal/storage. The values approximate a 2.4 GHz
-// server core.
-const (
-	// CopyPerByte prices memcpy during scavenge, evacuation and
-	// compaction. time.Nanosecond/4 truncates to 0: copy volume costs no
-	// simulated time. The intended ~4 GB/s per thread needs sub-nanosecond
-	// pricing, a model change left open (see ROADMAP).
-	CopyPerByte   = time.Nanosecond / 4
-	ScanPerRef    = 12 * time.Nanosecond   // following one reference
-	MarkPerObject = 18 * time.Nanosecond   // visiting one object in mark phase
-	PerCard       = 2 * time.Nanosecond    // examining one card table entry
-	PerCardObject = 10 * time.Nanosecond   // scanning one object found in a dirty card
-	BarrierCost   = 1 * time.Nanosecond    // one post-write barrier execution
-	PausePerGC    = 200 * time.Microsecond // fixed safepoint/start/stop overhead
-	// StealSyncCost models the work-stealing and termination-barrier
-	// overhead of one gang synchronization point; charged once per barrier
-	// (minor GC: 1; major GC: one per phase) only when the gang has more
-	// than one worker.
-	StealSyncCost = time.Microsecond
-
-	MinorGCThreads = 16 // parallel scavenge threads (paper: 16)
-	MajorGCThreads = 1  // old generation threads (paper: 1)
 )
 
 // OOMError reports that the heap could not satisfy an allocation even
@@ -93,14 +68,15 @@ func (e *ClassKindError) Error() string {
 type Collector struct {
 	H1    *heap.H1
 	Roots *vm.RootSet
-	TH    SecondHeap
+	TH    *core.TeraHeap // nil: no H2
 
 	// Workers is the simulated GC gang size. The work items of each pause
 	// phase are dealt round-robin onto Workers per-worker spans (0 counts
 	// as 1) and the phase charges the longest span divided by the phase's
 	// thread count. A gang of one is therefore the serial charge: the sum
 	// of the phase's CPU work over the thread count. Above one worker each
-	// barrier also pays StealSyncCost. Set before the first collection.
+	// barrier also pays simclock.StealSyncCost. Set before the first
+	// collection.
 	Workers int
 
 	// PretenureCold places cold (long-lived framework) allocations
@@ -154,10 +130,6 @@ type Collector struct {
 	// around every GC.
 	verifier *check.Verifier
 
-	// barrierEnabled mirrors the paper's EnableTeraHeap flag: when false,
-	// the extra H2 range check in the post-write barrier is compiled out.
-	barrierEnabled bool
-
 	// hooks is the ordered lifecycle-hook plane: cross-cutting layers
 	// (verification, event accounting, tracing) register here instead of
 	// patching the collection phases.
@@ -172,20 +144,16 @@ type Collector struct {
 
 // New builds a collector over an already laid-out (and mapped) H1: DRAM
 // for the native and TeraHeap JVMs, NVM-backed for the Spark-MO and
-// Panthera baselines. th may be nil for a vanilla JVM (no H2).
-func New(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
-	if th == nil {
-		th = NoSecondHeap{}
-	}
-	_, noTH := th.(NoSecondHeap)
+// Panthera baselines. th, built over the same as and classes, is nil for a
+// vanilla JVM (no H2).
+func New(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th *core.TeraHeap) *Collector {
 	c := &Collector{
-		H1:             h1,
-		Roots:          vm.NewRootSet(),
-		TH:             th,
-		mem:            vm.NewMem(as, classes),
-		clock:          clock,
-		barrierEnabled: !noTH,
-		policy:         placement.Default{},
+		H1:     h1,
+		Roots:  vm.NewRootSet(),
+		TH:     th,
+		mem:    vm.NewMem(as, classes),
+		clock:  clock,
+		policy: placement.Default{},
 	}
 	c.scav.c = c
 	c.scavBackVisit = func(_ uint64, t vm.Addr) vm.Addr {
@@ -287,8 +255,8 @@ func (c *Collector) VerifyNow() []check.Failure {
 		Roots:   c.Roots,
 		Clock:   c.clock,
 	}
-	if h2, ok := c.TH.(check.H2); ok {
-		v.H2 = h2
+	if c.TH != nil { // a nil *TeraHeap in the interface would be non-nil
+		v.H2 = c.TH
 	}
 	if c.verifier == nil {
 		c.verifier = check.NewVerifier()
@@ -340,10 +308,18 @@ func (c *Collector) NewHandle(a vm.Addr) *vm.Handle { return c.Roots.Create(a) }
 func (c *Collector) Release(h *vm.Handle) { c.Roots.Release(h) }
 
 // TagRoot applies h2_tag_root (a no-op without a second heap).
-func (c *Collector) TagRoot(h *vm.Handle, label uint64) { c.TH.TagRoot(h, label) }
+func (c *Collector) TagRoot(h *vm.Handle, label uint64) {
+	if c.TH != nil {
+		c.TH.TagRoot(h, label)
+	}
+}
 
 // MoveHint applies h2_move (a no-op without a second heap).
-func (c *Collector) MoveHint(label uint64) { c.TH.Move(label) }
+func (c *Collector) MoveHint(label uint64) {
+	if c.TH != nil {
+		c.TH.Move(label)
+	}
+}
 
 // InSecondHeap reports whether a is in H2.
 func (c *Collector) InSecondHeap(a vm.Addr) bool { return c.TH.Contains(a) }
@@ -509,12 +485,12 @@ func (c *Collector) SalvageAllocOld(sizeWords int) (vm.Addr, bool) {
 // WriteRef performs a mutator reference-field store with the post-write
 // barrier (§4): a reference range check selects the H1 or H2 card table.
 func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	c.clock.Charge(simclock.Other, BarrierCost)
+	c.clock.Charge(simclock.Other, simclock.BarrierCost)
 	c.stats.BarrierExecutions++
-	if c.barrierEnabled {
+	if c.TH != nil {
 		// The extra reference range check EnableTeraHeap compiles in;
 		// the paper measures its overhead at <3% on DaCapo (§4).
-		c.clock.Charge(simclock.Other, BarrierCost)
+		c.clock.Charge(simclock.Other, simclock.BarrierCost)
 	}
 	if c.TH.Contains(obj) {
 		// Updating an H2 object: the store itself is a device

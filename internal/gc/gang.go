@@ -77,6 +77,6 @@ func (c *Collector) beginGangPhase() { c.gang.reset(c.Workers) }
 func (c *Collector) endGangPhase(cat simclock.Category, threads int) {
 	c.clock.Charge(cat, c.gang.spans.Max()/time.Duration(threads))
 	if c.Workers > 1 {
-		c.clock.Charge(cat, StealSyncCost)
+		c.clock.Charge(cat, simclock.StealSyncCost)
 	}
 }

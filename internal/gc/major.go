@@ -52,10 +52,11 @@ func (c *Collector) FullGC() error {
 	c.majorCompact(fw, &cy)
 	c.endMajorPhase(&cy, PhaseCompact, start)
 
-	c.clock.Charge(simclock.MajorGC, PausePerGC)
+	c.clock.Charge(simclock.MajorGC, simclock.PausePerGC)
 
-	liveOld := c.H1.Old.Used()
-	c.TH.FinishMajor(liveOld, c.H1.Old.Capacity())
+	if c.TH != nil {
+		c.TH.FinishMajor()
+	}
 
 	delta := c.clock.Breakdown().Sub(before)
 	cy.At = c.clock.Now()
@@ -76,7 +77,7 @@ func (c *Collector) FullGC() error {
 // endMajorPhase closes one major-GC gang phase and records the pause time
 // charged since start as that phase's share of the cycle.
 func (c *Collector) endMajorPhase(cy *Cycle, p MajorPhase, start simclock.Breakdown) {
-	c.endGangPhase(simclock.MajorGC, MajorGCThreads)
+	c.endGangPhase(simclock.MajorGC, simclock.MajorGCThreads)
 	cy.Phases[p] = c.clock.Breakdown().Sub(start).Get(simclock.MajorGC)
 }
 
@@ -99,20 +100,20 @@ type markState struct {
 // while fencing H2 and recording forward references.
 func (c *Collector) majorMark(cy *Cycle) *markState {
 	m := c.mem
+	th := c.TH
 	st := &markState{}
-	// Pressure is judged on the data that will survive this collection —
-	// the old generation plus the survivor space (eden is mostly garbage)
-	// — against the old generation that must hold it.
-	c.TH.BeginMajorMark(c.H1.Old.Used()+c.H1.From.Used(), c.H1.Old.Capacity())
 
 	// Gather backward references first: their targets are both GC roots
 	// and, when the holder region's label is move-advised, stragglers
 	// that belong to an already-moved object group.
 	backs := c.majBacks[:0]
-	c.TH.ScanBackwardRefs(true, func(label uint64, t vm.Addr) vm.Addr {
-		backs = append(backs, backRef{label: label, target: t})
-		return t
-	}, c.H1.InYoung)
+	if th != nil {
+		th.BeginMajorMark()
+		th.ScanBackwardRefs(true, func(label uint64, t vm.Addr) vm.Addr {
+			backs = append(backs, backRef{label: label, target: t})
+			return t
+		}, c.H1.InYoung)
+	}
 	c.majBacks = backs[:0]
 
 	// Closure selection: BFS setting the closure bit and label.
@@ -123,21 +124,21 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			o := closureStack[len(closureStack)-1]
 			closureStack = closureStack[:len(closureStack)-1]
 			c.gang.beginItem()
-			if o.IsNull() || c.TH.Contains(o) || m.InClosure(o) {
+			if o.IsNull() || th.Contains(o) || m.InClosure(o) {
 				continue
 			}
-			if c.TH.ExcludeClass(m.ClassOf(o)) {
+			if m.ClassOf(o).Excluded {
 				continue
 			}
 			m.SetInClosure(o, true)
 			m.SetLabel(o, label)
 			st.closureWords += int64(m.SizeWords(o))
-			c.gang.charge(MarkPerObject)
+			c.gang.charge(simclock.MarkPerObject)
 			n := m.NumRefs(o)
 			for i := 0; i < n; i++ {
 				if t := m.RefAt(o, i); !t.IsNull() && c.H1.Contains(t) {
 					closureStack = append(closureStack, t)
-					c.gang.charge(ScanPerRef)
+					c.gang.charge(simclock.ScanPerRef)
 				}
 			}
 		}
@@ -150,15 +151,15 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 	// the remaining low-threshold budget — never ahead of advised groups,
 	// which are the cheap, update-free candidates.
 	selectCandidates := func(advisedPass bool) {
-		for _, tr := range c.TH.TaggedRoots() {
+		for _, tr := range th.TaggedRoots() {
 			a := tr.Handle.Addr()
-			if a.IsNull() || c.TH.Contains(a) || !c.H1.Contains(a) || m.InClosure(a) {
+			if a.IsNull() || th.Contains(a) || !c.H1.Contains(a) || m.InClosure(a) {
 				continue
 			}
-			if c.TH.Advised(tr.Label) != advisedPass {
+			if th.Advised(tr.Label) != advisedPass {
 				continue
 			}
-			if !c.TH.ShouldMoveLabel(tr.Label, st.closureWords) {
+			if !th.ShouldMoveLabel(tr.Label, st.closureWords) {
 				continue
 			}
 			selectClosure(a, tr.Label)
@@ -167,16 +168,18 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			if b.label == 0 || !c.H1.Contains(b.target) || m.InClosure(b.target) {
 				continue
 			}
-			if c.TH.Advised(b.label) != advisedPass {
+			if th.Advised(b.label) != advisedPass {
 				continue
 			}
-			if !c.TH.ShouldMoveLabel(b.label, st.closureWords) {
+			if !th.ShouldMoveLabel(b.label, st.closureWords) {
 				continue
 			}
 			selectClosure(b.target, b.label)
 		}
 	}
-	selectCandidates(true)
+	if th != nil {
+		selectCandidates(true)
+	}
 
 	// Mark from roots. Direct iteration and an inline stack keep the mark
 	// loop free of per-cycle closure allocations.
@@ -199,10 +202,10 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 		o := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c.gang.beginItem()
-		if c.TH.Contains(o) {
+		if th.Contains(o) {
 			// Fence: record the forward reference, never scan H2.
 			cy.ForwardRefs++
-			c.TH.NoteForwardRef(o)
+			th.NoteForwardRef(o)
 			continue
 		}
 		if !c.H1.Contains(o) {
@@ -212,12 +215,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			continue
 		}
 		m.SetMarked(o, true)
-		c.gang.charge(MarkPerObject)
+		c.gang.charge(simclock.MarkPerObject)
 		st.liveBytes += int64(m.SizeWords(o)) * vm.WordSize
 		n := m.NumRefs(o)
 		for i := 0; i < n; i++ {
 			if t := m.RefAt(o, i); !t.IsNull() {
-				c.gang.charge(ScanPerRef)
+				c.gang.charge(simclock.ScanPerRef)
 				stack = append(stack, t)
 			}
 		}
@@ -229,10 +232,12 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 	// forced round, so a collection that discovers residual pressure
 	// relieves it in the same cycle (the paper's loading-phase rescue,
 	// §7.2) without forcing groups the hints would have handled.
-	residual := st.liveBytes - st.closureWords*vm.WordSize
-	c.TH.EvaluatePressure(residual, c.H1.Old.Capacity())
-	selectCandidates(true)
-	selectCandidates(false)
+	if th != nil {
+		residual := st.liveBytes - st.closureWords*vm.WordSize
+		th.EvaluatePressure(residual, c.H1.Old.Capacity())
+		selectCandidates(true)
+		selectCandidates(false)
+	}
 	c.majClosure = closureStack[:0]
 	return st
 }
@@ -354,7 +359,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	oldTop := c.H1.Old.Start
 	assign := func(a vm.Addr) (vm.Addr, error) {
 		size := m.SizeWords(a)
-		if m.InClosure(a) {
+		if m.InClosure(a) { // only set when there is a TeraHeap
 			if dst, ok := c.TH.PrepareMove(m.Label(a), size); ok {
 				return dst, nil
 			}
@@ -381,7 +386,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	oldDst := growAddrs(c.oldDst, len(oldLive))
 	for i, a := range oldLive {
 		c.gang.beginItem()
-		c.gang.charge(PerCardObject)
+		c.gang.charge(simclock.PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -391,7 +396,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	youngDst := growAddrs(c.youngDst, len(youngLive))
 	for i, a := range youngLive {
 		c.gang.beginItem()
-		c.gang.charge(PerCardObject)
+		c.gang.charge(simclock.PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -432,15 +437,17 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 	// phase — so card-state raises recorded for them by the forwarding
 	// loop would be clobbered if the scan ran afterwards, leaving their
 	// backward references invisible to the next major GC.
-	c.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		c.gang.beginItem() // each backward reference is one adjust work item
-		nt, ok := fw.lookup(t)
-		if !ok {
-			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
-		}
-		c.gang.charge(ScanPerRef)
-		return nt
-	}, func(vm.Addr) bool { return false })
+	if c.TH != nil {
+		c.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+			c.gang.beginItem() // each backward reference is one adjust work item
+			nt, ok := fw.lookup(t)
+			if !ok {
+				panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
+			}
+			c.gang.charge(simclock.ScanPerRef)
+			return nt
+		}, func(vm.Addr) bool { return false })
+	}
 
 	for i, a := range fw.src {
 		c.gang.beginItem() // each live object is one adjust work item
@@ -451,7 +458,7 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 			if t.IsNull() {
 				continue
 			}
-			c.gang.charge(ScanPerRef)
+			c.gang.charge(simclock.ScanPerRef)
 			if c.TH.Contains(t) {
 				if toH2 {
 					c.TH.NoteCrossRegionRef(fw.dst[i], t)
@@ -525,7 +532,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 		st := m.Status(dst)
 		m.SetStatus(dst, st&^uint64(vm.FlagMark|vm.FlagClosure))
 		cy.BytesCopied += int64(size) * vm.WordSize
-		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
+		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * simclock.CopyPerByte)
 	}
 
 	for i := fw.oldStartIdx; i < len(fw.src); i++ {
@@ -542,5 +549,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	c.H1.To.Reset()
 	c.H1.Cards.ClearAll()
 	c.H1.Old.Walk(c.mem, c.H1.Cards.NoteStart)
-	c.TH.FlushBuffers()
+	if c.TH != nil {
+		c.TH.FlushBuffers()
+	}
 }

@@ -97,7 +97,9 @@ func (c *Collector) MinorGC() (err error) {
 
 	// Roots 3: backward references from H2 (dirty and youngGen segments),
 	// via the collector's pre-built visitor.
-	c.TH.ScanBackwardRefs(false, c.scavBackVisit, c.isYoungFn)
+	if c.TH != nil {
+		c.TH.ScanBackwardRefs(false, c.scavBackVisit, c.isYoungFn)
+	}
 
 	s.drain()
 
@@ -106,12 +108,14 @@ func (c *Collector) MinorGC() (err error) {
 	c.H1.Eden.Reset()
 	c.H1.From.Reset()
 	c.H1.SwapSurvivors()
-	c.TH.FlushBuffers()
+	if c.TH != nil {
+		c.TH.FlushBuffers()
+	}
 
 	// Bill CPU work. The scavenge is one barrier: a single gang phase from
 	// roots through drain.
-	c.endGangPhase(simclock.MinorGC, MinorGCThreads)
-	c.clock.Charge(simclock.MinorGC, PausePerGC)
+	c.endGangPhase(simclock.MinorGC, simclock.MinorGCThreads)
+	c.clock.Charge(simclock.MinorGC, simclock.PausePerGC)
 
 	delta := c.clock.Breakdown().Sub(before)
 	c.stats.record(Cycle{
@@ -157,7 +161,7 @@ func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	status := m.Status(a)
 
 	// Direct young-to-H2 promotion for move-advised labels.
-	if label := m.Label(a); label != 0 && c.TH.MoveOnMinor(label) {
+	if label := m.Label(a); label != 0 && c.TH != nil && c.TH.MoveOnMinor(label) {
 		if dst, ok := c.TH.PrepareMove(label, size); ok {
 			m.SetForwardee(a, dst)
 			s.h2moves = append(s.h2moves, pendingH2Move{src: a, dst: dst, status: status})
@@ -208,7 +212,7 @@ func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	} else {
 		s.bytesCopied += int64(size) * vm.WordSize
 	}
-	c.gang.charge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
+	c.gang.charge(time.Duration(int64(size)*vm.WordSize) * simclock.CopyPerByte)
 	s.worklist = append(s.worklist, dst)
 	c.policy.NoteScavenge(site, age, promoted)
 	return dst
@@ -244,7 +248,7 @@ func (s *scavenger) scanCopied(dst vm.Addr) {
 	anyYoung := false
 	for i := 0; i < n; i++ {
 		t := m.RefAt(dst, i)
-		c.gang.charge(ScanPerRef)
+		c.gang.charge(simclock.ScanPerRef)
 		if t.IsNull() || c.TH.Contains(t) {
 			continue // fence: never cross into H2
 		}
@@ -290,7 +294,7 @@ func (s *scavenger) commitH2Move(mv pendingH2Move) {
 	image[2] = label
 	for i := 0; i < numRefs; i++ {
 		t := vm.Addr(m.AS.Load(mv.src + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
-		c.gang.charge(ScanPerRef)
+		c.gang.charge(simclock.ScanPerRef)
 		switch {
 		case t.IsNull():
 		case c.TH.Contains(t):
@@ -301,7 +305,7 @@ func (s *scavenger) commitH2Move(mv pendingH2Move) {
 			// promote to H2 in the same scavenge rather than being
 			// stranded in H1 once the root's registry entry is pruned.
 			if label != 0 && !m.Forwarded(t) && m.Label(t) == 0 &&
-				!c.TH.ExcludeClass(m.ClassOf(t)) {
+				!m.ClassOf(t).Excluded {
 				m.SetLabel(t, label)
 			}
 			nt := s.copyYoung(t)
@@ -338,7 +342,7 @@ func (s *scavenger) scanDirtyCards() {
 	// the bulk deal assigned their index.
 	g := &c.gang
 	sweepStart := g.next
-	g.sweepUniform(n, PerCard)
+	g.sweepUniform(n, simclock.PerCard)
 	s.cardsScanned += int64(n)
 	for i := 0; i < n; i++ {
 		if cards.Get(i) != heap.CardDirty {
@@ -361,11 +365,11 @@ func (s *scavenger) scanCard(i int) {
 	obj := cards.FirstStart(i)
 	anyYoung := false
 	for !obj.IsNull() && obj < hi && obj < s.oldTop {
-		c.gang.charge(PerCardObject)
+		c.gang.charge(simclock.PerCardObject)
 		nrefs := m.NumRefs(obj)
 		for f := 0; f < nrefs; f++ {
 			t := m.RefAt(obj, f)
-			c.gang.charge(ScanPerRef)
+			c.gang.charge(simclock.ScanPerRef)
 			if t.IsNull() || c.TH.Contains(t) {
 				continue
 			}

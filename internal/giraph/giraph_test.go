@@ -162,7 +162,7 @@ func TestTHMovesEdgesAndMessages(t *testing.T) {
 	if err := e.RT.FullGC(); err != nil {
 		t.Fatal(err)
 	}
-	st := e.RT.(*gc.Collector).TH.(*core.TeraHeap).Stats()
+	st := e.RT.(*gc.Collector).TH.Stats()
 	if st.ObjectsMoved == 0 {
 		t.Fatal("TeraHeap moved nothing")
 	}

@@ -350,6 +350,7 @@ func (g *Graph) TriangleCount() (int64, error) {
 	var count int64
 	var ops int64
 	for v := 0; v < n; v++ {
+		// order-insensitive: triangle and operation counts are commutative sums.
 		for t := range nbr[v] {
 			if int(t) < v {
 				continue
@@ -359,6 +360,7 @@ func (g *Graph) TriangleCount() (int64, error) {
 			if len(b) < len(a) {
 				a, b = b, a
 			}
+			// order-insensitive: commutative counts, as above.
 			for w := range a {
 				ops++
 				if _, ok := b[w]; ok && int(w) > int(t) {

@@ -36,8 +36,11 @@ type KindInfo struct {
 
 	// build constructs the kind's runtime into a session whose clock and
 	// class table are resolved, setting Runtime (and TH/Placement where
-	// the kind has them). Builders must not read kindTable: Go would
-	// report an initialization cycle.
+	// the kind has them). Every builder follows one order: the address
+	// space, then the TeraHeap mapped into it (kinds with H2), then the
+	// collector over that address space with the TeraHeap passed in (nil
+	// without H2). Builders must not read kindTable: Go would report an
+	// initialization cycle.
 	build func(s *Session)
 }
 
@@ -84,40 +87,29 @@ func newDeca() placement.Policy { return placement.NewDeca() }
 func newDRAMCollector(s *Session, h2 *storage.Device) *gc.Collector {
 	as := &vm.AddressSpace{}
 	if h2 != nil {
-		s.TH = core.New(*s.Spec.TH, h2, as, s.Clock)
+		s.TH = core.New(*s.Spec.TH, h2, as, s.Classes, s.Clock)
 	}
 	hc := heap.DefaultConfig(s.Spec.H1Size)
 	if s.Spec.HeapCfg != nil {
 		hc = *s.Spec.HeapCfg
 	}
-	return newCollector(s, heap.New(hc, as), as)
+	return gc.New(heap.New(hc, as), as, s.Classes, s.Clock, s.TH)
 }
 
-// newCollector wires a PS collector over h1, already laid out and mapped
-// into as, attaching the session's TH as the second heap when it is set.
-func newCollector(s *Session, h1 *heap.H1, as *vm.AddressSpace) *gc.Collector {
-	var sh gc.SecondHeap // a nil *core.TeraHeap must stay a nil interface
-	if s.TH != nil {
-		sh = s.TH
-	}
-	col := gc.New(h1, as, s.Classes, s.Clock, sh)
-	if s.TH != nil {
-		s.TH.AttachMem(col.Mem())
-	}
-	return col
-}
-
-func buildG1(s *Session) { s.Runtime = g1.New(s.Spec.H1Size, s.Classes, s.Clock) }
+func buildG1(s *Session) { s.Runtime = newG1(s, nil) }
 
 // buildG1TH is the §7.1 "TeraHeap can also be used with G1" configuration:
 // a G1 heap with an attached second heap on an NVMe device.
-func buildG1TH(s *Session) {
-	dev := s.device(storage.NVMeSSD)
-	g := g1.New(s.Spec.H1Size, s.Classes, s.Clock)
-	s.TH = core.New(*s.Spec.TH, dev, g.Mem().AS, s.Clock)
-	s.TH.AttachMem(g.Mem())
-	g.AttachSecondHeap(s.TH)
-	s.Runtime = g
+func buildG1TH(s *Session) { s.Runtime = newG1(s, s.device(storage.NVMeSSD)) }
+
+// newG1 builds a G1 runtime over Spec.H1Size, with a second heap on h2
+// (the session's TH) when h2 is non-nil.
+func newG1(s *Session, h2 *storage.Device) *g1.G1 {
+	as := &vm.AddressSpace{}
+	if h2 != nil {
+		s.TH = core.New(*s.Spec.TH, h2, as, s.Classes, s.Clock)
+	}
+	return g1.New(s.Spec.H1Size, as, s.Classes, s.Clock, s.TH)
 }
 
 // buildMO is the Spark-MO baseline: the whole of H1 lives on NVM in
@@ -129,7 +121,7 @@ func buildMO(s *Session) {
 	mapped := storage.NewMappedFile(s.device(storage.NVMeSSD), size, storage.DefaultPageSize, s.Spec.DRAMCacheBytes)
 	as := &vm.AddressSpace{}
 	as.Map(vm.H1Base, vm.H1Base+vm.Addr(size), mappedVMMemory{f: mapped, base: vm.H1Base})
-	s.Runtime = newCollector(s, heap.NewUnmapped(heap.DefaultConfig(size)), as)
+	s.Runtime = gc.New(heap.NewUnmapped(heap.DefaultConfig(size)), as, s.Classes, s.Clock, nil)
 }
 
 // buildPanthera is the Panthera baseline: the young generation and
@@ -147,7 +139,7 @@ func buildPanthera(s *Session) {
 	if dramEnd < h1.Old.End {
 		as.Map(dramEnd, h1.Old.End, newNVMDirectMemory(dramEnd, int64(h1.Old.End-dramEnd), nvm, s.Clock))
 	}
-	col := newCollector(s, h1, as)
+	col := gc.New(h1, as, s.Classes, s.Clock, nil)
 	col.PretenureCold = true
 	s.Runtime = col
 }

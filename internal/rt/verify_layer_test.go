@@ -109,10 +109,10 @@ func TestVerifiedSessionPanicsOnCorruption(t *testing.T) {
 	}
 }
 
-// TestFaultPlanReachesG1SecondHeap: NewSession attaches the injector to
+// TestFaultPlanReachesG1TeraHeap: NewSession attaches the injector to
 // the second heap on G1 kinds too, so forced H2 exhaustion fires during
 // a G1+TeraHeap marking cycle and the advised closure stays in H1.
-func TestFaultPlanReachesG1SecondHeap(t *testing.T) {
+func TestFaultPlanReachesG1TeraHeap(t *testing.T) {
 	spec := testSpec(KindG1TH)
 	spec.FaultPlan = &fault.Plan{Seed: 7, H2ExhaustRate: 1}
 	ses := NewSession(spec)

@@ -144,7 +144,7 @@ func TestTHModeMovesCachedDataToH2(t *testing.T) {
 	if got := sumRDD(t, r, 200); got != want {
 		t.Fatalf("post-move pass: sum = %d, want %d", got, want)
 	}
-	if ctx.RT.(*gc.Collector).TH.(*core.TeraHeap).Stats().ObjectsMoved == 0 {
+	if ctx.RT.(*gc.Collector).TH.Stats().ObjectsMoved == 0 {
 		t.Fatal("nothing moved to H2")
 	}
 	if ctx.BM.Spills != 0 {

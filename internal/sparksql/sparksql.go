@@ -189,6 +189,7 @@ func (t *Table) RunQueryMix(rounds int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
+		// order-insensitive: the checksum is a commutative sum.
 		for k, v := range agg {
 			checksum += int64(k) ^ v
 		}

@@ -90,7 +90,7 @@ func (s *ByteStore) Delete(id BlobID) {
 // TotalBytes returns the total bytes stored across all blobs.
 func (s *ByteStore) TotalBytes() int64 {
 	var t int64
-	for _, b := range s.blobs {
+	for _, b := range s.blobs { // order-insensitive: a sum.
 		t += b.size
 	}
 	return t
