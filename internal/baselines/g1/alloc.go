@@ -9,8 +9,8 @@ import (
 
 // allocWords is the G1 allocation slow path.
 func (g *G1) allocWords(sizeWords int) (vm.Addr, error) {
-	if g.oom != nil {
-		return vm.NullAddr, g.oom
+	if err := g.OOM(); err != nil {
+		return vm.NullAddr, err
 	}
 	if sizeWords > g.humongousWords() {
 		return g.allocHumongous(sizeWords)
@@ -44,7 +44,7 @@ func (g *G1) allocWords(sizeWords int) (vm.Addr, error) {
 			return vm.NullAddr, err
 		}
 	}
-	return vm.NullAddr, g.latchOOM(&gc.OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "g1 allocation"})
+	return vm.NullAddr, g.LatchOOM(&gc.OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "g1 allocation"})
 }
 
 func (g *G1) bump(r *region, sizeWords int) (vm.Addr, bool) {
@@ -94,7 +94,7 @@ func (g *G1) allocHumongous(sizeWords int) (vm.Addr, error) {
 			return vm.NullAddr, err
 		}
 	}
-	return vm.NullAddr, g.latchOOM(&gc.OOMError{
+	return vm.NullAddr, g.LatchOOM(&gc.OOMError{
 		Requested: int64(sizeWords) * vm.WordSize,
 		Where:     fmt.Sprintf("g1 humongous allocation (%d contiguous regions)", need),
 	})

@@ -15,13 +15,12 @@ import (
 // skipping humongous runs, which stay in place — that immobility is the
 // fragmentation the paper's G1 OOMs stem from.
 func (g *G1) fullGC() error {
-	if g.oom != nil {
-		return g.oom
+	if err := g.OOM(); err != nil {
+		return err
 	}
-	g.hooks.BeforeGC(gc.PhaseMajor)
-	prev := g.clock.SetContext(simclock.MajorGC)
-	defer g.clock.SetContext(prev)
-	before := g.clock.Breakdown()
+	p := g.BeginPause(gc.PhaseMajor)
+	defer p.Restore()
+	mem := g.Mem()
 	usedBefore := g.usedBytes()
 
 	objects, refs := g.markAll()
@@ -40,12 +39,12 @@ func (g *G1) fullGC() error {
 		switch r.kind {
 		case regEden, regSurvivor, regOld:
 			for a := r.start; a < r.top; {
-				if g.mem.Forwarded(a) {
-					a += vm.Addr(int(uint32(g.mem.Shape(a))) * vm.WordSize)
+				if mem.Forwarded(a) {
+					a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
 					continue
 				}
-				size := g.mem.SizeWords(a)
-				if g.mem.Marked(a) {
+				size := mem.SizeWords(a)
+				if mem.Marked(a) {
 					src = append(src, a)
 				}
 				a += vm.Addr(size * vm.WordSize)
@@ -70,7 +69,7 @@ func (g *G1) fullGC() error {
 		return false
 	}
 	if !advance() {
-		return g.latchOOM(&gc.OOMError{Requested: 0, Where: "g1 full GC (no packable region)"})
+		return g.LatchOOM(&gc.OOMError{Requested: 0, Where: "g1 full GC (no packable region)"})
 	}
 	var packedBytes int64
 	// packTop records each destination region's true allocation top:
@@ -78,11 +77,11 @@ func (g *G1) fullGC() error {
 	// "full to the brim" would leave unwalkable gaps.
 	packTop := make(map[int]vm.Addr)
 	for i, a := range src {
-		size := vm.Addr(g.mem.SizeWords(a) * vm.WordSize)
+		size := vm.Addr(mem.SizeWords(a) * vm.WordSize)
 		for cur+size > g.regions[ri].end {
 			ri++
 			if !advance() {
-				return g.latchOOM(&gc.OOMError{Requested: int64(size), Where: "g1 full GC compaction"})
+				return g.LatchOOM(&gc.OOMError{Requested: int64(size), Where: "g1 full GC compaction"})
 			}
 		}
 		dst[i] = cur
@@ -102,11 +101,11 @@ func (g *G1) fullGC() error {
 	}
 	var adjRefs int64
 	fixObj := func(a vm.Addr) {
-		n := g.mem.NumRefs(a)
+		n := mem.NumRefs(a)
 		for i := 0; i < n; i++ {
-			if t := g.mem.RefAt(a, i); !t.IsNull() {
+			if t := mem.RefAt(a, i); !t.IsNull() {
 				adjRefs++
-				g.mem.SetRefAt(a, i, adjust(t))
+				mem.SetRefAt(a, i, adjust(t))
 			}
 		}
 	}
@@ -119,30 +118,30 @@ func (g *G1) fullGC() error {
 			fixObj(r.start)
 		}
 	}
-	g.roots.ForEach(func(h *vm.Handle) {
-		if a := h.Addr(); !a.IsNull() && !g.th.Contains(a) {
+	g.Roots.ForEach(func(h *vm.Handle) {
+		if a := h.Addr(); !a.IsNull() && !g.TH.Contains(a) {
 			h.Set(adjust(a))
 		}
 	})
 	// H2 backward references follow the packed objects.
-	if g.th != nil {
-		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+	if g.TH != nil {
+		g.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
 			return adjust(t)
 		}, func(vm.Addr) bool { return false })
 	}
 
 	// Move (ascending: dst_i <= src_i, so sliding never clobbers).
 	for i, a := range src {
-		size := g.mem.SizeWords(a)
+		size := mem.SizeWords(a)
 		if dst[i] != a {
-			g.mem.CopyObject(dst[i], a, size)
+			mem.CopyObject(dst[i], a, size)
 		}
-		g.mem.SetMarked(dst[i], false)
+		mem.SetMarked(dst[i], false)
 	}
 	for _, id := range g.hum {
 		r := g.regions[id]
-		if r.top > r.start && g.mem.Marked(r.start) {
-			g.mem.SetMarked(r.start, false)
+		if r.top > r.start && mem.Marked(r.start) {
+			mem.SetMarked(r.start, false)
 		}
 	}
 
@@ -179,21 +178,16 @@ func (g *G1) fullGC() error {
 	cpu := time.Duration(objects)*simclock.MarkPerObject +
 		time.Duration(refs+adjRefs)*simclock.ScanPerRef +
 		time.Duration(packedBytes)*simclock.CopyPerByte
-	g.clock.Charge(simclock.MajorGC, cpu)
-	g.clock.Charge(simclock.MajorGC, simclock.PausePerGC)
+	g.Clock().Charge(simclock.MajorGC, cpu)
+	g.Clock().Charge(simclock.MajorGC, simclock.PausePerGC)
 
-	delta := g.clock.Breakdown().Sub(before)
-	if g.th != nil {
-		g.th.FinishMajor()
+	if g.TH != nil {
+		g.TH.FinishMajor()
 	}
-	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
-		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
+	p.End(gc.Cycle{
 		BytesCopied: packedBytes, ReclaimedBytes: usedBefore - g.usedBytes(),
 		OldOccupancyAfter: g.oldOccupancy(),
 	})
-	g.stats.MajorCount++
-	g.stats.MajorTime += delta.Get(simclock.MajorGC)
-	g.hooks.AfterGC(gc.PhaseMajor)
 	return nil
 }
 

@@ -6,7 +6,12 @@
 // run, with the resulting fragmentation and OOM behaviour the paper
 // reports for SVM, BC, and RL (§7.1).
 //
-// It implements rt.Runtime so the Spark simulation runs over it unchanged.
+// It embeds gc.CollectedHeap, the runtime layer it shares with Parallel
+// Scavenge: the runtime surface, the OOM and fault latches, the allocation
+// entry points and the pause bracket. G1 supplies only its algorithm: the
+// region allocation slow path, its write barrier, HeapUsed, FullGC,
+// VerifyNow and its young, mixed and full collections. With the base it
+// implements rt.Runtime, so the Spark simulation runs over it unchanged.
 package g1
 
 import (
@@ -14,11 +19,9 @@ import (
 	"sort"
 	"time"
 
-	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/heap"
-	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -84,15 +87,13 @@ type region struct {
 
 func (r *region) used() int64 { return int64(r.top - r.start) }
 
-// G1 is the collector and runtime.
+// G1 is the collector and runtime: the shared gc.CollectedHeap base plus
+// G1's region bookkeeping.
 type G1 struct {
+	gc.CollectedHeap
+
 	h1Size     int64 // whole number of regions
 	regionSize int64
-	clock      *simclock.Clock
-	classes    *vm.ClassTable
-	as         *vm.AddressSpace
-	mem        *vm.Mem
-	roots      *vm.RootSet
 
 	regions []*region
 	free    []int // free region ids (sorted)
@@ -107,28 +108,10 @@ type G1 struct {
 	// cards covers the whole heap; object starts are recorded for old and
 	// humongous-start regions only.
 	cards       *heap.CardTable
-	stats       gc.Stats
-	oom         *gc.OOMError
 	youngTarget int
 	// markCooldown counts young GCs to skip before the next concurrent
 	// marking cycle may start.
 	markCooldown int
-
-	// th is the optional second heap (TeraHeap-under-G1, §7.1); nil
-	// without one.
-	th *core.TeraHeap
-
-	// hooks is the collector lifecycle-hook plane (same contract as
-	// gc.Collector's).
-	hooks gc.Hooks
-
-	// policy is the placement-policy seam for young-evacuation promotion
-	// decisions; placement.Default reproduces the legacy age threshold.
-	policy placement.Policy
-
-	// verifier holds the invariant verifier's reusable scratch, built on
-	// the first VerifyNow.
-	verifier *check.Verifier
 }
 
 // New builds a G1 runtime over an h1Size-byte heap, rounded down to a
@@ -141,10 +124,9 @@ func New(h1Size int64, as *vm.AddressSpace, classes *vm.ClassTable, clock *simcl
 	if n < 8 {
 		panic("g1: need at least 8 regions")
 	}
-	g := &G1{h1Size: h1Size, regionSize: rs, clock: clock, classes: classes, as: as, roots: vm.NewRootSet(), th: th, policy: placement.Default{}}
-	ram := vm.NewRAM(vm.H1Base, h1Size)
-	g.as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), ram)
-	g.mem = vm.NewMem(g.as, classes)
+	g := &G1{h1Size: h1Size, regionSize: rs}
+	g.CollectedHeap = gc.NewCollectedHeap(as, classes, clock, th, g.allocObject)
+	as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), vm.NewRAM(vm.H1Base, h1Size))
 	for i := 0; i < n; i++ {
 		start := vm.H1Base + vm.Addr(int64(i)*rs)
 		g.regions = append(g.regions, &region{
@@ -214,22 +196,5 @@ func (g *G1) humongousWords() int {
 }
 
 func (g *G1) chargeGC(cat simclock.Category, d time.Duration) {
-	g.clock.Charge(cat, d/gcThreads)
-}
-
-// latchOOM records the out-of-memory condition (subsequent allocations
-// fail fast on it) and fires the on-OOM lifecycle event exactly once.
-func (g *G1) latchOOM(e *gc.OOMError) *gc.OOMError {
-	g.oom = e
-	g.hooks.OnOOM(e)
-	return e
-}
-
-// SetPlacementPolicy installs a placement policy; nil restores the
-// default (legacy) policy. Must be called before any allocation.
-func (g *G1) SetPlacementPolicy(p placement.Policy) {
-	if p == nil {
-		p = placement.Default{}
-	}
-	g.policy = p
+	g.Clock().Charge(cat, d/gcThreads)
 }

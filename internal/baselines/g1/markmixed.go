@@ -14,8 +14,8 @@ import (
 // (exposed for TeraHeap-under-G1 users who want movement at a known
 // point, and for tests).
 func (g *G1) MarkingCycle() error {
-	if g.oom != nil {
-		return g.oom
+	if err := g.OOM(); err != nil {
+		return err
 	}
 	// Marking assumes an empty-ish young generation; evacuate it first.
 	if err := g.youngGCNoMark(); err != nil {
@@ -32,10 +32,8 @@ func (g *G1) MarkingCycle() error {
 // reclaim so the caller can back off when marking stops paying (old data
 // that is simply live, e.g. a cached dataset).
 func (g *G1) markAndMixed() (int, error) {
-	g.hooks.BeforeGC(gc.PhaseMixed)
-	prev := g.clock.SetContext(simclock.MajorGC)
-	defer g.clock.SetContext(prev)
-	before := g.clock.Breakdown()
+	p := g.BeginPause(gc.PhaseMixed)
+	defer p.Restore()
 
 	objects, refs := g.markAll()
 	// TeraHeap-under-G1: move advised closures out during the marking
@@ -80,24 +78,19 @@ func (g *G1) markAndMixed() (int, error) {
 
 	// Clear mark bits.
 	g.forEachLiveRegionObject(func(a vm.Addr) {
-		if g.mem.Marked(a) {
-			g.mem.SetMarked(a, false)
+		if g.Mem().Marked(a) {
+			g.Mem().SetMarked(a, false)
 		}
 	})
 
-	g.clock.Charge(simclock.MajorGC, simclock.PausePerGC)
-	delta := g.clock.Breakdown().Sub(before)
-	if g.th != nil {
-		g.th.FinishMajor()
+	g.Clock().Charge(simclock.MajorGC, simclock.PausePerGC)
+	if g.TH != nil {
+		g.TH.FinishMajor()
 	}
-	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
-		Kind: gc.Major, At: g.clock.Now(), Duration: delta.Get(simclock.MajorGC),
+	p.End(gc.Cycle{
 		BytesCopied: moved, ReclaimedBytes: reclaimed, BytesMovedToH2: movedToH2,
 		OldOccupancyAfter: g.oldOccupancy(),
 	})
-	g.stats.MajorCount++
-	g.stats.MajorTime += delta.Get(simclock.MajorGC)
-	g.hooks.AfterGC(gc.PhaseMixed)
 	return regionsFreed, nil
 }
 
@@ -105,18 +98,19 @@ func (g *G1) markAndMixed() (int, error) {
 // H2's backward references after resetting its region live bits) and
 // refreshes per-region live byte counts. Young regions must be empty.
 func (g *G1) markAll() (objects, refs int64) {
+	mem := g.Mem()
 	for _, r := range g.regions {
 		r.liveBytes = 0
 	}
 	var stack []vm.Addr
-	g.roots.ForEach(func(h *vm.Handle) {
+	g.Roots.ForEach(func(h *vm.Handle) {
 		if a := h.Addr(); !a.IsNull() {
 			stack = append(stack, a)
 		}
 	})
-	if g.th != nil {
-		g.th.BeginMajorMark()
-		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+	if g.TH != nil {
+		g.TH.BeginMajorMark()
+		g.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
 			stack = append(stack, t)
 			return t
 		}, g.inYoung)
@@ -124,26 +118,26 @@ func (g *G1) markAll() (objects, refs int64) {
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if g.th.Contains(a) {
+		if g.TH.Contains(a) {
 			// Fence: record the forward reference, never scan H2.
-			g.th.NoteForwardRef(a)
+			g.TH.NoteForwardRef(a)
 			continue
 		}
-		if g.mem.Marked(a) {
+		if mem.Marked(a) {
 			continue
 		}
-		g.mem.SetMarked(a, true)
+		mem.SetMarked(a, true)
 		objects++
-		size := int64(g.mem.SizeWords(a)) * vm.WordSize
+		size := int64(mem.SizeWords(a)) * vm.WordSize
 		if r := g.regionOf(a); r != nil {
 			if r.kind == regHumongousCont {
 				r = g.regions[g.humStartOf(r.id)]
 			}
 			r.liveBytes += size
 		}
-		n := g.mem.NumRefs(a)
+		n := mem.NumRefs(a)
 		for i := 0; i < n; i++ {
-			if t := g.mem.RefAt(a, i); !t.IsNull() {
+			if t := mem.RefAt(a, i); !t.IsNull() {
 				refs++
 				stack = append(stack, t)
 			}
@@ -181,6 +175,7 @@ func (g *G1) freeHumongous(r *region) {
 // regions, freeing the sources. Cost is proportional to the (small) live
 // volume — the garbage-first payoff.
 func (g *G1) mixedEvacuate() (int64, int, error) {
+	mem := g.Mem()
 	type cand struct {
 		id   int
 		live int64
@@ -230,12 +225,12 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	for _, id := range csIDs {
 		r := g.regions[id]
 		for a := r.start; a < r.top; {
-			if g.mem.Forwarded(a) {
-				a += vm.Addr(int(uint32(g.mem.Shape(a))) * vm.WordSize)
+			if mem.Forwarded(a) {
+				a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
 				continue
 			}
-			size := g.mem.SizeWords(a)
-			if g.mem.Marked(a) {
+			size := mem.SizeWords(a)
+			if mem.Marked(a) {
 				var d vm.Addr
 				ok := false
 				if dst != nil {
@@ -251,16 +246,16 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 						return moved, 0, fmt.Errorf("g1: object larger than region in mixed GC")
 					}
 				}
-				g.mem.CopyObject(d, a, size)
+				mem.CopyObject(d, a, size)
 				g.cards.NoteStart(d)
-				g.mem.SetForwardee(a, d)
+				mem.SetForwardee(a, d)
 				moved += int64(size) * vm.WordSize
 				// Preserve old-to-young card information for the new
 				// location (survivor regions stay populated between
 				// young collections).
-				nr := g.mem.NumRefs(d)
+				nr := mem.NumRefs(d)
 				for f := 0; f < nr; f++ {
-					if t := g.mem.RefAt(d, f); !t.IsNull() && g.inYoung(t) {
+					if t := mem.RefAt(d, f); !t.IsNull() && g.inYoung(t) {
 						g.cards.MarkDirty(d)
 						break
 					}
@@ -275,35 +270,35 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	// proportional to the moved volume, already covered above; the walk
 	// itself is simulator work).
 	fix := func(a vm.Addr) {
-		n := g.mem.NumRefs(a)
+		n := mem.NumRefs(a)
 		for i := 0; i < n; i++ {
-			t := g.mem.RefAt(a, i)
+			t := mem.RefAt(a, i)
 			if t.IsNull() {
 				continue
 			}
-			if r := g.regionOf(t); r != nil && cs[r.id] && g.mem.Forwarded(t) {
-				g.mem.SetRefAt(a, i, g.mem.Forwardee(t))
+			if r := g.regionOf(t); r != nil && cs[r.id] && mem.Forwarded(t) {
+				mem.SetRefAt(a, i, mem.Forwardee(t))
 			}
 		}
 	}
 	g.forEachLiveRegionObjectExcept(cs, fix)
-	g.roots.ForEach(func(h *vm.Handle) {
+	g.Roots.ForEach(func(h *vm.Handle) {
 		a := h.Addr()
 		if a.IsNull() {
 			return
 		}
-		if r := g.regionOf(a); r != nil && cs[r.id] && g.mem.Forwarded(a) {
-			h.Set(g.mem.Forwardee(a))
+		if r := g.regionOf(a); r != nil && cs[r.id] && mem.Forwarded(a) {
+			h.Set(mem.Forwardee(a))
 		}
 	})
 	// H2 backward references into the collection set must follow the
 	// evacuated objects like every other reference, or they dangle once
 	// the source regions are freed (young collections only consult these
 	// via the H2 card table, which never sees the stale target again).
-	if g.th != nil {
-		g.th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-			if r := g.regionOf(t); r != nil && cs[r.id] && g.mem.Forwarded(t) {
-				return g.mem.Forwardee(t)
+	if g.TH != nil {
+		g.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
+			if r := g.regionOf(t); r != nil && cs[r.id] && mem.Forwarded(t) {
+				return mem.Forwardee(t)
 			}
 			return t
 		}, g.inYoung)
@@ -331,6 +326,7 @@ func (g *G1) forEachLiveRegionObject(fn func(a vm.Addr)) {
 }
 
 func (g *G1) forEachLiveRegionObjectExcept(skip map[int]bool, fn func(a vm.Addr)) {
+	mem := g.Mem()
 	for _, r := range g.regions {
 		if skip != nil && skip[r.id] {
 			continue
@@ -338,12 +334,12 @@ func (g *G1) forEachLiveRegionObjectExcept(skip map[int]bool, fn func(a vm.Addr)
 		switch r.kind {
 		case regOld, regEden, regSurvivor:
 			for a := r.start; a < r.top; {
-				if g.mem.Forwarded(a) {
+				if mem.Forwarded(a) {
 					// Husk of an object moved to H2 (shape preserved).
-					a += vm.Addr(int(uint32(g.mem.Shape(a))) * vm.WordSize)
+					a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
 					continue
 				}
-				size := g.mem.SizeWords(a)
+				size := mem.SizeWords(a)
 				if size < vm.HeaderWords {
 					panic(fmt.Sprintf("g1: corrupt object at %v in region %d (kind %d, size %d, start %v, top %v)",
 						a, r.id, r.kind, size, r.start, r.top))

@@ -24,7 +24,8 @@ import "github.com/carv-repro/teraheap-go/internal/vm"
 // cycle. Must run right after markAll (mark bits valid), before mark bits
 // are cleared. Returns the bytes moved.
 func (g *G1) moveClosuresToH2() int64 {
-	th := g.th
+	mem := g.Mem()
+	th := g.TH
 	if th == nil {
 		return 0
 	}
@@ -48,19 +49,19 @@ func (g *G1) moveClosuresToH2() int64 {
 		for len(queue) > 0 {
 			o := queue[0]
 			queue = queue[1:]
-			if o.IsNull() || th.Contains(o) || g.mem.InClosure(o) {
+			if o.IsNull() || th.Contains(o) || mem.InClosure(o) {
 				continue
 			}
-			if g.mem.ClassOf(o).Excluded {
+			if mem.ClassOf(o).Excluded {
 				continue
 			}
-			g.mem.SetInClosure(o, true)
-			g.mem.SetLabel(o, tr.Label)
+			mem.SetInClosure(o, true)
+			mem.SetLabel(o, tr.Label)
 			selected = append(selected, o)
-			selectedWords += int64(g.mem.SizeWords(o))
-			n := g.mem.NumRefs(o)
+			selectedWords += int64(mem.SizeWords(o))
+			n := mem.NumRefs(o)
 			for i := 0; i < n; i++ {
-				if t := g.mem.RefAt(o, i); !t.IsNull() && !th.Contains(t) {
+				if t := mem.RefAt(o, i); !t.IsNull() && !th.Contains(t) {
 					queue = append(queue, t)
 				}
 			}
@@ -74,10 +75,10 @@ func (g *G1) moveClosuresToH2() int64 {
 	kept := selected[:0]
 	dsts := make(map[vm.Addr]vm.Addr, len(selected))
 	for _, o := range selected {
-		size := g.mem.SizeWords(o)
-		dst, ok := th.PrepareMove(g.mem.Label(o), size)
+		size := mem.SizeWords(o)
+		dst, ok := th.PrepareMove(mem.Label(o), size)
 		if !ok {
-			g.mem.SetInClosure(o, false) // H2 exhausted: stays in H1
+			mem.SetInClosure(o, false) // H2 exhausted: stays in H1
 			continue
 		}
 		dsts[o] = dst
@@ -90,16 +91,16 @@ func (g *G1) moveClosuresToH2() int64 {
 	// H2 targets become cross-region refs.
 	var moved int64
 	for _, o := range selected {
-		size := g.mem.SizeWords(o)
-		status := g.mem.Status(o)
+		size := mem.SizeWords(o)
+		status := mem.Status(o)
 		image := make([]uint64, size)
 		image[0] = status &^ uint64(vm.FlagMark|vm.FlagClosure)
-		image[1] = g.mem.Shape(o)
-		image[2] = g.mem.Label(o)
+		image[1] = mem.Shape(o)
+		image[2] = mem.Label(o)
 		dst := dsts[o]
-		n := g.mem.NumRefs(o)
+		n := mem.NumRefs(o)
 		for i := 0; i < n; i++ {
-			t := g.mem.RefAt(o, i)
+			t := mem.RefAt(o, i)
 			switch {
 			case t.IsNull():
 			case th.Contains(t):
@@ -115,10 +116,10 @@ func (g *G1) moveClosuresToH2() int64 {
 			image[vm.HeaderWords+i] = uint64(t)
 		}
 		for i := vm.HeaderWords + n; i < size; i++ {
-			image[i] = g.mem.AS.Load(o + vm.Addr(i*vm.WordSize))
+			image[i] = mem.AS.Load(o + vm.Addr(i*vm.WordSize))
 		}
 		th.CommitMove(dst, image)
-		g.mem.SetForwardee(o, dst)
+		mem.SetForwardee(o, dst)
 		moved += int64(size) * vm.WordSize
 
 		// Account the vacated space so mixed collections see the region
@@ -135,19 +136,19 @@ func (g *G1) moveClosuresToH2() int64 {
 	// Fix every reference to a moved object (same walk mixed evacuation
 	// uses), including roots and H2 backward references.
 	fix := func(a vm.Addr) {
-		n := g.mem.NumRefs(a)
+		n := mem.NumRefs(a)
 		for i := 0; i < n; i++ {
-			t := g.mem.RefAt(a, i)
+			t := mem.RefAt(a, i)
 			if t.IsNull() || th.Contains(t) {
 				continue
 			}
 			if nd, ok := dsts[t]; ok {
-				g.mem.SetRefAt(a, i, nd)
+				mem.SetRefAt(a, i, nd)
 			}
 		}
 	}
 	g.forEachLiveRegionObject(fix)
-	g.roots.ForEach(func(h *vm.Handle) {
+	g.Roots.ForEach(func(h *vm.Handle) {
 		if nd, ok := dsts[h.Addr()]; ok {
 			h.Set(nd)
 		}
@@ -163,10 +164,9 @@ func (g *G1) moveClosuresToH2() int64 {
 	// fragmentation payoff of the paper's suggestion.
 	for _, id := range append([]int(nil), g.hum...) {
 		r := g.regions[id]
-		if r.top > r.start && g.mem.Forwarded(r.start) {
+		if r.top > r.start && mem.Forwarded(r.start) {
 			g.freeHumongous(r)
 		}
 	}
-	g.stats.TotalBytesMovedH2 += moved
 	return moved
 }

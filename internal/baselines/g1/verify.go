@@ -30,23 +30,20 @@ func (g *G1) VerifyNow() []check.Failure {
 	var failures []check.Failure
 	report := func(f check.Failure) { failures = append(failures, f) }
 
-	if g.verifier == nil {
-		g.verifier = check.NewVerifier()
-	}
-	vr := g.verifier
-	vr.Begin(g.as, g.classes)
+	vr := g.Verifier()
+	vr.Begin(g.Mem().AS, g.Classes())
 	cardObjs := g.parseRegions(vr, report)
 	g.verifyRegionLists(report)
 	var h2 check.H2
-	if g.th != nil { // a nil *TeraHeap in the interface would be non-nil
-		h2 = g.th
+	if g.TH != nil { // a nil *TeraHeap in the interface would be non-nil
+		h2 = g.TH
 	}
-	vr.VerifyRoots(g.roots, h2, report)
+	vr.VerifyRoots(g.Roots, h2, report)
 	vr.VerifyCards(g.cards, cardObjs, g.inYoung, report)
 	if h2 != nil {
 		h2.VerifySelf(vr, g.inYoung, report)
 	}
-	check.VerifyClock(g.clock, report)
+	check.VerifyClock(g.Clock(), report)
 	return failures
 }
 
@@ -75,7 +72,7 @@ func kindName(k regionKind) string {
 func (g *G1) parseRegions(vr *check.Verifier, report func(check.Failure)) []check.Object {
 	var cardObjs []check.Object
 	humCovered := make([]bool, len(g.regions))
-	husk := g.th.Contains
+	husk := g.TH.Contains
 	for _, r := range g.regions {
 		switch r.kind {
 		case regFree:

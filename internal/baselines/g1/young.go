@@ -48,8 +48,8 @@ func (g *G1) youngGC() error {
 // youngGCNoMark evacuates the young generation without considering a
 // marking cycle afterwards.
 func (g *G1) youngGCNoMark() error {
-	if g.oom != nil {
-		return g.oom
+	if err := g.OOM(); err != nil {
+		return err
 	}
 	// Evacuation needs destination regions: in the worst case one per
 	// young region plus partially-filled survivor/old tails. When the
@@ -58,10 +58,9 @@ func (g *G1) youngGCNoMark() error {
 	if len(g.free) < len(g.eden)+len(g.survivor)+3 {
 		return g.fullGC()
 	}
-	g.hooks.BeforeGC(gc.PhaseMinor)
-	prev := g.clock.SetContext(simclock.MinorGC)
-	defer g.clock.SetContext(prev)
-	before := g.clock.Breakdown()
+	p := g.BeginPause(gc.PhaseMinor)
+	defer p.Restore()
+	mem := g.Mem()
 
 	cs := make(map[int]bool) // collection set: current young regions
 	for _, id := range g.eden {
@@ -85,11 +84,11 @@ func (g *G1) youngGCNoMark() error {
 	}
 
 	evac := func(a vm.Addr) vm.Addr {
-		if g.mem.Forwarded(a) {
-			return g.mem.Forwardee(a)
+		if mem.Forwarded(a) {
+			return mem.Forwardee(a)
 		}
-		size := g.mem.SizeWords(a)
-		status := g.mem.Status(a)
+		size := mem.SizeWords(a)
+		status := mem.Status(a)
 		site := placement.SiteFromStatus(status)
 		age := vm.StatusAge(status) + 1
 		var dst vm.Addr
@@ -113,7 +112,7 @@ func (g *G1) youngGCNoMark() error {
 			}
 			return false
 		}
-		if g.policy.Promote(site, age, tenureAge) {
+		if g.Policy().Promote(site, age, tenureAge) {
 			promoted = place(&curOld, regOld)
 		}
 		if !ok {
@@ -126,9 +125,9 @@ func (g *G1) youngGCNoMark() error {
 			// The reserve invariant makes this unreachable.
 			panic(fmt.Sprintf("g1: evacuation failure for %v (%d words)", a, size))
 		}
-		g.mem.CopyObject(dst, a, size)
-		g.mem.SetAge(dst, age)
-		g.mem.SetForwardee(a, dst)
+		mem.CopyObject(dst, a, size)
+		mem.SetAge(dst, age)
+		mem.SetForwardee(a, dst)
 		if promoted {
 			bytesPromoted += int64(size) * vm.WordSize
 			g.cards.NoteStart(dst)
@@ -136,21 +135,21 @@ func (g *G1) youngGCNoMark() error {
 			bytesCopied += int64(size) * vm.WordSize
 		}
 		worklist = append(worklist, dst)
-		g.policy.NoteScavenge(site, age, promoted)
+		g.Policy().NoteScavenge(site, age, promoted)
 		return dst
 	}
 
 	// Roots 1: handles (H2-resident targets are fenced: they are in no
 	// collection-set region).
-	g.roots.ForEach(func(h *vm.Handle) {
+	g.Roots.ForEach(func(h *vm.Handle) {
 		if a := h.Addr(); !a.IsNull() && inCS(a) {
 			h.Set(evac(a))
 		}
 	})
 
 	// Roots 2: backward references from the second heap.
-	if g.th != nil {
-		g.th.ScanBackwardRefs(false, func(_ uint64, t vm.Addr) vm.Addr {
+	if g.TH != nil {
+		g.TH.ScanBackwardRefs(false, func(_ uint64, t vm.Addr) vm.Addr {
 			if inCS(t) {
 				return evac(t)
 			}
@@ -175,25 +174,25 @@ func (g *G1) youngGCNoMark() error {
 			if r == nil || obj >= r.top || (r.kind != regOld && r.kind != regHumongousStart) {
 				break
 			}
-			if g.mem.Forwarded(obj) {
+			if mem.Forwarded(obj) {
 				// Husk of an object moved to H2; shape is preserved.
-				obj += vm.Addr(int(uint32(g.mem.Shape(obj))) * vm.WordSize)
+				obj += vm.Addr(int(uint32(mem.Shape(obj))) * vm.WordSize)
 				continue
 			}
 			cardObjects++
-			nrefs := g.mem.NumRefs(obj)
+			nrefs := mem.NumRefs(obj)
 			for f := 0; f < nrefs; f++ {
-				t := g.mem.RefAt(obj, f)
+				t := mem.RefAt(obj, f)
 				refsScanned++
 				if !t.IsNull() && inCS(t) {
 					nt := evac(t)
-					g.mem.SetRefAt(obj, f, nt)
+					mem.SetRefAt(obj, f, nt)
 					if g.inYoung(nt) {
 						anyYoung = true
 					}
 				}
 			}
-			obj += vm.Addr(g.mem.SizeWords(obj) * vm.WordSize)
+			obj += vm.Addr(mem.SizeWords(obj) * vm.WordSize)
 		}
 		if anyYoung {
 			cards.Set(ci, heap.CardDirty)
@@ -205,16 +204,16 @@ func (g *G1) youngGCNoMark() error {
 	for len(worklist) > 0 {
 		dst := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		n := g.mem.NumRefs(dst)
+		n := mem.NumRefs(dst)
 		anyYoung := false
 		for i := 0; i < n; i++ {
-			t := g.mem.RefAt(dst, i)
+			t := mem.RefAt(dst, i)
 			refsScanned++
 			if t.IsNull() || !inCS(t) {
 				continue
 			}
 			nt := evac(t)
-			g.mem.SetRefAt(dst, i, nt)
+			mem.SetRefAt(dst, i, nt)
 			if g.inYoung(nt) {
 				anyYoung = true
 			}
@@ -239,17 +238,12 @@ func (g *G1) youngGCNoMark() error {
 		time.Duration(cardsScanned)*simclock.PerCard +
 		time.Duration(cardObjects)*simclock.PerCardObject
 	g.chargeGC(simclock.MinorGC, cpu)
-	g.clock.Charge(simclock.MinorGC, simclock.PausePerGC)
+	g.Clock().Charge(simclock.MinorGC, simclock.PausePerGC)
 
-	delta := g.clock.Breakdown().Sub(before)
-	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
-		Kind: gc.Minor, At: g.clock.Now(), Duration: delta.Get(simclock.MinorGC),
+	p.End(gc.Cycle{
 		BytesCopied: bytesCopied, BytesPromoted: bytesPromoted,
 		OldOccupancyAfter: g.oldOccupancy(), CardsScanned: cardsScanned,
 	})
-	g.stats.MinorCount++
-	g.stats.MinorTime += delta.Get(simclock.MinorGC)
-	g.hooks.AfterGC(gc.PhaseMinor)
 	return nil
 }
 

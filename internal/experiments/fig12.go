@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 
 	"github.com/carv-repro/teraheap-go/internal/metrics"
@@ -96,42 +97,17 @@ func noteRow(r metrics.Row, note string) metrics.Row {
 	return r
 }
 
+// devNote formats a run's device traffic as "devR=<n><unit> devW=<n><unit>",
+// each byte count truncated to whole MB, KB or B.
 func devNote(s storage.Stats) string {
-	return metricsCompact(s)
-}
-
-func metricsCompact(s storage.Stats) string {
-	return "devR=" + mbs(s.BytesRead) + " devW=" + mbs(s.BytesWritten)
-}
-
-func mbs(b int64) string {
-	switch {
-	case b >= storage.MB:
-		return itoa(b/storage.MB) + "MB"
-	case b >= storage.KB:
-		return itoa(b/storage.KB) + "KB"
+	size := func(b int64) string {
+		switch {
+		case b >= storage.MB:
+			return strconv.FormatInt(b/storage.MB, 10) + "MB"
+		case b >= storage.KB:
+			return strconv.FormatInt(b/storage.KB, 10) + "KB"
+		}
+		return strconv.FormatInt(b, 10) + "B"
 	}
-	return itoa(b) + "B"
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "devR=" + size(s.BytesRead) + " devW=" + size(s.BytesWritten)
 }

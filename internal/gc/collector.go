@@ -5,70 +5,31 @@
 // native-JVM baselines and the TeraHeap configurations: each phase calls
 // its *core.TeraHeap directly, and a nil TeraHeap is vanilla Parallel
 // Scavenge.
+//
+// The package also holds CollectedHeap, the runtime layer both collectors
+// embed (this one and the G1 baseline in internal/baselines/g1): the
+// runtime surface, the OOM and fault latches, the allocation entry points
+// and the pause bracket, together with the lifecycle hooks and the GC
+// statistics they record into.
 package gc
 
 import (
-	"fmt"
-
 	"github.com/carv-repro/teraheap-go/internal/check"
 	"github.com/carv-repro/teraheap-go/internal/core"
-	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// OOMError reports that the heap could not satisfy an allocation even
-// after a full collection — the paper's missing "OOM" bars.
-type OOMError struct {
-	Requested int64 // bytes
-	Where     string
-}
-
-// Error describes the failure.
-func (e *OOMError) Error() string {
-	return fmt.Sprintf("gc: out of memory (%s, requested %d bytes)", e.Where, e.Requested)
-}
-
-// FaultError reports that the storage backing the heap failed persistently
-// — a device operation exhausted its retry budget (fault.DeviceFailure) or
-// an H2 region's backing blocks went bad (fault.RegionFailure). Like
-// OOMError it latches on the collector: the run ends as a structured
-// failure, never a panic — unless a recovery hook absorbs the fault from
-// inside OnFault (see AbsorbFault), in which case the run continues.
-type FaultError struct {
-	Cause error
-}
-
-// Error describes the failure.
-func (e *FaultError) Error() string {
-	return "gc: storage fault: " + e.Cause.Error()
-}
-
-// Unwrap exposes the underlying device failure to errors.As.
-func (e *FaultError) Unwrap() error { return e.Cause }
-
-// ClassKindError reports an allocation call that does not match the
-// class's layout kind (e.g. Alloc of an array class) — an API-misuse
-// error returned to the caller rather than a process-killing panic.
-type ClassKindError struct {
-	Call  string
-	Class string
-}
-
-// Error describes the mismatch.
-func (e *ClassKindError) Error() string {
-	return fmt.Sprintf("gc: %s of incompatible class %q", e.Call, e.Class)
-}
-
 // Collector is the Parallel Scavenge collector over H1 with optional
 // TeraHeap (H2) extensions. It is also the managed runtime of every
-// PS-based kind: it implements rt.Runtime directly.
+// PS-based kind: with its embedded CollectedHeap it implements rt.Runtime
+// directly.
 type Collector struct {
-	H1    *heap.H1
-	Roots *vm.RootSet
-	TH    *core.TeraHeap // nil: no H2
+	CollectedHeap
+
+	H1 *heap.H1
 
 	// Workers is the simulated GC gang size. The work items of each pause
 	// phase are dealt round-robin onto Workers per-worker spans (0 counts
@@ -83,19 +44,6 @@ type Collector struct {
 	// straight into the old generation: Panthera's policy for its
 	// NVM-backed old generation. Set before any allocation.
 	PretenureCold bool
-
-	mem   *vm.Mem
-	clock *simclock.Clock
-
-	stats Stats
-
-	// oom latches after an OOMError so subsequent allocations fail fast.
-	oom *OOMError
-
-	// inj is the run's fault injector (nil when fault-free); flt latches
-	// once the injector reports a persistent device failure, mirroring oom.
-	inj *fault.Injector
-	flt *FaultError
 
 	// scav is the persistent scavenger: its worklist and move-queue
 	// backing arrays are grown once and reused, so a steady-state minor GC
@@ -124,22 +72,6 @@ type Collector struct {
 	// gang attributes each pause phase's work items to simulated GC
 	// workers (see gang.go); every phase is charged through it.
 	gang gang
-
-	// verifier holds the invariant verifier's reusable scratch (maps,
-	// queues, parsed-object arrays) so verified runs do not rebuild them
-	// around every GC.
-	verifier *check.Verifier
-
-	// hooks is the ordered lifecycle-hook plane: cross-cutting layers
-	// (verification, event accounting, tracing) register here instead of
-	// patching the collection phases.
-	hooks Hooks
-
-	// policy is the placement-policy seam consulted at every target-space
-	// decision (alloc-time pretenuring, scavenge-time promotion) and fed
-	// survival/misprediction feedback. placement.Default reproduces the
-	// legacy hardcoded behavior exactly.
-	policy placement.Policy
 }
 
 // New builds a collector over an already laid-out (and mapped) H1: DRAM
@@ -147,14 +79,8 @@ type Collector struct {
 // Panthera baselines. th, built over the same as and classes, is nil for a
 // vanilla JVM (no H2).
 func New(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th *core.TeraHeap) *Collector {
-	c := &Collector{
-		H1:     h1,
-		Roots:  vm.NewRootSet(),
-		TH:     th,
-		mem:    vm.NewMem(as, classes),
-		clock:  clock,
-		policy: placement.Default{},
-	}
+	c := &Collector{H1: h1}
+	c.CollectedHeap = NewCollectedHeap(as, classes, clock, th, c.allocObject)
 	c.scav.c = c
 	c.scavBackVisit = func(_ uint64, t vm.Addr) vm.Addr {
 		c.gang.beginItem() // each backward reference is one scavenge work item
@@ -165,83 +91,6 @@ func New(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclo
 	}
 	c.isYoungFn = c.H1.InYoung
 	return c
-}
-
-// Classes returns the class table.
-func (c *Collector) Classes() *vm.ClassTable { return c.mem.Classes }
-
-// Mem returns the object accessors.
-func (c *Collector) Mem() *vm.Mem { return c.mem }
-
-// Clock returns the simulation clock.
-func (c *Collector) Clock() *simclock.Clock { return c.clock }
-
-// Breakdown snapshots the execution-time breakdown.
-func (c *Collector) Breakdown() simclock.Breakdown { return c.clock.Breakdown() }
-
-// Hooks returns the collector's lifecycle-hook plane. Cross-cutting layers
-// register here; the session's verifier and event counters are the stock
-// implementations.
-func (c *Collector) Hooks() *Hooks { return &c.hooks }
-
-// SetPlacementPolicy installs a placement policy; nil restores the
-// default (legacy) policy. Must be called before any allocation.
-func (c *Collector) SetPlacementPolicy(p placement.Policy) {
-	if p == nil {
-		p = placement.Default{}
-	}
-	c.policy = p
-}
-
-// SetFaultInjector attaches the run's fault injector so persistent device
-// failures latch on the collector at the next allocation or GC boundary.
-func (c *Collector) SetFaultInjector(in *fault.Injector) { c.inj = in }
-
-// Fault returns the latched persistent storage fault, or nil.
-func (c *Collector) Fault() error {
-	if c.flt == nil {
-		return nil
-	}
-	return c.flt
-}
-
-// pollFault latches (and returns) a FaultError once the injector reports a
-// persistent device or region failure. Checked at allocation and GC
-// boundaries so a device that died mid-phase surfaces as a structured
-// error on the next safepoint rather than a panic inside the phase. These
-// poll sites are also the recovery layer's safepoints: promotion buffers
-// are flushed and the heap is parse-consistent here, so an OnFault hook
-// may salvage the damage and absorb the fault (the post-dispatch re-read
-// of c.flt picks that up and the run continues fault-free).
-func (c *Collector) pollFault() *FaultError {
-	if c.flt != nil {
-		return c.flt
-	}
-	var cause error
-	if f := c.inj.Failure(); f != nil {
-		cause = f
-	} else if rf := c.inj.RegionFault(); rf != nil {
-		cause = rf
-	}
-	if cause != nil {
-		c.flt = &FaultError{Cause: cause}
-		c.hooks.OnFault(c.flt)
-	}
-	return c.flt
-}
-
-// AbsorbFault clears the latched fault. For recovery hooks only: legal
-// exclusively from inside OnFault, after the damage the fault describes
-// has been repaired (failed regions salvaged, injector latches cleared) —
-// otherwise the next pollFault re-latches the same fault immediately.
-func (c *Collector) AbsorbFault() { c.flt = nil }
-
-// latchOOM records the out-of-memory condition (subsequent allocations
-// fail fast on it) and fires the on-OOM lifecycle event exactly once.
-func (c *Collector) latchOOM(e *OOMError) *OOMError {
-	c.oom = e
-	c.hooks.OnOOM(e)
-	return e
 }
 
 // VerifyNow runs the full invariant verifier immediately and returns the
@@ -258,135 +107,16 @@ func (c *Collector) VerifyNow() []check.Failure {
 	if c.TH != nil { // a nil *TeraHeap in the interface would be non-nil
 		v.H2 = c.TH
 	}
-	if c.verifier == nil {
-		c.verifier = check.NewVerifier()
-	}
-	return c.verifier.VerifyPS(v)
+	return c.Verifier().VerifyPS(v)
 }
-
-// AllocPretenured places an object directly in the old generation (the
-// Panthera allocation policy for long-lived data), falling back to a major
-// GC and then OOM.
-func (c *Collector) AllocPretenured(class *vm.Class, numRefs, sizeWords int) (vm.Addr, error) {
-	if c.oom != nil {
-		return vm.NullAddr, c.oom
-	}
-	if flt := c.pollFault(); flt != nil {
-		return vm.NullAddr, flt
-	}
-	a, ok := c.allocOld(sizeWords)
-	if !ok {
-		if err := c.FullGC(); err != nil {
-			return vm.NullAddr, err
-		}
-		a, ok = c.allocOld(sizeWords)
-	}
-	if !ok {
-		return vm.NullAddr, c.latchOOM(&OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "pretenured allocation"})
-	}
-	c.mem.InitObject(a, class, numRefs, sizeWords)
-	c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
-	c.stats.ObjectsAllocated++
-	return a, nil
-}
-
-// GCStats returns the accumulated GC statistics.
-func (c *Collector) GCStats() *Stats { return &c.stats }
-
-// OOM returns the latched out-of-memory error, or nil.
-func (c *Collector) OOM() error {
-	if c.oom == nil {
-		return nil
-	}
-	return c.oom
-}
-
-// NewHandle roots a fresh handle holding a.
-func (c *Collector) NewHandle(a vm.Addr) *vm.Handle { return c.Roots.Create(a) }
-
-// Release unroots h.
-func (c *Collector) Release(h *vm.Handle) { c.Roots.Release(h) }
-
-// TagRoot applies h2_tag_root (a no-op without a second heap).
-func (c *Collector) TagRoot(h *vm.Handle, label uint64) {
-	if c.TH != nil {
-		c.TH.TagRoot(h, label)
-	}
-}
-
-// MoveHint applies h2_move (a no-op without a second heap).
-func (c *Collector) MoveHint(label uint64) {
-	if c.TH != nil {
-		c.TH.Move(label)
-	}
-}
-
-// InSecondHeap reports whether a is in H2.
-func (c *Collector) InSecondHeap(a vm.Addr) bool { return c.TH.Contains(a) }
 
 // HeapUsed returns H1 usage and capacity.
 func (c *Collector) HeapUsed() (int64, int64) { return c.H1.Used(), c.H1.Cfg.H1Size }
 
-// Alloc allocates a fixed-layout instance of class.
-func (c *Collector) Alloc(class *vm.Class) (vm.Addr, error) {
-	if class.Kind != vm.KindFixed {
-		return vm.NullAddr, &ClassKindError{Call: "Alloc", Class: class.Name}
-	}
-	return c.allocObject(class, class.NumRefs, class.InstanceWords(), false)
-}
-
-// AllocRefArray allocates a reference array of n elements.
-func (c *Collector) AllocRefArray(class *vm.Class, n int) (vm.Addr, error) {
-	if class.Kind != vm.KindRefArray {
-		return vm.NullAddr, &ClassKindError{Call: "AllocRefArray", Class: class.Name}
-	}
-	return c.allocObject(class, n, vm.HeaderWords+n, false)
-}
-
-// AllocPrimArray allocates a primitive array of n words.
-func (c *Collector) AllocPrimArray(class *vm.Class, n int) (vm.Addr, error) {
-	if class.Kind != vm.KindPrimArray {
-		return vm.NullAddr, &ClassKindError{Call: "AllocPrimArray", Class: class.Name}
-	}
-	return c.allocObject(class, 0, vm.HeaderWords+n, false)
-}
-
-// AllocCold, AllocColdRefArray, and AllocColdPrimArray are the framework's
-// cold-allocation hint: identical to the plain variants, except the cold
-// bit reaches the placement policy's alloc-time decision — or, with
-// PretenureCold, the object is pretenured (AllocPretenured).
-func (c *Collector) AllocCold(class *vm.Class) (vm.Addr, error) {
-	if c.PretenureCold {
-		return c.AllocPretenured(class, class.NumRefs, class.InstanceWords())
-	}
-	if class.Kind != vm.KindFixed {
-		return vm.NullAddr, &ClassKindError{Call: "Alloc", Class: class.Name}
-	}
-	return c.allocObject(class, class.NumRefs, class.InstanceWords(), true)
-}
-
-// AllocColdRefArray allocates a reference array flagged cold.
-func (c *Collector) AllocColdRefArray(class *vm.Class, n int) (vm.Addr, error) {
-	if c.PretenureCold {
-		return c.AllocPretenured(class, n, vm.HeaderWords+n)
-	}
-	if class.Kind != vm.KindRefArray {
-		return vm.NullAddr, &ClassKindError{Call: "AllocRefArray", Class: class.Name}
-	}
-	return c.allocObject(class, n, vm.HeaderWords+n, true)
-}
-
-// AllocColdPrimArray allocates a primitive array flagged cold.
-func (c *Collector) AllocColdPrimArray(class *vm.Class, n int) (vm.Addr, error) {
-	if c.PretenureCold {
-		return c.AllocPretenured(class, 0, vm.HeaderWords+n)
-	}
-	if class.Kind != vm.KindPrimArray {
-		return vm.NullAddr, &ClassKindError{Call: "AllocPrimArray", Class: class.Name}
-	}
-	return c.allocObject(class, 0, vm.HeaderWords+n, true)
-}
-
+// allocObject is the collector's AllocFunc. After the OOM and fault
+// latches, a cold allocation under PretenureCold is pretenured
+// (allocPretenured); otherwise the placement policy may direct the object
+// to the old generation, and the rest take the eden slow path.
 func (c *Collector) allocObject(class *vm.Class, numRefs, sizeWords int, cold bool) (vm.Addr, error) {
 	if c.oom != nil {
 		return vm.NullAddr, c.oom
@@ -394,15 +124,16 @@ func (c *Collector) allocObject(class *vm.Class, numRefs, sizeWords int, cold bo
 	if flt := c.pollFault(); flt != nil {
 		return vm.NullAddr, flt
 	}
+	if cold && c.PretenureCold {
+		return c.allocPretenured(class, numRefs, sizeWords)
+	}
 	if c.policy.AllocTarget(placement.Site(class.ID), sizeWords, cold) == placement.AllocOld {
 		// Policy-directed pretenuring: place straight in the old
 		// generation when it has room; otherwise fall through to the
 		// legacy eden path rather than forcing a full collection.
 		if a, ok := c.allocOld(sizeWords); ok {
-			c.mem.InitObject(a, class, numRefs, sizeWords)
+			c.InitAllocated(a, class, numRefs, sizeWords)
 			c.mem.SetStatus(a, c.mem.Status(a)|vm.FlagPretenured)
-			c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
-			c.stats.ObjectsAllocated++
 			c.policy.NotePretenured(placement.Site(class.ID))
 			return a, nil
 		}
@@ -411,9 +142,25 @@ func (c *Collector) allocObject(class *vm.Class, numRefs, sizeWords int, cold bo
 	if err != nil {
 		return vm.NullAddr, err
 	}
-	c.mem.InitObject(a, class, numRefs, sizeWords)
-	c.stats.BytesAllocated += int64(sizeWords) * vm.WordSize
-	c.stats.ObjectsAllocated++
+	c.InitAllocated(a, class, numRefs, sizeWords)
+	return a, nil
+}
+
+// allocPretenured places an object directly in the old generation (the
+// Panthera allocation policy for long-lived data), falling back to a major
+// GC and then OOM.
+func (c *Collector) allocPretenured(class *vm.Class, numRefs, sizeWords int) (vm.Addr, error) {
+	a, ok := c.allocOld(sizeWords)
+	if !ok {
+		if err := c.FullGC(); err != nil {
+			return vm.NullAddr, err
+		}
+		a, ok = c.allocOld(sizeWords)
+	}
+	if !ok {
+		return vm.NullAddr, c.LatchOOM(&OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "pretenured allocation"})
+	}
+	c.InitAllocated(a, class, numRefs, sizeWords)
 	return a, nil
 }
 
@@ -448,7 +195,7 @@ func (c *Collector) allocWords(sizeWords int) (vm.Addr, error) {
 	if a, ok := c.allocOld(sizeWords); ok {
 		return a, nil
 	}
-	return vm.NullAddr, c.latchOOM(&OOMError{Requested: sizeBytes, Where: "allocation"})
+	return vm.NullAddr, c.LatchOOM(&OOMError{Requested: sizeBytes, Where: "allocation"})
 }
 
 // ensureMinorHeadroom guarantees a minor GC cannot fail mid-scavenge: in
@@ -503,22 +250,6 @@ func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
 	if c.H1.InOld(obj) && !val.IsNull() {
 		c.H1.Cards.MarkDirty(obj)
 	}
-}
-
-// WritePrim performs a mutator primitive-word store (no card needed, but
-// H2 stores still pay device cost through the mapped file).
-func (c *Collector) WritePrim(obj vm.Addr, i int, v uint64) {
-	c.mem.SetPrimAt(obj, i, v)
-}
-
-// ReadRef loads a reference field (H2 loads charge page faults).
-func (c *Collector) ReadRef(obj vm.Addr, field int) vm.Addr {
-	return c.mem.RefAt(obj, field)
-}
-
-// ReadPrim loads a primitive word.
-func (c *Collector) ReadPrim(obj vm.Addr, i int) uint64 {
-	return c.mem.PrimAt(obj, i)
 }
 
 // adjustRef computes the post-compaction address for ref by binary search

@@ -3,8 +3,10 @@ package gc
 // Collector lifecycle hooks: the one extension point for cross-cutting
 // layers (invariant verification, fault/event accounting, tracing, memory
 // profiling). Both collectors — Parallel Scavenge here and the G1 baseline
-// in internal/baselines/g1 — fire the same events, so a layer registers
-// one Hook and observes every runtime kind without editing any collector.
+// in internal/baselines/g1 — fire the same events from their shared
+// CollectedHeap (the GC events from its one pause bracket), so a layer
+// registers one Hook and observes every runtime kind without editing any
+// collector.
 //
 // Hooks observe; they must not mutate the heap, allocate in it, or charge
 // simulated time, so a run's results are byte-identical with any set of

@@ -17,14 +17,11 @@ func (c *Collector) FullGC() error {
 	if flt := c.pollFault(); flt != nil {
 		return flt
 	}
-	c.hooks.BeforeGC(PhaseMajor)
-	prevCat := c.clock.SetContext(simclock.MajorGC)
-	defer c.clock.SetContext(prevCat)
-	before := c.clock.Breakdown()
+	p := c.BeginPause(PhaseMajor)
+	defer p.Restore()
 	usedBefore := c.H1.Used()
 
 	var cy Cycle
-	cy.Kind = Major
 
 	// Each of the four phases is one gang barrier: its work items are
 	// dealt round-robin onto per-worker spans and the phase charges
@@ -58,13 +55,9 @@ func (c *Collector) FullGC() error {
 		c.TH.FinishMajor()
 	}
 
-	delta := c.clock.Breakdown().Sub(before)
-	cy.At = c.clock.Now()
-	cy.Duration = delta.Get(simclock.MajorGC)
 	cy.OldOccupancyAfter = c.H1.OldOccupancy()
 	cy.ReclaimedBytes = usedBefore - c.H1.Used()
-	c.stats.record(cy)
-	c.hooks.AfterGC(PhaseMajor)
+	p.End(cy)
 	// A device that died during the cycle surfaces here: the heap is
 	// consistent (the phase completed against the simulated mapping), but
 	// the run must end as a structured failure.
@@ -372,7 +365,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 			for _, o := range append(append([]vm.Addr{}, youngLive...), oldLive...) {
 				byLabel[m.Label(o)] += int64(m.SizeWords(o)) * vm.WordSize
 			}
-			return vm.NullAddr, c.latchOOM(&OOMError{
+			return vm.NullAddr, c.LatchOOM(&OOMError{
 				Requested: int64(size) * vm.WordSize,
 				Where: fmt.Sprintf("major GC compaction (live young=%d old=%d objs, closure=%dw, old cap=%d, liveByLabel=%v)",
 					len(youngLive), len(oldLive), mk.closureWords, c.H1.Old.Capacity(), byLabel),

@@ -55,9 +55,8 @@ func (c *Collector) MinorGC() (err error) {
 	if flt := c.pollFault(); flt != nil {
 		return flt
 	}
-	c.hooks.BeforeGC(PhaseMinor)
-	prevCat := c.clock.SetContext(simclock.MinorGC)
-	defer c.clock.SetContext(prevCat)
+	p := c.BeginPause(PhaseMinor)
+	defer p.Restore()
 	defer func() {
 		// A promotion failure mid-scavenge (possible only when MinorGC is
 		// invoked directly, bypassing ensureMinorHeadroom's guarantee)
@@ -70,10 +69,9 @@ func (c *Collector) MinorGC() (err error) {
 			if !ok {
 				panic(r)
 			}
-			err = c.latchOOM(sa.err)
+			err = c.LatchOOM(sa.err)
 		}
 	}()
-	before := c.clock.Breakdown()
 
 	s := &c.scav
 	s.begin(c.H1.Old.Top)
@@ -117,11 +115,7 @@ func (c *Collector) MinorGC() (err error) {
 	c.endGangPhase(simclock.MinorGC, simclock.MinorGCThreads)
 	c.clock.Charge(simclock.MinorGC, simclock.PausePerGC)
 
-	delta := c.clock.Breakdown().Sub(before)
-	c.stats.record(Cycle{
-		Kind:              Minor,
-		At:                c.clock.Now(),
-		Duration:          delta.Get(simclock.MinorGC),
+	p.End(Cycle{
 		BytesCopied:       s.bytesCopied,
 		BytesPromoted:     s.bytesPromoted,
 		BytesMovedToH2:    s.bytesToH2,
@@ -129,7 +123,6 @@ func (c *Collector) MinorGC() (err error) {
 		OldOccupancyAfter: c.H1.OldOccupancy(),
 		CardsScanned:      s.cardsScanned,
 	})
-	c.hooks.AfterGC(PhaseMinor)
 	if flt := c.pollFault(); flt != nil {
 		return flt
 	}

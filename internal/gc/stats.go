@@ -82,9 +82,6 @@ type Stats struct {
 	BytesAllocated    int64
 	ObjectsAllocated  int64
 	BarrierExecutions int64
-
-	TotalBytesMovedH2   int64
-	TotalObjectsMovedH2 int64
 }
 
 func (s *Stats) record(cy Cycle) {
@@ -96,8 +93,6 @@ func (s *Stats) record(cy Cycle) {
 		s.MajorCount++
 		s.MajorTime += cy.Duration
 	}
-	s.TotalBytesMovedH2 += cy.BytesMovedToH2
-	s.TotalObjectsMovedH2 += cy.ObjectsMovedH2
 }
 
 // ResetCycles drops the recorded per-cycle history while keeping its

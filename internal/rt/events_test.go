@@ -2,7 +2,9 @@ package rt
 
 import (
 	"testing"
+	"time"
 
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
@@ -101,5 +103,29 @@ func TestEventStatsMixedPhases(t *testing.T) {
 	}
 	if ps.Events.MinorGCs == 0 || ps.Events.MajorGCs < 3 {
 		t.Errorf("PS events: %+v, want minor > 0 and major >= 3", ps.Events)
+	}
+
+	checkCycleLedger(t, "G1", r.GCStats())
+	checkCycleLedger(t, "PS", ps.Runtime.GCStats())
+}
+
+// checkCycleLedger checks the record invariants the shared pause bracket
+// guarantees on every collector: one Cycle per counted collection, and
+// per cycle kind the Cycle durations sum to the kind's total time.
+func checkCycleLedger(t *testing.T, name string, st *gc.Stats) {
+	t.Helper()
+	if len(st.Cycles) != st.MinorCount+st.MajorCount {
+		t.Errorf("%s: %d Cycles, want MinorCount+MajorCount = %d+%d",
+			name, len(st.Cycles), st.MinorCount, st.MajorCount)
+	}
+	var sum [2]time.Duration
+	for _, cy := range st.Cycles {
+		sum[cy.Kind] += cy.Duration
+	}
+	if sum[gc.Minor] != st.MinorTime {
+		t.Errorf("%s: minor Cycle durations sum to %v, MinorTime = %v", name, sum[gc.Minor], st.MinorTime)
+	}
+	if sum[gc.Major] != st.MajorTime {
+		t.Errorf("%s: major Cycle durations sum to %v, MajorTime = %v", name, sum[gc.Major], st.MajorTime)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/baselines/g1"
 	"github.com/carv-repro/teraheap-go/internal/check"
+	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
@@ -62,6 +63,11 @@ type Runtime interface {
 	FullGC() error
 	// OOM returns the latched out-of-memory error, if any.
 	OOM() error
+	// SetFaultInjector attaches the run's fault injector; Fault returns
+	// the run's persistent storage failure, if any (see
+	// gc.CollectedHeap.Fault).
+	SetFaultInjector(in *fault.Injector)
+	Fault() error
 
 	// Hooks exposes the collector lifecycle-hook plane: the registration
 	// point for cross-cutting observers (verification, event accounting,

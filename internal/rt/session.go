@@ -256,14 +256,13 @@ func NewSession(spec Spec) *Session {
 		s.Runtime.Hooks().Register(&writebackHook{dev: dev})
 	}
 
-	// One injector per run, attached to the device, the PS collector and
-	// the second heap: all fault decisions draw from a single monotonic
+	// One injector per run, attached to the device, the runtime and the
+	// second heap: all fault decisions draw from a single monotonic
 	// counter, which is what makes a faulty run reproducible from its seed.
+	// Only the PS collector polls it; G1 reports through Fault alone.
 	s.Injector = fault.NewInjector(spec.FaultPlan)
 	dev.SetFaultInjector(s.Injector)
-	if isPS {
-		col.SetFaultInjector(s.Injector)
-	}
+	s.Runtime.SetFaultInjector(s.Injector)
 	if s.TH != nil {
 		s.TH.SetFaultInjector(s.Injector)
 	}
@@ -324,19 +323,6 @@ func (s *Session) RecoveryStats() *recovery.Stats {
 	return &st
 }
 
-// Fault returns the run's latched persistent storage failure, checking
-// the injector first (device-level failures latch there even on runtimes
-// without collector-level polling, like the G1 baseline) and then the PS
-// collector. Nil when the run is healthy.
-func (s *Session) Fault() error {
-	if f := s.Injector.Failure(); f != nil {
-		return f
-	}
-	if rf := s.Injector.RegionFault(); rf != nil {
-		return rf
-	}
-	if col, ok := s.Runtime.(*gc.Collector); ok {
-		return col.Fault()
-	}
-	return nil
-}
+// Fault returns the run's persistent storage failure, or nil when the run
+// is healthy: the runtime's Fault (gc.CollectedHeap.Fault).
+func (s *Session) Fault() error { return s.Runtime.Fault() }

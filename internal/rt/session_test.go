@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
@@ -249,4 +251,48 @@ func TestConcurrentSessionsDoNotShareConfig(t *testing.T) {
 		go check(false, false)
 	}
 	wg.Wait()
+}
+
+// TestAllocClassKindMismatch calls each of the six allocation entry points
+// with a class of the wrong layout kind. On every collector — PS, G1, and
+// Panthera, whose cold calls pretenure — the call returns a
+// *gc.ClassKindError naming the entry point and the class, and allocates
+// nothing.
+func TestAllocClassKindMismatch(t *testing.T) {
+	for _, k := range []Kind{KindPS, KindG1, KindPanthera} {
+		r := NewSession(testSpec(k)).Runtime
+		fixed := r.Classes().MustFixed("kind.Fixed", 1, 1)
+		refs := r.Classes().MustRefArray("kind.Refs")
+		prims := r.Classes().MustPrimArray("kind.Prims")
+		cases := []struct {
+			call  string
+			class *vm.Class
+			alloc func() (vm.Addr, error)
+		}{
+			{"Alloc", refs, func() (vm.Addr, error) { return r.Alloc(refs) }},
+			{"AllocRefArray", fixed, func() (vm.Addr, error) { return r.AllocRefArray(fixed, 4) }},
+			{"AllocPrimArray", refs, func() (vm.Addr, error) { return r.AllocPrimArray(refs, 4) }},
+			{"AllocCold", prims, func() (vm.Addr, error) { return r.AllocCold(prims) }},
+			{"AllocColdRefArray", prims, func() (vm.Addr, error) { return r.AllocColdRefArray(prims, 4) }},
+			{"AllocColdPrimArray", fixed, func() (vm.Addr, error) { return r.AllocColdPrimArray(fixed, 4) }},
+		}
+		for _, c := range cases {
+			t.Run(k.String()+"/"+c.call, func(t *testing.T) {
+				a, err := c.alloc()
+				var ke *gc.ClassKindError
+				if !errors.As(err, &ke) {
+					t.Fatalf("%s(%s) = %v, %v; want a *gc.ClassKindError", c.call, c.class.Name, a, err)
+				}
+				if ke.Call != c.call || ke.Class != c.class.Name {
+					t.Errorf("ClassKindError{Call: %q, Class: %q}, want {%q, %q}", ke.Call, ke.Class, c.call, c.class.Name)
+				}
+				if !a.IsNull() {
+					t.Errorf("%s returned address %v with the error", c.call, a)
+				}
+			})
+		}
+		if n := r.GCStats().ObjectsAllocated; n != 0 {
+			t.Errorf("%s: %d objects allocated by rejected calls", k, n)
+		}
+	}
 }
