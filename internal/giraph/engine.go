@@ -9,6 +9,7 @@ package giraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/rt"
@@ -70,9 +71,16 @@ type Engine struct {
 	partitions []*partition
 	ooc        *oocScheduler
 
-	superstep int
-	comb      Combiner // non-nil when the program has a message combiner
-	primBuf   []uint64 // reused by readPrims
+	comb Combiner // non-nil when the program has a message combiner
+	// barriers counts the synchronization barriers passed; its parity
+	// picks each superstep's buffer generation (see partition.gens).
+	barriers int
+	// Reused host buffers, so the message plane allocates nothing per
+	// message. scratch holds heap words on their way in or out: readPrims'
+	// run, gatherMessages' chunks, or one packed write run; each use ends
+	// before the next begins. in is gatherMessages' result.
+	scratch []uint64
+	in      msgIndex
 	// Label space: input-superstep edges use label 1; the message store of
 	// superstep s uses label msgLabelBase+s.
 	Stats EngineStats
@@ -105,19 +113,38 @@ type partition struct {
 	// Go-side mirrors for rebuild and verification.
 	vals   []float64
 	active []bool
-	// curData mirrors the chunks materialized into cur this superstep
-	// (uncombined programs): per source partition, pairs of (local target
-	// index, message bits).
-	curData [][]msgPair
-	// curDense mirrors the dense combined store (programs with a
-	// Combiner): one combined value per local vertex.
-	curDense []float64
+	// gens holds two generations of message buffers; gen points at this
+	// superstep's, gens[barriers%2]. The store a generation mirrors stays
+	// readable (an OOC reload rebuilds it) until the next barrier releases
+	// it, so a generation is reused only two barriers later.
+	gens [2]msgGen
+	gen  *msgGen
 }
 
-type msgPair struct {
-	local int32
-	val   float64
+// msgGen is one generation of a partition's message buffers.
+type msgGen struct {
+	// out holds the packed messages this partition sends, per target
+	// partition (uncombined programs).
+	out [][]uint64
+	// data mirrors the chunks materialized into cur (uncombined
+	// programs): per source partition, that partition's out buffer for
+	// this one.
+	data [][]uint64
+	// dense mirrors the dense combined store (programs with a Combiner):
+	// one combined value per local vertex.
+	dense []float64
 }
+
+// msgIndex holds one partition's incoming messages in CSR form: local
+// vertex i's messages are vals[off[i]:off[i+1]], in arrival order.
+type msgIndex struct {
+	off  []int
+	vals []float64
+}
+
+// of returns local vertex i's messages, capped so that an append cannot
+// reach the next vertex's.
+func (m *msgIndex) of(i int) []float64 { return m.vals[m.off[i]:m.off[i+1]:m.off[i+1]] }
 
 // packMsg packs a message into one heap word: local index in the high 32
 // bits, the value as float32 bits in the low 32 — Giraph's compact
@@ -197,11 +224,16 @@ func NewEngine(conf Conf, g *workloads.Graph, parts int) (*Engine, error) {
 			return nil, err
 		}
 		pt.values = e.RT.NewHandle(va)
-		pt.inMsgs = e.newEmptyStore()
-		pt.cur = e.newEmptyStore()
-		pt.curData = make([][]msgPair, parts)
+		if pt.inMsgs, err = e.newEmptyStore(); err != nil {
+			return nil, err
+		}
+		if pt.cur, err = e.newEmptyStore(); err != nil {
+			return nil, err
+		}
 		if e.ooc != nil {
-			e.ooc.maybeOffload()
+			if err := e.ooc.maybeOffload(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if e.Conf.Mode == ModeTH {
@@ -245,10 +277,12 @@ func (e *Engine) materializeEdges(pt *partition, st *store) error {
 			return err
 		}
 		e.RT.WriteRef(st.h.Addr(), i, ea)
-		for j, t := range edges {
-			e.RT.WritePrim(ea, 2*j, uint64(t))
-			e.RT.WritePrim(ea, 2*j+1, f2b(edgeWeight(pt.lo+i, int(t))))
+		words := e.scratch[:0]
+		for _, t := range edges {
+			words = append(words, uint64(t), f2b(edgeWeight(pt.lo+i, int(t))))
 		}
+		e.scratch = words
+		e.RT.Mem().SetPrimRun(ea, 0, words)
 		st.objects++
 		st.words += int64(vm.HeaderWords + 2*len(edges))
 	}
@@ -262,7 +296,7 @@ func edgeWeight(u, v int) float64 {
 }
 
 // materializeMsgStore (re)builds a message store from mirrored chunk data.
-func (e *Engine) materializeMsgStore(data [][]msgPair, st *store) error {
+func (e *Engine) materializeMsgStore(data [][]uint64, st *store) error {
 	root, err := e.RT.AllocRefArray(e.clsPart, e.Parts)
 	if err != nil {
 		return err
@@ -270,59 +304,57 @@ func (e *Engine) materializeMsgStore(data [][]msgPair, st *store) error {
 	st.h = e.RT.NewHandle(root)
 	st.objects = 1
 	st.words = int64(vm.HeaderWords + e.Parts)
-	for sp, pairs := range data {
-		if len(pairs) == 0 {
+	for sp, words := range data {
+		if len(words) == 0 {
 			continue
 		}
-		chunk, err := e.RT.AllocPrimArray(e.clsData, len(pairs))
+		chunk, err := e.RT.AllocPrimArray(e.clsData, len(words))
 		if err != nil {
 			e.RT.Release(st.h)
 			st.h = nil
 			return err
 		}
-		for k, mp := range pairs {
-			e.RT.WritePrim(chunk, k, packMsg(mp.local, mp.val))
-		}
+		e.RT.Mem().SetPrimRun(chunk, 0, words)
 		e.RT.WriteRef(st.h.Addr(), sp, chunk)
 		st.objects++
-		st.words += int64(vm.HeaderWords + len(pairs))
+		st.words += int64(vm.HeaderWords + len(words))
 	}
 	return nil
 }
 
 // newEmptyStore creates a message-store root (one slot per source
 // partition).
-func (e *Engine) newEmptyStore() *store {
+func (e *Engine) newEmptyStore() (*store, error) {
 	st := &store{}
-	st.rebuild = func() error { return e.materializeMsgStore(make([][]msgPair, e.Parts), st) }
-	if err := st.rebuild(); err != nil {
-		st.err = err
-	}
-	return st
+	st.rebuild = func() error { return e.materializeMsgStore(nil, st) }
+	return st, st.rebuild()
 }
 
 // newDenseStore creates a dense combined message store for pt: one slot
-// per local vertex, initialized to the combiner identity. The curDense
-// mirror is reset alongside.
+// per local vertex, initialized to the combiner identity. The dense
+// mirror of pt's current generation is reset alongside.
 func (e *Engine) newDenseStore(pt *partition) (*store, error) {
 	st := &store{}
-	if err := e.materializeDenseStoreIdentity(pt.hi-pt.lo, st); err != nil {
+	n := pt.hi - pt.lo
+	if err := e.materializeDenseStoreIdentity(n, st); err != nil {
 		return nil, err
 	}
-	if pt.curDense == nil {
-		pt.curDense = make([]float64, pt.hi-pt.lo)
+	if pt.gen.dense == nil {
+		pt.gen.dense = make([]float64, n)
 	}
 	id := e.comb.CombineIdentity()
-	for i := range pt.curDense {
-		pt.curDense[i] = id
+	for i := range pt.gen.dense {
+		pt.gen.dense[i] = id
 	}
 	// Non-zero identities (e.g. +Inf for min-combiners) must be written
 	// out; a zero identity is covered by allocation zeroing.
 	if id != 0 {
-		bits := f2b(id)
-		for i := 0; i < pt.hi-pt.lo; i++ {
-			e.RT.WritePrim(st.h.Addr(), i, bits)
+		words := e.scratch[:0]
+		for range n {
+			words = append(words, f2b(id))
 		}
+		e.scratch = words
+		e.RT.Mem().SetPrimRun(st.h.Addr(), 0, words)
 	}
 	return st, nil
 }
@@ -373,7 +405,6 @@ func (e *Engine) Run(prog Program) ([]float64, error) {
 	}
 	maxS := prog.MaxSupersteps()
 	for s := 0; s < maxS; s++ {
-		e.superstep = s
 		sent, err := e.runSuperstep(prog, s)
 		if err != nil {
 			return nil, err
@@ -415,22 +446,22 @@ func (e *Engine) runSuperstep(prog Program, s int) (int64, error) {
 	}
 
 	// Fresh current stores, tagged with this superstep's label as they
-	// are created (Fig 5 step 3).
+	// are created (Fig 5 step 3), and this superstep's buffer generation.
 	for _, pt := range e.partitions {
+		pt.gen = &pt.gens[e.barriers%2]
+		var err error
 		if e.comb != nil {
-			st, err := e.newDenseStore(pt)
-			if err != nil {
-				return 0, err
-			}
-			pt.cur = st
+			pt.cur, err = e.newDenseStore(pt)
 		} else {
-			pt.cur = e.newEmptyStore()
-			if pt.cur.err != nil {
-				return 0, pt.cur.err
+			pt.cur, err = e.newEmptyStore()
+			if pt.gen.data == nil {
+				pt.gen.data = make([][]uint64, e.Parts)
+				pt.gen.out = make([][]uint64, e.Parts)
 			}
-			for i := range pt.curData {
-				pt.curData[i] = nil
-			}
+			clear(pt.gen.data)
+		}
+		if err != nil {
+			return 0, err
 		}
 		if e.Conf.Mode == ModeTH {
 			e.RT.TagRoot(pt.cur.h, label)
@@ -451,7 +482,9 @@ func (e *Engine) runSuperstep(prog Program, s int) (int64, error) {
 			}
 			sent += n
 			if e.ooc != nil {
-				e.ooc.maybeOffload()
+				if err := e.ooc.maybeOffload(); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}
@@ -459,18 +492,20 @@ func (e *Engine) runSuperstep(prog Program, s int) (int64, error) {
 
 	// Synchronization barrier: current stores become the next incoming
 	// stores (immutable from here on) and gain a rebuild closure from the
-	// mirrored data so the OOC scheduler can round-trip them.
+	// mirrored data so the OOC scheduler can round-trip them. The mirror
+	// is this generation's buffers, which stay untouched until the next
+	// barrier releases the store.
+	e.barriers++
 	for _, pt := range e.partitions {
 		e.releaseStore(pt.inMsgs)
 		pt.inMsgs = pt.cur
 		pt.cur = nil
 		st := pt.inMsgs
 		if e.comb != nil {
-			data := append([]float64(nil), pt.curDense...)
+			data := pt.gen.dense
 			st.rebuild = func() error { return e.materializeDenseStore(data, st) }
 		} else {
-			data := make([][]msgPair, len(pt.curData))
-			copy(data, pt.curData)
+			data := pt.gen.data
 			st.rebuild = func() error { return e.materializeMsgStore(data, st) }
 		}
 	}
@@ -496,27 +531,27 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 
 	// Gather incoming messages for this partition (reads charge device
 	// cost if the store lives in H2).
-	msgs := e.gatherMessages(pt)
+	in := e.gatherMessages(pt)
 
 	// Outgoing buffers per target partition (uncombined programs only).
-	var out [][]msgPair
-	if e.comb == nil {
-		out = make([][]msgPair, e.Parts)
+	out := pt.gen.out
+	for tp := range out {
+		out[tp] = out[tp][:0]
 	}
 	_, weighted := prog.(EdgeWeightUser)
 	var sent int64
 	var elems int64
-	per := (e.Graph.N + e.Parts - 1) / e.Parts
 
 	edgesRoot := pt.edges.h.Addr()
 	for i := 0; i < pt.hi-pt.lo; i++ {
 		v := pt.lo + i
-		if !pt.active[i] && len(msgs[i]) == 0 {
+		msgs := in.of(i)
+		if !pt.active[i] && len(msgs) == 0 {
 			continue
 		}
 		ea := e.RT.ReadRef(edgesRoot, i)
 		deg := e.RT.Mem().NumPrims(ea) / 2
-		nv, send, msgVal := prog.Compute(s, v, pt.vals[i], msgs[i], deg)
+		nv, send, msgVal := prog.Compute(s, v, pt.vals[i], msgs, deg)
 		if nv != pt.vals[i] {
 			pt.vals[i] = nv
 			// Vertex values are mutable and unmarked: they stay in H1.
@@ -525,9 +560,7 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 		pt.active[i] = send
 		if send && deg > 0 && e.comb != nil {
 			for j := 0; j < deg; j++ {
-				t := int(e.RT.ReadPrim(ea, 2*j))
-				tp := t / per
-				l := t - tp*per
+				tp, l := e.target(int(e.RT.ReadPrim(ea, 2*j)))
 				msgVal := msgVal
 				if weighted {
 					msgVal += b2f(e.RT.ReadPrim(ea, 2*j+1))
@@ -538,31 +571,15 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 				// the paper describes (§7.2); the writes interleave with
 				// the edge reads, so those stay per word.
 				tgt := e.partitions[tp]
-				acc := tgt.curDense[l]
+				acc := tgt.gen.dense[l]
 				if merged := e.comb.Combine(acc, msgVal); merged != acc {
-					tgt.curDense[l] = merged
+					tgt.gen.dense[l] = merged
 					e.RT.WritePrim(tgt.cur.h.Addr(), l, f2b(merged))
 				}
 			}
 			sent += int64(deg)
 		} else if send && deg > 0 {
-			// Uncombined: no heap access between the edge reads, so the
-			// edges are one run of (target, weight) word pairs, or of
-			// every other word when the weights are not read.
-			stride, words := 2, deg
-			if weighted {
-				stride, words = 1, 2*deg
-			}
-			run := e.readPrims(ea, stride, words)
-			for j := 0; j < deg; j++ {
-				tw, msgVal := run[j], msgVal
-				if weighted {
-					tw, msgVal = run[2*j], msgVal+b2f(run[2*j+1])
-				}
-				t := int(tw)
-				tp := t / per
-				out[tp] = append(out[tp], msgPair{local: int32(t - tp*per), val: msgVal})
-			}
+			e.scatter(out, ea, deg, weighted, msgVal)
 			sent += int64(deg)
 		}
 		elems += int64(deg) + 1
@@ -577,69 +594,125 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 	// (source, target) pair, written through the write barrier (updates
 	// to an H2-resident store pay the read-modify-write the paper
 	// describes, §7.2).
-	for tp, pairs := range out {
-		if len(pairs) == 0 {
+	for tp, words := range out {
+		if len(words) == 0 {
 			continue
 		}
 		tgt := e.partitions[tp]
-		chunk, err := e.RT.AllocPrimArray(e.clsData, len(pairs))
+		chunk, err := e.RT.AllocPrimArray(e.clsData, len(words))
 		if err != nil {
 			return 0, err
 		}
-		for k, mp := range pairs {
-			e.RT.WritePrim(chunk, k, packMsg(mp.local, mp.val))
-		}
+		e.RT.Mem().SetPrimRun(chunk, 0, words)
 		e.RT.WriteRef(tgt.cur.h.Addr(), pt.id, chunk)
 		tgt.cur.objects++
-		tgt.cur.words += int64(vm.HeaderWords + len(pairs))
-		tgt.curData[pt.id] = pairs
+		tgt.cur.words += int64(vm.HeaderWords + len(words))
+		tgt.gen.data[pt.id] = words
 	}
 	return sent, nil
 }
 
-// gatherMessages reads partition pt's incoming store into per-vertex
-// message slices.
-func (e *Engine) gatherMessages(pt *partition) [][]float64 {
-	msgs := make([][]float64, pt.hi-pt.lo)
+// target returns the partition of global vertex t and t's index in it.
+func (e *Engine) target(t int) (tp, local int) {
+	per := (e.Graph.N + e.Parts - 1) / e.Parts
+	tp = t / per
+	return tp, t - tp*per
+}
+
+// scatter appends one packed message per out-edge of the vertex whose
+// edge array ea holds deg (target, weight) pairs to out, per target
+// partition: msgVal, plus the edge's weight for an EdgeWeightUser. No
+// heap access falls between the edge reads, so the edges are one run of
+// word pairs, or of every other word when the weights are not read.
+func (e *Engine) scatter(out [][]uint64, ea vm.Addr, deg int, weighted bool, msgVal float64) {
+	stride, words := 2, deg
+	if weighted {
+		stride, words = 1, 2*deg
+	}
+	run := e.readPrims(ea, stride, words)
+	for j := 0; j < deg; j++ {
+		tw, val := run[j], msgVal
+		if weighted {
+			tw, val = run[2*j], msgVal+b2f(run[2*j+1])
+		}
+		tp, l := e.target(int(tw))
+		out[tp] = append(out[tp], packMsg(int32(l), val))
+	}
+}
+
+// gatherMessages reads partition pt's incoming store into e.in, which the
+// next call overwrites. Each chunk is read as one run into scratch, in
+// source-partition order; the messages are then counted per vertex and
+// laid out in that order, so a vertex sees them by source partition,
+// source vertex and edge.
+func (e *Engine) gatherMessages(pt *partition) *msgIndex {
+	n := pt.hi - pt.lo
+	in := &e.in
+	in.off = slices.Grow(in.off[:0], n+1)[:n+1]
+	clear(in.off)
+	in.vals = in.vals[:0]
 	var reads int64
 	if pt.inMsgs.dense {
 		id := e.comb.CombineIdentity()
 		addr := pt.inMsgs.h.Addr()
-		n := e.RT.Mem().NumPrims(addr)
-		for i, w := range e.readPrims(addr, 1, min(n, len(msgs))) {
+		np := e.RT.Mem().NumPrims(addr)
+		for i, w := range e.readPrims(addr, 1, min(np, n)) {
+			in.off[i] = len(in.vals)
 			if v := b2f(w); v != id {
-				msgs[i] = append(msgs[i], v)
+				in.vals = append(in.vals, v)
 			}
 		}
-		reads = int64(n)
+		for i := min(np, n); i <= n; i++ {
+			in.off[i] = len(in.vals)
+		}
+		reads = int64(np)
 	} else {
 		root := pt.inMsgs.h.Addr()
+		words := e.scratch[:0]
 		for sp := 0; sp < e.Parts; sp++ {
 			chunk := e.RT.ReadRef(root, sp)
 			if chunk.IsNull() {
 				continue
 			}
-			n := e.RT.Mem().NumPrims(chunk)
-			for _, w := range e.readPrims(chunk, 1, n) {
-				local, val := unpackMsg(w)
-				if int(local) >= 0 && int(local) < len(msgs) {
-					msgs[local] = append(msgs[local], val)
-				}
-			}
-			reads += int64(n)
+			k := e.RT.Mem().NumPrims(chunk)
+			words = slices.Grow(words, k)
+			e.RT.Mem().PrimRun(chunk, 0, 1, words[len(words):len(words)+k])
+			words = words[:len(words)+k]
+			reads += int64(k)
 		}
+		e.scratch = words
+		// Count per vertex into off[local+1] and prefix-sum, so off[i] is
+		// vertex i's first slot; filling advances off[i] to its end, and
+		// the shift restores the starts.
+		for _, w := range words {
+			if l, _ := unpackMsg(w); l >= 0 && int(l) < n {
+				in.off[l+1]++
+			}
+		}
+		for i := 0; i < n; i++ {
+			in.off[i+1] += in.off[i]
+		}
+		in.vals = slices.Grow(in.vals, in.off[n])[:in.off[n]]
+		for _, w := range words {
+			if l, val := unpackMsg(w); l >= 0 && int(l) < n {
+				in.vals[in.off[l]] = val
+				in.off[l]++
+			}
+		}
+		copy(in.off[1:], in.off[:n])
+		in.off[0] = 0
 	}
 	e.chargeElements(reads)
-	return msgs
+	return in
 }
 
 // readPrims reads n primitive words of the object at a, from word 0 in
-// steps of stride, as one run. The slice is reused by the next call.
+// steps of stride, as one run, into scratch.
 func (e *Engine) readPrims(a vm.Addr, stride, n int) []uint64 {
-	if cap(e.primBuf) < n {
-		e.primBuf = make([]uint64, n)
+	if cap(e.scratch) < n {
+		e.scratch = make([]uint64, n)
 	}
-	buf := e.primBuf[:n]
+	buf := e.scratch[:n]
 	e.RT.Mem().PrimRun(a, 0, stride, buf)
 	return buf
 }

@@ -4,28 +4,17 @@ import (
 	"math"
 	"testing"
 
-	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/giraph"
-	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
+	"github.com/carv-repro/teraheap-go/internal/vm"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
 
 func newEngine(t *testing.T, mode giraph.Mode, h1Size int64, g *workloads.Graph, parts int) *giraph.Engine {
 	t.Helper()
-	spec := rt.Spec{Kind: rt.KindPS, H1Size: h1Size}
-	if mode == giraph.ModeTH {
-		cfg := core.DefaultConfig(256 * storage.MB)
-		cfg.RegionSize = 256 * storage.KB
-		cfg.CacheBytes = 4 * storage.MB
-		spec.Kind, spec.TH = rt.KindTH, &cfg
-	}
-	jvm := rt.NewSession(spec).Runtime
-	e, err := giraph.NewEngine(giraph.Conf{
-		RT: jvm, Mode: mode, Threads: 4, OOCCacheBytes: 2 * storage.MB,
-	}, g, parts)
+	e, err := giraph.BuildEngine(mode, h1Size, 256*storage.MB, g, parts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -361,6 +350,44 @@ func TestCombinerEquivalence(t *testing.T) {
 	for v := range got {
 		if math.Abs(got[v]-want[v]) > 1e-6 {
 			t.Fatalf("rank[%d] = %v, want %v", v, got[v], want[v])
+		}
+	}
+}
+
+// TestShrinkingHeapFailsWithErrors shrinks H1 in 8-word steps across the
+// size where the graph stops loading, on both modes: NewEngine and Run
+// must each either succeed or return an error, never panic, and neither
+// may report success over a latched OOM. The steps hit a failed
+// message-store root allocation (TeraHeap) and a failed allocation of the
+// OOC serializer's temporaries (Giraph-OOC), which must both surface as
+// errors.
+func TestShrinkingHeapFailsWithErrors(t *testing.T) {
+	g := workloads.GenGraph(43, 150, 4, 0.8)
+	for _, mode := range []giraph.Mode{giraph.ModeOOC, giraph.ModeTH} {
+		var loaded, failed int
+		for h1 := int64(12 * storage.KB); h1 >= 2*storage.KB; h1 -= 8 * vm.WordSize {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%v at H1 %d B: panic: %v", mode, h1, r)
+					}
+				}()
+				e, err := giraph.BuildEngine(mode, h1, 4*storage.MB, g, 6)
+				if err != nil {
+					failed++
+					return
+				}
+				loaded++
+				if oom := e.RT.OOM(); oom != nil {
+					t.Fatalf("%v at H1 %d B: NewEngine succeeded over a latched %v", mode, h1, oom)
+				}
+				if _, err := e.Run(&giraph.CDLP{Iterations: 3}); err == nil && e.RT.OOM() != nil {
+					t.Fatalf("%v at H1 %d B: Run succeeded over a latched %v", mode, h1, e.RT.OOM())
+				}
+			}()
+		}
+		if loaded == 0 || failed == 0 {
+			t.Errorf("%v: %d sizes loaded and %d failed; the sweep must cross the OOM edge", mode, loaded, failed)
 		}
 	}
 }

@@ -8,7 +8,10 @@ import (
 // Program is a vertex program in the Pregel/Giraph model: Init sets the
 // initial vertex value and activity; Compute consumes incoming messages,
 // produces the new value, and decides whether (and what) to send to the
-// out-neighbours this superstep.
+// out-neighbours this superstep. Compute receives a vertex's messages by
+// source partition, source vertex and edge. msgs aliases an engine buffer
+// that is valid only during the call: a program that keeps messages must
+// copy them.
 type Program interface {
 	Name() string
 	MaxSupersteps() int

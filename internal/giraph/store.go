@@ -18,8 +18,6 @@ type store struct {
 	blob      storage.BlobID
 	rebuild   func() error
 	lastUse   int64
-
-	err error
 }
 
 // oocScheduler is Giraph's out-of-core scheduler: it monitors heap
@@ -54,17 +52,19 @@ func (o *oocScheduler) heapPressure() float64 {
 }
 
 // maybeOffload serializes LRU stores to the device while heap usage
-// exceeds the high-water mark.
-func (o *oocScheduler) maybeOffload() {
+// exceeds the high-water mark. A failed offload (the serializer's
+// temporaries ran out of heap) ends the run with its error.
+func (o *oocScheduler) maybeOffload() error {
 	for o.heapPressure() > o.e.Conf.OOCHighWater {
 		victim := o.pickVictim()
 		if victim == nil {
-			return
+			return nil
 		}
 		if err := o.offload(victim); err != nil {
-			return
+			return err
 		}
 	}
+	return nil
 }
 
 // pickVictim returns the least recently used resident store.

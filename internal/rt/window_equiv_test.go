@@ -30,8 +30,10 @@ func windowCaches(ses *Session) []*storage.PageCache {
 // (the trace includes the words at dramEnd-8 and dramEnd), Spark-MO has no
 // window, and the TeraHeap kinds add the H2 window. A second trace then
 // reads object runs with Mem.PrimRun on one session and the PrimAt loop it
-// stands for on the other (see primRunTrace). Values, page-cache counters,
-// device ops and the clock must all agree.
+// stands for on the other (see primRunTrace), and a third writes them with
+// Mem.SetPrimRun and the SetPrimAt loop (see primWriteTrace). Values,
+// page-cache counters, device ops and the clock must all agree, and so
+// must the dirty pages, which a final flush of every cache writes back.
 func TestWindowEquivalenceComposedKinds(t *testing.T) {
 	for _, kind := range []Kind{KindPS, KindG1, KindPanthera, KindMO, KindTH, KindG1TH} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -90,21 +92,31 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 				}
 			}
 
-			primRunTrace(t, got, want, dramEnd)
+			bases := traceBases(got, dramEnd)
+			primRunTrace(t, got, want, bases)
+			primWriteTrace(t, got, want, bases)
 
 			gc, wc := windowCaches(got), windowCaches(want)
-			for i := range gc {
-				g := [5]int64{gc[i].Hits, gc[i].Faults, gc[i].SeqFaults, gc[i].Writebacks, gc[i].Evictions}
-				w := [5]int64{wc[i].Hits, wc[i].Faults, wc[i].SeqFaults, wc[i].Writebacks, wc[i].Evictions}
-				if g != w {
-					t.Errorf("cache %d: hits/faults/seq/writebacks/evictions %v, want %v", i, g, w)
+			for _, stage := range []string{"after the traces", "after a flush"} {
+				if stage == "after a flush" {
+					for i := range gc {
+						gc[i].FlushAll()
+						wc[i].FlushAll()
+					}
 				}
-			}
-			if g, w := got.Device.Stats(), want.Device.Stats(); g != w {
-				t.Errorf("device stats %+v, want %+v", g, w)
-			}
-			if g, w := got.Clock.Breakdown(), want.Clock.Breakdown(); g != w {
-				t.Errorf("clock breakdown %v, want %v", g, w)
+				for i := range gc {
+					g := [5]int64{gc[i].Hits, gc[i].Faults, gc[i].SeqFaults, gc[i].Writebacks, gc[i].Evictions}
+					w := [5]int64{wc[i].Hits, wc[i].Faults, wc[i].SeqFaults, wc[i].Writebacks, wc[i].Evictions}
+					if g != w {
+						t.Errorf("%s: cache %d: hits/faults/seq/writebacks/evictions %v, want %v", stage, i, g, w)
+					}
+				}
+				if g, w := got.Device.Stats(), want.Device.Stats(); g != w {
+					t.Errorf("%s: device stats %+v, want %+v", stage, g, w)
+				}
+				if g, w := got.Clock.Breakdown(), want.Clock.Breakdown(); g != w {
+					t.Errorf("%s: clock breakdown %v, want %v", stage, g, w)
+				}
 			}
 			charged := kind == KindMO || kind == KindPanthera || got.TH != nil
 			if charged && got.Clock.Now() == 0 {
@@ -114,27 +126,35 @@ func TestWindowEquivalenceComposedKinds(t *testing.T) {
 	}
 }
 
+const pageWords = storage.DefaultPageSize / vm.WordSize
+
+// traceBases returns the object addresses the run traces start from: one
+// in H1, one in H2 on the TeraHeap kinds, and 40 words below dramEnd on
+// Panthera, so that runs longer than that straddle it.
+func traceBases(ses *Session, dramEnd vm.Addr) []vm.Addr {
+	bases := []vm.Addr{vm.H1Base + 3*storage.MB}
+	if ses.TH != nil {
+		bases = append(bases, vm.H2Base+5*vm.WordSize)
+	}
+	if dramEnd != 0 {
+		bases = append(bases, dramEnd-40*vm.WordSize)
+	}
+	return bases
+}
+
 // primRunTrace writes object headers at fixed and random addresses of
 // both sessions and reads primitive runs from them: Mem.PrimRun on got,
 // the PrimAt loop on want. The fixed objects straddle pages, put the run
 // on a different page from the header, read at stride 2 and (on Panthera)
 // straddle dramEnd; stores and mutator time in between dirty pages and
 // expire writeback windows.
-func primRunTrace(t *testing.T, got, want *Session, dramEnd vm.Addr) {
+func primRunTrace(t *testing.T, got, want *Session, bases []vm.Addr) {
 	t.Helper()
 	gm, wm := got.Runtime.Mem(), want.Runtime.Mem()
 	type run struct {
 		a                      vm.Addr
 		refs, prims, i, stride int
 		n                      int
-	}
-	const pageWords = storage.DefaultPageSize / vm.WordSize
-	bases := []vm.Addr{vm.H1Base + 3*storage.MB}
-	if got.TH != nil {
-		bases = append(bases, vm.H2Base+5*vm.WordSize)
-	}
-	if dramEnd != 0 {
-		bases = append(bases, dramEnd-40*vm.WordSize)
 	}
 	var runs []run
 	for _, b := range bases {
@@ -175,6 +195,72 @@ func primRunTrace(t *testing.T, got, want *Session, dramEnd vm.Addr) {
 			f := vm.Addr(vm.HeaderWords+r.refs+rng.Intn(r.prims)) * vm.WordSize
 			gm.AS.Store(r.a+f, v)
 			wm.AS.Store(r.a+f, v)
+		}
+		d := time.Duration(rng.Intn(100)) * time.Microsecond
+		ChargeCompute(got.Clock, d)
+		ChargeCompute(want.Clock, d)
+	}
+}
+
+// primWriteTrace writes object headers at fixed and random addresses of
+// both sessions and writes primitive runs into them: Mem.SetPrimRun on
+// got, the SetPrimAt loop on want. The fixed runs fill part of a page,
+// straddle pages, start off the header's page, write only the last word
+// and (on Panthera) straddle dramEnd; charged reads and mutator time in
+// between fault pages back in and expire writeback windows. Every written
+// word must read back the same on both.
+func primWriteTrace(t *testing.T, got, want *Session, bases []vm.Addr) {
+	t.Helper()
+	gm, wm := got.Runtime.Mem(), want.Runtime.Mem()
+	type run struct {
+		a              vm.Addr
+		refs, prims, i int
+		n              int
+	}
+	var runs []run
+	for _, b := range bases {
+		runs = append(runs,
+			run{a: b, refs: 1, prims: 60, i: 0, n: 60},                                 // one page
+			run{a: b, refs: 2, prims: 3 * pageWords, i: 0, n: 3 * pageWords},           // straddles pages
+			run{a: b, refs: 0, prims: 3 * pageWords, i: 2 * pageWords, n: 100},         // run off the header's page
+			run{a: b + 8*vm.WordSize, refs: 0, prims: 10, i: 9, n: 1},                  // last word only
+			run{a: b + pageWords*vm.WordSize, refs: 3, prims: pageWords, i: 5, n: 200}, // header on a clean page
+		)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for len(runs) < 400 {
+		b := bases[rng.Intn(len(bases))] + vm.Addr(rng.Intn(64*int(pageWords)))*vm.WordSize
+		prims := 1 + rng.Intn(2*int(pageWords))
+		i := rng.Intn(prims)
+		runs = append(runs, run{a: b, refs: rng.Intn(4), prims: prims, i: i, n: rng.Intn(prims-i) + 1})
+	}
+	for k, r := range runs {
+		size := vm.HeaderWords + r.refs + r.prims
+		if gm.AS.Resolve(r.a) == nil || gm.AS.Resolve(r.a+vm.Addr(size-1)*vm.WordSize) == nil {
+			t.Fatalf("write run %d: object at %v (%d words) is not mapped", k, r.a, size)
+		}
+		shape := uint64(size) | uint64(r.refs)<<32
+		gm.AS.Store(r.a+vm.WordSize, shape)
+		wm.AS.Store(r.a+vm.WordSize, shape)
+		src := make([]uint64, r.n)
+		for j := range src {
+			src[j] = rng.Uint64()
+		}
+		gm.SetPrimRun(r.a, r.i, src)
+		for j, v := range src {
+			wm.SetPrimAt(r.a, r.i+j, v)
+		}
+		for j := range src {
+			f := r.a + vm.Addr((vm.HeaderWords+r.refs+r.i+j)*vm.WordSize)
+			if g, w := gm.AS.Peek(f), wm.AS.Peek(f); g != w || g != src[j] {
+				t.Fatalf("write run %d %+v: word %d = %#x, want %#x (loop wrote %#x)", k, r, j, g, src[j], w)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			j := rng.Intn(r.prims)
+			if g, w := gm.PrimAt(r.a, j), wm.PrimAt(r.a, j); g != w {
+				t.Fatalf("write run %d %+v: PrimAt(%d) = %#x, want %#x", k, r, j, g, w)
+			}
 		}
 		d := time.Duration(rng.Intn(100)) * time.Microsecond
 		ChargeCompute(got.Clock, d)

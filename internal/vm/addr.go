@@ -232,3 +232,18 @@ func (as *AddressSpace) loadRun(hdr, a Addr, stride int, dst []uint64) {
 		dst[k] = as.Load(a + Addr(k*stride*WordSize))
 	}
 }
+
+// storeRun writes src[k] to the word at a+k words, for k in order, each
+// store following a load of the word at hdr (the object's shape word,
+// which precedes the run), as a SetPrimAt loop does. Inside the DRAM
+// window it is a copy; anywhere else it is that load/store loop.
+func (as *AddressSpace) storeRun(hdr, a Addr, src []uint64) {
+	if w, ok := as.ram(hdr, int(a-hdr)>>3+len(src)); ok {
+		copy(w[(a-hdr)>>3:], src)
+		return
+	}
+	for k, v := range src {
+		as.Load(hdr)
+		as.Store(a+Addr(k*WordSize), v)
+	}
+}

@@ -176,6 +176,24 @@ func (m *Mem) SetPrimAt(a Addr, i int, v uint64) {
 	m.AS.Store(a+Addr((HeaderWords+m.NumRefs(a)+i)*WordSize), uint64(v))
 }
 
+// SetPrimRun writes src[k] to primitive word i+k for k in order, leaving
+// the page cache, device counters and clock exactly as the SetPrimAt loop
+// would: the write twin of PrimRun. On the DRAM window it is one copy;
+// anywhere else it is that loop. A run reaching past the object's end
+// panics before any word is written.
+func (m *Mem) SetPrimRun(a Addr, i int, src []uint64) {
+	if len(src) == 0 {
+		return
+	}
+	shape := m.AS.Peek(a + hdrShape*WordSize)
+	first := HeaderWords + ShapeNumRefs(shape) + i
+	if i < 0 || first+len(src) > ShapeSizeWords(shape) {
+		panic(fmt.Sprintf("vm: primitive write of %d words from %d past the end of the %d-word object at %v",
+			len(src), i, ShapeSizeWords(shape), a))
+	}
+	m.AS.storeRun(a+hdrShape*WordSize, a+Addr(first*WordSize), src)
+}
+
 // NumPrims returns the number of primitive words of the object at a.
 func (m *Mem) NumPrims(a Addr) int {
 	return m.SizeWords(a) - HeaderWords - m.NumRefs(a)

@@ -266,3 +266,47 @@ func TestPrimRunBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSetPrimRunBounds: a write run is checked against the object's shape
+// word before any word is written, so a run past the end panics, on the
+// DRAM window and on a mapped file alike, leaving the object and the page
+// cache as they were.
+func TestSetPrimRunBounds(t *testing.T) {
+	for _, base := range []vm.Addr{vm.H1Base, vm.H2Base} {
+		l := windowLayouts["th"]()
+		m := vm.NewMem(l.as, vm.NewClassTable())
+		c := m.Classes.MustFixed("T", 1, 4)
+		m.InitObject(base, c, 1, c.InstanceWords())
+		m.SetPrimRun(base, 1, []uint64{11, 12, 13})
+		for i, want := range []uint64{0, 11, 12, 13} {
+			if got := m.PrimAt(base, i); got != want {
+				t.Errorf("%v: word %d = %d after SetPrimRun(1, [11 12 13]), want %d", base, i, got, want)
+			}
+		}
+		m.SetPrimRun(base, 4, nil) // an empty run writes nothing, even at the end
+		cache := l.files[0].Cache()
+		hits, faults := cache.Hits, cache.Faults
+		for _, r := range []struct{ i, n int }{{0, 5}, {4, 1}, {2, 3}, {-1, 1}} {
+			msg := func() (msg string) {
+				defer func() { msg, _ = recover().(string) }()
+				src := make([]uint64, r.n)
+				for k := range src {
+					src[k] = 99
+				}
+				m.SetPrimRun(base, r.i, src)
+				return ""
+			}()
+			if !strings.Contains(msg, "past the end of the 8-word object") {
+				t.Errorf("%v: SetPrimRun(%d, %d words): panic %q", base, r.i, r.n, msg)
+			}
+		}
+		if cache.Hits != hits || cache.Faults != faults {
+			t.Errorf("%v: rejected runs touched the page cache", base)
+		}
+		for i, want := range []uint64{0, 11, 12, 13} {
+			if got := l.as.Peek(base + vm.Addr((vm.HeaderWords+1+i)*vm.WordSize)); got != want {
+				t.Errorf("%v: word %d = %d after rejected runs, want %d", base, i, got, want)
+			}
+		}
+	}
+}
