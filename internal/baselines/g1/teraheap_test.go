@@ -161,3 +161,110 @@ func TestG1THRegionReclamation(t *testing.T) {
 		t.Fatalf("H2 still holds %d bytes", th.UsedBytes())
 	}
 }
+
+// TestG1THMarkingCycleFixesEveryHolder builds, under the verifier, the
+// three reference holders a marking cycle must rewrite beyond handle
+// roots: an H2 backward reference into a mixed collection set, an H1
+// field pointing at an object the cycle moves to H2, and an H2 backward
+// reference to such an object. Each fixed reference must equal the
+// address its rooted twin reaches and read back its payload, before and
+// after a full GC.
+func TestG1THMarkingCycleFixesEveryHolder(t *testing.T) {
+	classes := vm.NewClassTable()
+	node := classes.MustFixed("Node", 2, 1)
+	thCfg := core.DefaultConfig(64 * storage.MB)
+	thCfg.RegionSize = 32 * storage.KB
+	ses := rt.NewSession(rt.Spec{Kind: rt.KindG1TH, H1Size: 1 << 21, TH: &thCfg, Classes: classes,
+		Layers: rt.Layers{Verify: true}})
+	g := ses.Runtime.(*g1.G1)
+
+	// Cycle 1 moves group a to H2; its elements become the H2 holders.
+	a := buildGroup(t, g, node, 50)
+	g.TagRoot(a, 5)
+	g.MoveHint(5)
+	if err := g.MarkingCycle(); err != nil {
+		t.Fatal(err)
+	}
+	if !g.InSecondHeap(a.Addr()) {
+		t.Fatal("group a not moved")
+	}
+
+	// Group b stays in H1 until cycle 2; holder is an H1 object outside
+	// every closure whose field points into b.
+	b := buildGroup(t, g, node, 50)
+	holder, err := g.Alloc(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hh := g.NewHandle(holder)
+	g.WriteRef(holder, 0, g.ReadRef(b.Addr(), 7))
+	// This group stays live, so the regions it packs into are denser than the
+	// target's.
+	buildGroup(t, g, node, 600)
+
+	// tgt sits among garbage, so after the full GC packs it into an old
+	// region and the garbage dies, that region is the sparsest mixed
+	// candidate.
+	before := buildGroup(t, g, node, 300)
+	tgt, err := g.Alloc(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.WritePrim(tgt, 0, 4242)
+	th := g.NewHandle(tgt)
+	after := buildGroup(t, g, node, 300)
+	if err := g.FullGC(); err != nil {
+		t.Fatal(err)
+	}
+	g.Release(before)
+	g.Release(after)
+	if !g.InOldForTest(th.Addr()) {
+		t.Fatal("target not in an old region after full GC")
+	}
+
+	// H2 backward references: one to the mixed candidate, one into b.
+	toTgt := g.ReadRef(a.Addr(), 10)
+	toB := g.ReadRef(a.Addr(), 20)
+	g.WriteRef(toTgt, 0, th.Addr())
+	g.WriteRef(toB, 0, g.ReadRef(b.Addr(), 3))
+
+	tgt0, b0 := th.Addr(), b.Addr()
+	g.TagRoot(b, 6)
+	g.MoveHint(6)
+	if err := g.MarkingCycle(); err != nil {
+		t.Fatal(err)
+	}
+	if th.Addr() == tgt0 {
+		t.Fatal("mixed collection did not evacuate the target")
+	}
+	if b.Addr() == b0 || !g.InSecondHeap(b.Addr()) {
+		t.Fatal("group b not moved to H2")
+	}
+
+	check := func(when string) {
+		t.Helper()
+		cases := []struct {
+			name      string
+			got, want vm.Addr
+			payload   uint64
+		}{
+			{"H2 backward ref into the mixed collection set", g.ReadRef(toTgt, 0), th.Addr(), 4242},
+			{"H1 field to an object moved to H2", g.ReadRef(hh.Addr(), 0), g.ReadRef(b.Addr(), 7), 7},
+			{"H2 backward ref to an object moved to H2", g.ReadRef(toB, 0), g.ReadRef(b.Addr(), 3), 3},
+		}
+		for _, c := range cases {
+			if c.got != c.want {
+				t.Errorf("%s: %s reads %v, its rooted twin is at %v", when, c.name, c.got, c.want)
+				continue
+			}
+			if v := g.ReadPrim(c.got, 0); v != c.payload {
+				t.Errorf("%s: %s payload %d, want %d", when, c.name, v, c.payload)
+			}
+		}
+	}
+	check("after marking")
+	if err := g.FullGC(); err != nil {
+		t.Fatal(err)
+	}
+	check("after full GC")
+}
