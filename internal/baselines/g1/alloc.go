@@ -40,11 +40,28 @@ func (g *G1) allocWords(sizeWords int) (vm.Addr, error) {
 			g.curEden = r
 			continue
 		}
-		if err := g.fullGC(); err != nil {
+		if err := g.FullGC(); err != nil {
 			return vm.NullAddr, err
 		}
 	}
 	return vm.NullAddr, g.LatchOOM(&gc.OOMError{Requested: int64(sizeWords) * vm.WordSize, Where: "g1 allocation"})
+}
+
+// bumpInto bump-allocates sizeWords in *cur, first taking a fresh region
+// of kind into *cur when *cur is nil or too full. It fails when no region
+// is free or the object does not fit an empty one.
+func (g *G1) bumpInto(cur **region, kind regionKind, sizeWords int) (vm.Addr, bool) {
+	if *cur != nil {
+		if a, ok := g.bump(*cur, sizeWords); ok {
+			return a, true
+		}
+	}
+	r := g.takeFree(kind)
+	if r == nil {
+		return vm.NullAddr, false
+	}
+	*cur = r
+	return g.bump(r, sizeWords)
 }
 
 func (g *G1) bump(r *region, sizeWords int) (vm.Addr, bool) {
@@ -70,7 +87,7 @@ func (g *G1) allocHumongous(sizeWords int) (vm.Addr, error) {
 				if err := g.youngGC(); err != nil {
 					return vm.NullAddr, err
 				}
-			} else if err := g.fullGC(); err != nil {
+			} else if err := g.FullGC(); err != nil {
 				return vm.NullAddr, err
 			}
 			if len(g.free)-need < g.evacReserve() {
@@ -90,7 +107,7 @@ func (g *G1) allocHumongous(sizeWords int) (vm.Addr, error) {
 			g.cards.NoteStart(r.start)
 			return r.start, nil
 		}
-		if err := g.fullGC(); err != nil {
+		if err := g.FullGC(); err != nil {
 			return vm.NullAddr, err
 		}
 	}

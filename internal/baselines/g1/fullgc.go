@@ -9,12 +9,12 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// fullGC is G1's expensive fallback: a stop-the-world mark-compact over
+// FullGC is G1's expensive fallback: a stop-the-world mark-compact over
 // every non-humongous region. Live objects (young and old alike) are
 // packed into the lowest-id regions, never spanning region boundaries and
 // skipping humongous runs, which stay in place — that immobility is the
 // fragmentation the paper's G1 OOMs stem from.
-func (g *G1) fullGC() error {
+func (g *G1) FullGC() error {
 	if err := g.OOM(); err != nil {
 		return err
 	}
@@ -26,29 +26,18 @@ func (g *G1) fullGC() error {
 	objects, refs := g.markAll()
 
 	// Reclaim dead humongous runs first (more contiguous space).
-	for _, id := range append([]int(nil), g.hum...) {
-		if r := g.regions[id]; r.liveBytes == 0 {
-			g.freeHumongous(r)
-		}
-	}
+	g.freeHumongousIf(func(r *region) bool { return r.liveBytes == 0 })
 
-	// Collect live non-humongous objects in ascending address order,
-	// skipping the husks of objects already moved to H2.
+	// Collect live non-humongous objects in ascending address order.
 	var src []vm.Addr
 	for _, r := range g.regions {
 		switch r.kind {
 		case regEden, regSurvivor, regOld:
-			for a := r.start; a < r.top; {
-				if mem.Forwarded(a) {
-					a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
-					continue
-				}
-				size := mem.SizeWords(a)
+			g.walk(r, func(a vm.Addr) {
 				if mem.Marked(a) {
 					src = append(src, a)
 				}
-				a += vm.Addr(size * vm.WordSize)
-			}
+			})
 		}
 	}
 
@@ -91,44 +80,22 @@ func (g *G1) fullGC() error {
 	}
 	lastUsedRegion := ri
 
-	// Adjust references (live objects, humongous objects, roots).
-	adjust := func(t vm.Addr) vm.Addr {
-		i := sort.Search(len(src), func(i int) bool { return src[i] >= t })
-		if i < len(src) && src[i] == t {
-			return dst[i]
+	// Adjust references (live objects, humongous objects, roots, and H2
+	// backward references, whose targets all end up old). The forwarding
+	// index is the one Parallel Scavenge's compaction uses.
+	g.fwd.Build(src)
+	adjRefs := g.relocate(func(fn func(vm.Addr)) {
+		for _, a := range src {
+			fn(a)
 		}
-		return t // humongous or dangling (dangling would be a bug)
-	}
-	var adjRefs int64
-	fixObj := func(a vm.Addr) {
-		n := mem.NumRefs(a)
-		for i := 0; i < n; i++ {
-			if t := mem.RefAt(a, i); !t.IsNull() {
-				adjRefs++
-				mem.SetRefAt(a, i, adjust(t))
+		for _, id := range g.hum {
+			if r := g.regions[id]; r.top > r.start {
+				fn(r.start)
 			}
 		}
-	}
-	for _, a := range src {
-		fixObj(a)
-	}
-	for _, id := range g.hum {
-		r := g.regions[id]
-		if r.top > r.start {
-			fixObj(r.start)
-		}
-	}
-	g.Roots.ForEach(func(h *vm.Handle) {
-		if a := h.Addr(); !a.IsNull() && !g.TH.Contains(a) {
-			h.Set(adjust(a))
-		}
-	})
-	// H2 backward references follow the packed objects.
-	if g.TH != nil {
-		g.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-			return adjust(t)
-		}, func(vm.Addr) bool { return false })
-	}
+	}, func(t vm.Addr) (vm.Addr, bool) {
+		return g.fwd.Lookup(src, dst, t)
+	}, func(vm.Addr) bool { return false })
 
 	// Move (ascending: dst_i <= src_i, so sliding never clobbers).
 	for i, a := range src {

@@ -109,6 +109,8 @@ type G1 struct {
 	// humongous-start regions only.
 	cards       *heap.CardTable
 	youngTarget int
+	// fwd indexes full GC's forwarding table; reused across collections.
+	fwd gc.FwdIndex
 	// markCooldown counts young GCs to skip before the next concurrent
 	// marking cycle may start.
 	markCooldown int

@@ -45,29 +45,11 @@ func (g *G1) markAndMixed() (int, error) {
 	g.chargeGC(simclock.MajorGC, cpu)
 
 	// Reclaim wholly-dead humongous runs and old regions eagerly.
-	var reclaimed int64
-	regionsFreed := 0
-	for _, id := range append([]int(nil), g.hum...) {
-		r := g.regions[id]
-		if r.liveBytes == 0 {
-			reclaimed += r.used()
-			regionsFreed += r.humRegions
-			g.freeHumongous(r)
-		}
-	}
-	newOld := g.old[:0]
-	for _, id := range g.old {
-		r := g.regions[id]
-		if r.liveBytes == 0 {
-			reclaimed += r.used()
-			regionsFreed++
-			g.cards.ClearStarts(r.start, r.end)
-			g.releaseRegion(r)
-			continue
-		}
-		newOld = append(newOld, id)
-	}
-	g.old = newOld
+	dead := func(r *region) bool { return r.liveBytes == 0 }
+	reclaimed, regionsFreed := g.freeHumongousIf(dead)
+	oldBytes, oldRegions := g.releaseOld(dead)
+	reclaimed += oldBytes
+	regionsFreed += oldRegions
 
 	// Mixed collection: evacuate the sparsest old regions.
 	moved, freedByMixed, err := g.mixedEvacuate()
@@ -77,7 +59,7 @@ func (g *G1) markAndMixed() (int, error) {
 	regionsFreed += freedByMixed
 
 	// Clear mark bits.
-	g.forEachLiveRegionObject(func(a vm.Addr) {
+	g.forEachObject(nil, func(a vm.Addr) {
 		if g.Mem().Marked(a) {
 			g.Mem().SetMarked(a, false)
 		}
@@ -130,9 +112,6 @@ func (g *G1) markAll() (objects, refs int64) {
 		objects++
 		size := int64(mem.SizeWords(a)) * vm.WordSize
 		if r := g.regionOf(a); r != nil {
-			if r.kind == regHumongousCont {
-				r = g.regions[g.humStartOf(r.id)]
-			}
 			r.liveBytes += size
 		}
 		n := mem.NumRefs(a)
@@ -146,29 +125,45 @@ func (g *G1) markAll() (objects, refs int64) {
 	return objects, refs
 }
 
-// humStartOf finds the start region id of a humongous continuation.
-func (g *G1) humStartOf(id int) int {
-	for id > 0 && g.regions[id].kind == regHumongousCont {
-		id--
-	}
-	return id
-}
-
-func (g *G1) freeHumongous(r *region) {
-	n := r.humRegions
-	out := g.hum[:0]
+// freeHumongousIf frees every humongous run whose start region satisfies
+// dead, returning the bytes and regions freed.
+func (g *G1) freeHumongousIf(dead func(r *region) bool) (bytes int64, regions int) {
+	kept := g.hum[:0]
 	for _, id := range g.hum {
-		if id != r.id {
-			out = append(out, id)
+		r := g.regions[id]
+		if !dead(r) {
+			kept = append(kept, id)
+			continue
+		}
+		n := r.humRegions
+		bytes += r.used()
+		regions += n
+		for _, rr := range g.regions[id : id+n] {
+			g.cards.ClearStarts(rr.start, rr.end)
+			g.releaseRegion(rr)
 		}
 	}
-	g.hum = out
-	g.cards.ClearStarts(r.start, r.end)
-	for i := 0; i < n; i++ {
-		rr := g.regions[r.id+i]
-		g.cards.ClearStarts(rr.start, rr.end)
-		g.releaseRegion(rr)
+	g.hum = kept
+	return bytes, regions
+}
+
+// releaseOld frees every old region that satisfies dead, returning the
+// bytes and regions freed.
+func (g *G1) releaseOld(dead func(r *region) bool) (bytes int64, regions int) {
+	kept := g.old[:0]
+	for _, id := range g.old {
+		r := g.regions[id]
+		if !dead(r) {
+			kept = append(kept, id)
+			continue
+		}
+		bytes += r.used()
+		regions++
+		g.cards.ClearStarts(r.start, r.end)
+		g.releaseRegion(r)
 	}
+	g.old = kept
+	return bytes, regions
 }
 
 // mixedEvacuate moves the live objects of sparse old regions into fresh
@@ -222,135 +217,129 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	// Evacuate live (marked) objects.
 	var moved int64
 	var dst *region
+	var err error
 	for _, id := range csIDs {
-		r := g.regions[id]
-		for a := r.start; a < r.top; {
-			if mem.Forwarded(a) {
-				a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
-				continue
+		g.walk(g.regions[id], func(a vm.Addr) {
+			if err != nil || !mem.Marked(a) {
+				return
 			}
 			size := mem.SizeWords(a)
-			if mem.Marked(a) {
-				var d vm.Addr
-				ok := false
-				if dst != nil {
-					d, ok = g.bump(dst, size)
-				}
-				if !ok {
-					dst = g.takeFree(regOld)
-					if dst == nil {
-						return moved, 0, fmt.Errorf("g1: no destination region for mixed GC")
-					}
-					d, ok = g.bump(dst, size)
-					if !ok {
-						return moved, 0, fmt.Errorf("g1: object larger than region in mixed GC")
-					}
-				}
-				mem.CopyObject(d, a, size)
-				g.cards.NoteStart(d)
-				mem.SetForwardee(a, d)
-				moved += int64(size) * vm.WordSize
-				// Preserve old-to-young card information for the new
-				// location (survivor regions stay populated between
-				// young collections).
-				nr := mem.NumRefs(d)
-				for f := 0; f < nr; f++ {
-					if t := mem.RefAt(d, f); !t.IsNull() && g.inYoung(t) {
-						g.cards.MarkDirty(d)
-						break
-					}
+			d, ok := g.bumpInto(&dst, regOld, size)
+			if !ok {
+				err = fmt.Errorf("g1: no destination region for mixed GC")
+				return
+			}
+			mem.CopyObject(d, a, size)
+			g.cards.NoteStart(d)
+			mem.SetForwardee(a, d)
+			moved += int64(size) * vm.WordSize
+			// Preserve old-to-young card information for the new location
+			// (survivor regions stay populated between young collections).
+			nr := mem.NumRefs(d)
+			for f := 0; f < nr; f++ {
+				if t := mem.RefAt(d, f); !t.IsNull() && g.inYoung(t) {
+					g.cards.MarkDirty(d)
+					break
 				}
 			}
-			a += vm.Addr(size * vm.WordSize)
+		})
+		if err != nil {
+			return moved, 0, err
 		}
 	}
 	g.chargeGC(simclock.MajorGC, time.Duration(moved)*simclock.CopyPerByte)
 
 	// Fix references everywhere (modelled remembered-set cost: charged
 	// proportional to the moved volume, already covered above; the walk
-	// itself is simulator work).
-	fix := func(a vm.Addr) {
+	// itself is simulator work). H2 backward references into the
+	// collection set follow the evacuated objects too, or they would
+	// dangle once the source regions are freed.
+	g.relocate(func(fn func(vm.Addr)) { g.forEachObject(cs, fn) },
+		func(t vm.Addr) (vm.Addr, bool) {
+			if r := g.regionOf(t); r != nil && cs[r.id] && mem.Forwarded(t) {
+				return mem.Forwardee(t), true
+			}
+			return t, false
+		}, g.inYoung)
+
+	// Free the collection set.
+	_, freed := g.releaseOld(func(r *region) bool { return cs[r.id] })
+	return moved, freed, nil
+}
+
+// relocate rewrites every reference to a moved object: the reference
+// fields of the objects objs visits, the handle roots and H2's backward
+// references (isYoung classifies their new targets for H2's card
+// table). to returns a target's new address and whether it moved. It
+// returns the number of non-null fields visited. Mixed evacuation,
+// closure moves and full GC all fix references through it.
+func (g *G1) relocate(objs func(fn func(vm.Addr)), to func(vm.Addr) (vm.Addr, bool), isYoung func(vm.Addr) bool) int64 {
+	mem := g.Mem()
+	var refs int64
+	objs(func(a vm.Addr) {
 		n := mem.NumRefs(a)
 		for i := 0; i < n; i++ {
 			t := mem.RefAt(a, i)
 			if t.IsNull() {
 				continue
 			}
-			if r := g.regionOf(t); r != nil && cs[r.id] && mem.Forwarded(t) {
-				mem.SetRefAt(a, i, mem.Forwardee(t))
+			refs++
+			if nt, ok := to(t); ok {
+				mem.SetRefAt(a, i, nt)
 			}
-		}
-	}
-	g.forEachLiveRegionObjectExcept(cs, fix)
-	g.Roots.ForEach(func(h *vm.Handle) {
-		a := h.Addr()
-		if a.IsNull() {
-			return
-		}
-		if r := g.regionOf(a); r != nil && cs[r.id] && mem.Forwarded(a) {
-			h.Set(mem.Forwardee(a))
 		}
 	})
-	// H2 backward references into the collection set must follow the
-	// evacuated objects like every other reference, or they dangle once
-	// the source regions are freed (young collections only consult these
-	// via the H2 card table, which never sees the stale target again).
+	g.Roots.ForEach(func(h *vm.Handle) {
+		if nt, ok := to(h.Addr()); ok {
+			h.Set(nt)
+		}
+	})
 	if g.TH != nil {
 		g.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-			if r := g.regionOf(t); r != nil && cs[r.id] && mem.Forwarded(t) {
-				return mem.Forwardee(t)
+			if nt, ok := to(t); ok {
+				return nt
 			}
 			return t
-		}, g.inYoung)
+		}, isYoung)
 	}
-
-	// Free the collection set.
-	newOld := g.old[:0]
-	for _, id := range g.old {
-		if cs[id] {
-			r := g.regions[id]
-			g.cards.ClearStarts(r.start, r.end)
-			g.releaseRegion(r)
-			continue
-		}
-		newOld = append(newOld, id)
-	}
-	g.old = newOld
-	return moved, len(cs), nil
+	return refs
 }
 
-// forEachLiveRegionObject walks every object in old, humongous, eden and
-// survivor regions.
-func (g *G1) forEachLiveRegionObject(fn func(a vm.Addr)) {
-	g.forEachLiveRegionObjectExcept(nil, fn)
-}
-
-func (g *G1) forEachLiveRegionObjectExcept(skip map[int]bool, fn func(a vm.Addr)) {
-	mem := g.Mem()
+// forEachObject calls fn on every object in old, humongous, eden and
+// survivor regions, except the regions in skip (nil skips none).
+func (g *G1) forEachObject(skip map[int]bool, fn func(a vm.Addr)) {
 	for _, r := range g.regions {
-		if skip != nil && skip[r.id] {
+		if skip[r.id] {
 			continue
 		}
 		switch r.kind {
 		case regOld, regEden, regSurvivor:
-			for a := r.start; a < r.top; {
-				if mem.Forwarded(a) {
-					// Husk of an object moved to H2 (shape preserved).
-					a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
-					continue
-				}
-				size := mem.SizeWords(a)
-				if size < vm.HeaderWords {
-					panic(fmt.Sprintf("g1: corrupt object at %v in region %d (kind %d, size %d, start %v, top %v)",
-						a, r.id, r.kind, size, r.start, r.top))
-				}
-				fn(a)
-				a += vm.Addr(size * vm.WordSize)
-			}
+			g.walk(r, fn)
 		case regHumongousStart:
 			if r.top > r.start {
 				fn(r.start)
 			}
 		}
+	}
+}
+
+// walk calls fn on each object of the linear (old, eden or survivor)
+// region r in address order. It steps over the husks that objects moved
+// to H2 leave behind: their shape word still holds their size. fn may
+// forward the object it is given.
+func (g *G1) walk(r *region, fn func(a vm.Addr)) {
+	mem := g.Mem()
+	for a := r.start; a < r.top; {
+		if mem.Forwarded(a) {
+			a += vm.Addr(int(uint32(mem.Shape(a))) * vm.WordSize)
+			continue
+		}
+		size := mem.SizeWords(a)
+		if size < vm.HeaderWords {
+			panic(fmt.Sprintf("g1: corrupt object at %v in region %d (kind %d, size %d, start %v, top %v)",
+				a, r.id, r.kind, size, r.start, r.top))
+		}
+		fn(a)
+		a += vm.Addr(size * vm.WordSize)
 	}
 }

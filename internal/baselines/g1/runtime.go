@@ -40,6 +40,3 @@ func (g *G1) WriteRef(obj vm.Addr, field int, val vm.Addr) {
 
 // HeapUsed returns used and capacity bytes.
 func (g *G1) HeapUsed() (int64, int64) { return g.usedBytes(), g.h1Size }
-
-// FullGC forces a full collection.
-func (g *G1) FullGC() error { return g.fullGC() }

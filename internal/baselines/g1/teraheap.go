@@ -18,7 +18,7 @@ import "github.com/carv-repro/teraheap-go/internal/vm"
 //
 // Movement happens at marking cycles (G1 has no moment when everything is
 // compacted, so moved objects are copied out and the references to them
-// are fixed in the same pass that mixed evacuation already uses).
+// are fixed by relocate, the pass mixed evacuation and full GC use too).
 
 // moveClosuresToH2 selects and moves advised closures during a marking
 // cycle. Must run right after markAll (mark bits valid), before mark bits
@@ -133,40 +133,16 @@ func (g *G1) moveClosuresToH2() int64 {
 	}
 	th.FlushBuffers()
 
-	// Fix every reference to a moved object (same walk mixed evacuation
-	// uses), including roots and H2 backward references.
-	fix := func(a vm.Addr) {
-		n := mem.NumRefs(a)
-		for i := 0; i < n; i++ {
-			t := mem.RefAt(a, i)
-			if t.IsNull() || th.Contains(t) {
-				continue
-			}
-			if nd, ok := dsts[t]; ok {
-				mem.SetRefAt(a, i, nd)
-			}
-		}
-	}
-	g.forEachLiveRegionObject(fix)
-	g.Roots.ForEach(func(h *vm.Handle) {
-		if nd, ok := dsts[h.Addr()]; ok {
-			h.Set(nd)
-		}
-	})
-	th.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
-		if nd, ok := dsts[t]; ok {
-			return nd
-		}
-		return t
-	}, g.inYoung)
+	// Fix every reference to a moved object, including roots and H2
+	// backward references.
+	g.relocate(func(fn func(vm.Addr)) { g.forEachObject(nil, fn) },
+		func(t vm.Addr) (vm.Addr, bool) {
+			nd, ok := dsts[t]
+			return nd, ok
+		}, g.inYoung)
 
 	// Free humongous runs whose single object moved to H2 — the
 	// fragmentation payoff of the paper's suggestion.
-	for _, id := range append([]int(nil), g.hum...) {
-		r := g.regions[id]
-		if r.top > r.start && mem.Forwarded(r.start) {
-			g.freeHumongous(r)
-		}
-	}
+	g.freeHumongousIf(func(r *region) bool { return r.top > r.start && mem.Forwarded(r.start) })
 	return moved
 }

@@ -56,7 +56,7 @@ func (g *G1) youngGCNoMark() error {
 	// free list cannot cover that, fall back to the in-place full GC
 	// (which needs no free regions and empties the young generation).
 	if len(g.free) < len(g.eden)+len(g.survivor)+3 {
-		return g.fullGC()
+		return g.FullGC()
 	}
 	p := g.BeginPause(gc.PhaseMinor)
 	defer p.Restore()
@@ -92,34 +92,18 @@ func (g *G1) youngGCNoMark() error {
 		site := placement.SiteFromStatus(status)
 		age := vm.StatusAge(status) + 1
 		var dst vm.Addr
-		var ok bool
+		ok := false
 		promoted := false
-		place := func(r **region, kind regionKind) bool {
-			if *r != nil {
-				if d, fits := g.bump(*r, size); fits {
-					dst, ok = d, true
-					return true
-				}
-			}
-			nr := g.takeFree(kind)
-			if nr == nil {
-				return false
-			}
-			*r = nr
-			if d, fits := g.bump(nr, size); fits {
-				dst, ok = d, true
-				return true
-			}
-			return false
-		}
 		if g.Policy().Promote(site, age, tenureAge) {
-			promoted = place(&curOld, regOld)
+			dst, ok = g.bumpInto(&curOld, regOld, size)
+			promoted = ok
 		}
 		if !ok {
-			place(&curSurv, regSurvivor)
+			dst, ok = g.bumpInto(&curSurv, regSurvivor, size)
 		}
 		if !ok {
-			promoted = place(&curOld, regOld)
+			dst, ok = g.bumpInto(&curOld, regOld, size)
+			promoted = ok
 		}
 		if !ok {
 			// The reserve invariant makes this unreachable.
