@@ -83,7 +83,8 @@ func (g *G1) FullGC() error {
 	// Adjust references (live objects, humongous objects, roots, and H2
 	// backward references, whose targets all end up old). The forwarding
 	// index is the one Parallel Scavenge's compaction uses.
-	g.fwd.Build(src)
+	var fwd gc.FwdIndex
+	fwd.Build(src)
 	adjRefs := g.relocate(func(fn func(vm.Addr)) {
 		for _, a := range src {
 			fn(a)
@@ -94,7 +95,7 @@ func (g *G1) FullGC() error {
 			}
 		}
 	}, func(t vm.Addr) (vm.Addr, bool) {
-		return g.fwd.Lookup(src, dst, t)
+		return fwd.Lookup(src, dst, t)
 	}, func(vm.Addr) bool { return false })
 
 	// Move (ascending: dst_i <= src_i, so sliding never clobbers).

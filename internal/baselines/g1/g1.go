@@ -12,6 +12,11 @@
 // region allocation slow path, its write barrier, HeapUsed, FullGC,
 // VerifyNow and its young, mixed and full collections. With the base it
 // implements rt.Runtime, so the Spark simulation runs over it unchanged.
+//
+// Mixed evacuation, closure moves to H2 and full GC fix references in one
+// pass, relocate, over one region walk that steps over the husks objects
+// moved to H2 leave behind. Full GC looks moved objects up with
+// gc.FwdIndex, the forwarding index Parallel Scavenge's compaction uses.
 package g1
 
 import (
@@ -109,8 +114,6 @@ type G1 struct {
 	// humongous-start regions only.
 	cards       *heap.CardTable
 	youngTarget int
-	// fwd indexes full GC's forwarding table; reused across collections.
-	fwd gc.FwdIndex
 	// markCooldown counts young GCs to skip before the next concurrent
 	// marking cycle may start.
 	markCooldown int

@@ -92,8 +92,7 @@ func (g *G1) youngGCNoMark() error {
 		site := placement.SiteFromStatus(status)
 		age := vm.StatusAge(status) + 1
 		var dst vm.Addr
-		ok := false
-		promoted := false
+		var ok, promoted bool
 		if g.Policy().Promote(site, age, tenureAge) {
 			dst, ok = g.bumpInto(&curOld, regOld, size)
 			promoted = ok

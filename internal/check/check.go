@@ -51,12 +51,6 @@ type Failure struct {
 	Detail string  // human-readable diagnosis
 }
 
-// New returns a Failure for rule with every positional field unset;
-// callers fill in what they know.
-func New(rule, detail string) Failure {
-	return Failure{Rule: rule, Region: -1, Card: -1, Field: -1, Detail: detail}
-}
-
 // String renders the failure with only the fields that are set.
 func (f Failure) String() string {
 	var b strings.Builder

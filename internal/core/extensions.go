@@ -1,5 +1,7 @@
 package core
 
+import "github.com/carv-repro/teraheap-go/internal/vm"
+
 // Extensions beyond the paper's evaluated system, implementing the future
 // work it proposes:
 //
@@ -17,16 +19,13 @@ type Extensions struct {
 	// DynamicThresholds enables the adaptive controller: consecutive
 	// high-threshold trips lower the low threshold (move more per forced
 	// cycle); sustained calm raises it back (move less, keep data in H1).
+	// The adaptive low threshold stays between 0.25 and the high
+	// threshold minus 0.10.
 	DynamicThresholds bool
-	// DynamicFloor and DynamicCeil bound the adaptive low threshold.
-	DynamicFloor float64
-	DynamicCeil  float64
 
-	// SizeSegregatedRegions places objects of at least BigObjectWords in
-	// a separate region chain for their label.
+	// SizeSegregatedRegions places objects of at least a card segment's
+	// worth of bytes in a separate region chain for their label.
 	SizeSegregatedRegions bool
-	// BigObjectWords is the size threshold (0 → a card segment's worth).
-	BigObjectWords int
 }
 
 // bigLabelBit tags the segregated chain of a label. Labels are
@@ -40,11 +39,7 @@ func (th *TeraHeap) placementLabel(label uint64, sizeWords int) uint64 {
 	if !th.cfg.Ext.SizeSegregatedRegions {
 		return label
 	}
-	big := th.cfg.Ext.BigObjectWords
-	if big <= 0 {
-		big = int(th.cfg.CardSegmentSize / 8)
-	}
-	if sizeWords >= big {
+	if sizeWords >= int(th.cfg.CardSegmentSize/vm.WordSize) {
 		return label | bigLabelBit
 	}
 	return label
@@ -56,14 +51,8 @@ func (th *TeraHeap) adaptThresholds(tripped bool) {
 	if !th.cfg.Ext.DynamicThresholds {
 		return
 	}
-	floor := th.cfg.Ext.DynamicFloor
-	if floor == 0 {
-		floor = 0.25
-	}
-	ceil := th.cfg.Ext.DynamicCeil
-	if ceil == 0 {
-		ceil = th.cfg.HighThreshold - 0.10
-	}
+	const floor = 0.25
+	ceil := th.cfg.HighThreshold - 0.10
 	if tripped {
 		th.consecTrips++
 		th.calmCycles = 0

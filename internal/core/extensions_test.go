@@ -11,17 +11,16 @@ import (
 func TestSizeSegregationSeparatesChains(t *testing.T) {
 	e := newTHEnv(t, 1<<20, func(c *core.Config) {
 		c.Ext.SizeSegregatedRegions = true
-		c.Ext.BigObjectWords = 64
 		c.RegionSize = 16 * storage.KB
 	})
 	th := e.th
 	// Small and big reservations under the same label land in different
-	// regions.
+	// regions; an object of one card segment (4 KB) is big.
 	small, ok := th.PrepareMove(5, 8)
 	if !ok {
 		t.Fatal("small reservation failed")
 	}
-	big, ok := th.PrepareMove(5, 128)
+	big, ok := th.PrepareMove(5, 512)
 	if !ok {
 		t.Fatal("big reservation failed")
 	}
@@ -32,7 +31,7 @@ func TestSizeSegregationSeparatesChains(t *testing.T) {
 	}
 	// Balance the reservation ledger.
 	th.CommitMove(small, make([]uint64, 8))
-	th.CommitMove(big, make([]uint64, 128))
+	th.CommitMove(big, make([]uint64, 512))
 }
 
 func TestSizeSegregationDisabledSharesChain(t *testing.T) {
@@ -56,7 +55,6 @@ func TestDynamicThresholdsAdapt(t *testing.T) {
 		c.HighThreshold = 0.15
 		c.LowThreshold = 0.60 // conservative; nothing below high moves
 		c.Ext.DynamicThresholds = true
-		c.Ext.DynamicFloor = 0.20
 	})
 	th := e.th
 	start := th.LowThresholdNow()
@@ -78,10 +76,9 @@ func TestDynamicThresholdsAdapt(t *testing.T) {
 
 func TestDynamicThresholdsRecoverOnCalm(t *testing.T) {
 	e := newTHEnv(t, 1<<20, func(c *core.Config) {
-		c.HighThreshold = 0.85
+		c.HighThreshold = 0.70 // the low threshold's ceiling is 0.60
 		c.LowThreshold = 0.30
 		c.Ext.DynamicThresholds = true
-		c.Ext.DynamicCeil = 0.60
 	})
 	th := e.th
 	// No pressure at all: several calm majors raise the low threshold.

@@ -170,7 +170,6 @@ func (e *Env) AblationSizeSegregation() string {
 		thCfg := core.DefaultConfig(128 * storage.MB)
 		thCfg.RegionSize = 32 * storage.KB
 		thCfg.Ext.SizeSegregatedRegions = seg
-		thCfg.Ext.BigObjectWords = 512
 		ses := e.thSession(thCfg, classes, clock)
 		jvm := ses.Runtime
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
-	"github.com/carv-repro/teraheap-go/internal/recovery"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/server"
 )
@@ -23,10 +22,6 @@ type ServeRun struct {
 	Kind   rt.Kind
 	DramGB float64 // 0 → DefaultServeDramGB
 	Cfg    server.Config
-	// Recovery overrides the self-healing policy (KindTH only; nil keeps
-	// the default). The chaos serve schedule tightens the breaker so a
-	// trip and re-admission both happen inside one run.
-	Recovery *recovery.Policy
 	// Ctx scopes the run's cross-cutting configuration; nil means the
 	// zero rt.Layers, and Env.RunAll fills it from the environment.
 	Ctx *rt.Layers
@@ -46,10 +41,7 @@ func RunServe(cfg ServeRun) RunResult {
 		CacheGB:     DR2GB,
 		BytesPerGB:  Scale,
 	}
-	sspec := sizedSpec(cfg.Kind, dram, th, nil, cfg.Ctx)
-	sspec.Recovery = cfg.Recovery
-
-	ses := rt.NewSession(sspec)
+	ses := rt.NewSession(sizedSpec(cfg.Kind, dram, th, nil, cfg.Ctx))
 	stats, err := server.Run(ses, cfg.Cfg)
 	res := collect(ses, cfg.name(), err)
 	res.Serve = stats
@@ -164,21 +156,6 @@ type ChaosServeResult struct {
 	ChaosResult
 }
 
-// chaosServePolicy tightens the breaker so that, under the default chaos
-// serve plan, a trip AND a cooldown re-admission both land inside one
-// run — the schedule's acceptance property is throughput recovering
-// after H2 is re-admitted.
-func chaosServePolicy() *recovery.Policy {
-	return &recovery.Policy{
-		Enabled:           true,
-		BreakerK:          2,
-		WindowOps:         400000,
-		CooldownOps:       30000,
-		ScrubRegionsPerGC: 1,
-		ValidateRepair:    true,
-	}
-}
-
 // DefaultChaosServePlan is the brownout + region-fail schedule the serve
 // plane must survive: periodic device brownouts stretch service times
 // into the deadline (shedding), persistent region failures force salvage
@@ -201,13 +178,12 @@ func (e *Env) ChaosServe(plan *fault.Plan, base server.Config) ChaosServeResult 
 		plan = DefaultChaosServePlan()
 	}
 	ctx := &rt.Layers{Verify: true, FaultPlan: plan}
-	pol := chaosServePolicy()
 	hi := base
 	hi.RatePerSec = base.RatePerSec * 3
 	specs := []Spec{
-		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: base, Recovery: pol, Ctx: ctx}},
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: base, Ctx: ctx}},
 		{Serve: &ServeRun{Kind: rt.KindPS, Cfg: base, Ctx: ctx}},
-		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: hi, Recovery: pol, Ctx: ctx}},
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: hi, Ctx: ctx}},
 	}
 	return ChaosServeResult{ChaosResult{Plan: plan, Runs: e.RunAll(specs)}}
 }

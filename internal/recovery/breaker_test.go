@@ -9,8 +9,15 @@ import (
 
 // breakerManager builds a Manager exercising only the breaker state
 // machine (no collector/heap: strike, admit, and probe never touch them).
-func breakerManager(pol Policy, plan *fault.Plan) *Manager {
-	return NewManager(pol, nil, nil, fault.NewInjector(plan), simclock.New())
+func breakerManager(plan *fault.Plan) *Manager {
+	return NewManager(nil, nil, fault.NewInjector(plan), simclock.New())
+}
+
+// trip strikes the breaker breakerK times in a row, tripping it open.
+func trip(m *Manager) {
+	for i := 0; i < breakerK; i++ {
+		m.strike()
+	}
 }
 
 // advance consumes n injector decisions without injecting anything. The
@@ -30,8 +37,8 @@ func tickingPlan(regionFail float64) *fault.Plan {
 }
 
 func TestBreakerTripsAtK(t *testing.T) {
-	m := breakerManager(Policy{Enabled: true, BreakerK: 3}, &fault.Plan{Seed: 1})
-	for i := 0; i < 2; i++ {
+	m := breakerManager(&fault.Plan{Seed: 1})
+	for i := 0; i < breakerK-1; i++ {
 		m.strike()
 		if m.State() != Closed {
 			t.Fatalf("state = %v after %d strikes, want closed", m.State(), i+1)
@@ -42,7 +49,7 @@ func TestBreakerTripsAtK(t *testing.T) {
 	}
 	m.strike()
 	if m.State() != Open {
-		t.Fatalf("state = %v after 3 strikes, want open", m.State())
+		t.Fatalf("state = %v after %d strikes, want open", m.State(), breakerK)
 	}
 	if got := m.Stats().BreakerTrips; got != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", got)
@@ -57,15 +64,19 @@ func TestBreakerTripsAtK(t *testing.T) {
 
 func TestBreakerProbeClosesAfterCooldown(t *testing.T) {
 	// No error rates: probes always succeed once the cooldown elapses.
-	m := breakerManager(Policy{Enabled: true, BreakerK: 1, CooldownOps: 10}, tickingPlan(0))
-	m.strike()
+	m := breakerManager(tickingPlan(0))
+	trip(m)
 	if m.State() != Open {
 		t.Fatalf("state = %v, want open", m.State())
 	}
 	if m.admit() {
 		t.Fatal("admit = true before cooldown elapsed")
 	}
-	advance(m.inj, 10)
+	advance(m.inj, cooldownOps-1)
+	if m.admit() {
+		t.Fatal("admit = true one decision before the cooldown elapsed")
+	}
+	advance(m.inj, 1)
 	if !m.admit() {
 		t.Fatal("admit = false after cooldown: probe should have closed the breaker")
 	}
@@ -81,10 +92,10 @@ func TestBreakerProbeClosesAfterCooldown(t *testing.T) {
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	// region-fail=1 makes every probe fail: the breaker must re-open with a
 	// fresh cooldown each time and never close.
-	m := breakerManager(Policy{Enabled: true, BreakerK: 1, CooldownOps: 5}, tickingPlan(1))
-	m.strike()
+	m := breakerManager(tickingPlan(1))
+	trip(m)
 	for round := 0; round < 3; round++ {
-		advance(m.inj, 5)
+		advance(m.inj, cooldownOps)
 		if m.admit() {
 			t.Fatalf("round %d: admit = true under a dead device", round)
 		}
@@ -99,29 +110,30 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerWindowPrunesStrikes(t *testing.T) {
-	m := breakerManager(Policy{Enabled: true, BreakerK: 2, WindowOps: 10}, tickingPlan(0))
+	m := breakerManager(tickingPlan(0))
 	m.strike()
-	advance(m.inj, 20) // first strike ages out of the window
-	m.strike()
+	advance(m.inj, windowOps+1) // first strike ages out of the window
+	for i := 0; i < breakerK-1; i++ {
+		m.strike()
+	}
 	if m.State() != Closed {
 		t.Fatalf("state = %v: stale strike counted toward the trip threshold", m.State())
 	}
-	m.strike() // two strikes inside one window now
+	m.strike() // breakerK strikes inside one window now
 	if m.State() != Open {
-		t.Fatalf("state = %v after two in-window strikes, want open", m.State())
+		t.Fatalf("state = %v after %d in-window strikes, want open", m.State(), breakerK)
 	}
 }
 
 func TestBreakerH1OnlySpanAccounting(t *testing.T) {
 	clock := simclock.New()
-	m := NewManager(Policy{Enabled: true, BreakerK: 1, CooldownOps: 1},
-		nil, nil, fault.NewInjector(tickingPlan(0)), clock)
-	m.strike()
+	m := NewManager(nil, nil, fault.NewInjector(tickingPlan(0)), clock)
+	trip(m)
 	clock.ChargeAmbient(100) // 100ns of simulated H1-only time
 	if got := m.Stats().H1OnlyTime; got != 100 {
 		t.Fatalf("open-span H1OnlyTime = %v, want 100ns (live span included in snapshots)", got)
 	}
-	advance(m.inj, 1)
+	advance(m.inj, cooldownOps)
 	if !m.admit() {
 		t.Fatal("probe should close the breaker")
 	}

@@ -66,58 +66,18 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Policy configures the recovery layer. The zero value is disabled; use
-// DefaultPolicy for the standard enabled configuration (what rt.NewSession
-// installs when rt.Spec.Recovery is nil).
-type Policy struct {
-	// Enabled turns the layer on. Disabled preserves the pre-recovery
-	// behavior: persistent failures latch and the run ends Faulted.
-	Enabled bool
-
-	// BreakerK strikes inside WindowOps trip the breaker (default 3).
-	BreakerK int
-
-	// WindowOps is the failure window, in injector decisions
-	// (default 200000).
-	WindowOps int64
-
-	// CooldownOps is how many injector decisions the breaker stays Open
-	// before a half-open probe (default 50000).
-	CooldownOps int64
-
-	// ScrubRegionsPerGC bounds the opportunistic checksum scrub per pause
-	// (default 1; 0 disables scrubbing).
-	ScrubRegionsPerGC int
-
-	// ValidateRepair runs the full invariant verifier after every salvage
-	// (default true), panicking with a structured report if the repair
-	// left the heap inconsistent.
-	ValidateRepair bool
-}
-
-// DefaultPolicy returns the enabled default configuration.
-func DefaultPolicy() Policy {
-	return Policy{
-		Enabled:           true,
-		BreakerK:          3,
-		WindowOps:         200000,
-		CooldownOps:       50000,
-		ScrubRegionsPerGC: 1,
-		ValidateRepair:    true,
-	}
-}
-
-func (p *Policy) applyDefaults() {
-	if p.BreakerK <= 0 {
-		p.BreakerK = 3
-	}
-	if p.WindowOps <= 0 {
-		p.WindowOps = 200000
-	}
-	if p.CooldownOps <= 0 {
-		p.CooldownOps = 50000
-	}
-}
+// The recovery layer's policy. Every run uses the same one.
+const (
+	// breakerK strikes inside windowOps trip the breaker.
+	breakerK = 3
+	// windowOps is the failure window, in injector decisions.
+	windowOps = 200000
+	// cooldownOps is how many injector decisions the breaker stays Open
+	// before a half-open probe.
+	cooldownOps = 50000
+	// scrubRegionsPerGC bounds the opportunistic checksum scrub per pause.
+	scrubRegionsPerGC = 1
+)
 
 // Stats counts the recovery layer's activity for one run.
 type Stats struct {
@@ -161,7 +121,6 @@ func (s Stats) String() string {
 // collector it serves, it is not safe for concurrent use.
 type Manager struct {
 	gc.BaseHook
-	pol   Policy
 	col   *gc.Collector
 	th    *core.TeraHeap
 	inj   *fault.Injector
@@ -180,9 +139,8 @@ type Manager struct {
 // NewManager builds the layer over one collector/TeraHeap pair. The
 // injector may be nil (fault-free run: the layer stays idle; probes
 // trivially succeed). Call Install to wire it in.
-func NewManager(pol Policy, col *gc.Collector, th *core.TeraHeap, inj *fault.Injector, clock *simclock.Clock) *Manager {
-	pol.applyDefaults()
-	return &Manager{pol: pol, col: col, th: th, inj: inj, clock: clock}
+func NewManager(col *gc.Collector, th *core.TeraHeap, inj *fault.Injector, clock *simclock.Clock) *Manager {
+	return &Manager{col: col, th: th, inj: inj, clock: clock}
 }
 
 // Install registers the Manager on the collector's hook plane — after the
@@ -338,10 +296,8 @@ func (m *Manager) salvageRegion(id int) bool {
 	m.th.RetireRegion(id)
 	m.stats.RegionsQuarantined++
 
-	if m.pol.ValidateRepair {
-		if failures := m.col.VerifyNow(); len(failures) > 0 {
-			panic(check.Report("after salvage", failures))
-		}
+	if failures := m.col.VerifyNow(); len(failures) > 0 {
+		panic(check.Report("after salvage", failures))
 	}
 	return true
 }
@@ -354,12 +310,12 @@ func (m *Manager) strike() {
 	now := m.inj.Ops()
 	kept := m.strikes[:0]
 	for _, s := range m.strikes {
-		if now-s <= m.pol.WindowOps {
+		if now-s <= windowOps {
 			kept = append(kept, s)
 		}
 	}
 	m.strikes = append(kept, now)
-	if m.state == Closed && len(m.strikes) >= m.pol.BreakerK {
+	if m.state == Closed && len(m.strikes) >= breakerK {
 		m.state = Open
 		m.openedOps = now
 		m.openedAt = m.clock.Now()
@@ -374,7 +330,7 @@ func (m *Manager) admit() bool {
 	if m.state == Closed {
 		return true
 	}
-	if m.inj.Ops()-m.openedOps < m.pol.CooldownOps {
+	if m.inj.Ops()-m.openedOps < cooldownOps {
 		m.stats.BreakerRejects++
 		return false
 	}
@@ -414,11 +370,9 @@ func (m *Manager) AfterGC(gc.Phase) {
 	if m.inRecovery {
 		return
 	}
-	if n := m.pol.ScrubRegionsPerGC; n > 0 {
-		corrupt, scanned := m.th.ScrubStep(n)
-		m.stats.RegionsScrubbed += int64(scanned)
-		m.stats.CorruptDetected += int64(len(corrupt))
-	}
+	corrupt, scanned := m.th.ScrubStep(scrubRegionsPerGC)
+	m.stats.RegionsScrubbed += int64(scanned)
+	m.stats.CorruptDetected += int64(len(corrupt))
 	// Salvage every failed region not yet retired: fresh scrub hits, and
 	// regions an earlier pass could not place (retried now that this GC
 	// may have freed H1 space). A region that still cannot salvage stays
@@ -431,7 +385,7 @@ func (m *Manager) AfterGC(gc.Phase) {
 			m.strike()
 		}
 	}
-	if m.state == Open && m.inj.Ops()-m.openedOps >= m.pol.CooldownOps {
+	if m.state == Open && m.inj.Ops()-m.openedOps >= cooldownOps {
 		m.probe()
 	}
 }

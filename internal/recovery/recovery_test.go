@@ -1,13 +1,10 @@
 package recovery_test
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/gc"
-	"github.com/carv-repro/teraheap-go/internal/recovery"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
@@ -153,47 +150,5 @@ func TestCorruptImageScrubAndTombstone(t *testing.T) {
 	}
 	if got := ses.Injector.Stats().CorruptImages; got == 0 {
 		t.Error("injector CorruptImages = 0: corruption was never injected")
-	}
-}
-
-// TestRecoveryDisabledPreservesLatch: with the policy opted out, a
-// persistent region failure must latch and end the run Faulted — the
-// pre-recovery behavior, byte-for-byte.
-func TestRecoveryDisabledPreservesLatch(t *testing.T) {
-	classes := vm.NewClassTable()
-	classes.MustRefArray("root[]")
-	classes.MustPrimArray("big[]")
-	cfg := core.DefaultConfig(64 * storage.MB)
-	cfg.RegionSize = 32 * storage.KB
-	ses := rt.NewSession(rt.Spec{
-		Kind: rt.KindTH, H1Size: 4 * storage.MB, TH: &cfg,
-		Classes:  classes,
-		Layers:   rt.Layers{Verify: true, FaultPlan: &fault.Plan{Seed: 7, RegionFailRate: 1}},
-		Recovery: &recovery.Policy{Enabled: false},
-	})
-	if ses.Recovery != nil || ses.RecoveryStats() != nil {
-		t.Fatal("recovery layer installed despite Enabled=false")
-	}
-	jvm := ses.Runtime
-	root, err := jvm.AllocRefArray(classes.ByName("root[]"), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := jvm.NewHandle(root)
-	jvm.TagRoot(h, 7)
-	for i := 0; i < 16; i++ {
-		b, err := jvm.AllocPrimArray(classes.ByName("big[]"), 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jvm.WriteRef(h.Addr(), i, b)
-	}
-	jvm.MoveHint(7)
-	var flt *gc.FaultError
-	if err := jvm.FullGC(); !errors.As(err, &flt) {
-		t.Fatalf("FullGC = %v, want a latched *gc.FaultError with recovery disabled", err)
-	}
-	if ses.Fault() == nil {
-		t.Error("Session.Fault() = nil with a latched region failure")
 	}
 }

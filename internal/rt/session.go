@@ -75,12 +75,6 @@ type Spec struct {
 
 	// Layers are the cross-cutting settings wired around the kind.
 	Layers
-
-	// Recovery configures the self-healing layer (PS-based TeraHeap
-	// kinds: TH, NG2C, Deca). Nil installs recovery.DefaultPolicy; a
-	// policy with Enabled=false opts out, restoring the latch-and-degrade
-	// behavior.
-	Recovery *recovery.Policy
 }
 
 // Layers are the cross-cutting per-run settings that apply to any runtime
@@ -134,8 +128,8 @@ type Session struct {
 	// heap first).
 	Events *EventStats
 	// Recovery is the self-healing layer, installed last on the hook
-	// plane for PS-based TeraHeap sessions with an enabled policy; nil
-	// otherwise.
+	// plane for PS-based sessions with a second heap (TH, NG2C, Deca);
+	// nil otherwise.
 	Recovery *recovery.Manager
 	// Placement is the session's placement policy when the kind installs
 	// a non-default one (NG2C, Deca); nil for legacy-placement kinds.
@@ -272,14 +266,8 @@ func NewSession(spec Spec) *Session {
 	// the PS collector's old generation, so only sessions with both a PS
 	// collector and a second heap get one.
 	if isPS && s.TH != nil {
-		pol := recovery.DefaultPolicy()
-		if spec.Recovery != nil {
-			pol = *spec.Recovery
-		}
-		if pol.Enabled {
-			s.Recovery = recovery.NewManager(pol, col, s.TH, s.Injector, s.Clock)
-			s.Recovery.Install()
-		}
+		s.Recovery = recovery.NewManager(col, s.TH, s.Injector, s.Clock)
+		s.Recovery.Install()
 	}
 	return s
 }

@@ -43,9 +43,10 @@ const (
 
 // Window is one throughput-measurement segment of the serve phase (the
 // run is cut into eight equal spans of offered primaries). A fault or
-// breaker trip shows up as a low-served window; re-admission shows up as
-// the tail windows climbing back — the "throughput recovers" signal the
-// chaos schedule asserts on.
+// breaker trip shows up as a low-served window; recovery, whether from
+// H1 alone or after H2 is re-admitted, shows up as the tail windows
+// climbing back — the "throughput recovers" signal the chaos schedule
+// asserts on.
 type Window struct {
 	Served  int64
 	Shed    int64

@@ -7,14 +7,13 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/recovery"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 )
 
 // testSession builds a small session of the given kind, mirroring the
 // sizing used by the rt package's own factory tests.
-func testSession(kind rt.Kind, plan *fault.Plan, pol *recovery.Policy) *rt.Session {
+func testSession(kind rt.Kind, plan *fault.Plan) *rt.Session {
 	spec := rt.Spec{Kind: kind, H1Size: 4 * storage.MB, Layers: rt.Layers{Verify: true}}
 	if kind == rt.KindTH || kind == rt.KindG1TH {
 		cfg := core.DefaultConfig(16 * storage.MB)
@@ -22,7 +21,6 @@ func testSession(kind rt.Kind, plan *fault.Plan, pol *recovery.Policy) *rt.Sessi
 		spec.TH = &cfg
 	}
 	spec.FaultPlan = plan
-	spec.Recovery = pol
 	return rt.NewSession(spec)
 }
 
@@ -42,7 +40,7 @@ func TestRunDeterminism(t *testing.T) {
 	for _, kind := range []rt.Kind{rt.KindPS, rt.KindTH, rt.KindG1} {
 		t.Run(kind.String(), func(t *testing.T) {
 			run := func() *Stats {
-				s, err := Run(testSession(kind, nil, nil), testConfig())
+				s, err := Run(testSession(kind, nil), testConfig())
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
@@ -61,7 +59,7 @@ func TestRunDeterminism(t *testing.T) {
 // and elapsed time covers the full arrival grid.
 func TestRunAccounting(t *testing.T) {
 	cfg := testConfig()
-	s, err := Run(testSession(rt.KindTH, nil, nil), cfg)
+	s, err := Run(testSession(rt.KindTH, nil), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -96,7 +94,7 @@ func TestRunShedsUnderOverload(t *testing.T) {
 	cfg.RatePerSec = 5_000_000 // ~200ns interarrival, below the base service cost
 	cfg.Deadline = 20 * time.Microsecond
 	cfg.QueueDepth = 8
-	s, err := Run(testSession(rt.KindPS, nil, nil), cfg)
+	s, err := Run(testSession(rt.KindPS, nil), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -117,8 +115,7 @@ func TestRunDegradedUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
-	pol := &recovery.Policy{Enabled: true, BreakerK: 2, WindowOps: 400000, CooldownOps: 30000, ScrubRegionsPerGC: 1, ValidateRepair: true}
-	ses := testSession(rt.KindTH, plan, pol)
+	ses := testSession(rt.KindTH, plan)
 	cfg := testConfig()
 	cfg.Requests = 20000 // fault injection rides on device traffic; give it a full serve phase
 	s, err := Run(ses, cfg)
@@ -135,7 +132,7 @@ func TestRunDegradedUnderFaults(t *testing.T) {
 		t.Errorf("no retries under a 10%% fault plan: %v", s)
 	}
 	if ses.Recovery == nil {
-		t.Fatalf("no recovery manager on a KindTH session with a policy")
+		t.Fatalf("no recovery manager on a KindTH session")
 	}
 	rs := ses.Recovery.Stats()
 	if rs.RecoveredFaults+rs.RegionsQuarantined+rs.SalvagedObjects+rs.BreakerTrips == 0 {
@@ -150,7 +147,7 @@ func TestRunDegradedUnderFaults(t *testing.T) {
 func TestPauseCollectorAttribution(t *testing.T) {
 	cfg := testConfig()
 	cfg.Requests = 20000
-	s, err := Run(testSession(rt.KindPS, nil, nil), cfg)
+	s, err := Run(testSession(rt.KindPS, nil), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -110,7 +110,3 @@ func (r *RDD) ForEachPartition(fn func(p int, root vm.Addr) error) error {
 	}
 	return nil
 }
-
-// Elements returns the element count of partition p recorded at build
-// time (0 before first materialization).
-func (r *RDD) Elements(p int) int { return r.stats[p].Elements }

@@ -34,7 +34,6 @@ const asyncOverlap = 0.6
 // during major GC bills Major GC while one taken by a mutator thread
 // bills Other — exactly how the paper attributes I/O wait.
 type Device struct {
-	kind  Kind
 	model CostModel
 	clock *simclock.Clock
 	stats Stats
@@ -60,7 +59,7 @@ func NewDevice(kind Kind, clock *simclock.Clock) *Device {
 	default:
 		m = DRAMModel()
 	}
-	return &Device{kind: kind, model: m, clock: clock}
+	return &Device{model: m, clock: clock}
 }
 
 // NewStripedDevice builds a device whose bandwidth scales with the number
@@ -77,9 +76,6 @@ func NewStripedDevice(kind Kind, stripes int, clock *simclock.Clock) *Device {
 	d.model.SeqBatch *= stripes
 	return d
 }
-
-// Kind returns the device technology.
-func (d *Device) Kind() Kind { return d.kind }
 
 // Model returns the device cost model.
 func (d *Device) Model() CostModel { return d.model }

@@ -39,9 +39,6 @@ func NewMappedFile(dev *Device, sizeBytes int64, pageSize int, cacheBytes int64)
 // SizeWords returns the mapping size in 8-byte words.
 func (m *MappedFile) SizeWords() int64 { return int64(len(m.words)) }
 
-// Device returns the backing device.
-func (m *MappedFile) Device() *Device { return m.dev }
-
 // Cache returns the simulated page cache.
 func (m *MappedFile) Cache() *PageCache { return m.cache }
 
