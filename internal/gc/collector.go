@@ -63,6 +63,7 @@ type Collector struct {
 	majBacks   []backRef
 	majClosure []vm.Addr
 	majStack   []vm.Addr
+	refBuf     []uint64
 	preYoung   []vm.Addr
 	preOld     []vm.Addr
 	youngDst   []vm.Addr

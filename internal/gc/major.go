@@ -91,10 +91,10 @@ type markState struct {
 // H1 objects referenced from H2 (backward refs), select and label the
 // transitive closures of tagged root key-objects, then mark from roots
 // while fencing H2 and recording forward references.
-func (c *Collector) majorMark(cy *Cycle) *markState {
+func (c *Collector) majorMark(cy *Cycle) markState {
 	m := c.mem
 	th := c.TH
-	st := &markState{}
+	var st markState
 
 	// Gather backward references first: their targets are both GC roots
 	// and, when the holder region's label is move-advised, stragglers
@@ -191,6 +191,7 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 		}
 	}
 
+	w := c.H1.Words()
 	for len(stack) > 0 {
 		o := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -204,17 +205,32 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 		if !c.H1.Contains(o) {
 			panic(fmt.Sprintf("gc: mark reached unmapped address %v", o))
 		}
-		if m.Marked(o) {
-			continue
+		// Test and set the mark bit, then read the size and the reference
+		// fields: from H1's words, or one accessor call per word.
+		var size int
+		var refs []uint64
+		if w != nil {
+			i := h1Word(o)
+			if w[i]&vm.FlagMark != 0 {
+				continue
+			}
+			w[i] |= vm.FlagMark
+			size = vm.ShapeSizeWords(w[i+1])
+			refs = w[i+vm.HeaderWords : i+vm.HeaderWords+vm.ShapeNumRefs(w[i+1])]
+		} else {
+			if m.Marked(o) {
+				continue
+			}
+			m.SetMarked(o, true)
+			size = m.SizeWords(o)
+			refs = c.loadRefs(o)
 		}
-		m.SetMarked(o, true)
 		c.gang.charge(simclock.MarkPerObject)
-		st.liveBytes += int64(m.SizeWords(o)) * vm.WordSize
-		n := m.NumRefs(o)
-		for i := 0; i < n; i++ {
-			if t := m.RefAt(o, i); !t.IsNull() {
+		st.liveBytes += int64(size) * vm.WordSize
+		for _, t := range refs {
+			if t != 0 {
 				c.gang.charge(simclock.ScanPerRef)
-				stack = append(stack, t)
+				stack = append(stack, vm.Addr(t))
 			}
 		}
 	}
@@ -233,6 +249,20 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 	}
 	c.majClosure = closureStack[:0]
 	return st
+}
+
+// h1Word returns the index in H1.Words() of the word at a.
+func h1Word(a vm.Addr) int { return int(a.Word(vm.H1Base)) }
+
+// loadRefs reads the reference fields of the object at a, in field order,
+// one accessor call per word, into a buffer the next call reuses.
+func (c *Collector) loadRefs(a vm.Addr) []uint64 {
+	buf := c.refBuf[:0]
+	for f, n := 0, c.mem.NumRefs(a); f < n; f++ {
+		buf = append(buf, uint64(c.mem.RefAt(a, f)))
+	}
+	c.refBuf = buf
+	return buf
 }
 
 // forwarding holds the precompaction result: parallel arrays of live
@@ -304,7 +334,7 @@ func (x *FwdIndex) Lookup(src, dst []vm.Addr, ref vm.Addr) (vm.Addr, bool) {
 // for closure objects (by label), the compacted old generation otherwise.
 // Old-generation objects are assigned first so in-place compaction copies
 // never overwrite unprocessed sources.
-func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, error) {
+func (c *Collector) majorPrecompact(mk markState, cy *Cycle) (*forwarding, error) {
 	m := c.mem
 	fw := &c.fwState
 	fw.src = fw.src[:0]
@@ -325,76 +355,32 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	if youngSpaces[0].Start > youngSpaces[1].Start {
 		youngSpaces[0], youngSpaces[1] = youngSpaces[1], youngSpaces[0]
 	}
+	w := c.H1.Words()
 	youngLive := c.preYoung[:0]
-	oldLive := c.preOld[:0]
 	for _, sp := range youngSpaces {
-		sp.Walk(m, func(a vm.Addr) {
-			if m.Marked(a) {
-				youngLive = append(youngLive, a)
-			}
-		})
+		youngLive = c.appendLive(youngLive, sp, w, false)
 	}
-	c.H1.Old.Walk(m, func(a vm.Addr) {
-		// One status load either way (Marked would do the same load); the
-		// dead branch hands the word to the placement policy so
-		// pretenuring mispredictions (dead policy-placed objects) are
-		// counted. A no-op under the default policy.
-		st := m.Status(a)
-		if st&vm.FlagMark != 0 {
-			oldLive = append(oldLive, a)
-		} else {
-			c.policy.NoteDeadOld(st)
-		}
-	})
+	oldLive := c.appendLive(c.preOld[:0], c.H1.Old, w, true)
 	c.preYoung = youngLive[:0]
 	c.preOld = oldLive[:0]
 
-	oldTop := c.H1.Old.Start
-	assign := func(a vm.Addr) (vm.Addr, error) {
-		size := m.SizeWords(a)
-		if m.InClosure(a) { // only set when there is a TeraHeap
-			if dst, ok := c.TH.PrepareMove(m.Label(a), size); ok {
-				return dst, nil
-			}
-			// H2 exhausted: keep the object in H1.
-		}
-		dst := oldTop
-		oldTop += vm.Addr(size * vm.WordSize)
-		if oldTop > c.H1.Old.End {
-			byLabel := map[uint64]int64{}
-			for _, o := range append(append([]vm.Addr{}, youngLive...), oldLive...) {
-				byLabel[m.Label(o)] += int64(m.SizeWords(o)) * vm.WordSize
-			}
-			return vm.NullAddr, c.LatchOOM(&OOMError{
-				Requested: int64(size) * vm.WordSize,
-				Where: fmt.Sprintf("major GC compaction (live young=%d old=%d objs, closure=%dw, old cap=%d, liveByLabel=%v)",
-					len(youngLive), len(oldLive), mk.closureWords, c.H1.Old.Capacity(), byLabel),
-			})
-		}
-		return dst, nil
-	}
-
-	// Old first (dst <= src within the old space), then young. Each live
-	// object is one precompaction work item.
+	// Old first (dst <= src within the old space), then young.
 	oldDst := growAddrs(c.oldDst, len(oldLive))
-	for i, a := range oldLive {
-		c.gang.beginItem()
-		c.gang.charge(simclock.PerCardObject)
-		d, err := assign(a)
-		if err != nil {
-			return nil, err
-		}
-		oldDst[i] = d
-	}
 	youngDst := growAddrs(c.youngDst, len(youngLive))
-	for i, a := range youngLive {
-		c.gang.beginItem()
-		c.gang.charge(simclock.PerCardObject)
-		d, err := assign(a)
-		if err != nil {
-			return nil, err
+	oldTop, over := c.assign(oldLive, oldDst, w, c.H1.Old.Start)
+	if over == 0 {
+		oldTop, over = c.assign(youngLive, youngDst, w, oldTop)
+	}
+	if over != 0 {
+		byLabel := map[uint64]int64{}
+		for _, o := range append(append([]vm.Addr{}, youngLive...), oldLive...) {
+			byLabel[m.Label(o)] += int64(m.SizeWords(o)) * vm.WordSize
 		}
-		youngDst[i] = d
+		return nil, c.LatchOOM(&OOMError{
+			Requested: int64(over) * vm.WordSize,
+			Where: fmt.Sprintf("major GC compaction (live young=%d old=%d objs, closure=%dw, old cap=%d, liveByLabel=%v)",
+				len(youngLive), len(oldLive), mk.closureWords, c.H1.Old.Capacity(), byLabel),
+		})
 	}
 	c.oldDst = oldDst[:0]
 	c.youngDst = youngDst[:0]
@@ -405,6 +391,71 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	fw.oldTop = oldTop
 	fw.idx.Build(fw.src)
 	return fw, nil
+}
+
+// assign sets dst[i] to the new address of live[i], in order, each object
+// one precompaction work item: an H2 region for a closure object while
+// H2 has room for its label, else the next slot of the compacted old
+// generation, whose top starts at oldTop. Each object's shape and status
+// words are read from w, or one accessor call per word when w is nil. It
+// returns the new top, and the size in words of the first object that
+// overflows the old generation (0 when all fit).
+func (c *Collector) assign(live, dst []vm.Addr, w []uint64, oldTop vm.Addr) (vm.Addr, int) {
+	m := c.mem
+	for i, a := range live {
+		c.gang.beginItem()
+		c.gang.charge(simclock.PerCardObject)
+		var size int
+		var closure bool
+		if w != nil {
+			j := h1Word(a)
+			size, closure = vm.ShapeSizeWords(w[j+1]), w[j]&vm.FlagClosure != 0
+		} else {
+			size, closure = m.SizeWords(a), m.InClosure(a)
+		}
+		if closure { // only set when there is a TeraHeap
+			if d, ok := c.TH.PrepareMove(m.Label(a), size); ok {
+				dst[i] = d
+				continue
+			}
+			// H2 exhausted: keep the object in H1.
+		}
+		dst[i] = oldTop
+		oldTop += vm.Addr(size * vm.WordSize)
+		if oldTop > c.H1.Old.End {
+			return oldTop, size
+		}
+	}
+	return oldTop, 0
+}
+
+// appendLive appends the marked objects of sp to live in address order,
+// reading each object's shape and then its status word from w, or one
+// accessor call per word when w is nil. With old set, each dead object's
+// status word goes to the placement policy so pretenuring mispredictions
+// (dead policy-placed objects) are counted; a no-op under the default
+// policy.
+func (c *Collector) appendLive(live []vm.Addr, sp *vm.Space, w []uint64, old bool) []vm.Addr {
+	for a := sp.Start; a < sp.Top; {
+		var size int
+		var st uint64
+		if w != nil {
+			i := h1Word(a)
+			size, st = vm.ShapeSizeWords(w[i+1]), w[i]
+		} else {
+			size, st = c.mem.SizeWords(a), c.mem.Status(a)
+		}
+		if size < vm.HeaderWords {
+			panic(fmt.Sprintf("gc: corrupt object at %v in %s (size %d)", a, sp.Name, size))
+		}
+		if st&vm.FlagMark != 0 {
+			live = append(live, a)
+		} else if old {
+			c.policy.NoteDeadOld(st)
+		}
+		a += vm.Addr(size * vm.WordSize)
+	}
+	return live
 }
 
 // growAddrs returns a slice of exactly n addresses, reusing buf's backing
@@ -442,35 +493,29 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 		}, func(vm.Addr) bool { return false })
 	}
 
+	w := c.H1.Words()
 	for i, a := range fw.src {
 		c.gang.beginItem() // each live object is one adjust work item
-		n := m.NumRefs(a)
-		toH2 := fw.inH2(i)
-		for f := 0; f < n; f++ {
+		if w != nil {
+			j := h1Word(a)
+			refs := w[j+vm.HeaderWords : j+vm.HeaderWords+vm.ShapeNumRefs(w[j+1])]
+			for f, t := range refs {
+				if t == 0 {
+					continue
+				}
+				if nt, inH1 := c.adjustField(fw, i, vm.Addr(t)); inH1 {
+					refs[f] = uint64(nt)
+				}
+			}
+			continue
+		}
+		for f, n := 0, m.NumRefs(a); f < n; f++ {
 			t := m.RefAt(a, f)
 			if t.IsNull() {
 				continue
 			}
-			c.gang.charge(simclock.ScanPerRef)
-			if c.TH.Contains(t) {
-				if toH2 {
-					c.TH.NoteCrossRegionRef(fw.dst[i], t)
-				}
-				continue
-			}
-			nt, ok := fw.lookup(t)
-			if !ok {
-				panic(fmt.Sprintf("gc: live object %v references unmarked %v", a, t))
-			}
-			m.SetRefAt(a, f, nt)
-			if toH2 {
-				if vm.InH2(nt) {
-					c.TH.NoteCrossRegionRef(fw.dst[i], nt)
-				} else {
-					// After compaction every H1 survivor is in the old
-					// generation.
-					c.TH.NoteBackwardRef(fw.dst[i], false)
-				}
+			if nt, inH1 := c.adjustField(fw, i, t); inH1 {
+				m.SetRefAt(a, f, nt)
 			}
 		}
 	}
@@ -492,47 +537,69 @@ func (c *Collector) majorAdjust(fw *forwarding) {
 	}
 }
 
+// adjustField adjusts the non-null reference t held by live object i. It
+// charges the scan and records the references object i carries when it is
+// bound for H2. For a target in H1 it returns the target's new address and
+// true, and the caller writes that back; an H2 target does not move.
+func (c *Collector) adjustField(fw *forwarding, i int, t vm.Addr) (vm.Addr, bool) {
+	c.gang.charge(simclock.ScanPerRef)
+	toH2 := fw.inH2(i)
+	if c.TH.Contains(t) {
+		if toH2 {
+			c.TH.NoteCrossRegionRef(fw.dst[i], t)
+		}
+		return t, false
+	}
+	nt, ok := fw.lookup(t)
+	if !ok {
+		panic(fmt.Sprintf("gc: live object %v references unmarked %v", fw.src[i], t))
+	}
+	if toH2 {
+		if vm.InH2(nt) {
+			c.TH.NoteCrossRegionRef(fw.dst[i], nt)
+		} else {
+			// After compaction every H1 survivor is in the old generation.
+			c.TH.NoteBackwardRef(fw.dst[i], false)
+		}
+	}
+	return nt, true
+}
+
 // majorCompact moves every live object to its assigned destination: old
 // generation objects first (sliding compaction), then young survivors,
 // with H2-bound objects written through the promotion buffers.
 func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	m := c.mem
+	w := c.H1.Words()
 
-	moveOne := func(i int) {
-		c.gang.beginItem() // each live object is one compaction work item
-		src, dst := fw.src[i], fw.dst[i]
-		size := m.SizeWords(src)
-		if fw.inH2(i) {
-			image := c.imageBuf
-			if cap(image) < size {
-				image = make([]uint64, size)
+	// Old sources first (sliding compaction), then young survivors.
+	for _, r := range [2][2]int{{fw.oldStartIdx, len(fw.src)}, {0, fw.oldStartIdx}} {
+		for i := r[0]; i < r[1]; i++ {
+			c.gang.beginItem() // each live object is one compaction work item
+			src, dst := fw.src[i], fw.dst[i]
+			var size int
+			if w != nil {
+				size = vm.ShapeSizeWords(w[h1Word(src)+1])
 			} else {
-				image = image[:size]
+				size = m.SizeWords(src)
 			}
-			for w := 0; w < size; w++ {
-				image[w] = m.AS.Load(src + vm.Addr(w*vm.WordSize))
+			if fw.inH2(i) {
+				c.moveToH2(src, dst, size, w)
+				cy.BytesMovedToH2 += int64(size) * vm.WordSize
+				cy.ObjectsMovedH2++
+				continue
 			}
-			image[0] &^= vm.FlagMark | vm.FlagClosure | vm.FlagPretenured
-			c.TH.CommitMove(dst, image) // copies image; safe to reuse
-			c.imageBuf = image
-			cy.BytesMovedToH2 += int64(size) * vm.WordSize
-			cy.ObjectsMovedH2++
-			return
+			if dst != src {
+				m.CopyObject(dst, src, size)
+			}
+			if w != nil {
+				w[h1Word(dst)] &^= vm.FlagMark | vm.FlagClosure
+			} else {
+				m.SetStatus(dst, m.Status(dst)&^uint64(vm.FlagMark|vm.FlagClosure))
+			}
+			cy.BytesCopied += int64(size) * vm.WordSize
+			c.gang.charge(time.Duration(int64(size)*vm.WordSize) * simclock.CopyPerByte)
 		}
-		if dst != src {
-			m.CopyObject(dst, src, size)
-		}
-		st := m.Status(dst)
-		m.SetStatus(dst, st&^uint64(vm.FlagMark|vm.FlagClosure))
-		cy.BytesCopied += int64(size) * vm.WordSize
-		c.gang.charge(time.Duration(int64(size)*vm.WordSize) * simclock.CopyPerByte)
-	}
-
-	for i := fw.oldStartIdx; i < len(fw.src); i++ {
-		moveOne(i)
-	}
-	for i := 0; i < fw.oldStartIdx; i++ {
-		moveOne(i)
 	}
 
 	// Reset spaces: everything live is now in the old generation or H2.
@@ -541,8 +608,41 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	c.H1.From.Reset()
 	c.H1.To.Reset()
 	c.H1.Cards.ClearAll()
-	c.H1.Old.Walk(c.mem, c.H1.Cards.NoteStart)
+	if w != nil {
+		// The compacted old generation holds exactly the H1 destinations,
+		// so they rebuild the start array without decoding a header.
+		// NoteStart keeps each card's lowest start, whatever the order.
+		for _, d := range fw.dst {
+			if !vm.InH2(d) {
+				c.H1.Cards.NoteStart(d)
+			}
+		}
+	} else {
+		c.H1.Old.Walk(m, c.H1.Cards.NoteStart)
+	}
 	if c.TH != nil {
 		c.TH.FlushBuffers()
 	}
+}
+
+// moveToH2 commits the size-word object at src to its H2 destination dst
+// through the promotion buffers, without its GC bits. Its image is copied
+// from w, or loaded one word at a time when w is nil.
+func (c *Collector) moveToH2(src, dst vm.Addr, size int, w []uint64) {
+	image := c.imageBuf
+	if cap(image) < size {
+		image = make([]uint64, size)
+	} else {
+		image = image[:size]
+	}
+	if w != nil {
+		copy(image, w[h1Word(src):])
+	} else {
+		for k := range image {
+			image[k] = c.mem.AS.Load(src + vm.Addr(k*vm.WordSize))
+		}
+	}
+	image[0] &^= vm.FlagMark | vm.FlagClosure | vm.FlagPretenured
+	c.TH.CommitMove(dst, image) // copies image; safe to reuse
+	c.imageBuf = image
 }

@@ -28,7 +28,7 @@ type Graph struct {
 	Parts int
 	Edges *spark.RDD
 
-	edgeBuf []uint64 // reused by readEdges
+	edgeBuf []uint64 // reused by readEdges and buildPartition
 }
 
 // partRange returns the [lo, hi) vertex range of partition p.
@@ -87,9 +87,11 @@ func (g *Graph) buildPartition(ctx *spark.Context, p int) (*vm.Handle, spark.Par
 			return nil, st, err
 		}
 		ctx.RT.WriteRef(h.Addr(), 1+i, ea)
+		buf := g.edgeWords(len(edges))
 		for j, t := range edges {
-			ctx.RT.WritePrim(ea, j, uint64(t))
+			buf[j] = uint64(t)
 		}
+		ctx.RT.Mem().SetPrimRun(ea, 0, buf)
 		st.Objects++
 		st.Words += int64(vm.HeaderWords + len(edges))
 		st.Elements += len(edges)
@@ -120,12 +122,17 @@ func (g *Graph) forEachAdjacency(fn func(v int, edges vm.Addr, deg int)) error {
 // readEdges reads the deg targets of the out-edge array at edges as one
 // primitive run. The slice is reused by the next call.
 func (g *Graph) readEdges(edges vm.Addr, deg int) []uint64 {
+	buf := g.edgeWords(deg)
+	g.Ctx.RT.Mem().PrimRun(edges, 0, 1, buf)
+	return buf
+}
+
+// edgeWords returns the reused edge buffer resized to deg words.
+func (g *Graph) edgeWords(deg int) []uint64 {
 	if cap(g.edgeBuf) < deg {
 		g.edgeBuf = make([]uint64, deg)
 	}
-	buf := g.edgeBuf[:deg]
-	g.Ctx.RT.Mem().PrimRun(edges, 0, 1, buf)
-	return buf
+	return g.edgeBuf[:deg]
 }
 
 // allocIterationTemps models the unpersisted per-iteration RDD a stage

@@ -105,6 +105,17 @@ func NewUnmapped(cfg Config) *H1 {
 	return h
 }
 
+// Words returns the DRAM words New maps under H1, word i holding the word
+// at vm.H1Base+8i, so a collector can read and write H1 without a call per
+// word. It is nil when the caller mapped H1 itself (NewUnmapped): those
+// mappings may price every word access.
+func (h *H1) Words() []uint64 {
+	if h.ram == nil {
+		return nil
+	}
+	return h.ram.Words()
+}
+
 // Contains reports whether a falls anywhere in H1.
 func (h *H1) Contains(a vm.Addr) bool {
 	return a >= h.Eden.Start && a < h.Old.End

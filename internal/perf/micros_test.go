@@ -46,6 +46,7 @@ func Micros() []Micro {
 		{Name: "prim_run_h2", Setup: setupPrimRunH2},
 		{Name: "copy_object", Setup: setupCopyObject},
 		{Name: "major_adjust_lookup", Setup: setupAdjustLookup},
+		{Name: "major_gc_full", Setup: setupMajorGC},
 	}
 }
 
@@ -370,4 +371,40 @@ func setupAdjustLookup() func() {
 			sink += d
 		}
 	}
+}
+
+// setupMajorGC: a PS JVM whose old generation holds a tenured working set
+// of linked nodes; each op allocates eden garbage and runs one full GC,
+// which finds the old generation live and in place. Steady state must be
+// 0 allocs/op: every major-GC scratch array is reused across cycles.
+func setupMajorGC() func() {
+	col := unverified(rt.Spec{Kind: rt.KindPS, H1Size: 8 * storage.MB}).Runtime.(*gc.Collector)
+	node := col.Classes().MustFixed("Node", 2, 1)
+	h := col.NewHandle(vm.NullAddr)
+	for i := 0; i < 4096; i++ {
+		a, err := col.Alloc(node)
+		if err != nil {
+			panic(err)
+		}
+		col.WriteRef(a, 0, h.Addr())
+		col.WritePrim(a, 0, uint64(i))
+		h.Set(a)
+	}
+	op := func() {
+		for i := 0; i < 512; i++ {
+			if _, err := col.Alloc(node); err != nil {
+				panic(err)
+			}
+		}
+		if err := col.FullGC(); err != nil {
+			panic(err)
+		}
+		col.GCStats().ResetCycles()
+	}
+	// Warm up: compact the working set into the old generation and grow
+	// every reusable buffer.
+	for i := 0; i < 4; i++ {
+		op()
+	}
+	return op
 }

@@ -70,6 +70,9 @@ func (r *RAM) Load(a Addr) uint64 { return r.words[(a-r.base)>>3] }
 // Store writes the word at a.
 func (r *RAM) Store(a Addr, v uint64) { r.words[(a-r.base)>>3] = v }
 
+// Words returns the backing words; word i holds the word at base+8i.
+func (r *RAM) Words() []uint64 { return r.words }
+
 // Peeker is optionally implemented by Memory backends that can read a
 // word without charging simulated cost. The invariant verifier reads the
 // whole heap through Peek so that enabling verification never perturbs
