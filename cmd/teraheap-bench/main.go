@@ -3,6 +3,7 @@
 // Usage:
 //
 //	teraheap-bench [-csv] [-j N] [-verify] [-fault PLAN] <experiment> [workload]
+//	teraheap-bench [-j N] [-verify] [-fault PLAN] <figure> <figure>...
 //	teraheap-bench [-verify] [-fault PLAN] run spark|giraph [-workload W] [-dram GB] ...
 //
 // Experiments: fig6-spark, fig6-giraph, fig7, fig8, fig9a, fig9b, fig10,
@@ -38,6 +39,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,11 +57,14 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// suite lists every experiment of the §6-§7 evaluation in "all" order.
-var suite = []struct {
+// suiteEntry is one experiment of the suite: its CLI name and figure.
+type suiteEntry struct {
 	name string
 	fn   func(*experiments.Env) string
-}{
+}
+
+// suite lists every experiment of the §6-§7 evaluation in "all" order.
+var suite = []suiteEntry{
 	{"fig6-spark", (*experiments.Env).Fig6SparkAll},
 	{"fig6-giraph", (*experiments.Env).Fig6GiraphAll},
 	{"fig7", func(e *experiments.Env) string { return e.Fig7().Format() }},
@@ -249,18 +254,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "all":
 		runAll(env, stdout, stderr)
 	default:
-		ran := false
-		for _, e := range suite {
-			if e.name == what {
-				fmt.Fprint(stdout, e.fn(env))
-				ran = true
-				break
+		// One or more suite figures, run in the order named. Every name
+		// is checked before any figure runs.
+		var fns []func(*experiments.Env) string
+		for _, name := range fs.Args() {
+			i := slices.IndexFunc(suite, func(e suiteEntry) bool { return e.name == name })
+			if i < 0 {
+				fmt.Fprintf(stderr, "teraheap-bench: unknown experiment %q\n\n", name)
+				usage(stderr)
+				return 2
 			}
+			fns = append(fns, suite[i].fn)
 		}
-		if !ran {
-			fmt.Fprintf(stderr, "teraheap-bench: unknown experiment %q\n\n", what)
-			usage(stderr)
-			return 2
+		for _, fn := range fns {
+			fmt.Fprint(stdout, fn(env))
 		}
 	}
 	// Degraded results still print in full above; the exit code tells
@@ -431,6 +438,10 @@ experiments:
   pretenure [KIND:KIND:...]
   ablation-groups ablation-striping ablation-hugepages
   ablation-dynamic ablation-sizeseg ablation-g1th
+
+Several figures of the "all" suite (fig7 fig8 ... ablation-g1th, without
+a workload argument) may be named at once: they run in the order given,
+and an unknown name exits 2 before any runs.
 
 run executes one configuration and prints its execution-time breakdown,
 GC cycles, device traffic and H2 movement: a Spark workload (PR CC SSSP

@@ -151,6 +151,41 @@ func TestSuiteNamesUnique(t *testing.T) {
 	}
 }
 
+// TestSeveralFiguresRunInOrder pins that every figure named runs, in
+// order: two suite figures print exactly the two separate runs' output,
+// and an unknown name among them exits 2 before any figure runs. It uses
+// two of the cheapest figures; the path is the same for any suite name.
+func TestSeveralFiguresRunInOrder(t *testing.T) {
+	figs := []string{"ablation-sizeseg", "fig7"}
+	var want strings.Builder
+	for _, f := range figs {
+		var stdout, stderr strings.Builder
+		if code := run([]string{f}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit code = %d, want 0 (stderr:\n%s)", f, code, stderr.String())
+		}
+		want.WriteString(stdout.String())
+	}
+	var stdout, stderr strings.Builder
+	if code := run(figs, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit code = %d, want 0 (stderr:\n%s)", figs, code, stderr.String())
+	}
+	if stdout.String() != want.String() {
+		t.Errorf("%v printed %d bytes, want the %d bytes of the two separate runs", figs, stdout.Len(), want.Len())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"fig12a", "nope"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("fig12a nope: exit code = %d, want 2", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("fig12a nope ran a figure before rejecting the name:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown experiment "nope"`) {
+		t.Errorf("stderr missing unknown-experiment message:\n%s", stderr.String())
+	}
+}
+
 func TestBadFaultPlan(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-fault", "seed=1,bogus=3", "fig7"}, &stdout, &stderr); code != 2 {

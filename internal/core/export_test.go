@@ -30,3 +30,29 @@ func (th *TeraHeap) DropDepsForTest(a vm.Addr) bool {
 	r.deps = make(map[int]struct{})
 	return true
 }
+
+// Promotion-buffer reuse hooks.
+
+// DropSpareBuffersForTest forgets the spare promotion-buffer arrays, so
+// the next region that stages grows fresh ones.
+func (th *TeraHeap) DropSpareBuffersForTest() { th.spareBufs = nil }
+
+// SpareArenasForTest returns the backing array of each spare buffer's
+// word arena, as a pointer to its first word, in spare-list order.
+func (th *TeraHeap) SpareArenasForTest() []*uint64 {
+	var out []*uint64
+	for _, b := range th.spareBufs {
+		out = append(out, &b.words[:1][0])
+	}
+	return out
+}
+
+// RegionSumsForTest returns every region's running checksum, in region
+// order.
+func (th *TeraHeap) RegionSumsForTest() []uint64 {
+	var out []uint64
+	for _, r := range th.regions {
+		out = append(out, r.sum)
+	}
+	return out
+}

@@ -112,9 +112,6 @@ func (r *region) takeReservation(dst vm.Addr) (int, bool) {
 	return 0, false
 }
 
-// pendingResv returns the number of outstanding reservations.
-func (r *region) pendingResv() int { return len(r.resv) - r.resvHead }
-
 // openLabel is one entry of the open-region-per-label table.
 type openLabel struct {
 	label uint64
@@ -162,7 +159,8 @@ func (r *region) empty() bool { return r.top == r.start }
 // promoBuffer stages object images bound for this region until a batched
 // asynchronous flush (the paper's 2 MB promotion buffer, §3.2). Images are
 // copied into a flat word arena at CommitMove time, so callers may reuse
-// their image buffers; both backing arrays are retained across GC cycles.
+// their image buffers. A region holds its arrays only while images are
+// staged: releaseBuf passes them on to the next region that stages.
 type promoBuffer struct {
 	words        []uint64 // flat arena of staged image words
 	recs         []bufRec
@@ -233,7 +231,6 @@ func (th *TeraHeap) PrepareMove(label uint64, sizeWords int) (vm.Addr, bool) {
 		r.segFirst[seg] = a
 	}
 	r.resv = append(r.resv, reservation{addr: a, words: int32(sizeWords)})
-	th.reservedCount++
 	th.stats.ObjectsMoved++
 	th.stats.BytesMoved += int64(need)
 	return a, true
@@ -297,7 +294,9 @@ func (th *TeraHeap) CommitMove(dst vm.Addr, image []uint64) {
 	} else if want != len(image) {
 		panic(fmt.Sprintf("core: CommitMove size mismatch at %v: reserved %d, image %d", dst, want, len(image)))
 	}
-	th.reservedCount--
+	if r.buf.words == nil {
+		r.buf = th.takeBuf()
+	}
 	off := len(r.buf.words)
 	r.buf.words = append(r.buf.words, image...)
 	r.buf.recs = append(r.buf.recs, bufRec{word: dst.Word(vm.H2Base), off: off, n: len(image)})
@@ -347,9 +346,7 @@ func (th *TeraHeap) flushRegion(r *region) {
 		th.mapped.ChargeAsyncWrite(r.buf.pendingBytes)
 	}
 	th.stats.BufferFlushes++
-	r.buf.words = r.buf.words[:0]
-	r.buf.recs = r.buf.recs[:0]
-	r.buf.pendingBytes = 0
+	th.releaseBuf(r)
 	if !r.failed && th.inj.RegionFlushFailed(r.id) {
 		// The device reports this region's blocks failing right after the
 		// flush was acknowledged (SMART-style grown defects): everything
@@ -360,6 +357,30 @@ func (th *TeraHeap) flushRegion(r *region) {
 		th.stats.RegionsFailed++
 		th.deleteOpen(r.label, r.id)
 	}
+}
+
+// releaseBuf empties r's promotion buffer, handing its arrays to the
+// spare list, so a region holds an arena only while it has images staged.
+// The list never holds more arenas than regions staged at once in one
+// collection: every one is taken again before a new one is grown.
+func (th *TeraHeap) releaseBuf(r *region) {
+	if r.buf.words != nil {
+		th.spareBufs = append(th.spareBufs, promoBuffer{words: r.buf.words[:0], recs: r.buf.recs[:0]})
+	}
+	r.buf = promoBuffer{}
+}
+
+// takeBuf returns a spare promotion buffer, or an empty one (which grows
+// on its first append) when there is none.
+func (th *TeraHeap) takeBuf() promoBuffer {
+	n := len(th.spareBufs)
+	if n == 0 {
+		return promoBuffer{}
+	}
+	b := th.spareBufs[n-1]
+	th.spareBufs[n-1] = promoBuffer{}
+	th.spareBufs = th.spareBufs[:n-1]
+	return b
 }
 
 // FlushBuffers drains every promotion buffer.
@@ -495,31 +516,7 @@ func (th *TeraHeap) freeRegion(r *region) {
 	th.stats.RegionSnapshots = append(th.stats.RegionSnapshots, RegionSnapshot{
 		RegionID: r.id, Reclaimed: true, LiveObjectsPct: 0, LiveSpacePct: 0,
 	})
-	th.deleteOpen(r.label, r.id)
-	th.mapped.InvalidateWords(r.start.Word(vm.H2Base), r.used()/vm.WordSize)
-	th.mapped.ZeroWords(r.start.Word(vm.H2Base), r.used()/vm.WordSize)
-	firstSeg := th.segmentOf(r.start)
-	for i := 0; i < th.segmentsPerRegion(); i++ {
-		th.cards.set(firstSeg+i, cardClean)
-	}
-	for i := range r.segFirst {
-		r.segFirst[i] = vm.NullAddr
-	}
-	th.stats.DepNodes -= int64(len(r.deps))
-	r.top = r.start
-	r.label = 0
-	r.live = false
-	r.groupLive = false
-	r.objects = 0
-	r.deps = make(map[int]struct{})
-	r.buf.words = r.buf.words[:0]
-	r.buf.recs = r.buf.recs[:0]
-	r.buf.pendingBytes = 0
-	th.reservedCount -= r.pendingResv()
-	r.resv = r.resv[:0]
-	r.resvHead = 0
-	r.sum = 0
-	r.bad = nil
+	th.resetRegion(r)
 	th.freeRegions = append(th.freeRegions, r.id)
 }
 
@@ -535,6 +532,15 @@ func (th *TeraHeap) RetireRegion(id int) {
 	}
 	r := th.regions[id]
 	th.stats.RegionsQuarantined++
+	th.resetRegion(r)
+	r.failed = false
+	r.quarantined = true
+}
+
+// resetRegion empties r: its open-label entry, page-cache pages, words,
+// card segments, dependency list, staged images, reservations and
+// checksum state all go.
+func (th *TeraHeap) resetRegion(r *region) {
 	th.deleteOpen(r.label, r.id)
 	th.mapped.InvalidateWords(r.start.Word(vm.H2Base), r.used()/vm.WordSize)
 	th.mapped.ZeroWords(r.start.Word(vm.H2Base), r.used()/vm.WordSize)
@@ -552,16 +558,11 @@ func (th *TeraHeap) RetireRegion(id int) {
 	r.groupLive = false
 	r.objects = 0
 	r.deps = make(map[int]struct{})
-	r.buf.words = r.buf.words[:0]
-	r.buf.recs = r.buf.recs[:0]
-	r.buf.pendingBytes = 0
-	th.reservedCount -= r.pendingResv()
+	th.releaseBuf(r)
 	r.resv = r.resv[:0]
 	r.resvHead = 0
 	r.sum = 0
 	r.bad = nil
-	r.failed = false
-	r.quarantined = true
 }
 
 // FailedRegions returns the ids of regions marked failed and not yet
@@ -576,11 +577,6 @@ func (th *TeraHeap) FailedRegions() []int {
 	}
 	return ids
 }
-
-// PendingReservations returns the number of PrepareMove reservations not
-// yet committed. Outside a GC cycle it must be zero: a nonzero value means
-// a reservation leaked (tests and the H2-exhaustion fallback coverage).
-func (th *TeraHeap) PendingReservations() int { return th.reservedCount }
 
 // UsedBytes returns the bytes currently allocated in H2.
 func (th *TeraHeap) UsedBytes() int64 {

@@ -132,9 +132,9 @@ type TeraHeap struct {
 	pressureLive int64 // live-byte estimate backing the current arming
 	pressureCap  int64 // old-generation capacity at arming time
 
-	// reservedCount tracks outstanding PrepareMove reservations across all
-	// regions (each region holds its own FIFO reservation queue).
-	reservedCount int
+	// spareBufs holds emptied promotion-buffer arrays (releaseBuf) for
+	// the next region that stages an image (takeBuf).
+	spareBufs []promoBuffer
 
 	// Reusable scratch for freeDeadRegions' reachability pass.
 	reachScratch []bool

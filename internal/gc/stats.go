@@ -95,11 +95,6 @@ func (s *Stats) record(cy Cycle) {
 	}
 }
 
-// ResetCycles drops the recorded per-cycle history while keeping its
-// backing array and the aggregate counters. Benchmarks use it so a
-// steady-state GC loop never grows the history slice between operations.
-func (s *Stats) ResetCycles() { s.Cycles = s.Cycles[:0] }
-
 // PhaseTotals sums per-phase major GC time across all cycles.
 func (s *Stats) PhaseTotals() [NumMajorPhases]time.Duration {
 	var t [NumMajorPhases]time.Duration

@@ -9,6 +9,7 @@ package giraph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -64,6 +65,16 @@ type Engine struct {
 	Ser   *serde.Serializer
 	Graph *workloads.Graph
 	Parts int
+
+	// per is the vertex count of every partition but the last, and
+	// perRecip is ceil(2^63/per): target divides by per as the high word
+	// of 2t·perRecip. Writing perRecip·per = 2^63+r with 0 <= r < per,
+	// the product's high word is t/per + t·r/(per·2^63), whose excess
+	// stays below 1/per because t·r < 2^31·2^31; so the floor is exact
+	// for every t < 2^31, which NewEngine guarantees. Scaling by 2^63
+	// rather than 2^64 keeps per == 1 representable.
+	per      int
+	perRecip uint64
 
 	clsPart *vm.Class // ref array
 	clsData *vm.Class // prim array
@@ -170,6 +181,11 @@ func NewEngine(conf Conf, g *workloads.Graph, parts int) (*Engine, error) {
 		// offloading must start well before the heap looks full.
 		conf.OOCHighWater = 0.50
 	}
+	if int64(g.N) >= 1<<31 {
+		// Messages pack a target's partition-local index in 32 bits, and
+		// target's reciprocal is exact below 2^31.
+		return nil, fmt.Errorf("giraph: graph of %d vertices exceeds 2^31", g.N)
+	}
 	classes := conf.RT.Classes()
 	cls := func(name string, mk func() *vm.Class) *vm.Class {
 		if c := classes.ByName(name); c != nil {
@@ -200,6 +216,7 @@ func NewEngine(conf Conf, g *workloads.Graph, parts int) (*Engine, error) {
 	}
 
 	per := (g.N + parts - 1) / parts
+	e.setPartitionSize(max(per, 1)) // an empty graph has no targets
 	for p := 0; p < parts; p++ {
 		lo := p * per
 		hi := lo + per
@@ -612,11 +629,16 @@ func (e *Engine) computePartition(prog Program, s int, pt *partition) (int64, er
 	return sent, nil
 }
 
+// setPartitionSize sets per and its reciprocal perRecip.
+func (e *Engine) setPartitionSize(per int) {
+	e.per, e.perRecip = per, (1<<63+uint64(per)-1)/uint64(per)
+}
+
 // target returns the partition of global vertex t and t's index in it.
 func (e *Engine) target(t int) (tp, local int) {
-	per := (e.Graph.N + e.Parts - 1) / e.Parts
-	tp = t / per
-	return tp, t - tp*per
+	hi, _ := bits.Mul64(uint64(t)<<1, e.perRecip)
+	tp = int(hi)
+	return tp, t - tp*e.per
 }
 
 // scatter appends one packed message per out-edge of the vertex whose

@@ -1,8 +1,8 @@
 package giraph
 
 import (
+	"fmt"
 	"math"
-	"slices"
 )
 
 // Program is a vertex program in the Pregel/Giraph model: Init sets the
@@ -74,10 +74,13 @@ func (p *PageRank) Compute(s, v int, value float64, msgs []float64, degree int) 
 // CDLP is community detection by label propagation: each vertex adopts
 // the most frequent label among its incoming messages, the smallest such
 // label on a tie. A value must not be shared by concurrent engines: it
-// holds Compute's sort buffer.
+// holds Compute's label counts.
 type CDLP struct {
 	Iterations int
-	buf        []float64
+	// count is indexed by label. Labels are vertex ids: Init hands out v
+	// and Compute only ever adopts a received message, so Init sizes it to
+	// n. Compute leaves every count at zero.
+	count []int32
 }
 
 // Name implements Program.
@@ -87,26 +90,35 @@ func (c *CDLP) Name() string { return "CDLP" }
 func (c *CDLP) MaxSupersteps() int { return c.Iterations }
 
 // Init implements Program.
-func (c *CDLP) Init(v, degree, n int) (float64, bool) { return float64(v), true }
+func (c *CDLP) Init(v, degree, n int) (float64, bool) {
+	if len(c.count) != n {
+		c.count = make([]int32, n)
+	}
+	return float64(v), true
+}
 
-// Compute implements Program. It counts labels by sorting a copy of the
-// messages: the first run of the longest length is the most frequent label
-// with the smallest value.
+// Compute implements Program. One pass counts the labels and keeps the
+// running best: a label takes over when its count passes the best count,
+// or ties it with a smaller label, so the pass ends on the most frequent
+// label with the smallest value. A second pass clears the counts. A
+// message that is not a vertex id is a bug and panics.
 func (c *CDLP) Compute(s, v int, value float64, msgs []float64, degree int) (float64, bool, float64) {
 	nv := value
 	if s > 0 && len(msgs) > 0 {
-		c.buf = append(c.buf[:0], msgs...)
-		slices.Sort(c.buf)
-		bestN := 0
-		for i := 0; i < len(c.buf); {
-			j := i + 1
-			for j < len(c.buf) && c.buf[j] == c.buf[i] {
-				j++
+		count := c.count
+		bestN := int32(0)
+		for _, m := range msgs {
+			l := int(m)
+			if float64(l) != m || uint(l) >= uint(len(count)) {
+				panic(fmt.Sprintf("giraph: CDLP label %v at vertex %d is not a vertex id in [0, %d)", m, v, len(count)))
 			}
-			if j-i > bestN {
-				nv, bestN = c.buf[i], j-i
+			count[l]++
+			if n := count[l]; n > bestN || (n == bestN && m < nv) {
+				nv, bestN = m, n
 			}
-			i = j
+		}
+		for _, m := range msgs {
+			count[int(m)] = 0
 		}
 	}
 	return nv, s < c.Iterations-1, nv

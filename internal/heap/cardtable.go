@@ -88,17 +88,6 @@ func (t *CardTable) ClearStarts(lo, hi vm.Addr) {
 	clear(t.starts[t.Index(lo) : t.Index(hi-1)+1])
 }
 
-// CountDirty returns the number of dirty cards.
-func (t *CardTable) CountDirty() int {
-	n := 0
-	for _, s := range t.cards {
-		if s == CardDirty {
-			n++
-		}
-	}
-	return n
-}
-
 // ClearAll resets every card to clean and forgets every object start.
 func (t *CardTable) ClearAll() {
 	clear(t.cards)

@@ -1,7 +1,8 @@
 // Package perf holds the simulator's hot-loop microbenchmarks: host
 // ns/op and allocs/op of the page cache, root set, scavenge, card scan,
-// writeback queue, word access, object copy and major-GC adjust paths,
-// with the steady-state allocation counts pinned by TestMicroAllocPins.
+// writeback queue, word access, object copy, major-GC and Giraph CDLP
+// label-mode paths, with the steady-state allocation counts pinned by
+// TestMicroAllocPins.
 // Run them with `go test -run '^$' -bench . ./internal/perf/`. End-to-end
 // and per-layer host performance is measured by the benchmark/ module.
 package perf
@@ -11,6 +12,7 @@ import (
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/gc"
+	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/placement"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/simclock"
@@ -47,6 +49,7 @@ func Micros() []Micro {
 		{Name: "copy_object", Setup: setupCopyObject},
 		{Name: "major_adjust_lookup", Setup: setupAdjustLookup},
 		{Name: "major_gc_full", Setup: setupMajorGC},
+		{Name: "giraph_cdlp_compute", Setup: setupCDLPCompute},
 	}
 }
 
@@ -158,7 +161,7 @@ func setupScavenge() func() {
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.GCStats().ResetCycles()
+		resetCycles(col.GCStats())
 	}
 	// Warm up: tenure the working set and grow every reusable buffer.
 	for i := 0; i < 32; i++ {
@@ -193,7 +196,7 @@ func setupScavengeGang4() func() {
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.GCStats().ResetCycles()
+		resetCycles(col.GCStats())
 	}
 	for i := 0; i < 32; i++ {
 		op()
@@ -229,7 +232,7 @@ func setupScavengeNG2C() func() {
 		if err := col.MinorGC(); err != nil {
 			panic(err)
 		}
-		col.GCStats().ResetCycles()
+		resetCycles(col.GCStats())
 	}
 	for i := 0; i < 32; i++ {
 		op()
@@ -373,6 +376,11 @@ func setupAdjustLookup() func() {
 	}
 }
 
+// resetCycles drops the recorded per-cycle history while keeping its
+// backing array and the aggregate counters, so a steady-state GC loop
+// never grows the history slice between operations.
+func resetCycles(s *gc.Stats) { s.Cycles = s.Cycles[:0] }
+
 // setupMajorGC: a PS JVM whose old generation holds a tenured working set
 // of linked nodes; each op allocates eden garbage and runs one full GC,
 // which finds the old generation live and in place. Steady state must be
@@ -399,7 +407,7 @@ func setupMajorGC() func() {
 		if err := col.FullGC(); err != nil {
 			panic(err)
 		}
-		col.GCStats().ResetCycles()
+		resetCycles(col.GCStats())
 	}
 	// Warm up: compact the working set into the old generation and grow
 	// every reusable buffer.
@@ -407,4 +415,31 @@ func setupMajorGC() func() {
 		op()
 	}
 	return op
+}
+
+// setupCDLPCompute: one CDLP superstep's label mode over 256 vertices of
+// a 4096-vertex graph, 32 messages each, drawn from few labels so counts
+// tie, as they do once label propagation starts to converge.
+func setupCDLPCompute() func() {
+	const n, verts, deg = 4096, 256, 32
+	c := &giraph.CDLP{Iterations: 10}
+	for v := 0; v < n; v++ {
+		c.Init(v, deg, n)
+	}
+	msgs := make([][]float64, verts)
+	x := uint64(1)
+	for v := range msgs {
+		msgs[v] = make([]float64, deg)
+		for j := range msgs[v] {
+			x = x*6364136223846793005 + 1442695040888963407
+			msgs[v][j] = float64((x >> 33) % 8 * 509)
+		}
+	}
+	var sink float64
+	return func() {
+		for v, m := range msgs {
+			nv, _, _ := c.Compute(1, v, float64(v), m, deg)
+			sink += nv
+		}
+	}
 }

@@ -29,8 +29,9 @@ func windowCaches(ses *Session) []*storage.PageCache {
 // and G1 put all of H1 in the DRAM window, Panthera only its DRAM prefix
 // (the trace includes the words at dramEnd-8 and dramEnd), Spark-MO has no
 // window, and the TeraHeap kinds add the H2 window. A second trace then
-// reads object runs with Mem.PrimRun on one session and the PrimAt loop it
-// stands for on the other (see primRunTrace), and a third writes them with
+// reads primitive counts and object runs with Mem.NumPrims and Mem.PrimRun
+// on one session and the loads they stand for on the other (see
+// primRunTrace), and a third writes them with
 // Mem.SetPrimRun and the SetPrimAt loop (see primWriteTrace). Values,
 // page-cache counters, device ops and the clock must all agree, and so
 // must the dirty pages, which a final flush of every cache writes back.
@@ -144,7 +145,9 @@ func traceBases(ses *Session, dramEnd vm.Addr) []vm.Addr {
 
 // primRunTrace writes object headers at fixed and random addresses of
 // both sessions and reads primitive runs from them: Mem.PrimRun on got,
-// the PrimAt loop on want. The fixed objects straddle pages, put the run
+// the PrimAt loop on want. Before each run it reads the object's
+// primitive count: Mem.NumPrims on got, the SizeWords and NumRefs loads
+// it stands for on want. The fixed objects straddle pages, put the run
 // on a different page from the header, read at stride 2 and (on Panthera)
 // straddle dramEnd; stores and mutator time in between dirty pages and
 // expire writeback windows.
@@ -183,6 +186,9 @@ func primRunTrace(t *testing.T, got, want *Session, bases []vm.Addr) {
 		shape := uint64(size) | uint64(r.refs)<<32
 		gm.AS.Store(r.a+vm.WordSize, shape)
 		wm.AS.Store(r.a+vm.WordSize, shape)
+		if g, w := gm.NumPrims(r.a), wm.SizeWords(r.a)-vm.HeaderWords-wm.NumRefs(r.a); g != w || g != r.prims {
+			t.Fatalf("run %d %+v: NumPrims = %d, want %d (two shape loads gave %d)", k, r, g, r.prims, w)
+		}
 		dst := make([]uint64, r.n)
 		gm.PrimRun(r.a, r.i, r.stride, dst)
 		for j := range dst {

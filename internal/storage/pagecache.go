@@ -220,20 +220,6 @@ func (c *PageCache) chargeWriteback(charge func()) {
 	}
 }
 
-// DropAll empties the cache, writing back dirty pages first.
-func (c *PageCache) DropAll() {
-	c.FlushAll()
-	for p := c.head; p != nilPage; {
-		s := &c.slots[p]
-		next := s.next
-		s.state = pageAbsent
-		s.prev, s.next = nilPage, nilPage
-		p = next
-	}
-	c.head, c.tail = nilPage, nilPage
-	c.resident = 0
-}
-
 // InvalidateRange drops any cached pages in [firstPage, lastPage] without
 // writeback; used when whole H2 regions are reclaimed (their contents are
 // dead, so dirty data need not reach the device). Readahead streams whose

@@ -65,9 +65,6 @@ func (d *Device) SetWritebackDepth(depth int) {
 // disabled).
 func (d *Device) WritebackDepth() int { return d.wb.depth }
 
-// WritebackPending returns the number of in-flight writeback batches.
-func (d *Device) WritebackPending() int { return d.wb.pending() }
-
 // WritebackStats returns a copy of the writeback-queue counters.
 func (d *Device) WritebackStats() WritebackStats { return d.wb.stats }
 

@@ -114,6 +114,9 @@ type AddressSpace struct {
 	ramWords []uint64
 	h2       Mapping
 	mappings []Mapping
+	// one is loadTwice's destination word: a local array would escape
+	// through the RunLoader call.
+	one [1]uint64
 }
 
 // Map registers a mapping. Ranges must not overlap.
@@ -234,6 +237,18 @@ func (as *AddressSpace) loadRun(hdr, a Addr, stride int, dst []uint64) {
 		as.Load(hdr)
 		dst[k] = as.Load(a + Addr(k*stride*WordSize))
 	}
+}
+
+// loadTwice returns the word at a, leaving the page cache, device counters
+// and clock as two consecutive loads of it would. Inside the DRAM window
+// it is one read; elsewhere it is loadRun(a, a, 1, ...), which the
+// RunLoader contract turns into exactly those two loads.
+func (as *AddressSpace) loadTwice(a Addr) uint64 {
+	if i := uint64(a-as.ramBase) >> 3; i < uint64(len(as.ramWords)) {
+		return as.ramWords[i]
+	}
+	as.loadRun(a, a, 1, as.one[:])
+	return as.one[0]
 }
 
 // storeRun writes src[k] to the word at a+k words, for k in order, each

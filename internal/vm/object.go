@@ -194,9 +194,12 @@ func (m *Mem) SetPrimRun(a Addr, i int, src []uint64) {
 	m.AS.storeRun(a+hdrShape*WordSize, a+Addr(first*WordSize), src)
 }
 
-// NumPrims returns the number of primitive words of the object at a.
+// NumPrims returns the number of primitive words of the object at a. It
+// reads the shape word once but charges it as the two loads SizeWords and
+// NumRefs would issue.
 func (m *Mem) NumPrims(a Addr) int {
-	return m.SizeWords(a) - HeaderWords - m.NumRefs(a)
+	shape := m.AS.loadTwice(a + hdrShape*WordSize)
+	return ShapeSizeWords(shape) - HeaderWords - ShapeNumRefs(shape)
 }
 
 // CopyObject copies the sizeWords-long object at src to dst word by word,
