@@ -42,9 +42,6 @@ func TestCachedDatasetsSurviveRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload runs in -short mode")
 	}
-	workloads.ResetCaches()
-	defer workloads.ResetCaches()
-
 	// Materialize the inputs PR (seed 101) and SSSP (seed 103) will use,
 	// through the same sizing helpers RunSpark uses.
 	prGraph := graphFromBytes(101, GB(sparkSpecs["PR"].datasetGB))

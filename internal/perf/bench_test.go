@@ -42,6 +42,7 @@ func TestMicroAllocPins(t *testing.T) {
 		"major_adjust_lookup":        0,
 		"major_gc_full":              0,
 		"giraph_cdlp_compute":        0,
+		"zipf_draw":                  0,
 	}
 	for _, m := range Micros() {
 		m := m
@@ -67,7 +68,7 @@ func TestMicrosHaveUniqueStableNames(t *testing.T) {
 		}
 		seen[m.Name] = true
 	}
-	if want := 17; len(seen) != want {
+	if want := 18; len(seen) != want {
 		t.Fatalf("expected %d micros, got %d", want, len(seen))
 	}
 }

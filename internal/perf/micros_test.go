@@ -1,8 +1,8 @@
 // Package perf holds the simulator's hot-loop microbenchmarks: host
 // ns/op and allocs/op of the page cache, root set, scavenge, card scan,
-// writeback queue, word access, object copy, major-GC and Giraph CDLP
-// label-mode paths, with the steady-state allocation counts pinned by
-// TestMicroAllocPins.
+// writeback queue, word access, object copy, major-GC, Giraph CDLP
+// label-mode and Zipf key-draw paths, with the steady-state allocation
+// counts pinned by TestMicroAllocPins.
 // Run them with `go test -run '^$' -bench . ./internal/perf/`. End-to-end
 // and per-layer host performance is measured by the benchmark/ module.
 package perf
@@ -18,6 +18,7 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 	"github.com/carv-repro/teraheap-go/internal/vm"
+	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
 
 // Micro is one hot-loop microbenchmark: Setup builds the scenario once
@@ -50,6 +51,7 @@ func Micros() []Micro {
 		{Name: "major_adjust_lookup", Setup: setupAdjustLookup},
 		{Name: "major_gc_full", Setup: setupMajorGC},
 		{Name: "giraph_cdlp_compute", Setup: setupCDLPCompute},
+		{Name: "zipf_draw", Setup: setupZipfDraw},
 	}
 }
 
@@ -440,6 +442,20 @@ func setupCDLPCompute() func() {
 		for v, m := range msgs {
 			nv, _, _ := c.Compute(1, v, float64(v), m, deg)
 			sink += nv
+		}
+	}
+}
+
+// setupZipfDraw: the serve plane's key sampler (4096 keys, s = 0.99),
+// 1024 draws per op from one stream, its bucket memo warm after the
+// first ops.
+func setupZipfDraw() func() {
+	z := workloads.NewZipf(4096, 0.99)
+	r := workloads.NewRand(1)
+	var sink int
+	return func() {
+		for i := 0; i < 1024; i++ {
+			sink += z.Draw(r)
 		}
 	}
 }

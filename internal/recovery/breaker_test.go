@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
@@ -143,5 +144,50 @@ func TestBreakerH1OnlySpanAccounting(t *testing.T) {
 	clock.ChargeAmbient(50)
 	if got := m.Stats().H1OnlyTime; got != 100 {
 		t.Fatalf("H1OnlyTime grew while closed: %v", got)
+	}
+}
+
+// TestRepairsMovesOnlyOnRepairs: Repairs moves when, and only when, a
+// fault is recovered, a region is quarantined or the breaker trips. Every
+// other counter, a scrub hit included, leaves it where it was.
+func TestRepairsMovesOnlyOnRepairs(t *testing.T) {
+	repairs := map[string]bool{"RecoveredFaults": true, "RegionsQuarantined": true, "BreakerTrips": true}
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type != reflect.TypeOf(int64(0)) {
+			continue // H1OnlyTime and State are not counters
+		}
+		m := breakerManager(&fault.Plan{Seed: 1})
+		before := m.Repairs()
+		reflect.ValueOf(&m.stats).Elem().Field(i).SetInt(1)
+		if moved := m.Repairs() != before; moved != repairs[f.Name] {
+			t.Errorf("%s +1: Repairs moved = %v, want %v", f.Name, moved, repairs[f.Name])
+		}
+	}
+
+	// The breaker's own transitions: strikes below the threshold and a
+	// probe that closes it leave Repairs alone; each trip moves it by one.
+	m := breakerManager(tickingPlan(0))
+	for i := 0; i < breakerK-1; i++ {
+		m.strike()
+	}
+	if got := m.Repairs(); got != 0 {
+		t.Fatalf("Repairs = %d after %d strikes below the threshold, want 0", got, breakerK-1)
+	}
+	m.strike()
+	if got := m.Repairs(); got != 1 {
+		t.Fatalf("Repairs = %d after the trip, want 1", got)
+	}
+	advance(m.inj, cooldownOps)
+	if !m.admit() || m.State() != Closed {
+		t.Fatal("probe should close the breaker")
+	}
+	if got := m.Repairs(); got != 1 {
+		t.Fatalf("Repairs = %d after the probe closed the breaker, want 1", got)
+	}
+	trip(m)
+	if got := m.Repairs(); got != 2 {
+		t.Fatalf("Repairs = %d after the second trip, want 2", got)
 	}
 }

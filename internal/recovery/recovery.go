@@ -154,6 +154,14 @@ func (m *Manager) Install() {
 // State returns the breaker's position.
 func (m *Manager) State() State { return m.state }
 
+// Repairs counts the repairs so far: recovered faults, quarantined
+// regions and breaker trips. Each of the three only grows, so the sum
+// changes exactly when one of them does; a scrub hit alone does not move
+// it. It is the one counter a request boundary reads.
+func (m *Manager) Repairs() int64 {
+	return m.stats.RecoveredFaults + m.stats.RegionsQuarantined + m.stats.BreakerTrips
+}
+
 // Stats returns a snapshot of the recovery counters. An in-progress
 // H1-only span is included in H1OnlyTime up to the snapshot instant.
 func (m *Manager) Stats() Stats {

@@ -60,6 +60,9 @@ func stamp(i, j int) uint64 { return uint64(i)*1_000_003 + uint64(j) + 1 }
 func TestRegionFailureSalvagesClosure(t *testing.T) {
 	ses, jvm, h, members := salvageEnv(t, &fault.Plan{Seed: 7, RegionFailRate: 1}, 16)
 	th := ses.TH
+	if got := ses.Recovery.Repairs(); got != 0 {
+		t.Fatalf("Repairs = %d before any fault, want 0", got)
+	}
 
 	if err := jvm.FullGC(); err != nil {
 		t.Fatalf("FullGC under region-fail=1: %v", err)
@@ -90,6 +93,9 @@ func TestRegionFailureSalvagesClosure(t *testing.T) {
 	}
 	if rs.RegionsQuarantined == 0 || rs.SalvagedObjects == 0 || rs.RecoveredFaults == 0 {
 		t.Errorf("recovery did not engage: %s", rs)
+	}
+	if got, want := ses.Recovery.Repairs(), rs.RecoveredFaults+rs.RegionsQuarantined+rs.BreakerTrips; got != want {
+		t.Errorf("Repairs = %d, want %d (faults + quarantines + trips)", got, want)
 	}
 	if rs.TombstonedObjects != 0 {
 		t.Errorf("tombstoned %d objects under a fail-after-write model, want 0 (data stays readable)", rs.TombstonedObjects)

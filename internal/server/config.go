@@ -69,8 +69,8 @@ type Config struct {
 }
 
 // DefaultConfig is the base serve configuration: a 4096-key store with
-// Zipf-0.99 popularity over 1.2M clients, 80/10/10 read/scan/write, a 2ms
-// deadline, and a 64-deep admission queue.
+// Zipf-0.99 key popularity, 1.2M clients, 80/10/10 read/scan/write, a
+// 2ms deadline, and a 64-deep admission queue.
 func DefaultConfig() Config {
 	return Config{
 		Seed:       1,

@@ -55,9 +55,6 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() int64 { return h.n }
-
 // Max returns the exact largest sample.
 func (h *Hist) Max() time.Duration { return h.max }
 

@@ -438,9 +438,10 @@ func (e *engine) churn(client uint64, out *outcome) {
 // serve executes one admitted request and classifies the reply.
 func (e *engine) serve(req request) outcome {
 	var out outcome
-	var rec0 recovery.Stats
-	if e.sess.Recovery != nil {
-		rec0 = e.sess.Recovery.Stats()
+	rec := e.sess.Recovery
+	var repairs int64
+	if rec != nil {
+		repairs = rec.Repairs()
 	}
 	e.clock.Charge(simclock.Other, baseCost)
 	// Every handler invocation allocates short-lived temporaries (request
@@ -466,21 +467,18 @@ func (e *engine) serve(req request) outcome {
 	if out.fatal == nil && e.srv.Float64() < e.cfg.ChurnProb {
 		e.churn(req.client, &out)
 	}
-	if e.sess.Recovery != nil {
-		rec1 := e.sess.Recovery.Stats()
-		// A salvage or breaker transition inside this request's span means
-		// the reply was produced while the heap was being repaired: served,
+	if rec != nil {
+		// A salvage or breaker trip inside this request's span means the
+		// reply was produced while the heap was being repaired: served,
 		// but degraded, and worth a client retry once the dust settles.
-		if rec1.RecoveredFaults != rec0.RecoveredFaults ||
-			rec1.RegionsQuarantined != rec0.RegionsQuarantined ||
-			rec1.BreakerTrips != rec0.BreakerTrips {
+		if rec.Repairs() != repairs {
 			out.degraded = true
 			out.retryable = true
 		}
 		// H1-only mode (breaker open or probing): degraded service by
 		// definition, but not retry-worthy — a retry would land on the same
 		// closed device and only amplify load.
-		if rec1.State != recovery.Closed {
+		if rec.State() != recovery.Closed {
 			out.degraded = true
 		}
 	}

@@ -53,14 +53,6 @@ func (c *memoCache[K, V]) get(k K, gen func() V) V {
 	return e.v
 }
 
-func (c *memoCache[K, V]) reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
 type graphKey struct {
 	seed   uint64
 	n      int
@@ -106,20 +98,4 @@ func CachedPoints(seed uint64, n, dim int) *Points {
 func CachedRows(seed uint64, n, k int) *Rows {
 	key := rowsKey{seed: seed, n: n, k: k}
 	return rowsCache.get(key, func() *Rows { return GenRows(seed, n, k) })
-}
-
-// CacheStats reports aggregate hit/miss counts across the three dataset
-// caches (tests and diagnostics).
-func CacheStats() (hits, misses int64) {
-	hits = graphCache.hits.Load() + pointsCache.hits.Load() + rowsCache.hits.Load()
-	misses = graphCache.misses.Load() + pointsCache.misses.Load() + rowsCache.misses.Load()
-	return hits, misses
-}
-
-// ResetCaches drops all memoised datasets and zeroes the counters
-// (tests; frees memory between unrelated suites).
-func ResetCaches() {
-	graphCache.reset()
-	pointsCache.reset()
-	rowsCache.reset()
 }

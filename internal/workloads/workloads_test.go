@@ -1,7 +1,6 @@
 package workloads_test
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -58,54 +57,6 @@ func TestZipfSkew(t *testing.T) {
 	// Rank 0 must dominate rank 50.
 	if counts[0] <= counts[50]*2 {
 		t.Fatalf("no skew: c0=%d c50=%d", counts[0], counts[50])
-	}
-}
-
-// oldZipf is the per-call formula the Zipf sampler replaced, kept
-// verbatim so the sampler is pinned draw for draw.
-func oldZipf(r *workloads.Rand, n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	u := r.Float64()
-	if s == 1 {
-		k := int(math.Pow(float64(n), u)) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= n {
-			k = n - 1
-		}
-		return k
-	}
-	x := math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1
-	k := int(x)
-	if k < 0 {
-		k = 0
-	}
-	if k >= n {
-		k = n - 1
-	}
-	return k
-}
-
-// TestZipfMatchesPerCallFormula: the sampler built once per (n, s) draws
-// exactly what the per-call formula drew from the same stream, and
-// consumes the stream identically (none at all when n <= 1).
-func TestZipfMatchesPerCallFormula(t *testing.T) {
-	for _, s := range []float64{0.9, 0.99, 1, 1.1} {
-		for _, n := range []int{0, 1, 2, 7, 160, 1000, 1_200_000} {
-			got, want := workloads.NewRand(uint64(n)+3), workloads.NewRand(uint64(n)+3)
-			z := workloads.NewZipf(n, s)
-			for i := 0; i < 20000; i++ {
-				if g, w := z.Draw(got), oldZipf(want, n, s); g != w {
-					t.Fatalf("s=%g n=%d draw %d: %d, want %d", s, n, i, g, w)
-				}
-			}
-			if got.Uint64() != want.Uint64() {
-				t.Fatalf("s=%g n=%d: streams diverged", s, n)
-			}
-		}
 	}
 }
 
